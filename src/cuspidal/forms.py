@@ -203,16 +203,6 @@ class OneForm:
             out = out + self.times_monomial(a, b, c)
         return out
 
-    def truncate_weight(self, top: int) -> "OneForm":
-        """Drop every cloud point of weight > top (sound whenever decisions
-        happen at or below weight top)."""
-        n, m = self.pair.n, self.pair.m
-        A = {k: v for k, v in self.A.items()
-             if n * (k[0] + 1) + m * k[1] <= top}
-        B = {k: v for k, v in self.B.items()
-             if n * k[0] + m * (k[1] + 1) <= top}
-        return OneForm(self.pair, A, B)
-
     def __eq__(self, other):
         return (isinstance(other, OneForm) and self.pair == other.pair
                 and self.A == other.A and self.B == other.B)

@@ -43,8 +43,13 @@ def _require_keys(obj: dict, allowed, required, what: str):
             raise InputError("missing field %r in %s" % (key, what))
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; true and false decode to Python ints and are not."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _parse_pair(n, m) -> PuiseuxPair:
-    if not (isinstance(n, int) and isinstance(m, int)):
+    if not (_is_int(n) and _is_int(m)):
         raise InputError("pair entries must be integers")
     try:
         return PuiseuxPair(n, m)
@@ -69,8 +74,9 @@ def parse_curve(obj, trunc_override: int = None) -> PuiseuxCurve:
     coeffs = {}
     for entry in obj["y"]:
         if not (isinstance(entry, list) and len(entry) == 2
-                and isinstance(entry[0], int) and isinstance(entry[1], str)):
-            raise InputError('y entries must be [exponent, "coefficient"]')
+                and _is_int(entry[0]) and isinstance(entry[1], str)):
+            raise InputError('y entries must be [exponent, "coefficient"]'
+                             ' with an integer exponent')
         k, text = entry
         if k in coeffs:
             raise InputError("duplicate y exponent %d" % k)
@@ -89,7 +95,7 @@ def parse_curve(obj, trunc_override: int = None) -> PuiseuxCurve:
         trunc = trunc_override
     if trunc is not None:
         floor = pair.conductor + 2 * pair.n * pair.m
-        if not isinstance(trunc, int) or trunc < floor:
+        if not _is_int(trunc) or trunc < floor:
             raise InputError("truncation must be an integer >= %d for the "
                              "pair (%d, %d)" % (floor, pair.n, pair.m))
     return PuiseuxCurve(pair, coeffs, trunc)
@@ -103,10 +109,10 @@ def _parse_triples(entries, what: str) -> dict:
     table = {}
     for entry in entries:
         if not (isinstance(entry, list) and len(entry) == 3
-                and isinstance(entry[0], int) and isinstance(entry[1], int)
+                and _is_int(entry[0]) and _is_int(entry[1])
                 and isinstance(entry[2], str)):
             raise InputError('%s entries must be [a, b, "coefficient"]'
-                             % what)
+                             ' with integer exponents a, b' % what)
         a, b, text = entry
         if a < 0 or b < 0:
             raise InputError("negative exponent in %s entry %r"

@@ -96,11 +96,7 @@ def represent(gamma: CuspSemigroup, p: int) -> GammaRepresentation:
     n, m = gamma.pair.n, gamma.pair.m
     if p >= n * m:
         raise NotUniqueRange("representation of %d >= %d is not unique" % (p, n * m))
-    if not contains(gamma, p):
-        raise NotInSemigroup("%d is not in <%d, %d>" % (p, n, m))
-    b = (p * gamma.pair.m_inverse_mod_n) % n
-    a = (p - b * m) // n
-    return GammaRepresentation(p, a, b)
+    return minimal_b_representation(gamma, p)
 
 
 def minimal_b_representation(gamma: CuspSemigroup, p: int) -> GammaRepresentation:

@@ -136,17 +136,18 @@ def solve_invariant_branch(omega: OneForm, a, pair: PuiseuxPair = None,
     return PuiseuxCurve(pair, y, trunc)
 
 
-def _expected_prefix(basis: ExtendedStandardBasis, i: int):
-    return basis.semimodule.truncated(i - 1)
-
-
-def _source_form(basis: ExtendedStandardBasis, i: int) -> OneForm:
+def _solve(basis: ExtendedStandardBasis, i: int, a):
+    """omega_i, its invariant branch at parameter a, the branch's standard
+    basis and the prefix Lambda_{i-1} that basis must carry."""
     if not 1 <= i <= basis.s_index + 1:
         raise IndexOutOfRange("semiroot index %d outside 1..%d"
                               % (i, basis.s_index + 1))
-    if i == basis.s_index + 1:
-        return dicritically_adjust(basis)
-    return basis.form(i)
+    omega = (dicritically_adjust(basis) if i == basis.s_index + 1
+             else basis.form(i))
+    branch = solve_invariant_branch(omega, a, basis.curve.pair,
+                                    basis.curve.trunc)
+    return (omega, branch, compute_standard_basis(branch),
+            basis.semimodule.truncated(i - 1))
 
 
 def semiroot(basis: ExtendedStandardBasis, i: int, a) -> Semiroot:
@@ -156,11 +157,8 @@ def semiroot(basis: ExtendedStandardBasis, i: int, a) -> Semiroot:
     and the resulting semimodule compared against the source prefix
     Lambda_{i-1}.  A mismatch raises VerificationFailure.
     """
-    omega = _source_form(basis, i)
-    branch = solve_invariant_branch(omega, a, basis.curve.pair,
-                                    basis.curve.trunc)
-    sm = compute_standard_basis(branch).semimodule
-    expected = _expected_prefix(basis, i)
+    _, branch, branch_basis, expected = _solve(basis, i, a)
+    sm = branch_basis.semimodule
     if sm != expected:
         raise VerificationFailure(
             "omega_%d-semiroot carries %r, expected %r" % (i, sm, expected),
@@ -181,11 +179,7 @@ def verify_main_theorem(basis: ExtendedStandardBasis, i: int, a) -> dict:
     raises VerificationFailure carrying it otherwise.
     """
     a = rat(a)
-    omega = _source_form(basis, i)
-    branch = solve_invariant_branch(omega, a, basis.curve.pair,
-                                    basis.curve.trunc)
-    expected = _expected_prefix(basis, i)
-    branch_basis = compute_standard_basis(branch)
+    omega, branch, branch_basis, expected = _solve(basis, i, a)
     checks = {}
     checks["standard_basis_semimodule"] = branch_basis.semimodule == expected
     checks["oracle_semimodule"] = semimodule_oracle(branch) == expected

@@ -178,8 +178,7 @@ class PuiseuxCurve:
     invariance certificates need the full headroom.
     """
 
-    __slots__ = ("pair", "gamma", "y", "trunc", "_ypow", "_wpow",
-                 "_ypow_low", "_wpow_low")
+    __slots__ = ("pair", "gamma", "y", "trunc", "_ypow", "_wpow")
 
     def __init__(self, pair: PuiseuxPair, y_coeffs, trunc=None):
         self.pair = pair
@@ -195,11 +194,10 @@ class PuiseuxCurve:
         if self.y.order_lb() != pair.m:
             raise NotACusp("y-series must start with a nonzero t^%d term"
                            % pair.m)
-        self._ypow = {0: TruncatedSeries.monomial(0, 1),
-                      1: self.y}
+        # power caches keyed (b, prec); prec is None at full precision
+        self._ypow = {(0, None): TruncatedSeries.monomial(0, 1),
+                      (1, None): self.y}
         self._wpow = {}
-        self._ypow_low = {}
-        self._wpow_low = {}
 
     @property
     def alpha(self):
@@ -207,17 +205,16 @@ class PuiseuxCurve:
         return self.y.coefficient(self.pair.m)
 
     def y_power(self, b: int, prec=None) -> TruncatedSeries:
-        """y^b; with prec, only orders below prec, from a cheaper cache."""
-        if prec is None or prec > self.trunc:
-            p = self._ypow
-            if b not in p:
-                p[b] = self.y_power(b - 1) * self.y
-            return p[b]
+        """y^b; with prec, only orders below prec, from a cheaper entry."""
+        if prec is not None and prec > self.trunc:
+            prec = None
         key = (b, prec)
-        p = self._ypow_low
+        p = self._ypow
         if key not in p:
-            if b <= 1:
-                p[key] = self._ypow[b].truncate(prec)
+            if prec is None:
+                p[key] = self.y_power(b - 1) * self.y
+            elif b <= 1:
+                p[key] = p[(b, None)].truncate(prec)
             else:
                 p[key] = (self.y_power(b - 1, prec) * self.y).truncate(prec)
         return p[key]
@@ -228,13 +225,10 @@ class PuiseuxCurve:
         Computed as theta(y^(b+1)) / (b+1): one coefficient sweep over
         the next power instead of a series product.
         """
-        if prec is None or prec > self.trunc:
-            w = self._wpow
-            if b not in w:
-                w[b] = _theta_over(self.y_power(b + 1), b + 1)
-            return w[b]
+        if prec is not None and prec > self.trunc:
+            prec = None
         key = (b, prec)
-        w = self._wpow_low
+        w = self._wpow
         if key not in w:
             w[key] = _theta_over(self.y_power(b + 1, prec), b + 1)
         return w[key]

@@ -78,7 +78,7 @@ class ExtendedStandardBasis:
     """
 
     __slots__ = ("curve", "semimodule", "forms", "traces",
-                 "adjusted", "certificate", "_pullbacks", "_cancel_cache")
+                 "adjusted", "certificate", "_pullbacks")
 
     def __init__(self, curve, semimodule, forms, traces):
         self.curve = curve
@@ -88,7 +88,6 @@ class ExtendedStandardBasis:
         self.adjusted = None
         self.certificate = None
         self._pullbacks = {}
-        self._cancel_cache = {}
 
     @property
     def s_index(self) -> int:
@@ -143,17 +142,6 @@ def _cancellation_site(gamma, lambdas, value):
     return None
 
 
-def _canceller_series(curve, pullbacks, cache, pos, c, d, prec=None):
-    """Pullback of x^c y^d omega_j (j at python position pos)."""
-    key = (pos, d)
-    base = cache.get(key)
-    if base is None:
-        base = (pullbacks[pos] if d == 0
-                else curve.y_power(d, prec) * pullbacks[pos])
-        cache[key] = base
-    return base.shifted(curve.pair.n * c)
-
-
 def _clearing_scalar(omega: OneForm) -> int:
     """Least positive integer rho making rho * omega integral.
 
@@ -183,16 +171,47 @@ def _seed(curve, sm, forms, pullbacks, prec=None):
     return "y", lim.ell2, uy, eta, a_eta
 
 
+def _cancel(curve, sm, forms, pullbacks, cache, eta, a_eta, first_stop,
+            stop, prec=None):
+    """The cancellation engine shared by the construction and the adjustment.
+
+    While the leading value nu of a_eta lies in the semimodule and under
+    the stop order (first_stop before the first step, stop after it),
+    cancel it against the cheapest x^c y^d omega_j.  Returns eta, its
+    pullback, the steps taken and the value it stopped at; the caller
+    decides what that value means.
+    """
+    steps = []
+    while True:
+        nu = a_eta.order_lb()
+        if nu >= (stop if steps else first_stop) or not sm.contains(nu):
+            return eta, a_eta, tuple(steps), nu
+        j, c, d = _cancellation_site(curve.gamma, sm.basis, nu)
+        # pullback of x^c y^d omega_j; the y^d omega_j part is cached
+        if (j, d) not in cache:
+            cache[j, d] = (pullbacks[j + 1] if d == 0
+                           else curve.y_power(d, prec) * pullbacks[j + 1])
+        canc = cache[j, d].shifted(curve.pair.n * c)
+        mu = a_eta.coefficient(nu) / canc.coefficient(nu)
+        a_eta = a_eta - canc.scaled(mu)
+        eta = eta - forms[j + 1].times_monomial(c, d, mu)
+        steps.append(TraceStep(j, c, d, mu))
+        if not a_eta.order_lb() > nu:
+            raise InternalDisagreement("cancellation at %d did not raise"
+                                       " the value" % nu)
+
+
 def compute_standard_basis(curve: PuiseuxCurve) -> ExtendedStandardBasis:
     """Construct omega_1, ..., omega_s and the semimodule of the curve.
 
-    Each stage opens with the seed above the last basis element and
-    repeatedly cancels the leading value against the cheapest
-    x^c y^d omega_j while it stays in the current semimodule; a value
-    outside it is a new generator, a value reaching the semigroup
-    conductor ends the construction.  Cancellation bookkeeping runs at
-    order conductor + 2, which decides every branch exactly; the curve's
-    own truncation only matters for the later dicritical adjustment.
+    Each stage opens with the seed above the last basis element and hands
+    it to _cancel with stop order c_Gamma for every step: the engine
+    cancels the leading value against the cheapest x^c y^d omega_j while
+    it stays in the current semimodule.  A value outside it is a new
+    generator, a value reaching the semigroup conductor ends the
+    construction.  Cancellation bookkeeping runs at order conductor + 2,
+    which decides every branch exactly; the curve's own truncation only
+    matters for the later dicritical adjustment.
     """
     pair = curve.pair
     n, m = pair.n, pair.m
@@ -212,26 +231,10 @@ def compute_standard_basis(curve: PuiseuxCurve) -> ExtendedStandardBasis:
         sm = GammaSemimodule(gamma, tuple(lam))
         axis, ell, u_next, eta, a_eta = _seed(curve, sm, forms, pullbacks,
                                               work)
-        steps = []
-        new_value = None
-        while True:
-            nu = a_eta.order_lb()
-            if nu >= c_gamma:
-                break
-            if not sm.contains(nu):
-                new_value = nu
-                break
-            j, c, d = _cancellation_site(gamma, lam, nu)
-            canc = _canceller_series(curve, pullbacks, cache, j + 1, c, d,
-                                     work)
-            mu = a_eta.coefficient(nu) / canc.coefficient(nu)
-            a_eta = a_eta - canc.scaled(mu)
-            eta = eta - forms[j + 1].times_monomial(c, d, mu)
-            steps.append(TraceStep(j, c, d, mu))
-            if not a_eta.order_lb() > nu:
-                raise InternalDisagreement("cancellation at %d did not raise"
-                                           " the value" % nu)
-        if new_value is None:
+        eta, a_eta, steps, new_value = _cancel(curve, sm, forms, pullbacks,
+                                               cache, eta, a_eta, c_gamma,
+                                               c_gamma, work)
+        if new_value >= c_gamma:
             break
         if new_value <= u_next:
             raise InternalDisagreement("generator %d at or under the axis %d"
@@ -243,7 +246,7 @@ def compute_standard_basis(curve: PuiseuxCurve) -> ExtendedStandardBasis:
         forms.append(omega)
         pullbacks.append(a_eta.scaled(rho))
         traces[len(lam) - 2] = ConstructionTrace(len(lam) - 3, axis, ell,
-                                                 tuple(steps), rho, None)
+                                                 steps, rho, None)
         if nu_E_form(omega) != t_chain[-1]:
             raise InternalDisagreement("form for %d has order %d, chain says"
                                        " %d" % (new_value, nu_E_form(omega),
@@ -274,48 +277,30 @@ def _check_shape(omega: OneForm, i: int):
 def dicritically_adjust(basis: ExtendedStandardBasis) -> OneForm:
     """Extend the basis with omega_{s+1}, invariant up to the truncation.
 
-    Runs the same cancellation loop as the construction, but at the full
-    curve truncation and past the conductor; whatever finite value
-    survives is integrated into a potential h and removed as d h.  The
-    result is checked to be totally dicritical before it is stored.
+    Runs _cancel at the full curve truncation with stop order T for the
+    first step and c_Gamma + 1 after it: the opening value u_{s+1} always
+    has a second representation over some omega_k with k < s, so the
+    first cancellation fires even past the conductor, and later ones stop
+    there.  Whatever finite value survives is integrated into a potential
+    h and removed as d h.  The result is checked to be totally dicritical
+    before it is stored.
     """
     if basis.adjusted is not None:
         return basis.adjusted
     curve, sm = basis.curve, basis.semimodule
     pair = curve.pair
-    gamma = curve.gamma
-    c_gamma = pair.conductor
-    lam = list(sm.basis)
     s = sm.s_index
     pullbacks = [basis.full_pullback(i) for i in range(-1, s + 1)]
     axis, ell, u_next, eta, a_eta = _seed(curve, sm, basis.forms, pullbacks)
     if u_next != basis.u[-1]:
         raise InternalDisagreement("seed value %d off the last axis %d"
                                    % (u_next, basis.u[-1]))
-    steps = []
-    while True:
-        nu = a_eta.order_lb()
-        # The opening value u_{s+1} always has a second representation
-        # over some omega_k with k < s, so the first cancellation fires
-        # even past the conductor; later ones stop there and leave the
-        # rest to the potential.
-        if nu > c_gamma and steps:
-            break
-        if nu >= curve.trunc:
-            break
-        if not sm.contains(nu):
-            raise InternalDisagreement("value %d under the conductor escaped"
-                                       " the construction" % nu)
-        j, c, d = _cancellation_site(gamma, lam, nu)
-        canc = _canceller_series(curve, pullbacks, basis._cancel_cache,
-                                 j + 1, c, d)
-        mu = a_eta.coefficient(nu) / canc.coefficient(nu)
-        a_eta = a_eta - canc.scaled(mu)
-        eta = eta - basis.forms[j + 1].times_monomial(c, d, mu)
-        steps.append(TraceStep(j, c, d, mu))
-        if not a_eta.order_lb() > nu:
-            raise InternalDisagreement("cancellation at %d did not raise"
-                                       " the value" % nu)
+    stop = pair.conductor + 1
+    eta, a_eta, steps, nu = _cancel(curve, sm, basis.forms, pullbacks, {},
+                                    eta, a_eta, curve.trunc, stop)
+    if nu < (stop if steps else curve.trunc):
+        raise InternalDisagreement("value %d under the conductor escaped"
+                                   " the construction" % nu)
     if a_eta.truncate(curve.trunc).is_zero():
         rho = _clearing_scalar(eta)
         omega = eta.scaled(rho)
@@ -338,7 +323,7 @@ def dicritically_adjust(basis: ExtendedStandardBasis) -> OneForm:
         raise InternalDisagreement("adjusted form is not totally dicritical")
     basis.adjusted = omega
     basis.certificate = OrderResult.AtLeast(curve.trunc)
-    basis.traces[s + 1] = ConstructionTrace(s, axis, ell, tuple(steps),
+    basis.traces[s + 1] = ConstructionTrace(s, axis, ell, steps,
                                             rho, potential)
     basis._pullbacks[s + 1] = residual
     return omega

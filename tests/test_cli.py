@@ -171,6 +171,21 @@ def test_exit_one_unknown_field(capsys):
     assert "unknown field" in err
 
 
+@pytest.mark.parametrize("command, flag, body, rule", [
+    ("standard-basis", "--curve", {"n": True, "m": 3, "y": [[3, "1"]]},
+     "pair entries must be integers"),
+    ("standard-basis", "--curve",
+     {"n": 5, "m": 11, "y": [[11, "1"], [True, "1"]]}, "integer exponent"),
+    ("dicritical-check", "--form",
+     {"pair": [4, 9], "dx": [[True, 0, "1"]], "dy": []}, "integer exponents"),
+], ids=["pair", "y", "form"])
+def test_exit_one_bool_for_integer(capsys, command, flag, body, rule):
+    # JSON true decodes to a Python int; it must not pass as 1
+    code, _, err = run(capsys, command, flag, json.dumps(body))
+    assert code == 1
+    assert rule in err
+
+
 def test_exit_one_truncation_below_floor(capsys):
     inline = json.dumps({"n": 5, "m": 11, "y": [[11, "1"]]})
     code, _, err = run(capsys, "standard-basis", "--curve", inline,
