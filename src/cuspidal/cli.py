@@ -115,7 +115,11 @@ def cmd_semimodule(ns):
                 "u": list(sm.axes),
                 "conductor": sm.conductor,
                 "increasing": True}
-    values = [int(v) for v in ns.generators.split(",")]
+    try:
+        values = [int(v) for v in ns.generators.split(",")]
+    except ValueError:
+        raise InputError("--generators wants integers, got %r"
+                         % ns.generators) from None
     if len(values) < 2:
         raise InputError("--generators wants at least n,m")
     pair = _pair_argument("%d,%d" % (values[0], values[1]))

@@ -48,10 +48,6 @@ class NotACusp(CuspidalError):
     """Parametrization is not a cusp branch (bad order or leading coefficient, or n < 2)."""
 
 
-class TruncationExhausted(CuspidalError):
-    """An order computation ran past the working truncation; raise T and retry."""
-
-
 class InternalDisagreement(CuspidalError):
     """Two independent routes to the same verdict disagreed; indicates a bug."""
 

@@ -10,6 +10,9 @@ predicates are conditions on the cloud's shape around its vertex.
 The translation between the views is a shift by one in the differential
 variable: mu at (alpha, beta) is the A-coefficient of x^(alpha-1) y^beta,
 zeta the B-coefficient of x^alpha y^(beta-1).
+
+Sums and products run on the kernel _accumulate, acc += c x^a y^b src,
+the twin of series._accumulate.
 """
 
 from __future__ import annotations
@@ -30,6 +33,30 @@ __all__ = [
 
 def _clean(coeffs) -> dict:
     return {k: v for k, v in coeffs.items() if v != 0}
+
+
+def _accumulate(acc: dict, src: dict, a: int = 0, b: int = 0, c=None):
+    """acc += c * x^a y^b * src in place, deleting entries that cancel;
+    c=None adds src unscaled."""
+    for (i, j), v in src.items():
+        k = (i + a, j + b)
+        if c is not None:
+            v = c * v
+        w = acc.get(k)
+        if w is not None:
+            v += w
+        if v:
+            acc[k] = v
+        elif w is not None:
+            del acc[k]
+
+
+def _convolve(p: dict, q: dict) -> dict:
+    """The product of two monomial-keyed coefficient maps."""
+    out = {}
+    for (a, b), c in p.items():
+        _accumulate(out, q, a, b, c)
+    return out
 
 
 def _fmt_monomial(a: int, b: int) -> str:
@@ -82,27 +109,18 @@ class BivariatePolynomial:
 
     def __add__(self, other):
         out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, ZERO) + v
+        _accumulate(out, other.coeffs)
         return BivariatePolynomial(out)
 
     def __sub__(self, other):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, ZERO) - v
-        return BivariatePolynomial(out)
+        return self + -other
 
     def __neg__(self):
         return BivariatePolynomial({k: -v for k, v in self.coeffs.items()})
 
     def __mul__(self, other):
         if isinstance(other, BivariatePolynomial):
-            out = {}
-            for (a1, b1), c1 in self.coeffs.items():
-                for (a2, b2), c2 in other.coeffs.items():
-                    k = (a1 + a2, b1 + b2)
-                    out[k] = out.get(k, ZERO) + c1 * c2
-            return BivariatePolynomial(out)
+            return BivariatePolynomial(_convolve(self.coeffs, other.coeffs))
         c = rat(other)
         return BivariatePolynomial({k: c * v for k, v in self.coeffs.items()})
 
@@ -141,11 +159,11 @@ class OneForm:
             if mu != 0:
                 if alpha < 1:
                     raise ValueError("mu at alpha=0 is not a regular form")
-                A[(alpha - 1, beta)] = A.get((alpha - 1, beta), ZERO) + mu
+                A[(alpha - 1, beta)] = mu
             if zeta != 0:
                 if beta < 1:
                     raise ValueError("zeta at beta=0 is not a regular form")
-                B[(alpha, beta - 1)] = B.get((alpha, beta - 1), ZERO) + zeta
+                B[(alpha, beta - 1)] = zeta
         return cls(pair, A, B)
 
     @property
@@ -165,43 +183,26 @@ class OneForm:
         return not self.A and not self.B
 
     def __add__(self, other):
-        A = dict(self.A)
-        for k, v in other.A.items():
-            A[k] = A.get(k, ZERO) + v
-        B = dict(self.B)
-        for k, v in other.B.items():
-            B[k] = B.get(k, ZERO) + v
+        A, B = dict(self.A), dict(self.B)
+        _accumulate(A, other.A)
+        _accumulate(B, other.B)
         return OneForm(self.pair, A, B)
 
     def __sub__(self, other):
-        A = dict(self.A)
-        for k, v in other.A.items():
-            A[k] = A.get(k, ZERO) - v
-        B = dict(self.B)
-        for k, v in other.B.items():
-            B[k] = B.get(k, ZERO) - v
-        return OneForm(self.pair, A, B)
+        return self + -other
 
     def __neg__(self):
-        return self.scaled(-1)
+        return self.times_monomial(0, 0, -1)
 
     def scaled(self, c) -> "OneForm":
-        c = rat(c)
-        return OneForm(self.pair,
-                       {k: c * v for k, v in self.A.items()},
-                       {k: c * v for k, v in self.B.items()})
+        return self.times_monomial(0, 0, c)
 
     def times_monomial(self, a: int, b: int, c=1) -> "OneForm":
-        c = rat(c)
-        return OneForm(self.pair,
-                       {(k[0] + a, k[1] + b): c * v for k, v in self.A.items()},
-                       {(k[0] + a, k[1] + b): c * v for k, v in self.B.items()})
+        return self.times_polynomial(BivariatePolynomial.monomial(a, b, c))
 
     def times_polynomial(self, h: BivariatePolynomial) -> "OneForm":
-        out = OneForm.zero(self.pair)
-        for (a, b), c in h.items():
-            out = out + self.times_monomial(a, b, c)
-        return out
+        return OneForm(self.pair, _convolve(h.coeffs, self.A),
+                       _convolve(h.coeffs, self.B))
 
     def __eq__(self, other):
         return (isinstance(other, OneForm) and self.pair == other.pair
@@ -392,7 +393,7 @@ def differential(h, pair: PuiseuxPair) -> OneForm:
     A, B = {}, {}
     for (a, b), c in coeffs.items():
         if a:
-            A[(a - 1, b)] = A.get((a - 1, b), ZERO) + a * c
+            A[(a - 1, b)] = a * c
         if b:
-            B[(a, b - 1)] = B.get((a, b - 1), ZERO) + b * c
+            B[(a, b - 1)] = b * c
     return OneForm(pair, A, B)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 
-from .forms import BivariatePolynomial, OneForm
+from .forms import OneForm
 from .rationals import rat_from_str, rat_to_str
 from .semigroup import PuiseuxPair
 from .series import PuiseuxCurve
@@ -19,7 +19,7 @@ from .series import PuiseuxCurve
 __all__ = [
     "InputError", "dumps",
     "curve_to_json", "parse_curve", "form_to_json", "parse_form",
-    "poly_to_json", "basis_to_json", "delorme_to_json",
+    "poly_to_json", "y_to_json", "basis_to_json", "delorme_to_json",
     "semiroot_to_json", "verify_report_to_json", "dicritical_to_json",
 ]
 
@@ -58,11 +58,16 @@ def _parse_pair(n, m) -> PuiseuxPair:
                          % (n, m, exc)) from None
 
 
+def y_to_json(curve: PuiseuxCurve) -> list:
+    """The parametrization y(t) as [exponent, "coefficient"] entries."""
+    return [[k, rat_to_str(v)] for k, v in sorted(curve.y.coeffs.items())]
+
+
 def curve_to_json(curve: PuiseuxCurve) -> dict:
     return {
         "n": curve.pair.n,
         "m": curve.pair.m,
-        "y": [[k, rat_to_str(v)] for k, v in sorted(curve.y.coeffs.items())],
+        "y": y_to_json(curve),
         "truncation": curve.trunc,
     }
 
@@ -71,6 +76,9 @@ def parse_curve(obj, trunc_override: int = None) -> PuiseuxCurve:
     _require_keys(obj, ("n", "m", "y", "truncation"), ("n", "m", "y"),
                   "curve object")
     pair = _parse_pair(obj["n"], obj["m"])
+    if not isinstance(obj["y"], list):
+        raise InputError('y must be a list of [exponent, "coefficient"]'
+                         ' entries')
     coeffs = {}
     for entry in obj["y"]:
         if not (isinstance(entry, list) and len(entry) == 2
@@ -101,11 +109,10 @@ def parse_curve(obj, trunc_override: int = None) -> PuiseuxCurve:
     return PuiseuxCurve(pair, coeffs, trunc)
 
 
-def _coeff_triples(table: dict) -> list:
-    return [[a, b, rat_to_str(c)] for (a, b), c in sorted(table.items())]
-
-
 def _parse_triples(entries, what: str) -> dict:
+    if not isinstance(entries, list):
+        raise InputError('%s must be a list of [a, b, "coefficient"] entries'
+                         % what)
     table = {}
     for entry in entries:
         if not (isinstance(entry, list) and len(entry) == 3
@@ -131,8 +138,8 @@ def _parse_triples(entries, what: str) -> dict:
 def form_to_json(omega: OneForm) -> dict:
     return {
         "pair": [omega.pair.n, omega.pair.m],
-        "dx": _coeff_triples(omega.A),
-        "dy": _coeff_triples(omega.B),
+        "dx": poly_to_json(omega.A),
+        "dy": poly_to_json(omega.B),
     }
 
 
@@ -142,11 +149,12 @@ def parse_form(obj) -> OneForm:
         raise InputError("form pair must be [n, m]")
     pair = _parse_pair(*obj["pair"])
     return OneForm(pair,
-                   A=_parse_triples(obj.get("dx", ()), "dx"),
-                   B=_parse_triples(obj.get("dy", ()), "dy"))
+                   A=_parse_triples(obj.get("dx", []), "dx"),
+                   B=_parse_triples(obj.get("dy", []), "dy"))
 
 
-def poly_to_json(p: BivariatePolynomial) -> list:
+def poly_to_json(p) -> list:
+    """A BivariatePolynomial or a {(a, b): c} table as [a, b, "c"] entries."""
     return [[a, b, rat_to_str(c)] for (a, b), c in sorted(p.items())]
 
 
@@ -176,8 +184,7 @@ def semiroot_to_json(sr) -> dict:
     return {
         "i": sr.index,
         "a": rat_to_str(sr.parameter),
-        "parametrization": [[k, rat_to_str(v)]
-                            for k, v in sorted(sr.curve.y.coeffs.items())],
+        "parametrization": y_to_json(sr.curve),
         "semimodule": list(sr.semimodule.basis),
     }
 

@@ -22,7 +22,7 @@ ONE = Q(1)
 
 def rat(num, den=1):
     """Build an exact rational from integers (or another rational)."""
-    return Q(num, den)
+    return Q(num) if den == 1 and isinstance(num, (int, Q)) else Q(num, den)
 
 
 def rat_from_str(text: str):
@@ -40,7 +40,3 @@ def rat_to_str(x) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return "%d/%d" % (x.numerator, x.denominator)
-
-
-def is_integral(x) -> bool:
-    return Q(x).denominator == 1

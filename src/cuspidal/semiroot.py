@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .errors import (IndexOutOfRange, NotDicritical, VerificationFailure,
                      ZeroPivot)
 from .forms import OneForm, nu_E_form
+from .jsonio import y_to_json
 from .rationals import rat, rat_to_str
 from .semigroup import PuiseuxPair
 from .series import OrderResult, PuiseuxCurve, nu_C_form
@@ -199,8 +200,7 @@ def verify_main_theorem(basis: ExtendedStandardBasis, i: int, a) -> dict:
     report = {
         "i": i,
         "a": rat_to_str(a),
-        "parametrization": [[k, rat_to_str(v)]
-                            for k, v in sorted(branch.y.coeffs.items())],
+        "parametrization": y_to_json(branch),
         "semimodule": list(branch_basis.semimodule.basis),
         "expected": list(expected.basis),
         "pass": all(checks.values()),

@@ -2,9 +2,11 @@
 
 A TruncatedSeries stores a sparse exponent -> coefficient map together
 with a truncation level T; exponents at or above T are unknown rather
-than zero.  trunc = None means the series is known exactly (polynomials
-in t).  Arithmetic propagates truncations pessimistically but exactly:
-nothing below the reported truncation is ever wrong.
+than zero.  trunc = math.inf (None in the constructor) means the series
+is known exactly (polynomials in t).  Arithmetic propagates truncations
+pessimistically but exactly: nothing below the reported truncation is
+ever wrong.  Sums and products run on the kernel _accumulate, acc +=
+c t^shift src below a bound, the twin of forms._accumulate.
 
 A PuiseuxCurve is the parametrization phi(t) = (t^n, y(t)) with
 ord y = m.  Pullbacks of polynomials and forms are assembled term by
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 from .errors import NotACusp, OrderTooLow
 from .forms import BivariatePolynomial, OneForm
-from .rationals import ONE, ZERO, rat
+from .rationals import ZERO, rat
 from .semigroup import (CuspSemigroup, PuiseuxPair,
                         minimal_b_representation)
 
@@ -36,12 +38,22 @@ __all__ = [
 ]
 
 
-def _lift(t):
-    return math.inf if t is None else t
-
-
-def _drop(t):
-    return None if t == math.inf else int(t)
+def _accumulate(acc: dict, src: dict, shift: int, c=None, bound=math.inf):
+    """acc += c * t^shift * src in place for keys below bound, deleting
+    entries that cancel; c=None adds src unscaled."""
+    for k, v in src.items():
+        k += shift
+        if k >= bound:
+            continue
+        if c is not None:
+            v = c * v
+        w = acc.get(k)
+        if w is not None:
+            v += w
+        if v:
+            acc[k] = v
+        elif w is not None:
+            del acc[k]
 
 
 class TruncatedSeries:
@@ -50,14 +62,9 @@ class TruncatedSeries:
     __slots__ = ("coeffs", "trunc")
 
     def __init__(self, coeffs=None, trunc=None):
-        bound = _lift(trunc)
-        data = {}
-        if coeffs:
-            for k, v in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
-                if k < bound and v != 0:
-                    data[int(k)] = data.get(int(k), ZERO) + rat(v)
-        self.coeffs = {k: v for k, v in data.items() if v != 0}
-        self.trunc = trunc
+        self.trunc = math.inf if trunc is None else trunc
+        self.coeffs = {int(k): rat(v) for k, v in (coeffs or {}).items()
+                       if k < self.trunc and v != 0}
 
     @classmethod
     def zero(cls, trunc=None) -> "TruncatedSeries":
@@ -65,7 +72,7 @@ class TruncatedSeries:
 
     @classmethod
     def monomial(cls, k: int, c=1, trunc=None) -> "TruncatedSeries":
-        return cls({k: rat(c)}, trunc)
+        return cls({k: c}, trunc)
 
     def is_zero(self) -> bool:
         """No nonzero known coefficient (the tail may still be anything)."""
@@ -73,31 +80,19 @@ class TruncatedSeries:
 
     def order_lb(self):
         """Order when a nonzero coefficient is known, else the truncation."""
-        if self.coeffs:
-            return min(self.coeffs)
-        return _lift(self.trunc)
+        return min(self.coeffs) if self.coeffs else self.trunc
 
     def coefficient(self, k: int):
         return self.coeffs.get(k, ZERO)
 
-    def truncate(self, top) -> "TruncatedSeries":
-        new = min(_lift(self.trunc), _lift(top))
-        return TruncatedSeries({k: v for k, v in self.coeffs.items()
-                                if k < new}, _drop(new))
+    def truncate(self, top: int) -> "TruncatedSeries":
+        return TruncatedSeries(self.coeffs, min(self.trunc, top))
 
     def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, ZERO) + v
-        return TruncatedSeries(out, _drop(min(_lift(self.trunc),
-                                              _lift(other.trunc))))
+        return _assemble(((self, 0, None), (other, 0, None)), None)
 
     def __sub__(self, other):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, ZERO) - v
-        return TruncatedSeries(out, _drop(min(_lift(self.trunc),
-                                              _lift(other.trunc))))
+        return _assemble(((self, 0, None), (other, 0, -1)), None)
 
     def __neg__(self):
         return self.scaled(-1)
@@ -110,19 +105,15 @@ class TruncatedSeries:
     def shifted(self, k: int) -> "TruncatedSeries":
         """Multiplication by t^k."""
         return TruncatedSeries({e + k: v for e, v in self.coeffs.items()},
-                               _drop(_lift(self.trunc) + k))
+                               self.trunc + k)
 
     def __mul__(self, other):
-        # trunc(f*g) = min(trunc f + ord g, trunc g + ord f)
-        bound = min(_lift(self.trunc) + other.order_lb(),
-                    _lift(other.trunc) + self.order_lb())
-        out = {}
-        for k1, v1 in self.coeffs.items():
-            for k2, v2 in other.coeffs.items():
-                k = k1 + k2
-                if k < bound:
-                    out[k] = out.get(k, ZERO) + v1 * v2
-        return TruncatedSeries(out, _drop(bound))
+        # trunc(f*g) = min(trunc f + ord g, trunc g + ord f), which is at
+        # most every row's own trunc g + k
+        bound = min(self.trunc + other.order_lb(),
+                    other.trunc + self.order_lb())
+        return _assemble(((other, k, v) for k, v in self.coeffs.items()),
+                         bound)
 
     def theta(self) -> "TruncatedSeries":
         """t d/dt, the logarithmic derivative operator."""
@@ -133,7 +124,7 @@ class TruncatedSeries:
         """Termwise integral with zero constant term."""
         return TruncatedSeries({k + 1: v / (k + 1)
                                 for k, v in self.coeffs.items()},
-                               _drop(_lift(self.trunc) + 1))
+                               self.trunc + 1)
 
     def __eq__(self, other):
         return (isinstance(other, TruncatedSeries)
@@ -145,7 +136,7 @@ class TruncatedSeries:
         else:
             body = " + ".join("%s*t^%d" % (v, k)
                               for k, v in sorted(self.coeffs.items()))
-        if self.trunc is None:
+        if self.trunc == math.inf:
             return body
         return "%s + O(t^%d)" % (body, self.trunc)
 
@@ -248,26 +239,23 @@ def _theta_over(src: TruncatedSeries, e: int) -> TruncatedSeries:
                            src.trunc)
 
 
-def _accumulate(acc: dict, series: TruncatedSeries, shift: int, c, bound):
-    for k, v in series.coeffs.items():
-        e = k + shift
-        if e < bound:
-            acc[e] = acc.get(e, ZERO) + c * v
+def _assemble(terms, prec) -> TruncatedSeries:
+    """The sum of c * t^shift * src over the (src, shift, c) in terms,
+    known below prec and below every term's own truncation."""
+    bound = math.inf if prec is None else prec
+    acc = {}
+    for src, shift, c in terms:
+        bound = min(bound, src.trunc + shift)
+        _accumulate(acc, src.coeffs, shift, c, bound)
+    return TruncatedSeries(acc, bound)
 
 
 def pullback_function(curve: PuiseuxCurve, h, prec=None) -> TruncatedSeries:
     """h(phi(t)) as a truncated series; prec caps the working precision."""
     coeffs = h.coeffs if isinstance(h, BivariatePolynomial) else dict(h)
     n = curve.pair.n
-    bound = _lift(prec)
-    acc = {}
-    for (a, b), c in coeffs.items():
-        if c == 0:
-            continue
-        yb = curve.y_power(b, prec)
-        bound = min(bound, _lift(yb.trunc) + n * a)
-        _accumulate(acc, yb, n * a, c, bound)
-    return TruncatedSeries(acc, _drop(bound))
+    return _assemble(((curve.y_power(b, prec), n * a, c)
+                      for (a, b), c in coeffs.items() if c != 0), prec)
 
 
 def pullback_form(curve: PuiseuxCurve, omega: OneForm, prec=None) -> TruncatedSeries:
@@ -276,17 +264,10 @@ def pullback_form(curve: PuiseuxCurve, omega: OneForm, prec=None) -> TruncatedSe
     A dx pulls back to n t^n A(phi) dt/t and B dy to theta(y) B(phi) dt/t.
     """
     n = curve.pair.n
-    bound = _lift(prec)
-    acc = {}
-    for (a, b), c in omega.A.items():
-        yb = curve.y_power(b, prec)
-        bound = min(bound, _lift(yb.trunc) + n * (a + 1))
-        _accumulate(acc, yb, n * (a + 1), c * n, bound)
-    for (a, b), c in omega.B.items():
-        wb = curve.theta_y_times_power(b, prec)
-        bound = min(bound, _lift(wb.trunc) + n * a)
-        _accumulate(acc, wb, n * a, c, bound)
-    return TruncatedSeries(acc, _drop(bound))
+    return _assemble([(curve.y_power(b, prec), n * (a + 1), c * n)
+                      for (a, b), c in omega.A.items()]
+                     + [(curve.theta_y_times_power(b, prec), n * a, c)
+                        for (a, b), c in omega.B.items()], prec)
 
 
 def _order_result(curve: PuiseuxCurve, series: TruncatedSeries) -> OrderResult:
@@ -323,13 +304,16 @@ def integrate_against_conductor(curve: PuiseuxCurve,
     n = curve.pair.n
     alpha = curve.alpha
     residual = xi.antiderivative()
+    acc, top = residual.coeffs, residual.trunc
     out = {}
-    while residual.coeffs:
-        r = min(residual.coeffs)
+    # the residual is unknown from top on, and each step may lower top
+    while acc and min(acc) < top:
+        r = min(acc)
         rep = minimal_b_representation(curve.gamma, r)
-        c = residual.coeffs[r] / alpha ** rep.b
-        out[(rep.a, rep.b)] = out.get((rep.a, rep.b), ZERO) + c
-        mono = curve.y_power(rep.b).shifted(n * rep.a).scaled(c)
-        residual = residual - mono
-        assert residual.coefficient(r) == 0
+        c = acc[r] / alpha ** rep.b
+        out[(rep.a, rep.b)] = c
+        yb = curve.y_power(rep.b)
+        top = min(top, yb.trunc + n * rep.a)
+        _accumulate(acc, yb.coeffs, n * rep.a, -c, top)
+        assert r not in acc
     return BivariatePolynomial(out)

@@ -186,6 +186,23 @@ def test_exit_one_bool_for_integer(capsys, command, flag, body, rule):
     assert rule in err
 
 
+@pytest.mark.parametrize("argv, rule", [
+    (["semimodule", "--curve", {"n": 5, "m": 11, "y": 5}], "y must be a list"),
+    (["semimodule", "--curve", {"n": 5, "m": 11, "y": None}],
+     "y must be a list"),
+    (["dicritical-check", "--form", {"pair": [4, 9], "dx": 5}],
+     "dx must be a list"),
+    (["dicritical-check", "--form", {"pair": [4, 9], "dy": None}],
+     "dy must be a list"),
+    (["semimodule", "--generators", "5,x"], "--generators wants integers"),
+], ids=["y-int", "y-null", "dx-int", "dy-null", "generators"])
+def test_exit_one_malformed_argument(capsys, argv, rule):
+    argv = [a if isinstance(a, str) else json.dumps(a) for a in argv]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert rule in err
+
+
 def test_exit_one_truncation_below_floor(capsys):
     inline = json.dumps({"n": 5, "m": 11, "y": [[11, "1"]]})
     code, _, err = run(capsys, "standard-basis", "--curve", inline,

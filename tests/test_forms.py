@@ -175,6 +175,22 @@ def test_form_arithmetic(u, v):
 
 
 @settings(max_examples=80)
+@given(small_forms(), small_forms())
+def test_kernel_products_store_no_zeros(w, v):
+    # the A part of a second random form serves as a random polynomial
+    p = BivariatePolynomial(v.A)
+    total = OneForm.zero(w.pair)
+    for (a, b), c in p.items():
+        total = total + w.times_monomial(a, b, c)
+    product = w.times_polynomial(p)
+    assert product == total
+    assert (w - w).is_zero() and (p - p).is_zero()
+    for table in (product.A, product.B, (p * p).coeffs, (w + v).A,
+                  (w - v).B):
+        assert 0 not in table.values()
+
+
+@settings(max_examples=80)
 @given(small_forms())
 def test_differential_preserves_order(w):
     # reuse the A part of a random form as a random constant-free polynomial

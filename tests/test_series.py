@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -32,6 +33,17 @@ def test_series_arithmetic_and_truncation():
     assert f.theta().coeffs == {3: rat(6), 7: rat(-7)}
     assert f.antiderivative().coeffs == {4: rat(1, 2), 8: rat(-1, 8)}
     assert TruncatedSeries({12: rat(1)}, trunc=10).is_zero()
+
+
+def test_exact_series_and_cancellation():
+    assert TruncatedSeries.zero().trunc == math.inf
+    assert TruncatedSeries.zero(None) == TruncatedSeries({}, math.inf)
+    f = TruncatedSeries({3: rat(2), 7: rat(-1)}, trunc=10)
+    g = TruncatedSeries({0: rat(1), 5: rat(1)})
+    assert g.trunc == math.inf and g.order_lb() == 0
+    assert (f - f).coeffs == {} and (g - g).coeffs == {}
+    assert (f * g - g * f).coeffs == {}
+    assert (g + g.scaled(-1)).is_zero()
 
 
 def test_curve_validation():
@@ -88,6 +100,21 @@ def test_integrate_round_trip(seed):
     h = integrate_against_conductor(c, xi)
     diff = pullback_function(c, h) - xi.antiderivative()
     assert diff.order_lb() >= c.trunc - 1
+
+
+def test_integrate_exact_integrand_stops_at_truncation():
+    c = curve_5_11()
+    far = 3 * c.trunc
+    xi = TruncatedSeries({45: rat(1), 47: rat(-2), far: rat(1)})
+    assert xi.trunc == math.inf
+    h = integrate_against_conductor(c, xi)
+    # t^46 = x^7 y opens the potential; y is known below T, so the
+    # residual is known below T + 35 and the far term is never reached
+    top = c.trunc + 35
+    assert h.coeffs[(7, 1)] == rat(1, 46)
+    assert all(5 * a + 11 * b < top for a, b in h.coeffs)
+    diff = pullback_function(c, h) - xi.antiderivative()
+    assert diff.order_lb() >= top
 
 
 @st.composite
