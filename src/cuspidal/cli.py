@@ -108,23 +108,18 @@ def cmd_semimodule(ns):
     if (ns.curve is None) == (ns.generators is None):
         raise InputError("give exactly one of --curve or --generators")
     if ns.curve is not None:
-        basis = compute_standard_basis(_curve_from(ns, ns.curve))
-        sm = basis.semimodule
-        return {"lambda": list(sm.basis),
-                "t": list(basis.t),
-                "u": list(sm.axes),
-                "conductor": sm.conductor,
-                "increasing": True}
-    try:
-        values = [int(v) for v in ns.generators.split(",")]
-    except ValueError:
-        raise InputError("--generators wants integers, got %r"
-                         % ns.generators) from None
-    if len(values) < 2:
-        raise InputError("--generators wants at least n,m")
-    pair = _pair_argument("%d,%d" % (values[0], values[1]))
-    gamma = CuspSemigroup(pair)
-    sm = GammaSemimodule(gamma, minimal_basis(gamma, values))
+        sm = compute_standard_basis(_curve_from(ns, ns.curve)).semimodule
+    else:
+        try:
+            values = [int(v) for v in ns.generators.split(",")]
+        except ValueError:
+            raise InputError("--generators wants integers, got %r"
+                             % ns.generators) from None
+        if len(values) < 2:
+            raise InputError("--generators wants at least n,m")
+        pair = _pair_argument("%d,%d" % (values[0], values[1]))
+        gamma = CuspSemigroup(pair)
+        sm = GammaSemimodule(gamma, minimal_basis(gamma, values))
     return {"lambda": list(sm.basis),
             "t": list(sm.critical_orders) if sm.critical_orders else None,
             "u": list(sm.axes),

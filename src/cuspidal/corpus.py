@@ -6,7 +6,7 @@ import math
 import random
 
 from .semigroup import PuiseuxPair
-from .semimodule import GammaSemimodule, limits
+from .semimodule import GammaSemimodule
 from .series import PuiseuxCurve
 
 __all__ = ["random_coprime_pair", "random_increasing_semimodule",
@@ -14,13 +14,11 @@ __all__ = ["random_coprime_pair", "random_increasing_semimodule",
            "example_form_4_9"]
 
 
-def random_coprime_pair(rng: random.Random, max_n: int = 8,
-                        max_m: int = 0) -> PuiseuxPair:
-    """Pick a coprime pair with 2 <= n <= max_n and n < m."""
+def random_coprime_pair(rng: random.Random, max_n: int = 8) -> PuiseuxPair:
+    """Pick a coprime pair with 2 <= n <= max_n and n < m <= 3 n + 7."""
     while True:
         n = rng.randint(2, max_n)
-        hi = max_m if max_m > n else 3 * n + 7
-        m = rng.randint(n + 1, hi)
+        m = rng.randint(n + 1, 3 * n + 7)
         if math.gcd(n, m) == 1:
             return PuiseuxPair(n, m)
 
@@ -38,10 +36,7 @@ def random_increasing_semimodule(rng: random.Random, max_n: int = 8,
     for _ in range(max_steps):
         if rng.random() < 0.25:
             break
-        ell1, ell2 = limits(sm, sm.s_index)
-        lam_s = sm.basis[-1]
-        u_next = min(pair.n * ell1 + lam_s, pair.m * ell2 + lam_s)
-        pool = [p for p in range(u_next + 1, sm.conductor)
+        pool = [p for p in range(sm.axes[-1] + 1, sm.conductor)
                 if not sm.contains(p)]
         if not pool:
             break

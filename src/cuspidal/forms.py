@@ -24,9 +24,9 @@ from .rationals import ZERO, rat
 from .semigroup import PuiseuxPair, copair
 
 __all__ = [
-    "BivariatePolynomial", "OneForm", "Region", "InitialPart", "ReduceStep",
+    "BivariatePolynomial", "OneForm", "Region", "InitialPart",
     "nu_E_form", "nu_E_function", "initial_part", "initial_part_data",
-    "rdo", "is_basic", "is_prebasic", "is_resonant", "reduce_step",
+    "rdo", "is_basic", "is_prebasic", "is_resonant",
     "differential",
 ]
 
@@ -252,16 +252,6 @@ class InitialPart:
     zeta: object
 
 
-@dataclass(frozen=True)
-class ReduceStep:
-    """Witness of one reachability reduction: result = omega - mu x^a y^b by."""
-
-    mu: object
-    a: int
-    b: int
-    result: OneForm
-
-
 def _weight(pair: PuiseuxPair, point) -> int:
     return pair.n * point[0] + pair.m * point[1]
 
@@ -358,33 +348,6 @@ def is_resonant(omega: OneForm) -> bool:
     data = initial_part_data(omega)
     pair = omega.pair
     return pair.n * data.mu + pair.m * data.zeta == 0
-
-
-def reduce_step(omega: OneForm, by: OneForm):
-    """One reachability reduction of omega by a monomial multiple of `by`.
-
-    Both forms must be basic and resonant.  Fires only when the vertex of
-    `by` is componentwise at most the vertex of omega; then the monomial
-    x^a y^b and the scalar mu are forced, and the result has strictly
-    larger nu_E (or vanishes).  Returns None when the vertices do not
-    align.
-    """
-    for f in (omega, by):
-        if not is_basic(f) or not is_resonant(f):
-            raise ValueError("reduce_step needs basic resonant forms")
-    iw = initial_part_data(omega)
-    ib = initial_part_data(by)
-    a = iw.vertex[0] - ib.vertex[0]
-    b = iw.vertex[1] - ib.vertex[1]
-    if a < 0 or b < 0:
-        return None
-    # resonant initial coefficients are proportional to (m, -n), so the
-    # ratio of the mu components already matches the zeta components
-    mu = iw.mu / ib.mu
-    result = omega - by.times_monomial(a, b, mu)
-    if not result.is_zero():
-        assert nu_E_form(result) > nu_E_form(omega)
-    return ReduceStep(mu, a, b, result)
 
 
 def differential(h, pair: PuiseuxPair) -> OneForm:

@@ -76,23 +76,7 @@ def parse_curve(obj, trunc_override: int = None) -> PuiseuxCurve:
     _require_keys(obj, ("n", "m", "y", "truncation"), ("n", "m", "y"),
                   "curve object")
     pair = _parse_pair(obj["n"], obj["m"])
-    if not isinstance(obj["y"], list):
-        raise InputError('y must be a list of [exponent, "coefficient"]'
-                         ' entries')
-    coeffs = {}
-    for entry in obj["y"]:
-        if not (isinstance(entry, list) and len(entry) == 2
-                and _is_int(entry[0]) and isinstance(entry[1], str)):
-            raise InputError('y entries must be [exponent, "coefficient"]'
-                             ' with an integer exponent')
-        k, text = entry
-        if k in coeffs:
-            raise InputError("duplicate y exponent %d" % k)
-        try:
-            coeffs[k] = rat_from_str(text)
-        except (ValueError, ZeroDivisionError):
-            raise InputError("unreadable coefficient %r at t^%d"
-                             % (text, k)) from None
+    coeffs = _parse_entries(obj["y"], "y", ("exponent",))
     if coeffs.get(pair.m, 0) == 0:
         raise InputError("zero leading coefficient: y must start with a "
                          "nonzero t^%d term" % pair.m)
@@ -109,29 +93,36 @@ def parse_curve(obj, trunc_override: int = None) -> PuiseuxCurve:
     return PuiseuxCurve(pair, coeffs, trunc)
 
 
-def _parse_triples(entries, what: str) -> dict:
+def _parse_entries(entries, what: str, exponents: tuple) -> dict:
+    """The [exponent, ..., "coefficient"] entries of y or of dx and dy.
+
+    `exponents` names the integer exponents of one entry: ("exponent",)
+    for y, ("a", "b") for a form.  The table is keyed by the exponent, or
+    by the tuple of exponents when there are several.
+    """
+    k = len(exponents)
+    shape = '[%s, "coefficient"]' % ", ".join(exponents)
     if not isinstance(entries, list):
-        raise InputError('%s must be a list of [a, b, "coefficient"] entries'
-                         % what)
+        raise InputError("%s must be a list of %s entries" % (what, shape))
     table = {}
     for entry in entries:
-        if not (isinstance(entry, list) and len(entry) == 3
-                and _is_int(entry[0]) and _is_int(entry[1])
-                and isinstance(entry[2], str)):
-            raise InputError('%s entries must be [a, b, "coefficient"]'
-                             ' with integer exponents a, b' % what)
-        a, b, text = entry
-        if a < 0 or b < 0:
+        if not (isinstance(entry, list) and len(entry) == k + 1
+                and all(_is_int(e) for e in entry[:k])
+                and isinstance(entry[k], str)):
+            raise InputError("%s entries must be %s with integer exponents"
+                             % (what, shape))
+        key = entry[0] if k == 1 else tuple(entry[:k])
+        if min(entry[:k]) < 0:
             raise InputError("negative exponent in %s entry %r"
                              % (what, entry))
-        if (a, b) in table:
-            raise InputError("duplicate monomial x^%d y^%d in %s"
-                             % (a, b, what))
+        if key in table:
+            raise InputError("duplicate exponent in %s entry %r"
+                             % (what, entry))
         try:
-            table[(a, b)] = rat_from_str(text)
+            table[key] = rat_from_str(entry[k])
         except (ValueError, ZeroDivisionError):
-            raise InputError("unreadable coefficient %r in %s"
-                             % (text, what)) from None
+            raise InputError("unreadable coefficient in %s entry %r"
+                             % (what, entry)) from None
     return table
 
 
@@ -149,8 +140,8 @@ def parse_form(obj) -> OneForm:
         raise InputError("form pair must be [n, m]")
     pair = _parse_pair(*obj["pair"])
     return OneForm(pair,
-                   A=_parse_triples(obj.get("dx", []), "dx"),
-                   B=_parse_triples(obj.get("dy", []), "dy"))
+                   A=_parse_entries(obj.get("dx", []), "dx", ("a", "b")),
+                   B=_parse_entries(obj.get("dy", []), "dy", ("a", "b")))
 
 
 def poly_to_json(p) -> list:

@@ -27,11 +27,36 @@ def _as_semigroup(gamma) -> CuspSemigroup:
     return gamma
 
 
-def _ray_start(gamma: CuspSemigroup, lam: int, r: int) -> int:
-    """Least element of lam + Gamma congruent to r mod n."""
-    n, m = gamma.pair.n, gamma.pair.m
-    b = ((r - lam) * gamma.pair.m_inverse_mod_n) % n
-    return lam + b * m
+def _scan(gamma: CuspSemigroup, generators) -> tuple:
+    """The greedy per-class scan behind the constructor and minimal_basis.
+
+    Walks the generators in the given (increasing) order and keeps those
+    outside the semimodule of the ones already kept; the smallest element
+    of the complement is always a generator, so the pass is exact.  The
+    ray lam + Gamma starts in class r at lam + apery[(r - lam) mod n], and
+    a semimodule's table is the per-class minimum of its rays.  Returns
+    the kept generators, their axes (the first generator, then where each
+    new ray meets the semimodule of the earlier ones) and the table after
+    each kept generator.
+    """
+    n, apery = gamma.pair.n, gamma.apery
+    kept, axes, tables = [], [], []
+    for g in generators:
+        if tables and g >= tables[-1][g % n]:
+            continue
+        # sized lists, then tuples: tuple() over an iterator here raised
+        # the peak RSS of verify --all-semiroots runs by about 3 %
+        ray = [g + apery[(r - g) % n] for r in range(n)]
+        if tables:
+            # both sides are unions of per-class rays of step n, so their
+            # intersection in class r starts at the larger start
+            axes.append(min(map(max, tables[-1], ray)))
+            tables.append(tuple([min(a, b) for a, b in zip(tables[-1], ray)]))
+        else:
+            axes.append(g)
+            tables.append(tuple(ray))
+        kept.append(g)
+    return tuple(kept), tuple(axes), tuple(tables)
 
 
 class GammaSemimodule:
@@ -67,36 +92,21 @@ class GammaSemimodule:
         if any(x >= y for x, y in zip(basis, basis[1:])):
             raise ValueError("generators must be strictly increasing; "
                              "call minimal_basis() to normalize")
-        n = gamma.pair.n
-        tables = []
-        current = None
-        for j, lam in enumerate(basis):
-            if current is not None and lam >= current[lam % n]:
-                raise ValueError("generator %d is redundant: already in the "
-                                 "semimodule of the previous ones" % lam)
-            ray = [_ray_start(gamma, lam, r) for r in range(n)]
-            current = ray if current is None else \
-                [min(a, b) for a, b in zip(current, ray)]
-            tables.append(tuple(current))
+        kept, axes, tables = _scan(gamma, basis)
+        if kept != basis:
+            extra = next(b for b in basis if b not in kept)
+            raise ValueError("generator %d is redundant: already in the "
+                             "semimodule of the previous ones" % extra)
         self.gamma = gamma
         self.basis = basis
-        self._prefix_tables = tuple(tables)
-        self.conductor = max(0, max(current) - n + 1)
-
-        axes = [basis[0]]
-        for i in range(1, len(basis)):
-            # Lambda_{i-2} and lambda_{i-1} + Gamma are both unions of
-            # per-class rays of step n, so their intersection in class r is
-            # the ray starting at the larger of the two starts.
-            prev = tables[i - 1]
-            lam = basis[i]
-            axes.append(min(max(prev[r], _ray_start(gamma, lam, r))
-                            for r in range(n)))
-        self.axes = tuple(axes)
+        self.axes = axes
+        self._prefix_tables = tables
+        self.conductor = self.prefix_conductor(self.s_index)
 
         self.critical_orders = None
-        if len(basis) >= 2 and basis[0] == n and basis[1] == gamma.pair.m:
-            t = [n, gamma.pair.m]
+        n, m = gamma.pair.n, gamma.pair.m
+        if len(basis) >= 2 and basis[0] == n and basis[1] == m:
+            t = [n, m]
             for i in range(1, len(basis)):
                 t.append(t[-1] + self.axes[i] - basis[i])
             self.critical_orders = tuple(t)
@@ -167,29 +177,17 @@ class Tops:
 def minimal_basis(gamma: CuspSemigroup, generators) -> tuple:
     """The minimal generator system of the semimodule spanned by `generators`.
 
-    Scans the generators in increasing order and keeps those outside the
-    semimodule of the ones already kept; the smallest element of the
-    complement is always a generator, so this greedy pass is exact.
+    The greedy scan of _scan over the sorted, distinct generators.
 
     minimal_basis(<5,11>, {5, 11, 16, 17}) == (5, 11, 17)
     minimal_basis(<5,11>, {5}) == (5,)
     """
-    gamma = _as_semigroup(gamma)
     gens = sorted(set(int(g) for g in generators))
     if not gens:
         raise ValueError("empty generator system")
     if gens[0] < 0:
         raise ValueError("generators must be non-negative")
-    n = gamma.pair.n
-    kept = []
-    table = None
-    for g in gens:
-        if table is not None and g >= table[g % n]:
-            continue
-        ray = [_ray_start(gamma, g, r) for r in range(n)]
-        table = ray if table is None else [min(a, b) for a, b in zip(table, ray)]
-        kept.append(g)
-    return tuple(kept)
+    return _scan(_as_semigroup(gamma), gens)[0]
 
 
 def axes(sm: GammaSemimodule) -> tuple:
@@ -250,12 +248,7 @@ def level_set(sm: GammaSemimodule, q: int) -> LevelSet:
 
 def ray_level_set(gamma: CuspSemigroup, mu: int, q: int) -> frozenset:
     """Level set of the single ray mu + Gamma (same indexing as level_set)."""
-    gamma = _as_semigroup(gamma)
-    n = gamma.pair.n
-    minv = gamma.pair.m_inverse_mod_n
-    start = [_ray_start(gamma, mu, r) for r in range(n)]
-    return frozenset((p * minv) % n
-                     for p in range(n * q, n * q + n) if p >= start[p % n])
+    return level_set(GammaSemimodule(gamma, (mu,)), q).members
 
 
 def is_circular_interval(members, n: int) -> bool:

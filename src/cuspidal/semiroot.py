@@ -57,11 +57,11 @@ def solve_invariant_branch(omega: OneForm, a, pair: PuiseuxPair = None,
     to the t^K coefficient, where P_beta is the coefficient series of
     y^beta.  The order-q slice dies for every a by resonance; at order
     q + r the newest coefficient y_{m+r} enters through the pivot
-    r * sum zeta_p a^(beta_p - 1) over the weight-q points, so the branch
-    is determined one order at a time.
+    r * zeta a^(beta - 1) at the vertex (alpha, beta), the only point of
+    weight q, so the branch is determined one order at a time.
 
     Raises NotDicritical when the form fails the dual dicriticalness
-    check, ZeroPivot when a = 0 or the pivot sum collapses.
+    check, ZeroPivot when a = 0.
     """
     if pair is None:
         pair = omega.pair
@@ -76,19 +76,14 @@ def solve_invariant_branch(omega: OneForm, a, pair: PuiseuxPair = None,
         trunc = pair.conductor + 2 * n * m
     q = nu_E_form(omega)
     points = sorted(omega.cloud.items())
-    for (al, be), (mu, ze) in points:
-        if n * al + m * be == q and n * mu + m * ze != 0:
-            raise NotDicritical(
-                "cloud point (%d, %d) at the minimal weight is not resonant"
-                % (al, be))
     top_beta = max(be for (_, be), _ in points)
     apow = [rat(1)]
     for _ in range(top_beta):
         apow.append(apow[-1] * a)
-    pivot_sum = sum((ze * apow[be - 1] for (al, be), (_, ze) in points
-                     if n * al + m * be == q), rat(0))
-    if pivot_sum == 0:
-        raise ZeroPivot("pivot sum vanished at a = %s" % rat_to_str(a))
+    # the vertex is the one cloud point of weight q; being resonant, its
+    # zeta is nonzero, and so is the pivot
+    beta = verdict.vertex[1]
+    pivot = omega.cloud[verdict.vertex][1] * apow[beta - 1]
 
     # P[b]: committed coefficients of y(t)^b, keyed by exponent
     P = [dict() for _ in range(top_beta + 1)]
@@ -127,7 +122,7 @@ def solve_invariant_branch(omega: OneForm, a, pair: PuiseuxPair = None,
                 c = P[be].get(idx)
             if c:
                 known += c * (n * mu + ze * rat(idx, be))
-        y_new = -known / (rat(r) * pivot_sum)
+        y_new = -known / (rat(r) * pivot)
         if y_new != 0:
             y[m + r] = y_new
         for b in range(1, top_beta + 1):

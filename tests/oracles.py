@@ -70,3 +70,9 @@ def limits_of(n: int, m: int, basis, i: int) -> tuple:
     ell1 = next(p for p in range(1, bound) if n * p + lam in prefix)
     ell2 = next(p for p in range(1, bound) if m * p + lam in prefix)
     return (ell1, ell2)
+
+
+def level_set_of(n: int, m: int, members: set, q: int) -> frozenset:
+    """Indices k (class of k*m mod n) of the members in [nq, nq + n - 1]."""
+    return frozenset(k for p in range(n * q, n * q + n) if p in members
+                     for k in range(n) if (k * m - p) % n == 0)

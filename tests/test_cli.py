@@ -195,12 +195,37 @@ def test_exit_one_bool_for_integer(capsys, command, flag, body, rule):
     (["dicritical-check", "--form", {"pair": [4, 9], "dy": None}],
      "dy must be a list"),
     (["semimodule", "--generators", "5,x"], "--generators wants integers"),
-], ids=["y-int", "y-null", "dx-int", "dy-null", "generators"])
+    (["semimodule", "--curve",
+      {"n": 5, "m": 11, "y": [[11, "1"], [12, "1"], [12, "2"]]}],
+     "duplicate"),
+    (["dicritical-check", "--form",
+      {"pair": [4, 9], "dx": [[1, 0, "1"], [1, 0, "2"]]}], "duplicate"),
+    (["dicritical-check", "--form",
+      {"pair": [4, 9], "dy": [[0, -1, "1"]]}], "negative exponent"),
+    (["semimodule", "--curve", {"n": 5, "m": 11, "y": [[11, "x"]]}],
+     "unreadable coefficient"),
+    (["dicritical-check", "--form",
+      {"pair": [4, 9], "dx": [[0, 0, "1/0"]]}], "unreadable coefficient"),
+], ids=["y-int", "y-null", "dx-int", "dy-null", "generators",
+        "y-duplicate", "dx-duplicate", "dy-negative", "y-unreadable",
+        "dx-unreadable"])
 def test_exit_one_malformed_argument(capsys, argv, rule):
     argv = [a if isinstance(a, str) else json.dumps(a) for a in argv]
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert rule in err
+
+
+@pytest.mark.parametrize("name", ["ex5_11", "ex7_17"])
+def test_semimodule_of_curve_matches_its_generators(capsys, corpus_dir, name):
+    code, from_curve, _ = run(capsys, "semimodule",
+                              "--curve", str(corpus_dir / (name + ".json")))
+    assert code == 0
+    lam = json.loads(from_curve)["lambda"]
+    code, from_generators, _ = run(capsys, "semimodule", "--generators",
+                                   ",".join(str(v) for v in lam))
+    assert code == 0
+    assert from_generators == from_curve
 
 
 def test_exit_one_truncation_below_floor(capsys):

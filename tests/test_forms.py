@@ -6,7 +6,7 @@ from cuspidal.errors import NotPreBasic, QAboveOrder, ZeroForm, ZeroPolynomial
 from cuspidal.forms import (BivariatePolynomial, OneForm, Region, differential,
                             initial_part, initial_part_data, is_basic,
                             is_prebasic, is_resonant, nu_E_form,
-                            nu_E_function, rdo, reduce_step)
+                            nu_E_function, rdo)
 from cuspidal.rationals import rat
 from cuspidal.semigroup import PuiseuxPair
 
@@ -122,29 +122,6 @@ def test_initial_part_data_vertex_coefficients():
     data = initial_part_data(dicritical_49_form())
     assert data.vertex == (3, 4)
     assert (data.mu, data.zeta) == (rat(-9), rat(4))
-
-
-def test_reduce_step_exact_multiple():
-    w1 = omega1()
-    step = reduce_step(w1.times_monomial(1, 0), w1)
-    assert step is not None
-    assert (step.mu, step.a, step.b) == (rat(1), 1, 0)
-    assert step.result.is_zero()
-
-
-def test_reduce_step_reference_pair():
-    w1 = omega1()
-    w2 = w1.times_monomial(1, 0, 11) - OneForm(P511, B={(0, 1): rat(5)})
-    step = reduce_step(w2, w1)
-    assert step is not None
-    assert (step.mu, step.a, step.b) == (rat(11), 1, 0)
-    assert step.result == OneForm(P511, B={(0, 1): rat(-5)})
-    assert nu_E_form(w2) == 21 and nu_E_form(step.result) == 22
-
-
-def test_reduce_step_unreachable():
-    w1 = omega1()
-    assert reduce_step(w1, w1.times_monomial(1, 0)) is None
 
 
 def test_region_base_is_strict_weight_minimum():

@@ -165,6 +165,27 @@ def test_increasing_semimodule_level_sets_become_circular(seed):
         assert is_circular_interval(level_set(sm, q).members, n)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6))
+def test_rays_prefixes_and_redundancy_against_enumeration(seed):
+    rng = random.Random(seed)
+    sm = random_increasing_semimodule(rng, max_n=7, max_steps=3)
+    n, m = sm.gamma.pair.n, sm.gamma.pair.m
+    bound = oracles.enum_bound(n, m, sm.basis)
+    for k in range(-1, sm.s_index + 1):
+        members = oracles.semimodule_members(n, m, sm.basis[:k + 2], bound)
+        assert sm.prefix_conductor(k) == oracles.conductor_of(members, bound)
+    for mu in sm.basis:
+        ray = oracles.semimodule_members(n, m, (mu,), bound)
+        for q in range(bound // n):
+            assert (ray_level_set(sm.gamma, mu, q)
+                    == oracles.level_set_of(n, m, ray, q))
+    # mu + n lies in mu + Gamma; no other generator shares its class
+    extra = rng.choice(sm.basis) + n
+    with pytest.raises(ValueError, match="generator %d is redundant" % extra):
+        GammaSemimodule(sm.gamma, tuple(sorted(sm.basis + (extra,))))
+
+
 def test_conductor_shifts_with_leading_generator():
     pair = PuiseuxPair(5, 11)
     sm = sm_5_11()
