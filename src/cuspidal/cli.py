@@ -19,7 +19,7 @@ from .blowup import is_totally_dicritical
 from .corpus import (example_curve_5_11, example_curve_7_17,
                      example_form_4_9, random_cusp_curve)
 from .errors import CuspidalError, VerificationFailure
-from .forms import is_basic, is_resonant, nu_E_form
+from .forms import is_basic, nu_E_form
 from .jsonio import (InputError, basis_to_json, curve_to_json,
                      delorme_to_json, dicritical_to_json, dumps,
                      form_to_json, parse_curve, parse_form,
@@ -28,10 +28,10 @@ from .rationals import rat_from_str
 from .semigroup import CuspSemigroup, PuiseuxPair, copair
 from .semimodule import GammaSemimodule, is_increasing, minimal_basis
 from .semiroot import semiroot, verify_main_theorem
-from .stdbasis import (compute_standard_basis, delorme_decompose,
-                       dicritically_adjust)
+from .stdbasis import compute_standard_basis, delorme_decompose
 
 DEFAULT_PARAMETERS = "1,2,-1,1/2"
+_PARSER = None  # built by the first main() call, not at import, then reused
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,7 +87,7 @@ def _curve_from(ns, source: str):
 
 
 def _basis_bundle(basis):
-    adjusted = dicritically_adjust(basis)
+    adjusted = basis.form(basis.s_index + 1)
     decs = [delorme_decompose(basis, i, j)
             for i in range(0, basis.s_index + 1)
             for j in range(0, i + 1)]
@@ -107,6 +107,8 @@ def cmd_semigroup(ns):
 def cmd_semimodule(ns):
     if (ns.curve is None) == (ns.generators is None):
         raise InputError("give exactly one of --curve or --generators")
+    if ns.generators is not None and ns.truncation is not None:
+        raise InputError("--truncation needs --curve")
     if ns.curve is not None:
         sm = compute_standard_basis(_curve_from(ns, ns.curve)).semimodule
     else:
@@ -141,9 +143,9 @@ def cmd_dicritical_check(ns):
     omega = parse_form(_load_json(ns.form))
     pair = omega.pair
     verdict = is_totally_dicritical(omega, pair)
-    resonant = verdict.vertex is not None and is_resonant(omega)
     return dicritical_to_json(omega, verdict, nu_E_form(omega),
-                              copair(pair), is_basic(omega), resonant)
+                              copair(pair), is_basic(omega),
+                              verdict.combinatorial)
 
 
 def cmd_semiroots(ns):
@@ -165,8 +167,6 @@ def _verify_one(ns, source: str):
         jobs = [(i, a) for i in range(1, basis.s_index + 2)
                 for a in _parameter_list(DEFAULT_PARAMETERS)]
     else:
-        if ns.i is None or ns.a is None:
-            raise InputError("verify wants --all-semiroots or both --i and --a")
         jobs = [(ns.i, a) for a in _parameter_list(ns.a)]
     reports = [verify_report_to_json(verify_main_theorem(basis, i, a))
                for i, a in jobs]
@@ -176,6 +176,10 @@ def _verify_one(ns, source: str):
 
 
 def cmd_verify(ns):
+    if ns.all_semiroots and (ns.i is not None or ns.a is not None):
+        raise InputError("--all-semiroots takes no --i or --a")
+    if not ns.all_semiroots and (ns.i is None or ns.a is None):
+        raise InputError("verify wants --all-semiroots or both --i and --a")
     results = [_verify_one(ns, source) for source in ns.curve]
     return results[0] if len(results) == 1 else results
 
@@ -264,8 +268,11 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        ns = build_parser().parse_args(argv)
+        ns = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

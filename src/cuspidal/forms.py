@@ -317,19 +317,10 @@ def is_prebasic(omega: OneForm):
     if omega.is_zero():
         raise ZeroForm("pre-basic test on the zero form")
     pair = omega.pair
-    best = None
-    tie = False
-    for p in omega.cloud:
-        w = _weight(pair, p)
-        if best is None or w < best[0]:
-            best, tie = (w, p), False
-        elif w == best[0]:
-            tie = True
-    if tie:
-        return None
-    vertex = best[1]
+    q = nu_E_form(omega)
+    vertex, *ties = [p for p in omega.cloud if _weight(pair, p) == q]
     region = Region(pair, vertex)
-    if all(region.contains(p) for p in omega.cloud):
+    if not ties and all(region.contains(p) for p in omega.cloud):
         return vertex
     return None
 

@@ -18,11 +18,11 @@ from .errors import (IndexOutOfRange, NotDicritical, VerificationFailure,
                      ZeroPivot)
 from .forms import OneForm, nu_E_form
 from .jsonio import y_to_json
-from .rationals import rat, rat_to_str
+from .rationals import ZERO, rat, rat_to_str
 from .semigroup import PuiseuxPair
 from .series import OrderResult, PuiseuxCurve, nu_C_form
 from .stdbasis import (ExtendedStandardBasis, compute_standard_basis,
-                       dicritically_adjust, semimodule_oracle)
+                       semimodule_oracle)
 from .blowup import is_totally_dicritical
 
 __all__ = [
@@ -68,7 +68,7 @@ def solve_invariant_branch(omega: OneForm, a, pair: PuiseuxPair = None,
     n, m = pair.n, pair.m
     a = rat(a)
     verdict = is_totally_dicritical(omega, pair)
-    if not (verdict.combinatorial and verdict.geometric):
+    if not verdict:
         raise NotDicritical("form has no invariant branch family: %r" % omega)
     if a == 0:
         raise ZeroPivot("branch parameter a must be nonzero")
@@ -85,29 +85,24 @@ def solve_invariant_branch(omega: OneForm, a, pair: PuiseuxPair = None,
     beta = verdict.vertex[1]
     pivot = omega.cloud[verdict.vertex][1] * apow[beta - 1]
 
-    # P[b]: committed coefficients of y(t)^b, keyed by exponent
+    # P[b]: coefficients of y(t)^b by exponent; at order r, entry m b + r
+    # holds the nonzero partial sum without y_{m+r} until y_{m+r} is known
     P = [dict() for _ in range(top_beta + 1)]
     P[0][0] = rat(1)
     for b in range(1, top_beta + 1):
         P[b][m * b] = apow[b]
     y = {m: a}
     for r in range(1, trunc - q):
-        tops = [None] * (top_beta + 1)
         for b in range(1, top_beta + 1):
             acc = rat(0)
             prev = P[b - 1]
             base = m * b + r
             for u, yu in y.items():
-                if u == m:
-                    continue
                 v = prev.get(base - u)
                 if v is not None:
                     acc += yu * v
-            # the u = m term needs P[b-1] at its own top index, which is
-            # not committed yet this round; tops[b-1] holds it
-            if tops[b - 1] is not None and tops[b - 1] != 0:
-                acc += a * tops[b - 1]
-            tops[b] = acc
+            if acc != 0:
+                P[b][base] = acc
         K = q + r
         known = rat(0)
         for (al, be), (mu, ze) in points:
@@ -116,17 +111,14 @@ def solve_invariant_branch(omega: OneForm, a, pair: PuiseuxPair = None,
                 if idx == 0:
                     known += n * mu
                 continue
-            if idx == m * be + r:
-                c = tops[be]
-            else:
-                c = P[be].get(idx)
+            c = P[be].get(idx)
             if c:
                 known += c * (n * mu + ze * rat(idx, be))
         y_new = -known / (rat(r) * pivot)
         if y_new != 0:
             y[m + r] = y_new
         for b in range(1, top_beta + 1):
-            full = tops[b] + rat(b) * apow[b - 1] * y_new
+            full = P[b].pop(m * b + r, ZERO) + rat(b) * apow[b - 1] * y_new
             if full != 0:
                 P[b][m * b + r] = full
     return PuiseuxCurve(pair, y, trunc)
@@ -138,8 +130,7 @@ def _solve(basis: ExtendedStandardBasis, i: int, a):
     if not 1 <= i <= basis.s_index + 1:
         raise IndexOutOfRange("semiroot index %d outside 1..%d"
                               % (i, basis.s_index + 1))
-    omega = (dicritically_adjust(basis) if i == basis.s_index + 1
-             else basis.form(i))
+    omega = basis.form(i)
     branch = solve_invariant_branch(omega, a, basis.curve.pair,
                                     basis.curve.trunc)
     return (omega, branch, compute_standard_basis(branch),
@@ -179,15 +170,11 @@ def verify_main_theorem(basis: ExtendedStandardBasis, i: int, a) -> dict:
     checks = {}
     checks["standard_basis_semimodule"] = branch_basis.semimodule == expected
     checks["oracle_semimodule"] = semimodule_oracle(branch) == expected
-    ok = True
     # lambda_j < c_Gamma + n for every j, so this window decides exactly
     window = branch.pair.conductor + branch.pair.n * branch.pair.m
-    for j in range(-1, i):
-        value = nu_C_form(branch, basis.form(j), window)
-        if value != OrderResult.Finite(basis.lambdas[j + 1]):
-            ok = False
-            break
-    checks["values_of_lower_forms"] = ok
+    checks["values_of_lower_forms"] = all(
+        nu_C_form(branch, basis.form(j), window)
+        == OrderResult.Finite(basis.lambdas[j + 1]) for j in range(-1, i))
     # capping at the truncation keeps the certificate but spares the
     # power cache the dead band above it
     checks["invariance"] = not nu_C_form(branch, omega, branch.trunc).finite

@@ -72,9 +72,10 @@ class ExtendedStandardBasis:
     """The standard basis of a curve, with room for the adjusted form.
 
     `forms` holds omega_-1 .. omega_s; `adjusted` and `certificate` stay
-    None until dicritically_adjust fills them.  `traces` keeps, for every
-    constructed form, the exact combination that produced it; Delorme
-    decompositions are read off these traces instead of being re-derived.
+    None until dicritically_adjust fills them, which form(s+1) runs the
+    first time it is asked for.  `traces` keeps, for every constructed
+    form, the exact combination that produced it; Delorme decompositions
+    are read off these traces instead of being re-derived.
     """
 
     __slots__ = ("curve", "semimodule", "forms", "traces",
@@ -109,8 +110,8 @@ class ExtendedStandardBasis:
         """omega_i by math index; i = s+1 reaches the adjusted form."""
         if -1 <= i <= self.s_index:
             return self.forms[i + 1]
-        if i == self.s_index + 1 and self.adjusted is not None:
-            return self.adjusted
+        if i == self.s_index + 1:
+            return dicritically_adjust(self)
         raise IndexOutOfRange("no form at index %d" % i)
 
     def full_pullback(self, i: int):
@@ -254,7 +255,6 @@ def compute_standard_basis(curve: PuiseuxCurve) -> ExtendedStandardBasis:
         if len(lam) > n:
             raise InternalDisagreement("more generators than residues mod %d"
                                        % n)
-    sm = GammaSemimodule(gamma, tuple(lam))
     t_chain.append(t_chain[-1] + u_next - lam[-1])
     if tuple(t_chain) != critical_orders(sm):
         raise InternalDisagreement("incremental critical orders %r disagree"
@@ -318,8 +318,7 @@ def dicritically_adjust(basis: ExtendedStandardBasis) -> OneForm:
         raise InternalDisagreement("adjusted form has order %d, not t = %d"
                                    % (nu_E_form(omega), basis.t[-1]))
     _check_shape(omega, s + 1)
-    verdict = is_totally_dicritical(omega, pair)
-    if not (verdict.combinatorial and verdict.geometric):
+    if not is_totally_dicritical(omega, pair):
         raise InternalDisagreement("adjusted form is not totally dicritical")
     basis.adjusted = omega
     basis.certificate = OrderResult.AtLeast(curve.trunc)
@@ -362,8 +361,8 @@ def delorme_decompose(basis: ExtendedStandardBasis, i: int,
     if not 0 <= j <= i <= s:
         raise IndexOutOfRange("need 0 <= j <= i <= %d, got (%d, %d)"
                               % (s, i, j))
-    if i == s:
-        dicritically_adjust(basis)
+    # first, so that omega_{s+1} and its trace exist when i = s
+    target = basis.form(i + 1)
     f = _level_coefficients(basis, i + 1)
     for jj in range(i - 1, j - 1, -1):
         g = _level_coefficients(basis, jj + 1)
@@ -372,7 +371,6 @@ def delorme_decompose(basis: ExtendedStandardBasis, i: int,
             f[ell] = f[ell] + h_top * g[ell]
     k = basis.traces[j + 1].steps[0].j
     vij = basis.t[i + 2] - basis.t[j + 1] + basis.lambdas[j + 1]
-    target = basis.form(i + 1)
     recomposed = OneForm.zero(basis.curve.pair)
     for ell in range(-1, j + 1):
         recomposed = recomposed + basis.form(ell).times_polynomial(f[ell])
@@ -405,23 +403,21 @@ def semimodule_oracle(curve: PuiseuxCurve) -> GammaSemimodule:
     recorded order set spanning a semimodule with conductor c makes any
     monomial of weight >= c + n redundant (each minimal generator is the
     least member of its residue class, hence under c + n), so the scan
-    stops there; c_Gamma + n m is a hard ceiling.  Shares nothing with
-    compute_standard_basis beyond the series arithmetic.
+    stops there; c_Gamma + n m is a hard ceiling.  It shares only the
+    series arithmetic and the semimodule type with compute_standard_basis.
     """
     pair = curve.pair
     n, m = pair.n, pair.m
     gamma = curve.gamma
     cap = pair.conductor + n * m
-    monos = []
-    for b in range(0, (cap - n) // m + 1):
-        for a in range(0, (cap - n * 1 - m * b - 1) // n + 1):
-            monos.append((n * (a + 1) + m * b, 0, a, b))
-    for b in range(0, (cap - m) // m + 1):
-        for a in range(0, (cap - m * (b + 1) - 1) // n + 1):
-            monos.append((n * a + m * (b + 1), 1, a, b))
-    monos.sort()
+    # (weight, kind, a, b): kind 0 is x^a y^b dx, kind 1 is x^a y^b dy
+    monos = sorted((w, kind, a, b) for a in range(cap // n)
+                   for b in range(cap // m)
+                   for kind, w in ((0, n * (a + 1) + m * b),
+                                   (1, n * a + m * (b + 1))) if w < cap)
+    # pivot rows, keyed by the recorded orders
     table = {}
-    recorded = []
+    span = None
     bound = cap
     for w, kind, a, b in monos:
         if w >= bound:
@@ -437,10 +433,10 @@ def semimodule_oracle(curve: PuiseuxCurve) -> GammaSemimodule:
             pivot = table.get(o)
             if pivot is None:
                 table[o] = s.scaled(1 / s.coefficient(o))
-                recorded.append(o)
-                span = GammaSemimodule(gamma,
-                                       minimal_basis(gamma, tuple(recorded)))
-                bound = min(bound, span.conductor + n)
+                # an order inside the span changes neither it nor bound
+                if span is None or not span.contains(o):
+                    span = GammaSemimodule(gamma, minimal_basis(gamma, table))
+                    bound = min(bound, span.conductor + n)
                 break
             s = s - pivot.scaled(s.coefficient(o))
-    return GammaSemimodule(gamma, minimal_basis(gamma, tuple(recorded)))
+    return span

@@ -206,9 +206,15 @@ def test_exit_one_bool_for_integer(capsys, command, flag, body, rule):
      "unreadable coefficient"),
     (["dicritical-check", "--form",
       {"pair": [4, 9], "dx": [[0, 0, "1/0"]]}], "unreadable coefficient"),
+    (["semimodule", "--generators", "5,11,17", "--truncation", "3"],
+     "--truncation needs --curve"),
+    (["verify", "--curve", {"n": 5, "m": 11, "y": [[11, "1"]]},
+      "--all-semiroots", "--i", "9", "--a", "7"],
+     "--all-semiroots takes no --i or --a"),
 ], ids=["y-int", "y-null", "dx-int", "dy-null", "generators",
         "y-duplicate", "dx-duplicate", "dy-negative", "y-unreadable",
-        "dx-unreadable"])
+        "dx-unreadable", "truncation-without-curve",
+        "all-semiroots-with-i-a"])
 def test_exit_one_malformed_argument(capsys, argv, rule):
     argv = [a if isinstance(a, str) else json.dumps(a) for a in argv]
     code, _, err = run(capsys, *argv)
@@ -234,6 +240,23 @@ def test_exit_one_truncation_below_floor(capsys):
                        "--truncation", "60")
     assert code == 1
     assert "truncation" in err
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    import argparse
+    run(capsys, "semigroup", "--pair", "4,9")
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    code, out, _ = run(capsys, "semigroup", "--pair", "4,9", "--copair")
+    assert code == 0
+    assert json.loads(out) == {"copair": [3, 7]}
+    assert built == []
 
 
 def test_exit_one_usage_error(capsys):

@@ -1,0 +1,49 @@
+"""Differential checks on inputs the other suites do not reach: curves
+with rational tail coefficients, and branch parameters away from the
+CLI defaults 1, 2, -1 and 1/2."""
+
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cuspidal.rationals import rat
+from cuspidal.semigroup import PuiseuxPair
+from cuspidal.series import PuiseuxCurve
+from cuspidal.semiroot import verify_main_theorem
+from cuspidal.stdbasis import compute_standard_basis, semimodule_oracle
+
+# m by n, n <= 6 and n m <= 60; drawing n first keeps n = 2, where s = 0
+# always, from crowding out the pairs with room for generators
+SECOND = {n: [m for m in range(n + 1, 60 // n + 1) if math.gcd(n, m) == 1]
+          for n in range(2, 7)}
+DEFAULT_PARAMETERS = {rat(1), rat(2), rat(-1), rat(1, 2)}
+
+
+def small_rationals():
+    """p/q with 0 < |p| <= 3 and 0 < q <= 3."""
+    return st.builds(rat, st.integers(-3, 3).filter(bool), st.integers(1, 3))
+
+
+@st.composite
+def rational_tail_curves(draw):
+    n = draw(st.integers(2, 6))
+    m = draw(st.sampled_from(SECOND[n]))
+    exponents = draw(st.lists(st.integers(m + 1, m + 2 * n + 5),
+                              max_size=4, unique=True))
+    coeffs = {m: rat(1)}
+    for k in exponents:
+        coeffs[k] = draw(small_rationals())
+    return PuiseuxCurve(PuiseuxPair(n, m), coeffs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_tail_curves(), st.data())
+def test_rational_tails_oracle_and_semiroot_agree(curve, data):
+    basis = compute_standard_basis(curve)
+    assert semimodule_oracle(curve) == basis.semimodule
+    i = data.draw(st.integers(1, basis.s_index + 1), label="i")
+    a = data.draw(small_rationals().filter(
+        lambda x: x not in DEFAULT_PARAMETERS), label="a")
+    report = verify_main_theorem(basis, i, a)
+    assert report["pass"]

@@ -10,6 +10,7 @@ from cuspidal.forms import (BivariatePolynomial, OneForm, initial_part_data,
                             is_basic, is_resonant, nu_E_form)
 from cuspidal.rationals import rat
 from cuspidal.semigroup import PuiseuxPair, contains
+from cuspidal.semimodule import minimal_basis
 from cuspidal.series import OrderResult, PuiseuxCurve, nu_C_form, nu_C_function
 from cuspidal.stdbasis import (compute_standard_basis, delorme_decompose,
                                dicritically_adjust, semimodule_oracle)
@@ -106,6 +107,37 @@ def test_adjustment_with_potential_small_even_n():
 def test_oracle_matches_on_reference_curves():
     for c in (curve_5_11(), curve_7_17(), PuiseuxCurve(P511, {11: 1})):
         assert semimodule_oracle(c) == compute_standard_basis(c).semimodule
+
+
+@pytest.mark.parametrize("curve", [curve_5_11, curve_7_17],
+                         ids=["ex5_11", "ex7_17"])
+def test_oracle_rebuilds_its_span_only_when_it_grows(monkeypatch, curve):
+    import cuspidal.stdbasis as stdbasis
+    calls = []
+
+    def counted(gamma, generators):
+        calls.append(tuple(generators))
+        return minimal_basis(gamma, generators)
+
+    monkeypatch.setattr(stdbasis, "minimal_basis", counted)
+    result = semimodule_oracle(curve())
+    # one rebuild per new generator: an order inside the span adds nothing
+    assert len(calls) == len(result.basis)
+
+
+def test_form_s_plus_one_adjusts_on_first_request():
+    fresh = compute_standard_basis(curve_5_11())
+    s = fresh.s_index
+    assert fresh.adjusted is None
+    omega = fresh.form(s + 1)
+    assert omega is dicritically_adjust(fresh)
+    assert fresh.adjusted is omega
+    adjusted_first = compute_standard_basis(curve_5_11())
+    assert dicritically_adjust(adjusted_first) == omega
+    assert len(fresh.traces[s + 1].steps) == \
+        len(adjusted_first.traces[s + 1].steps)
+    with pytest.raises(IndexOutOfRange):
+        fresh.form(s + 2)
 
 
 def test_delorme_level_zero_of_omega1():
