@@ -55,6 +55,15 @@ def _load_json(source: str):
         raise InputError("malformed JSON in %r: %s" % (source, exc)) from None
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise InputError("cannot write %r: %s"
+                         % (path, exc.strerror or exc)) from None
+
+
 def _pair_argument(text: str) -> PuiseuxPair:
     parts = text.split(",")
     if len(parts) != 2:
@@ -185,13 +194,18 @@ def cmd_verify(ns):
 
 
 def cmd_seed_corpus(ns):
-    os.makedirs(ns.directory, exist_ok=True)
+    if ns.count < 0:
+        raise InputError("--count must be >= 0")
+    try:
+        os.makedirs(ns.directory, exist_ok=True)
+    except OSError as exc:
+        raise InputError("cannot write %r: %s"
+                         % (ns.directory, exc.strerror or exc)) from None
     written = []
 
     def emit(name, obj):
         path = os.path.join(ns.directory, name)
-        with open(path, "w") as handle:
-            handle.write(dumps(obj))
+        _write(path, dumps(obj))
         written.append(path)
 
     emit("ex5_11.json", curve_to_json(example_curve_5_11()))
@@ -276,7 +290,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        result = ns.func(ns)
+        # an --output that can never be a file fails before any work
+        if ns.output and (os.path.isdir(ns.output) or not os.path.isdir(
+                os.path.dirname(os.path.abspath(ns.output)))):
+            raise InputError("cannot write %r: it is a directory or its "
+                             "directory is missing" % ns.output)
+        text = dumps(ns.func(ns))
+        if ns.output:
+            _write(ns.output, text)
     except VerificationFailure as exc:
         payload = {"pass": False, "error": str(exc)}
         if exc.report is not None:
@@ -289,11 +310,7 @@ def main(argv=None) -> int:
     except (InputError, CuspidalError, ValueError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1
-    text = dumps(result)
-    if ns.output:
-        with open(ns.output, "w") as handle:
-            handle.write(text)
-    else:
+    if not ns.output:
         sys.stdout.write(text)
     return 0
 

@@ -82,14 +82,17 @@ def parse_curve(obj, trunc_override: int = None) -> PuiseuxCurve:
                          "nonzero t^%d term" % pair.m)
     if any(k < pair.m for k, v in coeffs.items() if v != 0):
         raise InputError("y-series has a term below t^%d" % pair.m)
-    trunc = obj.get("truncation")
-    if trunc_override is not None:
-        trunc = trunc_override
-    if trunc is not None:
-        floor = pair.conductor + 2 * pair.n * pair.m
-        if not _is_int(trunc) or trunc < floor:
-            raise InputError("truncation must be an integer >= %d for the "
-                             "pair (%d, %d)" % (floor, pair.n, pair.m))
+    floor = pair.conductor + 2 * pair.n * pair.m
+    trunc = obj.get("truncation") if trunc_override is None else trunc_override
+    if trunc is None:
+        trunc = floor
+    elif not _is_int(trunc) or trunc < floor:
+        raise InputError("truncation must be an integer >= %d for the "
+                         "pair (%d, %d)" % (floor, pair.n, pair.m))
+    high = [k for k, v in coeffs.items() if v != 0 and k >= trunc]
+    if high:
+        raise InputError("y term t^%d at or above the truncation %d"
+                         % (min(high), trunc))
     return PuiseuxCurve(pair, coeffs, trunc)
 
 

@@ -10,8 +10,9 @@ c t^shift src below a bound, the twin of forms._accumulate.
 
 A PuiseuxCurve is the parametrization phi(t) = (t^n, y(t)) with
 ord y = m.  Pullbacks of polynomials and forms are assembled term by
-term from cached powers y^b and theta(y) * y^b, where theta = t d/dt;
-this keeps the cost linear in the number of monomials of the input.
+term from one power table of the curve, y^b and theta(y) * y^b for
+each b at the highest precision asked for (theta = t d/dt); this keeps
+the cost linear in the number of monomials of the input.
 
 The differential value of a form is the t-order of a(t) in
 phi*(omega) = a(t) dt/t.  Orders are reported as Finite(v) or
@@ -86,7 +87,12 @@ class TruncatedSeries:
         return self.coeffs.get(k, ZERO)
 
     def truncate(self, top: int) -> "TruncatedSeries":
-        return TruncatedSeries(self.coeffs, min(self.trunc, top))
+        """The orders below top; self when that cuts nothing."""
+        if top >= self.trunc:
+            return self
+        out = TruncatedSeries(None, top)
+        out.coeffs = {k: v for k, v in self.coeffs.items() if k < top}
+        return out
 
     def __add__(self, other):
         return _assemble(((self, 0, None), (other, 0, None)), None)
@@ -166,10 +172,12 @@ class PuiseuxCurve:
 
     T defaults to c_Gamma + 2nm and may only be raised: every structural
     decision in the basis algorithms happens below that level, and the
-    invariance certificates need the full headroom.
+    invariance certificates need the full headroom.  y^b is known below
+    T + (b - 1) m; a request below the stored precision truncates the
+    entry, one above it regrows y^b from y^(b-1).
     """
 
-    __slots__ = ("pair", "gamma", "y", "trunc", "_ypow", "_wpow")
+    __slots__ = ("pair", "gamma", "y", "trunc", "_powers")
 
     def __init__(self, pair: PuiseuxPair, y_coeffs, trunc=None):
         self.pair = pair
@@ -185,30 +193,28 @@ class PuiseuxCurve:
         if self.y.order_lb() != pair.m:
             raise NotACusp("y-series must start with a nonzero t^%d term"
                            % pair.m)
-        # power caches keyed (b, prec); prec is None at full precision
-        self._ypow = {(0, None): TruncatedSeries.monomial(0, 1),
-                      (1, None): self.y}
-        self._wpow = {}
+        # b -> [y^b, theta(y) y^b], each at the highest precision asked for
+        self._powers = {0: [TruncatedSeries.monomial(0, 1), None],
+                        1: [self.y, None]}
 
     @property
     def alpha(self):
         """Leading coefficient of y."""
         return self.y.coefficient(self.pair.m)
 
+    def _precision(self, b: int, prec) -> float:
+        """prec, or all of y^b (infinite for b = 0) for None or above T."""
+        if prec is None or prec > self.trunc:
+            return self.trunc + (b - 1) * self.pair.m if b else math.inf
+        return prec
+
     def y_power(self, b: int, prec=None) -> TruncatedSeries:
-        """y^b; with prec, only orders below prec, from a cheaper entry."""
-        if prec is not None and prec > self.trunc:
-            prec = None
-        key = (b, prec)
-        p = self._ypow
-        if key not in p:
-            if prec is None:
-                p[key] = self.y_power(b - 1) * self.y
-            elif b <= 1:
-                p[key] = p[(b, None)].truncate(prec)
-            else:
-                p[key] = (self.y_power(b - 1, prec) * self.y).truncate(prec)
-        return p[key]
+        """y^b below prec; all of it known when prec is None or above T."""
+        want = self._precision(b, prec)
+        entry = self._powers.setdefault(b, [None, None])
+        if entry[0] is None or entry[0].trunc < want:
+            entry[0] = self.y_power(b - 1, want - self.pair.m) * self.y
+        return entry[0].truncate(want)
 
     def theta_y_times_power(self, b: int, prec=None) -> TruncatedSeries:
         """theta(y) * y^b, the form-pullback weight of a dy-monomial.
@@ -216,13 +222,14 @@ class PuiseuxCurve:
         Computed as theta(y^(b+1)) / (b+1): one coefficient sweep over
         the next power instead of a series product.
         """
-        if prec is not None and prec > self.trunc:
-            prec = None
-        key = (b, prec)
-        w = self._wpow
-        if key not in w:
-            w[key] = _theta_over(self.y_power(b + 1, prec), b + 1)
-        return w[key]
+        want = self._precision(b + 1, prec)
+        entry = self._powers.setdefault(b, [None, None])
+        if entry[1] is None or entry[1].trunc < want:
+            inv = rat(1, b + 1)
+            entry[1] = TruncatedSeries(
+                {k: k * inv * v
+                 for k, v in self.y_power(b + 1, want).coeffs.items()}, want)
+        return entry[1].truncate(want)
 
     def __eq__(self, other):
         return (isinstance(other, PuiseuxCurve) and self.pair == other.pair
@@ -230,13 +237,6 @@ class PuiseuxCurve:
 
     def __repr__(self):
         return "PuiseuxCurve(t^%d, %r)" % (self.pair.n, self.y)
-
-
-def _theta_over(src: TruncatedSeries, e: int) -> TruncatedSeries:
-    """theta(src) / e, exact under the same truncation."""
-    inv = rat(1, e)
-    return TruncatedSeries({k: k * inv * v for k, v in src.coeffs.items()},
-                           src.trunc)
 
 
 def _assemble(terms, prec) -> TruncatedSeries:

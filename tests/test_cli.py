@@ -211,10 +211,16 @@ def test_exit_one_bool_for_integer(capsys, command, flag, body, rule):
     (["verify", "--curve", {"n": 5, "m": 11, "y": [[11, "1"]]},
       "--all-semiroots", "--i", "9", "--a", "7"],
      "--all-semiroots takes no --i or --a"),
+    (["verify", "--curve", {"n": 2, "m": 3, "y": [[3, "1"], [40, "5"]]},
+      "--i", "1", "--a", "1"], "y term t^40 at or above the truncation 14"),
+    (["verify", "--curve",
+      {"n": 2, "m": 3, "y": [[3, "1"], [25, "5"]], "truncation": 30},
+      "--truncation", "20", "--i", "1", "--a", "1"],
+     "y term t^25 at or above the truncation 20"),
 ], ids=["y-int", "y-null", "dx-int", "dy-null", "generators",
         "y-duplicate", "dx-duplicate", "dy-negative", "y-unreadable",
         "dx-unreadable", "truncation-without-curve",
-        "all-semiroots-with-i-a"])
+        "all-semiroots-with-i-a", "y-at-truncation", "y-at-override"])
 def test_exit_one_malformed_argument(capsys, argv, rule):
     argv = [a if isinstance(a, str) else json.dumps(a) for a in argv]
     code, _, err = run(capsys, *argv)
@@ -290,3 +296,31 @@ def test_output_file_option(capsys, tmp_path):
                        "--output", str(target))
     assert code == 0 and out == ""
     assert json.loads(target.read_text()) == {"copair": [4, 9]}
+
+
+def test_exit_one_on_unwritable_output(capsys, tmp_path, monkeypatch):
+    import cuspidal.cli as cli_mod
+    missing = str(tmp_path / "missing" / "x.json")
+    code, out, err = run(capsys, "semigroup", "--pair", "3,5",
+                         "--output", missing)
+    assert (code, out) == (1, "") and "cannot write" in err
+
+    def no_work(curve):
+        raise AssertionError("ran before checking --output")
+
+    monkeypatch.setattr(cli_mod, "compute_standard_basis", no_work)
+    inline = json.dumps({"n": 5, "m": 11, "y": [[11, "1"]]})
+    for target in (missing, str(tmp_path)):
+        code, _, err = run(capsys, "verify", "--curve", inline,
+                           "--all-semiroots", "--output", target)
+        assert code == 1 and "cannot write" in err
+
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, _, err = run(capsys, "seed-corpus", "--directory",
+                       str(blocker / "sub"))
+    assert code == 1 and "cannot write" in err
+    code, _, err = run(capsys, "seed-corpus", "--directory",
+                       str(tmp_path / "neg"), "--count", "-3")
+    assert code == 1 and "--count must be >= 0" in err
+    assert not (tmp_path / "neg").exists()

@@ -57,6 +57,63 @@ def test_curve_validation():
     assert c.trunc == 40 + 2 * 55
 
 
+def test_power_table_reads_below_a_full_power_without_products(monkeypatch):
+    c = curve_5_11()
+    b = 4
+    c.y_power(b)
+    products = []
+    mul = TruncatedSeries.__mul__
+
+    def counted(self, other):
+        products.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counted)
+    for p in (20, 61, 100, c.trunc):
+        assert c.y_power(b, p).trunc == p
+        assert c.theta_y_times_power(b - 1, p).trunc == p
+    assert products == []
+
+
+P35 = PuiseuxPair(3, 5)
+Y35 = {5: rat(1), 6: rat(-2), 7: rat(1, 3), 9: rat(1)}
+
+
+def _repeated_product(curve, b):
+    out = TruncatedSeries.monomial(0, 1)
+    for _ in range(b):
+        out = out * curve.y
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(("y", "theta")),
+                          st.integers(min_value=0, max_value=6),
+                          st.one_of(st.none(),
+                                    st.integers(min_value=0, max_value=60))),
+                min_size=1, max_size=12))
+def test_power_table_answers_any_request_order(requests):
+    """Every answer is y * ... * y (or theta of the next power over its
+    exponent) known below prec, or all of it for None or prec above T."""
+    c = PuiseuxCurve(P35, Y35)
+    answers = []
+    for kind, b, prec in requests:
+        e = b + 1 if kind == "theta" else b
+        full = _repeated_product(c, e)
+        top = full.trunc if prec is None or prec > c.trunc else prec
+        if kind == "theta":
+            want = TruncatedSeries({k: v * k / e
+                                    for k, v in full.coeffs.items()}, top)
+            got = c.theta_y_times_power(b, prec)
+        else:
+            want = TruncatedSeries(full.coeffs, top)
+            got = c.y_power(b, prec)
+        assert got == want
+        answers.append((got, want))
+    # a later request never changes an earlier answer
+    assert all(got == want for got, want in answers)
+
+
 def test_nu_C_function_examples():
     c = curve_5_11()
     assert nu_C_function(c, {(1, 0): rat(1)}) == OrderResult.Finite(5)
