@@ -154,20 +154,17 @@ def _terminal_condition(cloud: dict) -> bool:
     return mu != 0 and zeta == -mu
 
 
-def is_totally_dicritical(omega: OneForm, pair: PuiseuxPair) -> DicriticalVerdict:
+def is_totally_dicritical(omega: OneForm) -> DicriticalVerdict:
     """Both characterizations of total dicriticalness, cross-checked.
 
     Combinatorial: omega is pre-basic and its vertex is resonant.
     Geometric: after the full blow-up sequence with exceptional factors
     removed, the weight-zero part in the terminal chart is a nonzero
-    multiple of dx/x - dy/y.
+    multiple of dx/x - dy/y.  The sequence is that of omega's own pair.
     """
-    if omega.pair != pair:
-        raise ValueError("form carries pair %r, expected %r"
-                         % (omega.pair, pair))
     vertex = is_prebasic(omega)
     combinatorial = vertex is not None and is_resonant(omega)
-    seq = build_sequence(pair)
+    seq = build_sequence(omega.pair)
     final_cloud, trail = _geometric_walk(seq, dict(omega.cloud))
     geometric = _terminal_condition(final_cloud)
     if combinatorial != geometric:

@@ -19,7 +19,6 @@ from .blowup import is_totally_dicritical
 from .corpus import (example_curve_5_11, example_curve_7_17,
                      example_form_4_9, random_cusp_curve)
 from .errors import CuspidalError, VerificationFailure
-from .forms import is_basic, nu_E_form
 from .jsonio import (InputError, basis_to_json, curve_to_json,
                      delorme_to_json, dicritical_to_json, dumps,
                      form_to_json, parse_curve, parse_form,
@@ -95,14 +94,6 @@ def _curve_from(ns, source: str):
                        trunc_override=getattr(ns, "truncation", None))
 
 
-def _basis_bundle(basis):
-    adjusted = basis.form(basis.s_index + 1)
-    decs = [delorme_decompose(basis, i, j)
-            for i in range(0, basis.s_index + 1)
-            for j in range(0, i + 1)]
-    return basis_to_json(basis, adjusted, decs)
-
-
 def cmd_semigroup(ns):
     pair = _pair_argument(ns.pair)
     if ns.copair:
@@ -140,7 +131,9 @@ def cmd_semimodule(ns):
 
 def cmd_standard_basis(ns):
     basis = compute_standard_basis(_curve_from(ns, ns.curve))
-    return _basis_bundle(basis)
+    return basis_to_json(basis, [delorme_decompose(basis, i, j)
+                                 for i in range(basis.s_index + 1)
+                                 for j in range(i + 1)])
 
 
 def cmd_delorme(ns):
@@ -150,11 +143,7 @@ def cmd_delorme(ns):
 
 def cmd_dicritical_check(ns):
     omega = parse_form(_load_json(ns.form))
-    pair = omega.pair
-    verdict = is_totally_dicritical(omega, pair)
-    return dicritical_to_json(omega, verdict, nu_E_form(omega),
-                              copair(pair), is_basic(omega),
-                              verdict.combinatorial)
+    return dicritical_to_json(omega, is_totally_dicritical(omega))
 
 
 def cmd_semiroots(ns):

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import json
 
-from .forms import OneForm
+from .forms import OneForm, is_basic, nu_E_form
 from .rationals import rat_from_str, rat_to_str
-from .semigroup import PuiseuxPair
+from .semigroup import PuiseuxPair, copair
 from .series import PuiseuxCurve
 
 __all__ = [
@@ -73,26 +73,14 @@ def curve_to_json(curve: PuiseuxCurve) -> dict:
 
 
 def parse_curve(obj, trunc_override: int = None) -> PuiseuxCurve:
+    """The curve of a JSON object; PuiseuxCurve enforces the cusp rules."""
     _require_keys(obj, ("n", "m", "y", "truncation"), ("n", "m", "y"),
                   "curve object")
     pair = _parse_pair(obj["n"], obj["m"])
     coeffs = _parse_entries(obj["y"], "y", ("exponent",))
-    if coeffs.get(pair.m, 0) == 0:
-        raise InputError("zero leading coefficient: y must start with a "
-                         "nonzero t^%d term" % pair.m)
-    if any(k < pair.m for k, v in coeffs.items() if v != 0):
-        raise InputError("y-series has a term below t^%d" % pair.m)
-    floor = pair.conductor + 2 * pair.n * pair.m
     trunc = obj.get("truncation") if trunc_override is None else trunc_override
-    if trunc is None:
-        trunc = floor
-    elif not _is_int(trunc) or trunc < floor:
-        raise InputError("truncation must be an integer >= %d for the "
-                         "pair (%d, %d)" % (floor, pair.n, pair.m))
-    high = [k for k, v in coeffs.items() if v != 0 and k >= trunc]
-    if high:
-        raise InputError("y term t^%d at or above the truncation %d"
-                         % (min(high), trunc))
+    if trunc is not None and not _is_int(trunc):
+        raise InputError("truncation must be an integer")
     return PuiseuxCurve(pair, coeffs, trunc)
 
 
@@ -162,14 +150,14 @@ def delorme_to_json(dec) -> dict:
     }
 
 
-def basis_to_json(basis, adjusted: OneForm, decompositions) -> dict:
+def basis_to_json(basis, decompositions) -> dict:
     return {
         "lambda": list(basis.lambdas),
         "t": list(basis.t),
         "u": list(basis.u),
         "forms": [form_to_json(basis.form(i))
                   for i in range(-1, basis.s_index + 1)],
-        "adjusted_form": form_to_json(adjusted),
+        "adjusted_form": form_to_json(basis.form(basis.s_index + 1)),
         "delorme": [delorme_to_json(d) for d in decompositions],
     }
 
@@ -190,15 +178,14 @@ def verify_report_to_json(report: dict) -> dict:
     return out
 
 
-def dicritical_to_json(omega: OneForm, verdict, nu_e: int, copair,
-                       stripped_basic: bool, resonant: bool) -> dict:
+def dicritical_to_json(omega: OneForm, verdict) -> dict:
     return {
         "pair": [omega.pair.n, omega.pair.m],
-        "nu_E": nu_e,
-        "copair": [copair[0], copair[1]],
+        "nu_E": nu_E_form(omega),
+        "copair": list(copair(omega.pair)),
         "vertex": list(verdict.vertex) if verdict.vertex is not None else None,
-        "basic": stripped_basic,
-        "resonant": resonant,
+        "basic": is_basic(omega),
+        "resonant": verdict.combinatorial,
         "combinatorial": verdict.combinatorial,
         "geometric": verdict.geometric,
         "totally_dicritical": verdict.combinatorial and verdict.geometric,

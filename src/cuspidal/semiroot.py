@@ -19,8 +19,7 @@ from .errors import (IndexOutOfRange, NotDicritical, VerificationFailure,
 from .forms import OneForm, nu_E_form
 from .jsonio import y_to_json
 from .rationals import ZERO, rat, rat_to_str
-from .semigroup import PuiseuxPair
-from .series import OrderResult, PuiseuxCurve, nu_C_form
+from .series import OrderResult, PuiseuxCurve, default_truncation, nu_C_form
 from .stdbasis import (ExtendedStandardBasis, compute_standard_basis,
                        semimodule_oracle)
 from .blowup import is_totally_dicritical
@@ -48,8 +47,7 @@ class Semiroot:
     semimodule: object
 
 
-def solve_invariant_branch(omega: OneForm, a, pair: PuiseuxPair = None,
-                           trunc: int = None) -> PuiseuxCurve:
+def solve_invariant_branch(omega: OneForm, a, trunc: int = None) -> PuiseuxCurve:
     """The invariant branch (t^n, a t^m + ...) of a totally dicritical form.
 
     Writing the pullback as a(t) dt/t, each cloud point (alpha, beta)
@@ -60,20 +58,20 @@ def solve_invariant_branch(omega: OneForm, a, pair: PuiseuxPair = None,
     r * zeta a^(beta - 1) at the vertex (alpha, beta), the only point of
     weight q, so the branch is determined one order at a time.
 
-    Raises NotDicritical when the form fails the dual dicriticalness
-    check, ZeroPivot when a = 0.
+    The branch is known below trunc, default_truncation(omega.pair) by
+    default.  Raises NotDicritical when the form fails the dual
+    dicriticalness check, ZeroPivot when a = 0.
     """
-    if pair is None:
-        pair = omega.pair
+    pair = omega.pair
     n, m = pair.n, pair.m
     a = rat(a)
-    verdict = is_totally_dicritical(omega, pair)
+    verdict = is_totally_dicritical(omega)
     if not verdict:
         raise NotDicritical("form has no invariant branch family: %r" % omega)
     if a == 0:
         raise ZeroPivot("branch parameter a must be nonzero")
     if trunc is None:
-        trunc = pair.conductor + 2 * n * m
+        trunc = default_truncation(pair)
     q = nu_E_form(omega)
     points = sorted(omega.cloud.items())
     top_beta = max(be for (_, be), _ in points)
@@ -91,6 +89,9 @@ def solve_invariant_branch(omega: OneForm, a, pair: PuiseuxPair = None,
     P[0][0] = rat(1)
     for b in range(1, top_beta + 1):
         P[b][m * b] = apow[b]
+    # per cloud point: n alpha, P_beta, n mu, zeta / beta (0 at beta = 0)
+    weights = [(n * al, P[be], n * mu, ze / be if be else ZERO)
+               for (al, be), (mu, ze) in points]
     y = {m: a}
     for r in range(1, trunc - q):
         for b in range(1, top_beta + 1):
@@ -105,15 +106,11 @@ def solve_invariant_branch(omega: OneForm, a, pair: PuiseuxPair = None,
                 P[b][base] = acc
         K = q + r
         known = rat(0)
-        for (al, be), (mu, ze) in points:
-            idx = K - n * al
-            if be == 0:
-                if idx == 0:
-                    known += n * mu
-                continue
-            c = P[be].get(idx)
+        for nal, row, nmu, zb in weights:
+            idx = K - nal
+            c = row.get(idx)
             if c:
-                known += c * (n * mu + ze * rat(idx, be))
+                known += c * (nmu + zb * idx)
         y_new = -known / (rat(r) * pivot)
         if y_new != 0:
             y[m + r] = y_new
@@ -131,8 +128,7 @@ def _solve(basis: ExtendedStandardBasis, i: int, a):
         raise IndexOutOfRange("semiroot index %d outside 1..%d"
                               % (i, basis.s_index + 1))
     omega = basis.form(i)
-    branch = solve_invariant_branch(omega, a, basis.curve.pair,
-                                    basis.curve.trunc)
+    branch = solve_invariant_branch(omega, a, basis.curve.trunc)
     return (omega, branch, compute_standard_basis(branch),
             basis.semimodule.truncated(i - 1))
 

@@ -33,7 +33,7 @@ from .semigroup import (CuspSemigroup, PuiseuxPair,
                         minimal_b_representation)
 
 __all__ = [
-    "TruncatedSeries", "PuiseuxCurve", "OrderResult",
+    "TruncatedSeries", "PuiseuxCurve", "OrderResult", "default_truncation",
     "pullback_function", "pullback_form", "nu_C_function", "nu_C_form",
     "integrate_against_conductor",
 ]
@@ -88,11 +88,7 @@ class TruncatedSeries:
 
     def truncate(self, top: int) -> "TruncatedSeries":
         """The orders below top; self when that cuts nothing."""
-        if top >= self.trunc:
-            return self
-        out = TruncatedSeries(None, top)
-        out.coeffs = {k: v for k, v in self.coeffs.items() if k < top}
-        return out
+        return self if top >= self.trunc else _reduced(self.coeffs, top)
 
     def __add__(self, other):
         return _assemble(((self, 0, None), (other, 0, None)), None)
@@ -167,12 +163,18 @@ class OrderResult:
         return ("Finite(%d)" if self.finite else "AtLeast(%d)") % self.value
 
 
+def default_truncation(pair: PuiseuxPair) -> int:
+    """T = c_Gamma + 2nm, the least truncation a cusp may carry."""
+    return pair.conductor + 2 * pair.n * pair.m
+
+
 class PuiseuxCurve:
     """phi(t) = (t^n, y(t)) with ord y = m, known below the truncation T.
 
-    T defaults to c_Gamma + 2nm and may only be raised: every structural
-    decision in the basis algorithms happens below that level, and the
-    invariance certificates need the full headroom.  y^b is known below
+    The cusp rules live here: y has a nonzero t^m term and no nonzero
+    term below t^m or at or above T (refused, not dropped), and T is at
+    least default_truncation(pair), under which every structural
+    decision of the basis algorithms is taken.  y^b is known below
     T + (b - 1) m; a request below the stored precision truncates the
     entry, one above it regrows y^b from y^(b-1).
     """
@@ -180,19 +182,27 @@ class PuiseuxCurve:
     __slots__ = ("pair", "gamma", "y", "trunc", "_powers")
 
     def __init__(self, pair: PuiseuxPair, y_coeffs, trunc=None):
-        self.pair = pair
-        self.gamma = CuspSemigroup(pair)
-        floor = pair.conductor + 2 * pair.n * pair.m
+        m = pair.m
+        terms = [k for k, v in y_coeffs.items() if v != 0]
+        if m not in terms:
+            raise NotACusp("zero leading coefficient: y must start with a "
+                           "nonzero t^%d term" % m)
+        if min(terms) < m:
+            raise NotACusp("y-series has a term below t^%d" % m)
+        floor = default_truncation(pair)
         if trunc is None:
             trunc = floor
-        if trunc < floor:
-            raise ValueError("truncation %d below the required %d"
-                             % (trunc, floor))
+        elif trunc < floor:
+            raise ValueError("truncation must be an integer >= %d for the "
+                             "pair (%d, %d)" % (floor, pair.n, m))
+        high = [k for k in terms if k >= trunc]
+        if high:
+            raise ValueError("y term t^%d at or above the truncation %d"
+                             % (min(high), trunc))
+        self.pair = pair
+        self.gamma = CuspSemigroup(pair)
         self.trunc = trunc
         self.y = TruncatedSeries(y_coeffs, trunc)
-        if self.y.order_lb() != pair.m:
-            raise NotACusp("y-series must start with a nonzero t^%d term"
-                           % pair.m)
         # b -> [y^b, theta(y) y^b], each at the highest precision asked for
         self._powers = {0: [TruncatedSeries.monomial(0, 1), None],
                         1: [self.y, None]}
@@ -239,6 +249,13 @@ class PuiseuxCurve:
         return "PuiseuxCurve(t^%d, %r)" % (self.pair.n, self.y)
 
 
+def _reduced(coeffs: dict, trunc) -> TruncatedSeries:
+    """Reduced nonzero coefficients below trunc: keys filtered, none rebuilt."""
+    out = TruncatedSeries(None, trunc)
+    out.coeffs = {k: v for k, v in coeffs.items() if k < trunc}
+    return out
+
+
 def _assemble(terms, prec) -> TruncatedSeries:
     """The sum of c * t^shift * src over the (src, shift, c) in terms,
     known below prec and below every term's own truncation."""
@@ -247,7 +264,7 @@ def _assemble(terms, prec) -> TruncatedSeries:
     for src, shift, c in terms:
         bound = min(bound, src.trunc + shift)
         _accumulate(acc, src.coeffs, shift, c, bound)
-    return TruncatedSeries(acc, bound)
+    return _reduced(acc, bound)  # the bound may fall after a key is written
 
 
 def pullback_function(curve: PuiseuxCurve, h, prec=None) -> TruncatedSeries:

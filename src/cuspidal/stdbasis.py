@@ -305,7 +305,6 @@ def dicritically_adjust(basis: ExtendedStandardBasis) -> OneForm:
         rho = _clearing_scalar(eta)
         omega = eta.scaled(rho)
         potential = None
-        residual = a_eta.scaled(rho)
     else:
         potential = integrate_against_conductor(curve, a_eta.shifted(-1))
         omega = eta - differential(potential, pair)
@@ -318,13 +317,12 @@ def dicritically_adjust(basis: ExtendedStandardBasis) -> OneForm:
         raise InternalDisagreement("adjusted form has order %d, not t = %d"
                                    % (nu_E_form(omega), basis.t[-1]))
     _check_shape(omega, s + 1)
-    if not is_totally_dicritical(omega, pair):
+    if not is_totally_dicritical(omega):
         raise InternalDisagreement("adjusted form is not totally dicritical")
     basis.adjusted = omega
     basis.certificate = OrderResult.AtLeast(curve.trunc)
     basis.traces[s + 1] = ConstructionTrace(s, axis, ell, steps,
                                             rho, potential)
-    basis._pullbacks[s + 1] = residual
     return omega
 
 

@@ -66,15 +66,13 @@ def test_criterion_03_semiroot_series_of_the_reference_curve():
     basis = compute_standard_basis(example_curve_5_11())
     for a in (1, 2):
         a = rat(a)
-        branch = solve_invariant_branch(basis.form(2), a, basis.curve.pair,
-                                        basis.curve.trunc)
+        branch = solve_invariant_branch(basis.form(2), a, basis.curve.trunc)
         y = branch.y.coeffs
         assert y[11] == a
         assert y[12] == a * a
         assert y[13] == rat(23, 22) * a ** 3
         assert y[14] == rat(136, 121) * a ** 4
-        monomial = solve_invariant_branch(basis.form(1), a, basis.curve.pair,
-                                          basis.curve.trunc)
+        monomial = solve_invariant_branch(basis.form(1), a, basis.curve.trunc)
         assert monomial.y.coeffs == {11: a}
     _finish("03 semiroot series at omega_1 and omega_2", started, 5)
 
@@ -104,10 +102,10 @@ def test_criterion_05_dicritical_form_and_zariski_invariants():
     assert is_prebasic(omega) == (3, 4)
     assert initial_part(omega, 48) == OneForm(pair, {(2, 4): -9},
                                               {(3, 3): 4})
-    verdict = is_totally_dicritical(omega, pair)
+    verdict = is_totally_dicritical(omega)
     assert verdict.combinatorial and verdict.geometric
-    assert zariski_invariant(solve_invariant_branch(omega, 2, pair)) == 10
-    assert zariski_invariant(solve_invariant_branch(omega, 1, pair)) == 19
+    assert zariski_invariant(solve_invariant_branch(omega, 2)) == 10
+    assert zariski_invariant(solve_invariant_branch(omega, 1)) == 19
     _finish("05 dicritical (4,9) form and its invariant curves", started, 10)
 
 

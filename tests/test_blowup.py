@@ -155,19 +155,19 @@ def dicritical_49_form():
 
 
 def test_dicritical_examples():
-    verdict = is_totally_dicritical(dicritical_49_form(), PuiseuxPair(4, 9))
+    verdict = is_totally_dicritical(dicritical_49_form())
     assert verdict and verdict.combinatorial and verdict.geometric
     assert verdict.vertex == (3, 4)
     assert len(verdict.multiplicities) == 5
 
     w1 = OneForm(P511, A={(0, 1): rat(-11)}, B={(1, 0): rat(5)})
-    assert is_totally_dicritical(w1, P511)
+    assert is_totally_dicritical(w1)
 
     dy = OneForm(P511, B={(0, 0): rat(1)})
-    assert not is_totally_dicritical(dy, P511)
+    assert not is_totally_dicritical(dy)
 
     two_pt = differential({(11, 0): rat(-1), (0, 5): rat(1)}, P511)
-    assert not is_totally_dicritical(two_pt, P511)
+    assert not is_totally_dicritical(two_pt)
 
 
 @settings(max_examples=120, deadline=None)
@@ -176,4 +176,4 @@ def test_dicritical_routes_agree(w):
     """The cross-check inside is_totally_dicritical must never trip."""
     if w.is_zero():
         return
-    is_totally_dicritical(w, w.pair)
+    is_totally_dicritical(w)

@@ -2,17 +2,19 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cuspidal.errors import NotACusp, OrderTooLow
+from cuspidal import series
+from cuspidal.errors import CuspidalError, NotACusp, OrderTooLow
 from cuspidal.forms import (BivariatePolynomial, OneForm, differential,
                             is_basic, is_prebasic, is_resonant, nu_E_form)
-from cuspidal.rationals import rat
+from cuspidal.jsonio import parse_curve
+from cuspidal.rationals import rat, rat_from_str
 from cuspidal.semigroup import CuspSemigroup, PuiseuxPair, contains
 from cuspidal.series import (OrderResult, PuiseuxCurve, TruncatedSeries,
                              integrate_against_conductor, nu_C_form,
-                             nu_C_function, pullback_function)
+                             nu_C_function, pullback_form, pullback_function)
 
 P511 = PuiseuxPair(5, 11)
 
@@ -47,14 +49,73 @@ def test_exact_series_and_cancellation():
 
 
 def test_curve_validation():
-    with pytest.raises(NotACusp):
+    with pytest.raises(NotACusp, match="zero leading coefficient"):
         PuiseuxCurve(P511, {12: 1})
-    with pytest.raises(NotACusp):
+    with pytest.raises(NotACusp, match="zero leading coefficient"):
+        PuiseuxCurve(P511, {11: 0, 12: 1})
+    with pytest.raises(NotACusp, match="zero leading coefficient"):
         PuiseuxCurve(P511, {})
+    with pytest.raises(NotACusp, match=r"term below t\^11"):
+        PuiseuxCurve(P511, {10: 1, 11: 1})
     with pytest.raises(ValueError):
         PuiseuxCurve(P511, {11: 1}, trunc=100)
     c = PuiseuxCurve(P511, {11: 1})
     assert c.trunc == 40 + 2 * 55
+    # a nonzero term at or above T is refused, not dropped
+    with pytest.raises(ValueError,
+                       match=r"y term t\^40 at or above the truncation 14"):
+        PuiseuxCurve(PuiseuxPair(2, 3), {3: 1, 40: 5})
+    with pytest.raises(ValueError,
+                       match=r"y term t\^150 at or above the truncation 150"):
+        PuiseuxCurve(P511, {11: 1, 150: 2})
+    # zero-valued entries are not terms
+    assert PuiseuxCurve(P511, {10: 0, 11: 1, 150: 0}) == c
+
+
+@example({"n": 2, "m": 3, "y": [[3, "1"], [14, "5"]]})
+@example({"n": 2, "m": 3, "y": [[3, "1"], [20, "-1/2"]], "truncation": 20})
+@settings(max_examples=150, deadline=None)
+@given(st.builds(
+    lambda pair, y, trunc: dict(
+        {"n": pair[0], "m": pair[1],
+         "y": [[k, c] for k, c in sorted(y.items())]},
+        **({} if trunc is None else {"truncation": trunc})),
+    st.sampled_from([(2, 3), (2, 5), (3, 4), (3, 5), (1, 2)]),
+    st.dictionaries(st.integers(0, 40),
+                    st.sampled_from(["0", "1", "-2", "1/3"]), max_size=5),
+    st.one_of(st.none(), st.integers(0, 45))))
+def test_json_and_library_curves_follow_one_set_of_rules(obj):
+    """parse_curve refuses exactly the curves PuiseuxCurve refuses, with
+    the same message, and builds the same curve otherwise."""
+    def outcome(build):
+        try:
+            return build()
+        except (ValueError, CuspidalError) as exc:
+            return str(exc)
+
+    coeffs = {k: rat_from_str(c) for k, c in obj["y"]}
+    assert outcome(lambda: parse_curve(obj)) == outcome(
+        lambda: PuiseuxCurve(PuiseuxPair(obj["n"], obj["m"]), coeffs,
+                             obj.get("truncation")))
+
+
+def test_sums_and_products_rebuild_no_coefficient(monkeypatch):
+    c = PuiseuxCurve(P35, Y35)
+    omega = OneForm(P35, {(1, 0): rat(2), (0, 2): rat(-1, 3)},
+                    {(0, 1): rat(5), (2, 0): rat(1, 7)})
+    f = c.y_power(2)
+    g = TruncatedSeries({0: rat(1), 4: rat(-2, 7), 9: rat(3)}, 30)
+    expected = [f * g, f + g, f - g, pullback_form(c, omega)]
+    calls = []
+    real = series.rat
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(series, "rat", counted)
+    assert [f * g, f + g, f - g, pullback_form(c, omega)] == expected
+    assert calls == []
 
 
 def test_power_table_reads_below_a_full_power_without_products(monkeypatch):
