@@ -3,22 +3,26 @@
 A totally dicritical form has a one-parameter family of invariant cusp
 branches (t^n, a t^m + ...).  Solving for the branch coefficient by
 coefficient is an online triangular process: at each order past nu_E the
-next y-coefficient appears through a single nonzero pivot.  The semiroot
-attached to omega_i carries, by the structure theorem, exactly the
-truncated semimodule generated by lambda_-1 .. lambda_{i-1}; this module
-solves the branches, packages them, and rechecks that statement from
-scratch on demand.
+next y-coefficient appears through a single nonzero pivot.  The solver
+is fraction-free (Bareiss, Math. Comp. 22, 1968): it holds y as integer
+numerators over one common denominator, y_u = Y[u] / D, and reduces one
+rational per order, the new coefficient, instead of every sum and
+product of the elimination.  The semiroot attached to omega_i carries,
+by the structure theorem, exactly the truncated semimodule generated by
+lambda_-1 .. lambda_{i-1}; this module solves the branches, packages
+them, and rechecks that statement from scratch on demand.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import (IndexOutOfRange, NotDicritical, VerificationFailure,
                      ZeroPivot)
 from .forms import OneForm, nu_E_form
 from .jsonio import y_to_json
-from .rationals import ZERO, rat, rat_to_str
+from .rationals import Q, rat, rat_to_str
 from .series import OrderResult, PuiseuxCurve, default_truncation, nu_C_form
 from .stdbasis import (ExtendedStandardBasis, compute_standard_basis,
                        semimodule_oracle)
@@ -58,6 +62,17 @@ def solve_invariant_branch(omega: OneForm, a, trunc: int = None) -> PuiseuxCurve
     r * zeta a^(beta - 1) at the vertex (alpha, beta), the only point of
     weight q, so the branch is determined one order at a time.
 
+    The elimination is fraction-free in the manner of Bareiss (Math.
+    Comp. 22, 1968; Geddes, Czapor and Labahn, Algorithms for Computer
+    Algebra, 1992).  The form is scaled to integer weights, since a
+    multiple of a form has the same branches.  y_u is held as Y[u] / D
+    over one common denominator D, the coefficients of y^b as integers
+    over D^b, and the known part of each order as one integer over
+    Bl D^top (Bl the lcm of the cloud's nonzero beta, top the largest).
+    One rational per order: y_{m+r} is the only reduced fraction built
+    at order r, and when its denominator does not divide D, D grows by
+    the missing factor g and every numerator over D^b by g^b.
+
     The branch is known below trunc, default_truncation(omega.pair) by
     default.  Raises NotDicritical when the form fails the dual
     dicriticalness check, ZeroPivot when a = 0.
@@ -74,51 +89,89 @@ def solve_invariant_branch(omega: OneForm, a, trunc: int = None) -> PuiseuxCurve
         trunc = default_truncation(pair)
     q = nu_E_form(omega)
     points = sorted(omega.cloud.items())
-    top_beta = max(be for (_, be), _ in points)
-    apow = [rat(1)]
-    for _ in range(top_beta):
-        apow.append(apow[-1] * a)
-    # the vertex is the one cloud point of weight q; being resonant, its
-    # zeta is nonzero, and so is the pivot
-    beta = verdict.vertex[1]
-    pivot = omega.cloud[verdict.vertex][1] * apow[beta - 1]
+    top = max(be for (_, be), _ in points)
+    # L clears the cloud's denominators, Bl every 1/beta
+    L = math.lcm(*(int(c.denominator) for _, mz in points for c in mz))
+    Bl = math.lcm(*(be for (_, be), _ in points if be))
 
-    # P[b]: coefficients of y(t)^b by exponent; at order r, entry m b + r
+    def scaled(c):
+        return int(c.numerator) * (L // int(c.denominator))
+
+    # the vertex is the one cloud point of weight q; being resonant, its
+    # zeta is nonzero, and so is the pivot r * zeta * a^(beta - 1)
+    beta = verdict.vertex[1]
+    pivot = Bl * scaled(omega.cloud[verdict.vertex][1])
+
+    # y_u = Y[u] / D and a^b = apow[b] / D^b; P[b]: numerators over D^b
+    # of the coefficients of y(t)^b by exponent; at order r, entry m b + r
     # holds the nonzero partial sum without y_{m+r} until y_{m+r} is known
-    P = [dict() for _ in range(top_beta + 1)]
-    P[0][0] = rat(1)
-    for b in range(1, top_beta + 1):
+    D = int(a.denominator)
+    Y = {m: int(a.numerator)}
+    apow = [1]
+    for _ in range(top):
+        apow.append(apow[-1] * Y[m])
+    P = [dict() for _ in range(top + 1)]
+    P[0][0] = 1
+    for b in range(1, top + 1):
         P[b][m * b] = apow[b]
-    # per cloud point: n alpha, P_beta, n mu, zeta / beta (0 at beta = 0)
-    weights = [(n * al, P[be], n * mu, ze / be if be else ZERO)
-               for (al, be), (mu, ze) in points]
-    y = {m: a}
+    # per beta: its P row and, per cloud point, n alpha, n mu Bl and
+    # zeta Bl / beta (0 at beta = 0), all integers
+    rows = {}
+    for (al, be), (mu, ze) in points:
+        rows.setdefault(be, (P[be], []))[1].append(
+            (n * al, n * scaled(mu) * Bl,
+             scaled(ze) * Bl // be if be else 0))
+    rows = sorted(rows.items())
+    dpow = [D ** k for k in range(top + 1)]
     for r in range(1, trunc - q):
-        for b in range(1, top_beta + 1):
-            acc = rat(0)
+        for b in range(1, top + 1):
+            acc = 0
             prev = P[b - 1]
             base = m * b + r
-            for u, yu in y.items():
+            for u, yu in Y.items():
                 v = prev.get(base - u)
                 if v is not None:
                     acc += yu * v
-            if acc != 0:
+            if acc:
                 P[b][base] = acc
         K = q + r
-        known = rat(0)
-        for nal, row, nmu, zb in weights:
-            idx = K - nal
-            c = row.get(idx)
-            if c:
-                known += c * (nmu + zb * idx)
-        y_new = -known / (rat(r) * pivot)
-        if y_new != 0:
-            y[m + r] = y_new
-        for b in range(1, top_beta + 1):
-            full = P[b].pop(m * b + r, ZERO) + rat(b) * apow[b - 1] * y_new
-            if full != 0:
-                P[b][m * b + r] = full
-    return PuiseuxCurve(pair, y, trunc)
+        # known: the t^K coefficient without y_{m+r}, over Bl D^top
+        known = 0
+        for be, (row, pts) in rows:
+            part = 0
+            for nal, nmu, zb in pts:
+                idx = K - nal
+                c = row.get(idx)
+                if c:
+                    part += c * (nmu + zb * idx)
+            if part:
+                known += part * dpow[top - be]
+        if not known:  # y_{m+r} = 0, and the partial sums are complete
+            continue
+        # y_{m+r} = -known / (Bl D^top r zeta a^(beta - 1))
+        y_new = Q(-known, r * pivot * apow[beta - 1] * dpow[top - beta + 1])
+        num, den = int(y_new.numerator), int(y_new.denominator)
+        if D % den:
+            g = den // math.gcd(D, den)
+            D *= g
+            for u in Y:
+                Y[u] *= g
+            for b in range(1, top + 1):
+                gb = g ** b
+                apow[b] *= gb
+                row = P[b]
+                for k in row:
+                    row[k] *= gb
+            dpow = [D ** k for k in range(top + 1)]
+        Y[m + r] = num * (D // den)
+        for b in range(1, top + 1):
+            key = m * b + r
+            full = P[b].get(key, 0) + b * apow[b - 1] * Y[m + r]
+            if full:
+                P[b][key] = full
+            else:
+                P[b].pop(key, None)
+    return PuiseuxCurve(pair, {u: Q(yu, D) for u, yu in Y.items()}, trunc)
 
 
 def _solve(basis: ExtendedStandardBasis, i: int, a):

@@ -21,7 +21,7 @@ from .semigroup import contains
 from .semimodule import (GammaSemimodule, critical_orders, limits,
                          minimal_basis)
 from .series import (OrderResult, PuiseuxCurve, integrate_against_conductor,
-                     pullback_form, pullback_function)
+                     nu_C_function, pullback_form, pullback_function)
 from .blowup import is_totally_dicritical
 
 
@@ -379,8 +379,13 @@ def delorme_decompose(basis: ExtendedStandardBasis, i: int,
     for ell in range(-1, j + 1):
         if f[ell].is_zero():
             continue
-        value = (pullback_function(basis.curve, f[ell])
-                 * basis.full_pullback(ell)).order_lb()
+        # nu_C(f omega_ell) = nu_C(f) + lambda_ell, so the value needs f
+        # only up to vij - lambda_ell; AtLeast means above vij
+        lam = basis.lambdas[ell + 1]
+        order = nu_C_function(basis.curve, f[ell], vij - lam + 1)
+        if not order.finite:
+            continue
+        value = order.value + lam
         if value < vij:
             raise InternalDisagreement("summand %d of (%d, %d) has value %s"
                                        " under %d" % (ell, i, j, value, vij))

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from cuspidal.rationals import rat
 from cuspidal.semigroup import PuiseuxPair
 from cuspidal.series import PuiseuxCurve
-from cuspidal.semiroot import verify_main_theorem
+from cuspidal.semiroot import solve_invariant_branch, verify_main_theorem
 from cuspidal.stdbasis import compute_standard_basis, semimodule_oracle
+
+from oracles import branch_by_rationals
 
 # m by n, n <= 6 and n m <= 60; drawing n first keeps n = 2, where s = 0
 # always, from crowding out the pairs with room for generators
@@ -47,3 +49,17 @@ def test_rational_tails_oracle_and_semiroot_agree(curve, data):
         lambda x: x not in DEFAULT_PARAMETERS), label="a")
     report = verify_main_theorem(basis, i, a)
     assert report["pass"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_tail_curves(), st.data())
+def test_fraction_free_solver_matches_the_rational_one(curve, data):
+    basis = compute_standard_basis(curve)
+    a = data.draw(small_rationals().filter(
+        lambda x: x not in DEFAULT_PARAMETERS), label="a")
+    for i in range(1, basis.s_index + 2):
+        omega = basis.form(i)
+        got = solve_invariant_branch(omega, a, curve.trunc)
+        want = branch_by_rationals(omega, a, curve.trunc)
+        assert got.y.coeffs == want.y.coeffs
+        assert got.trunc == want.trunc

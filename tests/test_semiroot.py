@@ -1,14 +1,18 @@
+import fractions
+import math
 import random
+import types
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cuspidal.blowup import is_totally_dicritical
 from cuspidal.corpus import random_cusp_curve
 from cuspidal.errors import (IndexOutOfRange, NotDicritical,
                              VerificationFailure, ZeroPivot)
-from cuspidal.forms import OneForm
-from cuspidal.rationals import rat
+from cuspidal.forms import OneForm, nu_E_form
+from cuspidal.rationals import Q, rat
 from cuspidal.semigroup import PuiseuxPair
 from cuspidal.semiroot import (semiroot, solve_invariant_branch,
                                verify_main_theorem, zariski_invariant)
@@ -27,6 +31,22 @@ def basis_7_17():
         PuiseuxCurve(PuiseuxPair(7, 17), {17: 1, 30: 1, 33: 1, 36: 1}))
 
 
+class FractionGcdCounter:
+    """Counts the math.gcd calls fractions.Fraction makes while installed."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        real_gcd = math.gcd
+
+        def gcd(*args):
+            self.calls += 1
+            return real_gcd(*args)
+        shim = types.ModuleType("math")
+        shim.__dict__.update(math.__dict__)
+        shim.gcd = gcd
+        monkeypatch.setattr(fractions, "math", shim)
+
+
 def test_omega2_branch_series():
     basis = basis_5_11()
     for a in (rat(1), rat(2)):
@@ -36,6 +56,23 @@ def test_omega2_branch_series():
         assert c[12] == a ** 2
         assert c[13] == rat(23, 22) * a ** 3
         assert c[14] == rat(136, 121) * a ** 4
+
+
+@pytest.mark.skipif(Q is not fractions.Fraction,
+                    reason="counts the normalisations of fractions.Fraction")
+def test_solver_normalises_a_bounded_number_of_times_per_order(monkeypatch):
+    # the fraction-free solver builds one rational per order and one per
+    # returned coefficient; beyond those only the dicriticalness check
+    # it starts with normalises anything
+    omega = basis_7_17().form(3)
+    counter = FractionGcdCounter(monkeypatch)
+    assert is_totally_dicritical(omega)
+    check = counter.calls
+    counter.calls = 0
+    branch = solve_invariant_branch(omega, rat(1, 2))
+    orders = branch.trunc - nu_E_form(omega) - 1
+    assert len(branch.y.coeffs) > 200
+    assert counter.calls <= check + 2 * orders
 
 
 def test_omega1_branch_is_monomial():
