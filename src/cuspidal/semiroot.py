@@ -102,18 +102,13 @@ def solve_invariant_branch(omega: OneForm, a, trunc: int = None) -> PuiseuxCurve
     beta = verdict.vertex[1]
     pivot = Bl * scaled(omega.cloud[verdict.vertex][1])
 
-    # y_u = Y[u] / D and a^b = apow[b] / D^b; P[b]: numerators over D^b
-    # of the coefficients of y(t)^b by exponent; at order r, entry m b + r
-    # holds the nonzero partial sum without y_{m+r} until y_{m+r} is known
+    # y_u = Y[u] / D; P[b]: numerators over D^b of the coefficients of
+    # y(t)^b by exponent, so a^b = P[b][m b] / D^b; at order r, entry
+    # m b + r holds the nonzero partial sum without y_{m+r} until y_{m+r}
+    # is known
     D = int(a.denominator)
     Y = {m: int(a.numerator)}
-    apow = [1]
-    for _ in range(top):
-        apow.append(apow[-1] * Y[m])
-    P = [dict() for _ in range(top + 1)]
-    P[0][0] = 1
-    for b in range(1, top + 1):
-        P[b][m * b] = apow[b]
+    P = [{m * b: Y[m] ** b} for b in range(top + 1)]
     # per beta: its P row and, per cloud point, n alpha, n mu Bl and
     # zeta Bl / beta (0 at beta = 0), all integers
     rows = {}
@@ -149,7 +144,8 @@ def solve_invariant_branch(omega: OneForm, a, trunc: int = None) -> PuiseuxCurve
         if not known:  # y_{m+r} = 0, and the partial sums are complete
             continue
         # y_{m+r} = -known / (Bl D^top r zeta a^(beta - 1))
-        y_new = Q(-known, r * pivot * apow[beta - 1] * dpow[top - beta + 1])
+        y_new = Q(-known, r * pivot * P[beta - 1][m * (beta - 1)]
+                  * dpow[top - beta + 1])
         num, den = int(y_new.numerator), int(y_new.denominator)
         if D % den:
             g = den // math.gcd(D, den)
@@ -158,7 +154,6 @@ def solve_invariant_branch(omega: OneForm, a, trunc: int = None) -> PuiseuxCurve
                 Y[u] *= g
             for b in range(1, top + 1):
                 gb = g ** b
-                apow[b] *= gb
                 row = P[b]
                 for k in row:
                     row[k] *= gb
@@ -166,7 +161,8 @@ def solve_invariant_branch(omega: OneForm, a, trunc: int = None) -> PuiseuxCurve
         Y[m + r] = num * (D // den)
         for b in range(1, top + 1):
             key = m * b + r
-            full = P[b].get(key, 0) + b * apow[b - 1] * Y[m + r]
+            full = (P[b].get(key, 0)
+                    + b * P[b - 1][m * (b - 1)] * Y[m + r])
             if full:
                 P[b][key] = full
             else:

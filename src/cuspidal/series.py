@@ -12,7 +12,10 @@ A PuiseuxCurve is the parametrization phi(t) = (t^n, y(t)) with
 ord y = m.  Pullbacks of polynomials and forms are assembled term by
 term from one power table of the curve, y^b and theta(y) * y^b for
 each b at the highest precision asked for (theta = t d/dt); this keeps
-the cost linear in the number of monomials of the input.
+the cost linear in the number of monomials of the input.  That table is
+the library's one series cache: the standard basis, its adjustment and
+the semimodule oracle keep no pullbacks of their own, and only the
+branch solver holds a private table of integer numerators.
 
 The differential value of a form is the t-order of a(t) in
 phi*(omega) = a(t) dt/t.  Orders are reported as Finite(v) or

@@ -37,15 +37,14 @@ class TraceStep:
 
 @dataclass(frozen=True)
 class ConstructionTrace:
-    """How a basis form was assembled from the earlier ones.
+    """How the basis form omega_i was assembled from the earlier ones.
 
-    omega = rho * (seed - sum of the steps) - d(potential), where the seed
-    is x^exponent omega_source (axis "x") or y^exponent omega_source
+    omega_i = rho * (seed - sum of the steps) - d(potential), where the
+    seed is x^exponent omega_{i-1} (axis "x") or y^exponent omega_{i-1}
     (axis "y"); `potential` is None except for the adjusted form, and
     rho == 1 whenever it is present.
     """
 
-    source: int
     axis: str
     exponent: int
     steps: tuple
@@ -75,11 +74,12 @@ class ExtendedStandardBasis:
     None until dicritically_adjust fills them, which form(s+1) runs the
     first time it is asked for.  `traces` keeps, for every constructed
     form, the exact combination that produced it; Delorme decompositions
-    are read off these traces instead of being re-derived.
+    are read off these traces instead of being re-derived.  It keeps no
+    pullbacks: pullback_form reads them off the curve's power table.
     """
 
     __slots__ = ("curve", "semimodule", "forms", "traces",
-                 "adjusted", "certificate", "_pullbacks")
+                 "adjusted", "certificate")
 
     def __init__(self, curve, semimodule, forms, traces):
         self.curve = curve
@@ -88,7 +88,6 @@ class ExtendedStandardBasis:
         self.traces = dict(traces)
         self.adjusted = None
         self.certificate = None
-        self._pullbacks = {}
 
     @property
     def s_index(self) -> int:
@@ -113,12 +112,6 @@ class ExtendedStandardBasis:
         if i == self.s_index + 1:
             return dicritically_adjust(self)
         raise IndexOutOfRange("no form at index %d" % i)
-
-    def full_pullback(self, i: int):
-        """a(t) of omega_i at the curve's own truncation, cached."""
-        if i not in self._pullbacks:
-            self._pullbacks[i] = pullback_form(self.curve, self.form(i))
-        return self._pullbacks[i]
 
     def __repr__(self):
         tag = "+adjusted" if self.adjusted is not None else ""
@@ -155,47 +148,43 @@ def _clearing_scalar(omega: OneForm) -> int:
     return rho
 
 
-def _seed(curve, sm, forms, pullbacks, prec=None):
+def _seed(sm, forms):
     """Candidate opening the next stage: the cheaper of x^l1 omega_s',
-    y^l2 omega_s', together with its pullback and the axis value."""
-    n, m = curve.pair.n, curve.pair.m
-    sp = sm.s_index
-    lim = limits(sm, sp)
-    ux = n * lim.ell1 + sm.basis[-1]
-    uy = m * lim.ell2 + sm.basis[-1]
+    y^l2 omega_s', with its axis and exponent and the axis value u."""
+    pair = sm.gamma.pair
+    lim = limits(sm, sm.s_index)
+    ux = pair.n * lim.ell1 + sm.basis[-1]
+    uy = pair.m * lim.ell2 + sm.basis[-1]
     if ux <= uy:
-        eta = forms[-1].times_monomial(lim.ell1, 0)
-        a_eta = pullbacks[-1].shifted(n * lim.ell1)
-        return "x", lim.ell1, ux, eta, a_eta
-    eta = forms[-1].times_monomial(0, lim.ell2)
-    a_eta = curve.y_power(lim.ell2, prec) * pullbacks[-1]
-    return "y", lim.ell2, uy, eta, a_eta
+        return "x", lim.ell1, ux, forms[-1].times_monomial(lim.ell1, 0)
+    return "y", lim.ell2, uy, forms[-1].times_monomial(0, lim.ell2)
 
 
-def _cancel(curve, sm, forms, pullbacks, cache, eta, a_eta, first_stop,
-            stop, prec=None):
+def _cancel(curve, sm, forms, eta, first_stop, stop, prec=None):
     """The cancellation engine shared by the construction and the adjustment.
 
-    While the leading value nu of a_eta lies in the semimodule and under
-    the stop order (first_stop before the first step, stop after it),
-    cancel it against the cheapest x^c y^d omega_j.  Returns eta, its
-    pullback, the steps taken and the value it stopped at; the caller
-    decides what that value means.
+    While the leading value nu of a_eta, the pullback of eta below prec,
+    lies in the semimodule and under the stop order (first_stop before
+    the first step, stop after it), cancel it against the cheapest
+    x^c y^d omega_j.  Each cancelling term is pulled back by pullback_form
+    too, so the curve's power table is the only series cache; at full
+    precision that pullback is known below T - m + t_j + m d + n c, the
+    bound that sets how far a_eta, and so the adjusted form's potential,
+    reaches.  Returns eta, a_eta, the steps taken and the value it
+    stopped at; the caller decides what that value means.
     """
+    a_eta = pullback_form(curve, eta, prec)
     steps = []
     while True:
         nu = a_eta.order_lb()
         if nu >= (stop if steps else first_stop) or not sm.contains(nu):
             return eta, a_eta, tuple(steps), nu
         j, c, d = _cancellation_site(curve.gamma, sm.basis, nu)
-        # pullback of x^c y^d omega_j; the y^d omega_j part is cached
-        if (j, d) not in cache:
-            cache[j, d] = (pullbacks[j + 1] if d == 0
-                           else curve.y_power(d, prec) * pullbacks[j + 1])
-        canc = cache[j, d].shifted(curve.pair.n * c)
+        term = forms[j + 1].times_monomial(c, d)
+        canc = pullback_form(curve, term, prec)
         mu = a_eta.coefficient(nu) / canc.coefficient(nu)
         a_eta = a_eta - canc.scaled(mu)
-        eta = eta - forms[j + 1].times_monomial(c, d, mu)
+        eta = eta - term.scaled(mu)
         steps.append(TraceStep(j, c, d, mu))
         if not a_eta.order_lb() > nu:
             raise InternalDisagreement("cancellation at %d did not raise"
@@ -224,17 +213,12 @@ def compute_standard_basis(curve: PuiseuxCurve) -> ExtendedStandardBasis:
     forms = [OneForm(pair, {(0, 0): 1}, None), OneForm(pair, None, {(0, 0): 1})]
     lam = [n, m]
     t_chain = [n, m]
-    pullbacks = [pullback_form(curve, forms[0], work),
-                 pullback_form(curve, forms[1], work)]
-    cache = {}
     traces = {}
     while True:
         sm = GammaSemimodule(gamma, tuple(lam))
-        axis, ell, u_next, eta, a_eta = _seed(curve, sm, forms, pullbacks,
-                                              work)
-        eta, a_eta, steps, new_value = _cancel(curve, sm, forms, pullbacks,
-                                               cache, eta, a_eta, c_gamma,
-                                               c_gamma, work)
+        axis, ell, u_next, eta = _seed(sm, forms)
+        eta, _, steps, new_value = _cancel(curve, sm, forms, eta, c_gamma,
+                                           c_gamma, work)
         if new_value >= c_gamma:
             break
         if new_value <= u_next:
@@ -245,9 +229,7 @@ def compute_standard_basis(curve: PuiseuxCurve) -> ExtendedStandardBasis:
         t_chain.append(t_chain[-1] + u_next - lam[-1])
         lam.append(new_value)
         forms.append(omega)
-        pullbacks.append(a_eta.scaled(rho))
-        traces[len(lam) - 2] = ConstructionTrace(len(lam) - 3, axis, ell,
-                                                 steps, rho, None)
+        traces[len(lam) - 2] = ConstructionTrace(axis, ell, steps, rho, None)
         if nu_E_form(omega) != t_chain[-1]:
             raise InternalDisagreement("form for %d has order %d, chain says"
                                        " %d" % (new_value, nu_E_form(omega),
@@ -290,14 +272,13 @@ def dicritically_adjust(basis: ExtendedStandardBasis) -> OneForm:
     curve, sm = basis.curve, basis.semimodule
     pair = curve.pair
     s = sm.s_index
-    pullbacks = [basis.full_pullback(i) for i in range(-1, s + 1)]
-    axis, ell, u_next, eta, a_eta = _seed(curve, sm, basis.forms, pullbacks)
+    axis, ell, u_next, eta = _seed(sm, basis.forms)
     if u_next != basis.u[-1]:
         raise InternalDisagreement("seed value %d off the last axis %d"
                                    % (u_next, basis.u[-1]))
     stop = pair.conductor + 1
-    eta, a_eta, steps, nu = _cancel(curve, sm, basis.forms, pullbacks, {},
-                                    eta, a_eta, curve.trunc, stop)
+    eta, a_eta, steps, nu = _cancel(curve, sm, basis.forms, eta,
+                                    curve.trunc, stop)
     if nu < (stop if steps else curve.trunc):
         raise InternalDisagreement("value %d under the conductor escaped"
                                    " the construction" % nu)
@@ -321,8 +302,7 @@ def dicritically_adjust(basis: ExtendedStandardBasis) -> OneForm:
         raise InternalDisagreement("adjusted form is not totally dicritical")
     basis.adjusted = omega
     basis.certificate = OrderResult.AtLeast(curve.trunc)
-    basis.traces[s + 1] = ConstructionTrace(s, axis, ell, steps,
-                                            rho, potential)
+    basis.traces[s + 1] = ConstructionTrace(axis, ell, steps, rho, potential)
     return omega
 
 
@@ -402,7 +382,8 @@ def semimodule_oracle(curve: PuiseuxCurve) -> GammaSemimodule:
     """The semimodule of differential values, found by brute force.
 
     Triangularizes the pullbacks of the monomial forms x^a y^b dx and
-    x^a y^b dy in weight order, recording every new leading order.  A
+    x^a y^b dy in weight order, recording every new leading order; each
+    is read off the curve's power table by pullback_form.  A
     recorded order set spanning a semimodule with conductor c makes any
     monomial of weight >= c + n redundant (each minimal generator is the
     least member of its residue class, hence under c + n), so the scan
@@ -425,10 +406,9 @@ def semimodule_oracle(curve: PuiseuxCurve) -> GammaSemimodule:
     for w, kind, a, b in monos:
         if w >= bound:
             break
-        if kind == 0:
-            s = curve.y_power(b, bound).shifted(n * (a + 1)).scaled(n)
-        else:
-            s = curve.theta_y_times_power(b, bound).shifted(n * a)
+        mono = {(a, b): 1}
+        s = pullback_form(curve, OneForm(pair, mono, None) if kind == 0
+                          else OneForm(pair, None, mono), bound)
         while True:
             o = s.order_lb()
             if o >= bound:

@@ -14,9 +14,9 @@ from cuspidal import (GammaSemimodule, OneForm, PuiseuxPair, Region,
                       delorme_decompose, dicritically_adjust, initial_part,
                       is_circular_interval, is_increasing, is_prebasic,
                       is_resonant, is_totally_dicritical, level_set, limits,
-                      nu_E_form, pullback_function, ray_level_set,
-                      semimodule_conductor, semimodule_oracle, semiroot,
-                      solve_invariant_branch, tops, transform_form,
+                      nu_E_form, pullback_form, pullback_function,
+                      ray_level_set, semimodule_conductor, semimodule_oracle,
+                      semiroot, solve_invariant_branch, tops, transform_form,
                       verify_main_theorem, zariski_invariant)
 from cuspidal.corpus import (example_curve_5_11, example_curve_7_17,
                              example_form_4_9, random_coprime_pair,
@@ -203,8 +203,8 @@ def test_criterion_09_delorme_decompositions():
                     f = dec.coefficients[ell + 1]
                     if f.is_zero():
                         continue
-                    value = (pullback_function(curve, f)
-                             * basis.full_pullback(ell)).order_lb()
+                    value = (pullback_function(curve, f) * pullback_form(
+                        curve, basis.form(ell))).order_lb()
                     assert value >= dec.vij
                     if value == dec.vij:
                         touching.append(ell)

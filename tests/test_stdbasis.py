@@ -11,7 +11,8 @@ from cuspidal.forms import (BivariatePolynomial, OneForm, initial_part_data,
 from cuspidal.rationals import rat
 from cuspidal.semigroup import PuiseuxPair, contains
 from cuspidal.semimodule import minimal_basis
-from cuspidal.series import OrderResult, PuiseuxCurve, nu_C_form, nu_C_function
+from cuspidal.series import (OrderResult, PuiseuxCurve, TruncatedSeries,
+                             nu_C_form, nu_C_function)
 from cuspidal.stdbasis import (compute_standard_basis, delorme_decompose,
                                dicritically_adjust, semimodule_oracle)
 
@@ -123,6 +124,40 @@ def test_oracle_rebuilds_its_span_only_when_it_grows(monkeypatch, curve):
     result = semimodule_oracle(curve())
     # one rebuild per new generator: an order inside the span adds nothing
     assert len(calls) == len(result.basis)
+
+
+@pytest.mark.parametrize("curve", [curve_5_11, curve_7_17],
+                         ids=["ex5_11", "ex7_17"])
+def test_every_product_is_a_power_table_entry(monkeypatch, curve):
+    # the curve's power table is the one series cache: the construction,
+    # the adjustment, Delorme and the oracle multiply no series of their own
+    depth = [0]
+    outside = []
+    y_power, mul = PuiseuxCurve.y_power, TruncatedSeries.__mul__
+
+    def nested_y_power(self, *args, **kwargs):
+        depth[0] += 1
+        try:
+            return y_power(self, *args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def recorded_mul(self, other):
+        if not depth[0]:
+            outside.append((self.order_lb(), other.order_lb()))
+        return mul(self, other)
+
+    monkeypatch.setattr(PuiseuxCurve, "y_power", nested_y_power)
+    monkeypatch.setattr(TruncatedSeries, "__mul__", recorded_mul)
+    c = curve()
+    basis = compute_standard_basis(c)
+    s = basis.s_index
+    basis.form(s + 1)
+    for i in range(s + 1):
+        for j in range(i + 1):
+            delorme_decompose(basis, i, j)
+    semimodule_oracle(c)
+    assert outside == []
 
 
 def test_form_s_plus_one_adjusts_on_first_request():
