@@ -161,14 +161,19 @@ def is_totally_dicritical(omega: OneForm) -> DicriticalVerdict:
     Geometric: after the full blow-up sequence with exceptional factors
     removed, the weight-zero part in the terminal chart is a nonzero
     multiple of dx/x - dy/y.  The sequence is that of omega's own pair.
+    The verdict depends on the form alone: the first call runs both
+    routes and keeps it on the form, later calls return it.
     """
-    vertex = is_prebasic(omega)
-    combinatorial = vertex is not None and is_resonant(omega)
-    seq = build_sequence(omega.pair)
-    final_cloud, trail = _geometric_walk(seq, dict(omega.cloud))
-    geometric = _terminal_condition(final_cloud)
-    if combinatorial != geometric:
-        raise InternalDisagreement(
-            "dicriticalness checks disagree: combinatorial=%s geometric=%s"
-            % (combinatorial, geometric))
-    return DicriticalVerdict(combinatorial, geometric, vertex, trail)
+    if omega._verdict is None:
+        vertex = is_prebasic(omega)
+        combinatorial = vertex is not None and is_resonant(omega)
+        seq = build_sequence(omega.pair)
+        final_cloud, trail = _geometric_walk(seq, dict(omega.cloud))
+        geometric = _terminal_condition(final_cloud)
+        if combinatorial != geometric:
+            raise InternalDisagreement(
+                "dicriticalness checks disagree: combinatorial=%s geometric=%s"
+                % (combinatorial, geometric))
+        omega._verdict = DicriticalVerdict(combinatorial, geometric, vertex,
+                                           trail)
+    return omega._verdict

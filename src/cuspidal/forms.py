@@ -135,15 +135,20 @@ class BivariatePolynomial:
 
 
 class OneForm:
-    """omega = A dx + B dy with exact rational sparse coefficients."""
+    """omega = A dx + B dy with exact rational sparse coefficients.
 
-    __slots__ = ("pair", "A", "B", "_cloud")
+    The cloud and the dicriticalness verdict (blowup.is_totally_dicritical)
+    are computed once, on first request, and kept on the form.
+    """
+
+    __slots__ = ("pair", "A", "B", "_cloud", "_verdict")
 
     def __init__(self, pair: PuiseuxPair, A=None, B=None):
         self.pair = pair
         self.A = _clean(dict(A) if A else {})
         self.B = _clean(dict(B) if B else {})
         self._cloud = None
+        self._verdict = None
 
     @classmethod
     def zero(cls, pair: PuiseuxPair) -> "OneForm":

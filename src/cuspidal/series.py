@@ -10,12 +10,19 @@ c t^shift src below a bound, the twin of forms._accumulate.
 
 A PuiseuxCurve is the parametrization phi(t) = (t^n, y(t)) with
 ord y = m.  Pullbacks of polynomials and forms are assembled term by
-term from one power table of the curve, y^b and theta(y) * y^b for
-each b at the highest precision asked for (theta = t d/dt); this keeps
-the cost linear in the number of monomials of the input.  That table is
-the library's one series cache: the standard basis, its adjustment and
-the semimodule oracle keep no pullbacks of their own, and only the
-branch solver holds a private table of integer numerators.
+term from one power table of the curve; this keeps the cost linear in
+the number of monomials of the input.  The table is fraction-free
+(Bareiss, Math. Comp. 22, 1968; Geddes, Czapor and Labahn, 1992): y is
+held as integer numerators Y over one denominator D (the curve's den),
+the lcm of its denominators, and the entry of each b holds the integer
+numerators of y^b over D^b and of theta(y^(b+1)) over D^(b+1)
+(theta = t d/dt), at the highest precision asked for.  A pullback sums
+integer rows over one common denominator and builds one rational per
+nonzero output coefficient; the potential of a series is found on an
+integer residual the same way.  That table is the library's one series
+cache: the standard basis, its adjustment and the semimodule oracle
+keep no pullbacks of their own, and only the branch solver holds a
+private table of integer numerators.
 
 The differential value of a form is the t-order of a(t) in
 phi*(omega) = a(t) dt/t.  Orders are reported as Finite(v) or
@@ -31,7 +38,7 @@ from dataclasses import dataclass
 
 from .errors import NotACusp, OrderTooLow
 from .forms import BivariatePolynomial, OneForm
-from .rationals import ZERO, rat
+from .rationals import ZERO, Q, rat
 from .semigroup import (CuspSemigroup, PuiseuxPair,
                         minimal_b_representation)
 
@@ -177,12 +184,15 @@ class PuiseuxCurve:
     The cusp rules live here: y has a nonzero t^m term and no nonzero
     term below t^m or at or above T (refused, not dropped), and T is at
     least default_truncation(pair), under which every structural
-    decision of the basis algorithms is taken.  y^b is known below
-    T + (b - 1) m; a request below the stored precision truncates the
-    entry, one above it regrows y^b from y^(b-1).
+    decision of the basis algorithms is taken.
+
+    The power table holds y as integer numerators Y over den, the lcm of
+    y's denominators, and y^b as its integer numerators over den^b, known
+    below T + (b - 1) m.  A request below the stored precision truncates
+    the entry, one above it regrows the row from row b - 1 and Y.
     """
 
-    __slots__ = ("pair", "gamma", "y", "trunc", "_powers")
+    __slots__ = ("pair", "gamma", "y", "trunc", "den", "_powers")
 
     def __init__(self, pair: PuiseuxPair, y_coeffs, trunc=None):
         m = pair.m
@@ -206,14 +216,14 @@ class PuiseuxCurve:
         self.gamma = CuspSemigroup(pair)
         self.trunc = trunc
         self.y = TruncatedSeries(y_coeffs, trunc)
-        # b -> [y^b, theta(y) y^b], each at the highest precision asked for
-        self._powers = {0: [TruncatedSeries.monomial(0, 1), None],
-                        1: [self.y, None]}
-
-    @property
-    def alpha(self):
-        """Leading coefficient of y."""
-        return self.y.coefficient(self.pair.m)
+        coeffs = self.y.coeffs
+        self.den = math.lcm(*(int(v.denominator) for v in coeffs.values()))
+        Y = {k: int(v.numerator) * (self.den // int(v.denominator))
+             for k, v in coeffs.items()}
+        # b -> [numerators of y^b over den^b, of theta(y^(b+1)) over
+        # den^(b+1)], each at the highest precision asked for
+        self._powers = {0: [_reduced({0: 1}, math.inf), None],
+                        1: [_reduced(Y, trunc), None]}
 
     def _precision(self, b: int, prec) -> float:
         """prec, or all of y^b (infinite for b = 0) for None or above T."""
@@ -222,26 +232,30 @@ class PuiseuxCurve:
         return prec
 
     def y_power(self, b: int, prec=None) -> TruncatedSeries:
-        """y^b below prec; all of it known when prec is None or above T."""
+        """The integer numerators of y^b over den^b, below prec; all of
+        them when prec is None or above T."""
         want = self._precision(b, prec)
         entry = self._powers.setdefault(b, [None, None])
         if entry[0] is None or entry[0].trunc < want:
-            entry[0] = self.y_power(b - 1, want - self.pair.m) * self.y
+            # row b - 1 below want - m times Y is exact below want
+            prev = self.y_power(b - 1, want - self.pair.m)
+            entry[0] = _assemble(((prev, k, v) for k, v in
+                                  self._powers[1][0].coeffs.items()), want)
         return entry[0].truncate(want)
 
     def theta_y_times_power(self, b: int, prec=None) -> TruncatedSeries:
-        """theta(y) * y^b, the form-pullback weight of a dy-monomial.
+        """The integer numerators of theta(y^(b+1)) over den^(b+1), below
+        prec: (b + 1) theta(y) y^b, the form-pullback weight of a
+        dy-monomial, times den^(b+1).
 
-        Computed as theta(y^(b+1)) / (b+1): one coefficient sweep over
-        the next power instead of a series product.
+        One coefficient sweep over the next power instead of a product.
         """
         want = self._precision(b + 1, prec)
         entry = self._powers.setdefault(b, [None, None])
         if entry[1] is None or entry[1].trunc < want:
-            inv = rat(1, b + 1)
-            entry[1] = TruncatedSeries(
-                {k: k * inv * v
-                 for k, v in self.y_power(b + 1, want).coeffs.items()}, want)
+            entry[1] = _reduced({k: k * v for k, v in
+                                 self.y_power(b + 1, want).coeffs.items()},
+                                want)
         return entry[1].truncate(want)
 
     def __eq__(self, other):
@@ -270,23 +284,46 @@ def _assemble(terms, prec) -> TruncatedSeries:
     return _reduced(acc, bound)  # the bound may fall after a key is written
 
 
+def _pullback(curve: PuiseuxCurve, terms, prec) -> TruncatedSeries:
+    """The sum of (num / den) t^shift row / D^e over the (row, e, shift,
+    num, den) in terms, rows of integer numerators over D^e, known below
+    prec and below every row's own truncation.
+
+    The rows are summed as integers over one common denominator, the lcm
+    of the dens times D^top for the largest e; one rational is built per
+    nonzero coefficient left below the bound.
+    """
+    L = math.lcm(*(den for *_, den in terms))
+    top = max((e for _, e, *_ in terms), default=0)
+    dpow = [curve.den ** k for k in range(top + 1)]
+    out = _assemble([(row, shift, num * (L // den) * dpow[top - e])
+                     for row, e, shift, num, den in terms], prec)
+    scale = L * dpow[top]
+    out.coeffs = {k: Q(v, scale) for k, v in out.coeffs.items()}
+    return out
+
+
 def pullback_function(curve: PuiseuxCurve, h, prec=None) -> TruncatedSeries:
     """h(phi(t)) as a truncated series; prec caps the working precision."""
     coeffs = h.coeffs if isinstance(h, BivariatePolynomial) else dict(h)
     n = curve.pair.n
-    return _assemble(((curve.y_power(b, prec), n * a, c)
-                      for (a, b), c in coeffs.items() if c != 0), prec)
+    return _pullback(curve, [(curve.y_power(b, prec), b, n * a,
+                              int(c.numerator), int(c.denominator))
+                             for (a, b), c in coeffs.items() if c != 0], prec)
 
 
 def pullback_form(curve: PuiseuxCurve, omega: OneForm, prec=None) -> TruncatedSeries:
     """a(t) with phi*(omega) = a(t) dt/t.
 
-    A dx pulls back to n t^n A(phi) dt/t and B dy to theta(y) B(phi) dt/t.
+    A dx pulls back to n t^n A(phi) dt/t and B dy to theta(y) B(phi) dt/t,
+    where theta(y) y^b = theta(y^(b+1)) / (b + 1).
     """
     n = curve.pair.n
-    return _assemble([(curve.y_power(b, prec), n * (a + 1), c * n)
-                      for (a, b), c in omega.A.items()]
-                     + [(curve.theta_y_times_power(b, prec), n * a, c)
+    return _pullback(curve, [(curve.y_power(b, prec), b, n * (a + 1),
+                              n * int(c.numerator), int(c.denominator))
+                             for (a, b), c in omega.A.items()]
+                     + [(curve.theta_y_times_power(b, prec), b + 1, n * a,
+                         int(c.numerator), (b + 1) * int(c.denominator))
                         for (a, b), c in omega.B.items()], prec)
 
 
@@ -314,7 +351,10 @@ def integrate_against_conductor(curve: PuiseuxCurve,
     Works greedily above the conductor: the leading order r of the
     residual is always in Gamma there, so the monomial x^a y^b with
     n a + m b = r and least b kills it; least b keeps a >= 0 for every
-    member, not only below n m.
+    member, not only below n m.  The residual is held as integers R over
+    one denominator E and reads the rows of the power table; each step
+    builds one rational, the monomial's coefficient, and rescales R and E
+    only by the part of alpha^b that R[r] does not already cancel.
     """
     if xi.is_zero():
         return BivariatePolynomial.zero()
@@ -322,18 +362,29 @@ def integrate_against_conductor(curve: PuiseuxCurve,
         raise OrderTooLow("integrand order %s below the conductor %d"
                           % (xi.order_lb(), curve.gamma.conductor))
     n = curve.pair.n
-    alpha = curve.alpha
-    residual = xi.antiderivative()
-    acc, top = residual.coeffs, residual.trunc
+    # the residual, the antiderivative of xi, is R / E with integer R
+    E = math.lcm(*(int(v.denominator) * (k + 1) for k, v in xi.coeffs.items()))
+    acc = {k + 1: int(v.numerator) * (E // (int(v.denominator) * (k + 1)))
+           for k, v in xi.coeffs.items()}
+    top = xi.trunc + 1
     out = {}
     # the residual is unknown from top on, and each step may lower top
     while acc and min(acc) < top:
         r = min(acc)
         rep = minimal_b_representation(curve.gamma, r)
-        c = acc[r] / alpha ** rep.b
-        out[(rep.a, rep.b)] = c
-        yb = curve.y_power(rep.b)
-        top = min(top, yb.trunc + n * rep.a)
-        _accumulate(acc, yb.coeffs, n * rep.a, -c, top)
+        b = rep.b
+        row = curve.y_power(b)
+        # alpha^b = lead / den^b, so c = R[r] den^b / (E lead), and the
+        # residual loses c t^(n a) y^b, the row times R[r] / (E lead)
+        lead = row.coeffs[curve.pair.m * b]
+        out[(rep.a, b)] = Q(acc[r] * curve.den ** b, E * lead)
+        g = math.gcd(acc[r], lead)
+        f, scale = acc[r] // g, lead // g
+        if scale != 1:
+            for k in acc:
+                acc[k] *= scale
+            E *= scale
+        top = min(top, row.trunc + n * rep.a)
+        _accumulate(acc, row.coeffs, n * rep.a, -f, top)
         assert r not in acc
     return BivariatePolynomial(out)

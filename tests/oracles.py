@@ -4,15 +4,42 @@ The enumeration oracles list set members up to an explicit bound, with
 none of the residue-class shortcuts the library itself uses.
 branch_by_rationals is the invariant-branch solver as it stood before the
 library's went fraction-free: the same recursion, on reduced rationals.
+pullback_function_by_rationals, pullback_form_by_rationals and
+integrate_by_rationals are the pullbacks and the potential as they stood
+before the curve's power table went fraction-free: the same formulas on
+reduced rationals, with every power y^b a repeated product of y.
+FractionGcdCounter counts the normalisations of fractions.Fraction for
+the tests that bound them.
 """
 
 from __future__ import annotations
 
+import fractions
+import math
+import types
+
 from cuspidal.blowup import is_totally_dicritical
-from cuspidal.errors import NotDicritical, ZeroPivot
-from cuspidal.forms import nu_E_form
+from cuspidal.errors import NotDicritical, OrderTooLow, ZeroPivot
+from cuspidal.forms import BivariatePolynomial, nu_E_form
 from cuspidal.rationals import ZERO, rat
-from cuspidal.series import PuiseuxCurve, default_truncation
+from cuspidal.semigroup import minimal_b_representation
+from cuspidal.series import PuiseuxCurve, TruncatedSeries, default_truncation
+
+
+class FractionGcdCounter:
+    """Counts the math.gcd calls fractions.Fraction makes while installed."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        real_gcd = math.gcd
+
+        def gcd(*args):
+            self.calls += 1
+            return real_gcd(*args)
+        shim = types.ModuleType("math")
+        shim.__dict__.update(math.__dict__)
+        shim.gcd = gcd
+        monkeypatch.setattr(fractions, "math", shim)
 
 
 def semigroup_members(n: int, m: int, bound: int) -> set:
@@ -143,3 +170,67 @@ def branch_by_rationals(omega, a, trunc=None):
             if full != 0:
                 P[b][m * b + r] = full
     return PuiseuxCurve(pair, y, trunc)
+
+
+def _rational_powers(curve):
+    """power(b, prec): y^b on rationals below prec, all of it for None or
+    prec above T, by repeated products of y."""
+    powers = [TruncatedSeries.monomial(0, 1)]
+
+    def power(b, prec=None):
+        while len(powers) <= b:
+            powers.append(powers[-1] * curve.y)
+        if prec is None or prec > curve.trunc:
+            return powers[b]
+        return powers[b].truncate(prec)
+    return power
+
+
+def pullback_function_by_rationals(curve, h, prec=None):
+    """h(phi(t)) as the sum of c t^(n a) y^b below prec."""
+    coeffs = h.coeffs if isinstance(h, BivariatePolynomial) else dict(h)
+    power = _rational_powers(curve)
+    n = curve.pair.n
+    out = TruncatedSeries.zero(prec)
+    for (a, b), c in coeffs.items():
+        if c != 0:
+            out = out + power(b, prec).shifted(n * a).scaled(c)
+    return out
+
+
+def pullback_form_by_rationals(curve, omega, prec=None):
+    """a(t) with phi*(omega) = a(t) dt/t: c x^a y^b dx gives
+    c n t^(n (a+1)) y^b and c x^a y^b dy gives c t^(n a) theta(y) y^b,
+    read as theta(y^(b+1)) / (b + 1)."""
+    power = _rational_powers(curve)
+    n = curve.pair.n
+    out = TruncatedSeries.zero(prec)
+    for (a, b), c in omega.A.items():
+        out = out + power(b, prec).shifted(n * (a + 1)).scaled(c * n)
+    for (a, b), c in omega.B.items():
+        weight = power(b + 1, prec).theta().scaled(rat(1, b + 1))
+        out = out + weight.shifted(n * a).scaled(c)
+    return out
+
+
+def integrate_by_rationals(curve, xi):
+    """A polynomial h with h(phi(t)) = integral of xi: greedily, the least-b
+    monomial x^a y^b of weight r kills the residual's leading order r."""
+    if xi.is_zero():
+        return BivariatePolynomial.zero()
+    if xi.order_lb() < curve.gamma.conductor:
+        raise OrderTooLow("integrand order %s below the conductor %d"
+                          % (xi.order_lb(), curve.gamma.conductor))
+    power = _rational_powers(curve)
+    n = curve.pair.n
+    alpha = curve.y.coefficient(curve.pair.m)
+    residual = xi.antiderivative()
+    out = {}
+    while not residual.is_zero():
+        r = residual.order_lb()
+        rep = minimal_b_representation(curve.gamma, r)
+        c = residual.coefficient(r) / alpha ** rep.b
+        out[(rep.a, rep.b)] = c
+        residual = residual - power(rep.b).shifted(n * rep.a).scaled(c)
+        assert residual.order_lb() > r
+    return BivariatePolynomial(out)

@@ -1,19 +1,24 @@
 """Differential checks on inputs the other suites do not reach: curves
-with rational tail coefficients, and branch parameters away from the
-CLI defaults 1, 2, -1 and 1/2."""
+with rational tail coefficients and leading coefficients, and branch
+parameters away from the CLI defaults 1, 2, -1 and 1/2.  The fast routes
+are checked against the rational references of oracles.py."""
 
 import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cuspidal.forms import BivariatePolynomial, OneForm
 from cuspidal.rationals import rat
 from cuspidal.semigroup import PuiseuxPair
-from cuspidal.series import PuiseuxCurve
+from cuspidal.series import (PuiseuxCurve, TruncatedSeries,
+                             integrate_against_conductor, pullback_form,
+                             pullback_function)
 from cuspidal.semiroot import solve_invariant_branch, verify_main_theorem
 from cuspidal.stdbasis import compute_standard_basis, semimodule_oracle
 
-from oracles import branch_by_rationals
+from oracles import (branch_by_rationals, integrate_by_rationals,
+                     pullback_form_by_rationals, pullback_function_by_rationals)
 
 # m by n, n <= 6 and n m <= 60; drawing n first keeps n = 2, where s = 0
 # always, from crowding out the pairs with room for generators
@@ -28,12 +33,12 @@ def small_rationals():
 
 
 @st.composite
-def rational_tail_curves(draw):
+def rational_tail_curves(draw, leads=st.just(rat(1))):
     n = draw(st.integers(2, 6))
     m = draw(st.sampled_from(SECOND[n]))
     exponents = draw(st.lists(st.integers(m + 1, m + 2 * n + 5),
                               max_size=4, unique=True))
-    coeffs = {m: rat(1)}
+    coeffs = {m: draw(leads)}
     for k in exponents:
         coeffs[k] = draw(small_rationals())
     return PuiseuxCurve(PuiseuxPair(n, m), coeffs)
@@ -63,3 +68,40 @@ def test_fraction_free_solver_matches_the_rational_one(curve, data):
         want = branch_by_rationals(omega, a, curve.trunc)
         assert got.y.coeffs == want.y.coeffs
         assert got.trunc == want.trunc
+
+
+def monomial_maps(max_size=4):
+    """{(a, b): c} with a, b <= 4 and small rational c."""
+    return st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                           small_rationals(), max_size=max_size)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_tail_curves(leads=small_rationals().filter(
+           lambda x: abs(x) != 1)), st.data())
+def test_integer_pullbacks_and_potential_match_the_rational_ones(curve,
+                                                                 data):
+    """The power table holds y over a denominator D > 1 for most of these
+    curves, and alpha is not +-1, so every rescale of a row or of the
+    residual is exercised."""
+    pair = curve.pair
+    prec = data.draw(st.one_of(
+        st.none(), st.integers(1, curve.trunc - 1),
+        st.integers(curve.trunc + 1, curve.trunc + 2 * pair.m)), label="prec")
+    omega = OneForm(pair, data.draw(monomial_maps(), label="A"),
+                    data.draw(monomial_maps(), label="B"))
+    h = BivariatePolynomial(data.draw(monomial_maps(), label="h"))
+    for got, want in ((pullback_form(curve, omega, prec),
+                       pullback_form_by_rationals(curve, omega, prec)),
+                      (pullback_function(curve, h, prec),
+                       pullback_function_by_rationals(curve, h, prec))):
+        assert got.coeffs == want.coeffs
+        assert got.trunc == want.trunc
+    c = pair.conductor
+    xi = TruncatedSeries(
+        data.draw(st.dictionaries(st.integers(c, c + 3 * pair.n),
+                                  small_rationals(), min_size=1, max_size=5),
+                  label="xi"),
+        data.draw(st.sampled_from([None, curve.trunc]), label="xi_trunc"))
+    assert integrate_against_conductor(curve, xi).coeffs == \
+        integrate_by_rationals(curve, xi).coeffs

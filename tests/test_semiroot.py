@@ -1,7 +1,5 @@
 import fractions
-import math
 import random
-import types
 
 import pytest
 from hypothesis import given, settings
@@ -16,8 +14,10 @@ from cuspidal.rationals import Q, rat
 from cuspidal.semigroup import PuiseuxPair
 from cuspidal.semiroot import (semiroot, solve_invariant_branch,
                                verify_main_theorem, zariski_invariant)
-from cuspidal.series import PuiseuxCurve
+from cuspidal.series import PuiseuxCurve, nu_C_form, pullback_form
 from cuspidal.stdbasis import compute_standard_basis, dicritically_adjust
+
+from oracles import FractionGcdCounter
 
 P511 = PuiseuxPair(5, 11)
 
@@ -29,22 +29,6 @@ def basis_5_11():
 def basis_7_17():
     return compute_standard_basis(
         PuiseuxCurve(PuiseuxPair(7, 17), {17: 1, 30: 1, 33: 1, 36: 1}))
-
-
-class FractionGcdCounter:
-    """Counts the math.gcd calls fractions.Fraction makes while installed."""
-
-    def __init__(self, monkeypatch):
-        self.calls = 0
-        real_gcd = math.gcd
-
-        def gcd(*args):
-            self.calls += 1
-            return real_gcd(*args)
-        shim = types.ModuleType("math")
-        shim.__dict__.update(math.__dict__)
-        shim.gcd = gcd
-        monkeypatch.setattr(fractions, "math", shim)
 
 
 def test_omega2_branch_series():
@@ -73,6 +57,27 @@ def test_solver_normalises_a_bounded_number_of_times_per_order(monkeypatch):
     orders = branch.trunc - nu_E_form(omega) - 1
     assert len(branch.y.coeffs) > 200
     assert counter.calls <= check + 2 * orders
+
+
+@pytest.mark.skipif(Q is not fractions.Fraction,
+                    reason="counts the normalisations of fractions.Fraction")
+def test_pullbacks_normalise_once_per_nonzero_coefficient(monkeypatch):
+    # the curve's power table holds integer numerators: the invariance
+    # recheck, whose pullback cancels to nothing, builds no rational, and
+    # any pullback builds one per nonzero coefficient, on a cold table too
+    basis = basis_5_11()
+    omega = basis.form(2)
+    branch = solve_invariant_branch(omega, rat(-2, 3))
+    assert branch.den > 1
+    assert not nu_C_form(branch, omega, branch.trunc).finite
+    cold = PuiseuxCurve(branch.pair, branch.y.coeffs, branch.trunc)
+    lower = basis.form(1).scaled(rat(3, 7)) + omega
+    counter = FractionGcdCounter(monkeypatch)
+    assert not nu_C_form(branch, omega, branch.trunc).finite
+    assert counter.calls == 0
+    a_lower = pullback_form(cold, lower)
+    assert a_lower.coeffs
+    assert counter.calls <= len(a_lower.coeffs)
 
 
 def test_omega1_branch_is_monomial():

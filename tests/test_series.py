@@ -118,22 +118,38 @@ def test_sums_and_products_rebuild_no_coefficient(monkeypatch):
     assert calls == []
 
 
+def _over(row, den):
+    """A power-table row of integer numerators, read over den."""
+    return TruncatedSeries({k: rat(v, den) for k, v in row.coeffs.items()},
+                           row.trunc)
+
+
 def test_power_table_reads_below_a_full_power_without_products(monkeypatch):
     c = curve_5_11()
     b = 4
     c.y_power(b)
-    products = []
-    mul = TruncatedSeries.__mul__
+    full = _repeated_product(c, b)
+    products, grown = [], []
+    mul, accumulate = TruncatedSeries.__mul__, series._accumulate
 
     def counted(self, other):
         products.append((self, other))
         return mul(self, other)
 
+    def counted_accumulate(*args):
+        grown.append(args[2:])
+        return accumulate(*args)
+
     monkeypatch.setattr(TruncatedSeries, "__mul__", counted)
+    monkeypatch.setattr(series, "_accumulate", counted_accumulate)
     for p in (20, 61, 100, c.trunc):
         assert c.y_power(b, p).trunc == p
         assert c.theta_y_times_power(b - 1, p).trunc == p
+        assert _over(c.y_power(b, p), c.den ** b) == full.truncate(p)
+        assert _over(c.theta_y_times_power(b - 1, p), b * c.den ** b) == \
+            TruncatedSeries({k: v * k / b for k, v in full.coeffs.items()}, p)
     assert products == []
+    assert grown == []
 
 
 P35 = PuiseuxPair(3, 5)
@@ -154,9 +170,11 @@ def _repeated_product(curve, b):
                                     st.integers(min_value=0, max_value=60))),
                 min_size=1, max_size=12))
 def test_power_table_answers_any_request_order(requests):
-    """Every answer is y * ... * y (or theta of the next power over its
-    exponent) known below prec, or all of it for None or prec above T."""
+    """Every answer, read over D^e (and e for theta), is y * ... * y (or
+    theta of the next power over its exponent) known below prec, or all
+    of it for None or prec above T."""
     c = PuiseuxCurve(P35, Y35)
+    assert c.den == 3
     answers = []
     for kind, b, prec in requests:
         e = b + 1 if kind == "theta" else b
@@ -165,14 +183,15 @@ def test_power_table_answers_any_request_order(requests):
         if kind == "theta":
             want = TruncatedSeries({k: v * k / e
                                     for k, v in full.coeffs.items()}, top)
-            got = c.theta_y_times_power(b, prec)
+            row, den = c.theta_y_times_power(b, prec), e * c.den ** e
         else:
             want = TruncatedSeries(full.coeffs, top)
-            got = c.y_power(b, prec)
+            row, den = c.y_power(b, prec), c.den ** e
+        got = _over(row, den)
         assert got == want
-        answers.append((got, want))
+        answers.append((row, den, want))
     # a later request never changes an earlier answer
-    assert all(got == want for got, want in answers)
+    assert all(_over(row, den) == want for row, den, want in answers)
 
 
 def test_nu_C_function_examples():
