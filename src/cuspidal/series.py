@@ -3,10 +3,10 @@
 A TruncatedSeries stores a sparse exponent -> coefficient map together
 with a truncation level T; exponents at or above T are unknown rather
 than zero.  trunc = math.inf (None in the constructor) means the series
-is known exactly (polynomials in t).  Arithmetic propagates truncations
-pessimistically but exactly: nothing below the reported truncation is
-ever wrong.  Sums and products run on the kernel _accumulate, acc +=
-c t^shift src below a bound, the twin of forms._accumulate.
+is known exactly (polynomials in t).  The library does no rational
+series arithmetic: its sums run on integer numerators in the kernel
+_accumulate, acc += c t^shift src below a bound, the twin of
+forms._accumulate.
 
 A PuiseuxCurve is the parametrization phi(t) = (t^n, y(t)) with
 ord y = m.  Pullbacks of polynomials and forms are assembled term by
@@ -17,12 +17,12 @@ held as integer numerators Y over one denominator D (the curve's den),
 the lcm of its denominators, and the entry of each b holds the integer
 numerators of y^b over D^b and of theta(y^(b+1)) over D^(b+1)
 (theta = t d/dt), at the highest precision asked for.  A pullback sums
-integer rows over one common denominator and builds one rational per
-nonzero output coefficient; the potential of a series is found on an
-integer residual the same way.  That table is the library's one series
-cache: the standard basis, its adjustment and the semimodule oracle
-keep no pullbacks of their own, and only the branch solver holds a
-private table of integer numerators.
+integer rows over one scale; pullback_form and pullback_function build
+one rational per nonzero coefficient, the orders nu_C_* build none.  The
+table is the one series cache: only the branch solver holds a private
+one.  _eliminate, the one elimination step, kills the leading term of
+an integer row with a multiple of another; the cancellation engine, the
+semimodule oracle and the potential all run on it.
 
 The differential value of a form is the t-order of a(t) in
 phi*(omega) = a(t) dt/t.  Orders are reported as Finite(v) or
@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NotACusp, OrderTooLow
+from .errors import InternalDisagreement, NotACusp, OrderTooLow
 from .forms import BivariatePolynomial, OneForm
 from .rationals import ZERO, Q, rat
 from .semigroup import (CuspSemigroup, PuiseuxPair,
@@ -68,7 +68,8 @@ def _accumulate(acc: dict, src: dict, shift: int, c=None, bound=math.inf):
 
 
 class TruncatedSeries:
-    """Sparse series in t, exact below the truncation level."""
+    """Sparse series in t, exact below the truncation level: reduced
+    rationals, or integer numerators over a denominator kept elsewhere."""
 
     __slots__ = ("coeffs", "trunc")
 
@@ -76,14 +77,6 @@ class TruncatedSeries:
         self.trunc = math.inf if trunc is None else trunc
         self.coeffs = {int(k): rat(v) for k, v in (coeffs or {}).items()
                        if k < self.trunc and v != 0}
-
-    @classmethod
-    def zero(cls, trunc=None) -> "TruncatedSeries":
-        return cls({}, trunc)
-
-    @classmethod
-    def monomial(cls, k: int, c=1, trunc=None) -> "TruncatedSeries":
-        return cls({k: c}, trunc)
 
     def is_zero(self) -> bool:
         """No nonzero known coefficient (the tail may still be anything)."""
@@ -100,25 +93,6 @@ class TruncatedSeries:
         """The orders below top; self when that cuts nothing."""
         return self if top >= self.trunc else _reduced(self.coeffs, top)
 
-    def __add__(self, other):
-        return _assemble(((self, 0, None), (other, 0, None)), None)
-
-    def __sub__(self, other):
-        return _assemble(((self, 0, None), (other, 0, -1)), None)
-
-    def __neg__(self):
-        return self.scaled(-1)
-
-    def scaled(self, c) -> "TruncatedSeries":
-        c = rat(c)
-        return TruncatedSeries({k: c * v for k, v in self.coeffs.items()},
-                               self.trunc)
-
-    def shifted(self, k: int) -> "TruncatedSeries":
-        """Multiplication by t^k."""
-        return TruncatedSeries({e + k: v for e, v in self.coeffs.items()},
-                               self.trunc + k)
-
     def __mul__(self, other):
         # trunc(f*g) = min(trunc f + ord g, trunc g + ord f), which is at
         # most every row's own trunc g + k
@@ -126,17 +100,6 @@ class TruncatedSeries:
                     other.trunc + self.order_lb())
         return _assemble(((other, k, v) for k, v in self.coeffs.items()),
                          bound)
-
-    def theta(self) -> "TruncatedSeries":
-        """t d/dt, the logarithmic derivative operator."""
-        return TruncatedSeries({k: k * v for k, v in self.coeffs.items()},
-                               self.trunc)
-
-    def antiderivative(self) -> "TruncatedSeries":
-        """Termwise integral with zero constant term."""
-        return TruncatedSeries({k + 1: v / (k + 1)
-                                for k, v in self.coeffs.items()},
-                               self.trunc + 1)
 
     def __eq__(self, other):
         return (isinstance(other, TruncatedSeries)
@@ -284,51 +247,56 @@ def _assemble(terms, prec) -> TruncatedSeries:
     return _reduced(acc, bound)  # the bound may fall after a key is written
 
 
-def _pullback(curve: PuiseuxCurve, terms, prec) -> TruncatedSeries:
-    """The sum of (num / den) t^shift row / D^e over the (row, e, shift,
-    num, den) in terms, rows of integer numerators over D^e, known below
-    prec and below every row's own truncation.
+def _pullback(curve: PuiseuxCurve, f, prec):
+    """(row, scale): the pullback of f below prec is row / scale, row
+    integer numerators known below prec and every term's truncation.
 
-    The rows are summed as integers over one common denominator, the lcm
-    of the dens times D^top for the largest e; one rational is built per
-    nonzero coefficient left below the bound.
+    For a OneForm it is a(t) with phi*(omega) = a(t) dt/t: A dx pulls back
+    to n t^n A(phi) dt/t and B dy to theta(y) B(phi) dt/t, where
+    theta(y) y^b = theta(y^(b+1)) / (b + 1); for a polynomial h, or a
+    {(a, b): c} map, it is h(phi(t)).  The power-table rows, over D^e,
+    are summed over the lcm of the terms' dens times D^top for the top e.
     """
+    n = curve.pair.n
+    if isinstance(f, OneForm):
+        terms = ([(curve.y_power(b, prec), b, n * (a + 1),
+                   n * int(c.numerator), int(c.denominator))
+                  for (a, b), c in f.A.items()]
+                 + [(curve.theta_y_times_power(b, prec), b + 1, n * a,
+                     int(c.numerator), (b + 1) * int(c.denominator))
+                    for (a, b), c in f.B.items()])
+    else:
+        coeffs = f.coeffs if isinstance(f, BivariatePolynomial) else dict(f)
+        terms = [(curve.y_power(b, prec), b, n * a,
+                  int(c.numerator), int(c.denominator))
+                 for (a, b), c in coeffs.items() if c != 0]
     L = math.lcm(*(den for *_, den in terms))
     top = max((e for _, e, *_ in terms), default=0)
     dpow = [curve.den ** k for k in range(top + 1)]
-    out = _assemble([(row, shift, num * (L // den) * dpow[top - e])
-                     for row, e, shift, num, den in terms], prec)
-    scale = L * dpow[top]
-    out.coeffs = {k: Q(v, scale) for k, v in out.coeffs.items()}
-    return out
+    return (_assemble([(row, shift, num * (L // den) * dpow[top - e])
+                       for row, e, shift, num, den in terms], prec),
+            L * dpow[top])
+
+
+def _rational(row: TruncatedSeries, scale: int) -> TruncatedSeries:
+    """row / scale in place, one reduced rational per coefficient."""
+    row.coeffs = {k: Q(v, scale) for k, v in row.coeffs.items()}
+    return row
 
 
 def pullback_function(curve: PuiseuxCurve, h, prec=None) -> TruncatedSeries:
     """h(phi(t)) as a truncated series; prec caps the working precision."""
-    coeffs = h.coeffs if isinstance(h, BivariatePolynomial) else dict(h)
-    n = curve.pair.n
-    return _pullback(curve, [(curve.y_power(b, prec), b, n * a,
-                              int(c.numerator), int(c.denominator))
-                             for (a, b), c in coeffs.items() if c != 0], prec)
+    return _rational(*_pullback(curve, h, prec))
 
 
 def pullback_form(curve: PuiseuxCurve, omega: OneForm, prec=None) -> TruncatedSeries:
-    """a(t) with phi*(omega) = a(t) dt/t.
-
-    A dx pulls back to n t^n A(phi) dt/t and B dy to theta(y) B(phi) dt/t,
-    where theta(y) y^b = theta(y^(b+1)) / (b + 1).
-    """
-    n = curve.pair.n
-    return _pullback(curve, [(curve.y_power(b, prec), b, n * (a + 1),
-                              n * int(c.numerator), int(c.denominator))
-                             for (a, b), c in omega.A.items()]
-                     + [(curve.theta_y_times_power(b, prec), b + 1, n * a,
-                         int(c.numerator), (b + 1) * int(c.denominator))
-                        for (a, b), c in omega.B.items()], prec)
+    """a(t) with phi*(omega) = a(t) dt/t; prec caps the working precision."""
+    return _rational(*_pullback(curve, omega, prec))
 
 
-def _order_result(curve: PuiseuxCurve, series: TruncatedSeries) -> OrderResult:
-    clipped = series.truncate(curve.trunc)
+def _order_result(curve: PuiseuxCurve, row: TruncatedSeries) -> OrderResult:
+    """The order of a pullback read off its numerators, capped at T."""
+    clipped = row.truncate(curve.trunc)
     if clipped.coeffs:
         return OrderResult.Finite(min(clipped.coeffs))
     return OrderResult.AtLeast(clipped.trunc)
@@ -336,12 +304,37 @@ def _order_result(curve: PuiseuxCurve, series: TruncatedSeries) -> OrderResult:
 
 def nu_C_function(curve: PuiseuxCurve, h, prec=None) -> OrderResult:
     """Intersection order of h = 0 with the curve: ord_t h(phi(t))."""
-    return _order_result(curve, pullback_function(curve, h, prec))
+    return _order_result(curve, _pullback(curve, h, prec)[0])
 
 
 def nu_C_form(curve: PuiseuxCurve, omega: OneForm, prec=None) -> OrderResult:
     """Differential value: ord_t a(t) for phi*(omega) = a(t) dt/t."""
-    return _order_result(curve, pullback_form(curve, omega, prec))
+    return _order_result(curve, _pullback(curve, omega, prec)[0])
+
+
+def _eliminate(acc: TruncatedSeries, E: int, r: int, row: TruncatedSeries,
+               shift: int = 0):
+    """Kill the t^r term of acc / E with a multiple of t^shift row, in
+    place, acc and row integer numerators: for lead the row's t^(r - shift)
+    term and g = gcd(acc[r], lead), acc and E are rescaled by lead / g only
+    and acc / E loses (f / E') t^shift row, f = acc[r] / g, E' the new E.
+    Returns (E', f).  Raises InternalDisagreement unless the order rose.
+    """
+    lead = row.coeffs.get(r - shift)
+    if lead:
+        g = math.gcd(acc.coeffs[r], lead)
+        f, scale = acc.coeffs[r] // g, lead // g
+        top = min(acc.trunc, row.trunc + shift)
+        if scale != 1 or top < acc.trunc:
+            acc.coeffs = {k: v * scale for k, v in acc.coeffs.items()
+                          if k < top}
+            acc.trunc = top
+            E *= scale
+        _accumulate(acc.coeffs, row.coeffs, shift, -f, top)
+    if acc.order_lb() <= r:
+        raise InternalDisagreement("elimination at t^%d did not raise the"
+                                   " order" % r)
+    return E, f
 
 
 def integrate_against_conductor(curve: PuiseuxCurve,
@@ -352,9 +345,8 @@ def integrate_against_conductor(curve: PuiseuxCurve,
     residual is always in Gamma there, so the monomial x^a y^b with
     n a + m b = r and least b kills it; least b keeps a >= 0 for every
     member, not only below n m.  The residual is held as integers R over
-    one denominator E and reads the rows of the power table; each step
-    builds one rational, the monomial's coefficient, and rescales R and E
-    only by the part of alpha^b that R[r] does not already cancel.
+    one denominator E, and each step is _eliminate against a row of the
+    power table; it builds one rational, the monomial's coefficient.
     """
     if xi.is_zero():
         return BivariatePolynomial.zero()
@@ -366,25 +358,13 @@ def integrate_against_conductor(curve: PuiseuxCurve,
     E = math.lcm(*(int(v.denominator) * (k + 1) for k, v in xi.coeffs.items()))
     acc = {k + 1: int(v.numerator) * (E // (int(v.denominator) * (k + 1)))
            for k, v in xi.coeffs.items()}
-    top = xi.trunc + 1
+    acc = _reduced(acc, xi.trunc + 1)
     out = {}
-    # the residual is unknown from top on, and each step may lower top
-    while acc and min(acc) < top:
-        r = min(acc)
+    while not acc.is_zero():
+        r = acc.order_lb()
         rep = minimal_b_representation(curve.gamma, r)
-        b = rep.b
-        row = curve.y_power(b)
-        # alpha^b = lead / den^b, so c = R[r] den^b / (E lead), and the
-        # residual loses c t^(n a) y^b, the row times R[r] / (E lead)
-        lead = row.coeffs[curve.pair.m * b]
-        out[(rep.a, b)] = Q(acc[r] * curve.den ** b, E * lead)
-        g = math.gcd(acc[r], lead)
-        f, scale = acc[r] // g, lead // g
-        if scale != 1:
-            for k in acc:
-                acc[k] *= scale
-            E *= scale
-        top = min(top, row.trunc + n * rep.a)
-        _accumulate(acc, row.coeffs, n * rep.a, -f, top)
-        assert r not in acc
+        # alpha^b = lead / den^b, so the residual loses c t^(n a) y^b
+        # with c = R[r] den^b / (E lead) = f den^b / E'
+        E, f = _eliminate(acc, E, r, curve.y_power(rep.b), n * rep.a)
+        out[(rep.a, rep.b)] = Q(f * curve.den ** rep.b, E)
     return BivariatePolynomial(out)

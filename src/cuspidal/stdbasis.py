@@ -20,8 +20,9 @@ from .forms import (BivariatePolynomial, OneForm, differential, is_basic,
 from .semigroup import contains
 from .semimodule import (GammaSemimodule, critical_orders, limits,
                          minimal_basis)
-from .series import (OrderResult, PuiseuxCurve, integrate_against_conductor,
-                     nu_C_function, pullback_form, pullback_function)
+from .rationals import Q
+from .series import (OrderResult, PuiseuxCurve, TruncatedSeries, _eliminate,
+                     _pullback, integrate_against_conductor, nu_C_function)
 from .blowup import is_totally_dicritical
 
 
@@ -75,7 +76,7 @@ class ExtendedStandardBasis:
     first time it is asked for.  `traces` keeps, for every constructed
     form, the exact combination that produced it; Delorme decompositions
     are read off these traces instead of being re-derived.  It keeps no
-    pullbacks: pullback_form reads them off the curve's power table.
+    pullbacks: series._pullback reads them off the curve's power table.
     """
 
     __slots__ = ("curve", "semimodule", "forms", "traces",
@@ -166,29 +167,27 @@ def _cancel(curve, sm, forms, eta, first_stop, stop, prec=None):
     While the leading value nu of a_eta, the pullback of eta below prec,
     lies in the semimodule and under the stop order (first_stop before
     the first step, stop after it), cancel it against the cheapest
-    x^c y^d omega_j.  Each cancelling term is pulled back by pullback_form
-    too, so the curve's power table is the only series cache; at full
-    precision that pullback is known below T - m + t_j + m d + n c, the
-    bound that sets how far a_eta, and so the adjusted form's potential,
-    reaches.  Returns eta, a_eta, the steps taken and the value it
-    stopped at; the caller decides what that value means.
+    x^c y^d omega_j.  a_eta is integer numerators over E, and each step
+    is series._eliminate against the cancelling term's integer pullback,
+    known at full precision below T - m + t_j + m d + n c, which sets how
+    far a_eta, and so the potential, reaches; only mu is a rational.
+    Returns eta, a_eta, E, the steps taken and the value it stopped at;
+    the caller decides what that value means.
     """
-    a_eta = pullback_form(curve, eta, prec)
+    a_eta, E = _pullback(curve, eta, prec)
     steps = []
     while True:
         nu = a_eta.order_lb()
         if nu >= (stop if steps else first_stop) or not sm.contains(nu):
-            return eta, a_eta, tuple(steps), nu
+            return eta, a_eta, E, tuple(steps), nu
         j, c, d = _cancellation_site(curve.gamma, sm.basis, nu)
         term = forms[j + 1].times_monomial(c, d)
-        canc = pullback_form(curve, term, prec)
-        mu = a_eta.coefficient(nu) / canc.coefficient(nu)
-        a_eta = a_eta - canc.scaled(mu)
+        canc, F = _pullback(curve, term, prec)
+        # a_eta loses (f / E) canc, which is mu times the pullback canc / F
+        E, f = _eliminate(a_eta, E, nu, canc)
+        mu = Q(f * F, E)
         eta = eta - term.scaled(mu)
         steps.append(TraceStep(j, c, d, mu))
-        if not a_eta.order_lb() > nu:
-            raise InternalDisagreement("cancellation at %d did not raise"
-                                       " the value" % nu)
 
 
 def compute_standard_basis(curve: PuiseuxCurve) -> ExtendedStandardBasis:
@@ -217,8 +216,8 @@ def compute_standard_basis(curve: PuiseuxCurve) -> ExtendedStandardBasis:
     while True:
         sm = GammaSemimodule(gamma, tuple(lam))
         axis, ell, u_next, eta = _seed(sm, forms)
-        eta, _, steps, new_value = _cancel(curve, sm, forms, eta, c_gamma,
-                                           c_gamma, work)
+        eta, _, _, steps, new_value = _cancel(curve, sm, forms, eta,
+                                              c_gamma, c_gamma, work)
         if new_value >= c_gamma:
             break
         if new_value <= u_next:
@@ -277,8 +276,8 @@ def dicritically_adjust(basis: ExtendedStandardBasis) -> OneForm:
         raise InternalDisagreement("seed value %d off the last axis %d"
                                    % (u_next, basis.u[-1]))
     stop = pair.conductor + 1
-    eta, a_eta, steps, nu = _cancel(curve, sm, basis.forms, eta,
-                                    curve.trunc, stop)
+    eta, a_eta, E, steps, nu = _cancel(curve, sm, basis.forms, eta,
+                                       curve.trunc, stop)
     if nu < (stop if steps else curve.trunc):
         raise InternalDisagreement("value %d under the conductor escaped"
                                    " the construction" % nu)
@@ -287,13 +286,20 @@ def dicritically_adjust(basis: ExtendedStandardBasis) -> OneForm:
         omega = eta.scaled(rho)
         potential = None
     else:
-        potential = integrate_against_conductor(curve, a_eta.shifted(-1))
+        potential = integrate_against_conductor(curve, TruncatedSeries(
+            {k - 1: Q(v, E) for k, v in a_eta.coeffs.items()},
+            a_eta.trunc - 1))
         omega = eta - differential(potential, pair)
         rho = 1
-        residual = a_eta - pullback_function(curve, potential).theta()
-        if residual.order_lb() < curve.trunc:
+        # the residual A / E - theta(P / G) vanishes where A G = k P E
+        P, G = _pullback(curve, potential, None)
+        bound = min(a_eta.trunc, P.trunc)
+        order = min((k for k in a_eta.coeffs.keys() | P.coeffs.keys()
+                     if k < bound and a_eta.coeffs.get(k, 0) * G
+                     != k * P.coeffs.get(k, 0) * E), default=bound)
+        if order < curve.trunc:
             raise InternalDisagreement("potential left a residue of order %s"
-                                       % residual.order_lb())
+                                       % order)
     if nu_E_form(omega) != basis.t[-1]:
         raise InternalDisagreement("adjusted form has order %d, not t = %d"
                                    % (nu_E_form(omega), basis.t[-1]))
@@ -382,13 +388,14 @@ def semimodule_oracle(curve: PuiseuxCurve) -> GammaSemimodule:
     """The semimodule of differential values, found by brute force.
 
     Triangularizes the pullbacks of the monomial forms x^a y^b dx and
-    x^a y^b dy in weight order, recording every new leading order; each
-    is read off the curve's power table by pullback_form.  A
+    x^a y^b dy in weight order, recording every new leading order: the
+    rows are unnormalised integer numerators and each elimination is
+    series._eliminate, so no rational is built.  A
     recorded order set spanning a semimodule with conductor c makes any
     monomial of weight >= c + n redundant (each minimal generator is the
     least member of its residue class, hence under c + n), so the scan
     stops there; c_Gamma + n m is a hard ceiling.  It shares only the
-    series arithmetic and the semimodule type with compute_standard_basis.
+    pullbacks, _eliminate and the semimodule type with the construction.
     """
     pair = curve.pair
     n, m = pair.n, pair.m
@@ -399,7 +406,7 @@ def semimodule_oracle(curve: PuiseuxCurve) -> GammaSemimodule:
                    for b in range(cap // m)
                    for kind, w in ((0, n * (a + 1) + m * b),
                                    (1, n * a + m * (b + 1))) if w < cap)
-    # pivot rows, keyed by the recorded orders
+    # pivot rows of integer numerators, keyed by the recorded orders
     table = {}
     span = None
     bound = cap
@@ -407,19 +414,19 @@ def semimodule_oracle(curve: PuiseuxCurve) -> GammaSemimodule:
         if w >= bound:
             break
         mono = {(a, b): 1}
-        s = pullback_form(curve, OneForm(pair, mono, None) if kind == 0
-                          else OneForm(pair, None, mono), bound)
+        s, _ = _pullback(curve, OneForm(pair, mono, None) if kind == 0
+                         else OneForm(pair, None, mono), bound)
         while True:
             o = s.order_lb()
             if o >= bound:
                 break
             pivot = table.get(o)
             if pivot is None:
-                table[o] = s.scaled(1 / s.coefficient(o))
+                table[o] = s
                 # an order inside the span changes neither it nor bound
                 if span is None or not span.contains(o):
                     span = GammaSemimodule(gamma, minimal_basis(gamma, table))
                     bound = min(bound, span.conductor + n)
                 break
-            s = s - pivot.scaled(s.coefficient(o))
+            _eliminate(s, 1, o, pivot)
     return span

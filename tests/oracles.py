@@ -8,6 +8,11 @@ pullback_function_by_rationals, pullback_form_by_rationals and
 integrate_by_rationals are the pullbacks and the potential as they stood
 before the curve's power table went fraction-free: the same formulas on
 reduced rationals, with every power y^b a repeated product of y.
+cancel_by_rationals and oracle_by_rationals are the cancellation engine
+and the semimodule oracle as they stood before they went fraction-free:
+the same eliminations on reduced rational pullbacks.  combine, theta and
+antiderivative are the rational series arithmetic these references need,
+which the library itself no longer carries.
 FractionGcdCounter counts the normalisations of fractions.Fraction for
 the tests that bound them.
 """
@@ -19,11 +24,38 @@ import math
 import types
 
 from cuspidal.blowup import is_totally_dicritical
-from cuspidal.errors import NotDicritical, OrderTooLow, ZeroPivot
-from cuspidal.forms import BivariatePolynomial, nu_E_form
+from cuspidal.errors import (InternalDisagreement, NotDicritical, OrderTooLow,
+                             ZeroPivot)
+from cuspidal.forms import BivariatePolynomial, OneForm, nu_E_form
 from cuspidal.rationals import ZERO, rat
 from cuspidal.semigroup import minimal_b_representation
-from cuspidal.series import PuiseuxCurve, TruncatedSeries, default_truncation
+from cuspidal.semimodule import GammaSemimodule, minimal_basis
+from cuspidal.series import (PuiseuxCurve, TruncatedSeries, default_truncation,
+                             pullback_form)
+from cuspidal.stdbasis import TraceStep, _cancellation_site
+
+
+def combine(terms, trunc=None):
+    """The sum of c t^shift f over the (f, c, shift) in terms, on reduced
+    rationals, known below trunc and below every f's shifted truncation."""
+    bound = math.inf if trunc is None else trunc
+    out = {}
+    for f, c, shift in terms:
+        bound = min(bound, f.trunc + shift)
+        for k, v in f.coeffs.items():
+            out[k + shift] = out.get(k + shift, ZERO) + c * v
+    return TruncatedSeries(out, bound)
+
+
+def theta(f):
+    """t d/dt, the logarithmic derivative operator."""
+    return TruncatedSeries({k: k * v for k, v in f.coeffs.items()}, f.trunc)
+
+
+def antiderivative(f):
+    """Termwise integral with zero constant term."""
+    return TruncatedSeries({k + 1: v / (k + 1) for k, v in f.coeffs.items()},
+                           f.trunc + 1)
 
 
 class FractionGcdCounter:
@@ -175,7 +207,7 @@ def branch_by_rationals(omega, a, trunc=None):
 def _rational_powers(curve):
     """power(b, prec): y^b on rationals below prec, all of it for None or
     prec above T, by repeated products of y."""
-    powers = [TruncatedSeries.monomial(0, 1)]
+    powers = [TruncatedSeries({0: 1})]
 
     def power(b, prec=None):
         while len(powers) <= b:
@@ -191,11 +223,8 @@ def pullback_function_by_rationals(curve, h, prec=None):
     coeffs = h.coeffs if isinstance(h, BivariatePolynomial) else dict(h)
     power = _rational_powers(curve)
     n = curve.pair.n
-    out = TruncatedSeries.zero(prec)
-    for (a, b), c in coeffs.items():
-        if c != 0:
-            out = out + power(b, prec).shifted(n * a).scaled(c)
-    return out
+    return combine([(power(b, prec), c, n * a)
+                    for (a, b), c in coeffs.items() if c != 0], prec)
 
 
 def pullback_form_by_rationals(curve, omega, prec=None):
@@ -204,13 +233,10 @@ def pullback_form_by_rationals(curve, omega, prec=None):
     read as theta(y^(b+1)) / (b + 1)."""
     power = _rational_powers(curve)
     n = curve.pair.n
-    out = TruncatedSeries.zero(prec)
-    for (a, b), c in omega.A.items():
-        out = out + power(b, prec).shifted(n * (a + 1)).scaled(c * n)
-    for (a, b), c in omega.B.items():
-        weight = power(b + 1, prec).theta().scaled(rat(1, b + 1))
-        out = out + weight.shifted(n * a).scaled(c)
-    return out
+    return combine([(power(b, prec), c * n, n * (a + 1))
+                    for (a, b), c in omega.A.items()]
+                   + [(theta(power(b + 1, prec)), c * rat(1, b + 1), n * a)
+                      for (a, b), c in omega.B.items()], prec)
 
 
 def integrate_by_rationals(curve, xi):
@@ -224,13 +250,73 @@ def integrate_by_rationals(curve, xi):
     power = _rational_powers(curve)
     n = curve.pair.n
     alpha = curve.y.coefficient(curve.pair.m)
-    residual = xi.antiderivative()
+    residual = antiderivative(xi)
     out = {}
     while not residual.is_zero():
         r = residual.order_lb()
         rep = minimal_b_representation(curve.gamma, r)
         c = residual.coefficient(r) / alpha ** rep.b
         out[(rep.a, rep.b)] = c
-        residual = residual - power(rep.b).shifted(n * rep.a).scaled(c)
+        residual = combine([(residual, 1, 0),
+                            (power(rep.b), -c, n * rep.a)])
         assert residual.order_lb() > r
     return BivariatePolynomial(out)
+
+
+def cancel_by_rationals(curve, sm, forms, eta, first_stop, stop, prec=None):
+    """stdbasis._cancel on reduced rationals: a_eta is the rational
+    pullback of eta, and each step subtracts mu times the rational
+    pullback of the cancelling term.  Returns eta, a_eta, the steps and
+    the value it stopped at."""
+    a_eta = pullback_form(curve, eta, prec)
+    steps = []
+    while True:
+        nu = a_eta.order_lb()
+        if nu >= (stop if steps else first_stop) or not sm.contains(nu):
+            return eta, a_eta, tuple(steps), nu
+        j, c, d = _cancellation_site(curve.gamma, sm.basis, nu)
+        term = forms[j + 1].times_monomial(c, d)
+        canc = pullback_form(curve, term, prec)
+        mu = a_eta.coefficient(nu) / canc.coefficient(nu)
+        a_eta = combine([(a_eta, 1, 0), (canc, -mu, 0)])
+        eta = eta - term.scaled(mu)
+        steps.append(TraceStep(j, c, d, mu))
+        if not a_eta.order_lb() > nu:
+            raise InternalDisagreement("cancellation at %d did not raise"
+                                       " the value" % nu)
+
+
+def oracle_by_rationals(curve):
+    """stdbasis.semimodule_oracle on reduced rationals: pivot rows are
+    normalised to a leading 1 and each elimination subtracts a rational
+    multiple of one."""
+    pair = curve.pair
+    n, m = pair.n, pair.m
+    gamma = curve.gamma
+    cap = pair.conductor + n * m
+    monos = sorted((w, kind, a, b) for a in range(cap // n)
+                   for b in range(cap // m)
+                   for kind, w in ((0, n * (a + 1) + m * b),
+                                   (1, n * a + m * (b + 1))) if w < cap)
+    table = {}
+    span = None
+    bound = cap
+    for w, kind, a, b in monos:
+        if w >= bound:
+            break
+        mono = {(a, b): 1}
+        s = pullback_form(curve, OneForm(pair, mono, None) if kind == 0
+                          else OneForm(pair, None, mono), bound)
+        while True:
+            o = s.order_lb()
+            if o >= bound:
+                break
+            pivot = table.get(o)
+            if pivot is None:
+                table[o] = combine([(s, 1 / s.coefficient(o), 0)])
+                if span is None or not span.contains(o):
+                    span = GammaSemimodule(gamma, minimal_basis(gamma, table))
+                    bound = min(bound, span.conductor + n)
+                break
+            s = combine([(s, 1, 0), (pivot, -s.coefficient(o), 0)])
+    return span

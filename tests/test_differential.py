@@ -9,15 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspidal.forms import BivariatePolynomial, OneForm
-from cuspidal.rationals import rat
+from cuspidal.rationals import Q, rat
 from cuspidal.semigroup import PuiseuxPair
+from cuspidal.semimodule import GammaSemimodule
 from cuspidal.series import (PuiseuxCurve, TruncatedSeries,
                              integrate_against_conductor, pullback_form,
                              pullback_function)
 from cuspidal.semiroot import solve_invariant_branch, verify_main_theorem
-from cuspidal.stdbasis import compute_standard_basis, semimodule_oracle
+from cuspidal.stdbasis import (_cancel, _seed, compute_standard_basis,
+                               semimodule_oracle)
 
-from oracles import (branch_by_rationals, integrate_by_rationals,
+from oracles import (branch_by_rationals, cancel_by_rationals,
+                     integrate_by_rationals, oracle_by_rationals,
                      pullback_form_by_rationals, pullback_function_by_rationals)
 
 # m by n, n <= 6 and n m <= 60; drawing n first keeps n = 2, where s = 0
@@ -105,3 +108,30 @@ def test_integer_pullbacks_and_potential_match_the_rational_ones(curve,
         data.draw(st.sampled_from([None, curve.trunc]), label="xi_trunc"))
     assert integrate_against_conductor(curve, xi).coeffs == \
         integrate_by_rationals(curve, xi).coeffs
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_tail_curves(leads=small_rationals()))
+def test_fraction_free_cancellation_and_oracle_match_the_rational_ones(curve):
+    """Every stage of the construction (at c_Gamma + 2) and the adjustment
+    (at full precision) take the same steps as the engine on reduced
+    rationals, and stop at the same value with the same a_eta; the
+    rational tails put the pullbacks over D > 1, so the steps rescale."""
+    basis = compute_standard_basis(curve)
+    c = curve.pair.conductor
+    runs = [(GammaSemimodule(curve.gamma, basis.lambdas[:k]),
+             basis.forms[:k], c, c, c + 2)
+            for k in range(2, len(basis.lambdas) + 1)]
+    runs.append((basis.semimodule, basis.forms, curve.trunc, c + 1, None))
+    for sm, forms, first_stop, stop, prec in runs:
+        eta = _seed(sm, forms)[3]
+        got_eta, A, E, got_steps, got_nu = _cancel(
+            curve, sm, forms, eta, first_stop, stop, prec)
+        want_eta, a_eta, want_steps, want_nu = cancel_by_rationals(
+            curve, sm, forms, eta, first_stop, stop, prec)
+        assert got_eta == want_eta
+        assert got_steps == want_steps
+        assert got_nu == want_nu
+        assert {k: Q(v, E) for k, v in A.coeffs.items()} == a_eta.coeffs
+        assert A.trunc == a_eta.trunc
+    assert semimodule_oracle(curve) == oracle_by_rationals(curve)

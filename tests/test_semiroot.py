@@ -14,8 +14,9 @@ from cuspidal.rationals import Q, rat
 from cuspidal.semigroup import PuiseuxPair
 from cuspidal.semiroot import (semiroot, solve_invariant_branch,
                                verify_main_theorem, zariski_invariant)
-from cuspidal.series import PuiseuxCurve, nu_C_form, pullback_form
-from cuspidal.stdbasis import compute_standard_basis, dicritically_adjust
+from cuspidal.series import OrderResult, PuiseuxCurve, nu_C_form, pullback_form
+from cuspidal.stdbasis import (compute_standard_basis, dicritically_adjust,
+                               semimodule_oracle)
 
 from oracles import FractionGcdCounter
 
@@ -78,6 +79,30 @@ def test_pullbacks_normalise_once_per_nonzero_coefficient(monkeypatch):
     a_lower = pullback_form(cold, lower)
     assert a_lower.coeffs
     assert counter.calls <= len(a_lower.coeffs)
+
+
+@pytest.mark.skipif(Q is not fractions.Fraction,
+                    reason="counts the normalisations of fractions.Fraction")
+def test_oracle_and_window_checks_build_no_rational(monkeypatch):
+    # both read only orders: the oracle eliminates on unnormalised integer
+    # pivot rows and the window checks read the order off the numerators
+    basis = basis_5_11()
+    i = 2
+    branch = solve_invariant_branch(basis.form(i), rat(-2, 3))
+    assert branch.den > 1
+    window = branch.pair.conductor + branch.pair.n * branch.pair.m
+
+    def checks():
+        oracle = semimodule_oracle(branch)
+        values = [nu_C_form(branch, basis.form(j), window)
+                  for j in range(-1, i)]
+        return oracle, values
+    expected = checks()  # warms the power table
+    assert expected[1] == [OrderResult.Finite(lam)
+                           for lam in basis.lambdas[:i + 1]]
+    counter = FractionGcdCounter(monkeypatch)
+    assert checks() == expected
+    assert counter.calls == 0
 
 
 def test_omega1_branch_is_monomial():

@@ -1,15 +1,17 @@
 """The public surface resolves: every exported name and every name the
-benchmark tracer wraps."""
+benchmark tracer wraps.  TruncatedSeries carries no rational arithmetic."""
 
 import ast
 import importlib
 import importlib.util
 import pathlib
 import pkgutil
+import types
 
 import pytest
 
 import cuspidal
+from cuspidal.series import TruncatedSeries
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 MODULES = sorted(info.name for info in pkgutil.iter_modules(cuspidal.__path__))
@@ -50,3 +52,15 @@ def test_tracer_targets_resolve():
         else:
             assert callable(getattr(owner, attr_path)), \
                 (module_name, attr_path)
+
+
+def test_truncated_series_defines_no_rational_arithmetic():
+    # Sums, scalings, shifts and integrals of rational series live in the
+    # tests' oracles; the library eliminates on integer numerators.
+    # __mul__ stays only because the benchmark tracer's series.mul target
+    # needs it, until a benchmark change retargets the tracer.
+    methods = {name for name, value in vars(TruncatedSeries).items()
+               if isinstance(value, (types.FunctionType, classmethod,
+                                     staticmethod, property))}
+    assert methods == {"__init__", "is_zero", "order_lb", "coefficient",
+                       "truncate", "__eq__", "__repr__", "__mul__"}
