@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IndexOutOfRange, InternalDisagreement
-from .forms import OneForm, is_prebasic, is_resonant
+from .forms import OneForm, _integer_cloud, is_prebasic, is_resonant
 from .semigroup import PuiseuxPair
 
 __all__ = [
@@ -168,7 +168,8 @@ def is_totally_dicritical(omega: OneForm) -> DicriticalVerdict:
         vertex = is_prebasic(omega)
         combinatorial = vertex is not None and is_resonant(omega)
         seq = build_sequence(omega.pair)
-        final_cloud, trail = _geometric_walk(seq, dict(omega.cloud))
+        # the integer cloud, a positive multiple, walks to the same verdict
+        final_cloud, trail = _geometric_walk(seq, _integer_cloud(omega)[0])
         geometric = _terminal_condition(final_cloud)
         if combinatorial != geometric:
             raise InternalDisagreement(

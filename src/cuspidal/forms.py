@@ -12,11 +12,12 @@ variable: mu at (alpha, beta) is the A-coefficient of x^(alpha-1) y^beta,
 zeta the B-coefficient of x^alpha y^(beta-1).
 
 Sums and products run on the kernel _accumulate, acc += c x^a y^b src,
-the twin of series._accumulate.
+the twin of series._accumulate.  _integer_cloud owns a form's integers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import (NotPreBasic, QAboveOrder, ZeroForm, ZeroPolynomial)
@@ -217,6 +218,18 @@ class OneForm:
         return "(%s)dx + (%s)dy" % (_fmt_poly(self.A), _fmt_poly(self.B))
 
 
+def _integer_cloud(omega: OneForm):
+    """(cloud, L): L the least positive integer clearing every denominator
+    of omega's cloud, cloud {(alpha, beta): (mu L, zeta L)} as ints.  The
+    pullback, the branch solver, the blow-up walk, the resonance test and
+    the standard basis's clearing scalar all read a form's integers here."""
+    pts = omega.cloud
+    L = math.lcm(*(int(c.denominator) for mz in pts.values() for c in mz))
+    return ({p: (int(mu.numerator) * (L // int(mu.denominator)),
+                 int(zeta.numerator) * (L // int(zeta.denominator)))
+             for p, (mu, zeta) in pts.items()}, L)
+
+
 class Region:
     """R^{n,m}(a0, b0): intersection of the two co-pair halfplanes.
 
@@ -341,9 +354,8 @@ def initial_part_data(omega: OneForm) -> InitialPart:
 
 def is_resonant(omega: OneForm) -> bool:
     """Whether n*mu + m*zeta = 0 at the vertex; needs a pre-basic form."""
-    data = initial_part_data(omega)
-    pair = omega.pair
-    return pair.n * data.mu + pair.m * data.zeta == 0
+    mu, zeta = _integer_cloud(omega)[0][initial_part_data(omega).vertex]
+    return omega.pair.n * mu + omega.pair.m * zeta == 0
 
 
 def differential(h, pair: PuiseuxPair) -> OneForm:

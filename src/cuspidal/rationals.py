@@ -35,8 +35,7 @@ def rat_from_str(text: str):
 
 
 def rat_to_str(x) -> str:
-    """Canonical text form of a rational (see module docstring)."""
-    x = Q(x)
+    """Canonical text form of a rational or an int (see module docstring)."""
     if x.denominator == 1:
         return str(x.numerator)
     return "%d/%d" % (x.numerator, x.denominator)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import (IndexOutOfRange, NotDicritical, VerificationFailure,
                      ZeroPivot)
-from .forms import OneForm, nu_E_form
+from .forms import OneForm, _integer_cloud, nu_E_form
 from .jsonio import y_to_json
 from .rationals import Q, rat, rat_to_str
 from .series import OrderResult, PuiseuxCurve, default_truncation, nu_C_form
@@ -64,11 +64,12 @@ def solve_invariant_branch(omega: OneForm, a, trunc: int = None) -> PuiseuxCurve
 
     The elimination is fraction-free in the manner of Bareiss (Math.
     Comp. 22, 1968; Geddes, Czapor and Labahn, Algorithms for Computer
-    Algebra, 1992).  The form is scaled to integer weights, since a
-    multiple of a form has the same branches.  y_u is held as Y[u] / D
-    over one common denominator D, the coefficients of y^b as integers
-    over D^b, and the known part of each order as one integer over
-    Bl D^top (Bl the lcm of the cloud's nonzero beta, top the largest).
+    Algebra, 1992).  The form is read on its integer cloud
+    (forms._integer_cloud), a positive multiple with the same branches.
+    y_u is held as Y[u] / D over one common denominator D, the
+    coefficients of y^b as integers over D^b, and the known part of each
+    order as one integer over Bl D^top (Bl the lcm of the cloud's nonzero
+    beta, top the largest).
     One rational per order: y_{m+r} is the only reduced fraction built
     at order r, and when its denominator does not divide D, D grows by
     the missing factor g and every numerator over D^b by g^b.
@@ -88,19 +89,15 @@ def solve_invariant_branch(omega: OneForm, a, trunc: int = None) -> PuiseuxCurve
     if trunc is None:
         trunc = default_truncation(pair)
     q = nu_E_form(omega)
-    points = sorted(omega.cloud.items())
+    cloud, _ = _integer_cloud(omega)
+    points = sorted(cloud.items())
     top = max(be for (_, be), _ in points)
-    # L clears the cloud's denominators, Bl every 1/beta
-    L = math.lcm(*(int(c.denominator) for _, mz in points for c in mz))
+    # Bl clears every 1/beta
     Bl = math.lcm(*(be for (_, be), _ in points if be))
-
-    def scaled(c):
-        return int(c.numerator) * (L // int(c.denominator))
-
     # the vertex is the one cloud point of weight q; being resonant, its
     # zeta is nonzero, and so is the pivot r * zeta * a^(beta - 1)
     beta = verdict.vertex[1]
-    pivot = Bl * scaled(omega.cloud[verdict.vertex][1])
+    pivot = Bl * cloud[verdict.vertex][1]
 
     # y_u = Y[u] / D; P[b]: numerators over D^b of the coefficients of
     # y(t)^b by exponent, so a^b = P[b][m b] / D^b; at order r, entry
@@ -114,8 +111,7 @@ def solve_invariant_branch(omega: OneForm, a, trunc: int = None) -> PuiseuxCurve
     rows = {}
     for (al, be), (mu, ze) in points:
         rows.setdefault(be, (P[be], []))[1].append(
-            (n * al, n * scaled(mu) * Bl,
-             scaled(ze) * Bl // be if be else 0))
+            (n * al, n * mu * Bl, ze * Bl // be if be else 0))
     rows = sorted(rows.items())
     dpow = [D ** k for k in range(top + 1)]
     for r in range(1, trunc - q):

@@ -11,18 +11,22 @@ forms._accumulate.
 A PuiseuxCurve is the parametrization phi(t) = (t^n, y(t)) with
 ord y = m.  Pullbacks of polynomials and forms are assembled term by
 term from one power table of the curve; this keeps the cost linear in
-the number of monomials of the input.  The table is fraction-free
-(Bareiss, Math. Comp. 22, 1968; Geddes, Czapor and Labahn, 1992): y is
-held as integer numerators Y over one denominator D (the curve's den),
-the lcm of its denominators, and the entry of each b holds the integer
-numerators of y^b over D^b and of theta(y^(b+1)) over D^(b+1)
-(theta = t d/dt), at the highest precision asked for.  A pullback sums
-integer rows over one scale; pullback_form and pullback_function build
-one rational per nonzero coefficient, the orders nu_C_* build none.  The
-table is the one series cache: only the branch solver holds a private
-one.  _eliminate, the one elimination step, kills the leading term of
-an integer row with a multiple of another; the cancellation engine, the
-semimodule oracle and the potential all run on it.
+the number of monomials of the input.  A form is read by cloud point:
+x^alpha y^beta (mu dx/x + zeta dy/y) pulls back to
+t^(n alpha) (n mu y^beta + (zeta / beta) theta(y^beta)) dt/t, with
+(mu, zeta) the integers of forms._integer_cloud.  The table is
+fraction-free (Bareiss, Math. Comp. 22, 1968; Geddes, Czapor and Labahn,
+1992): y is held as integer numerators Y over one denominator D (the
+curve's den), the lcm of its denominators, and the entry of each b holds
+the integer numerators of y^b over D^b and of theta(y^(b+1)) over
+D^(b+1) (theta = t d/dt), at the highest precision asked for.  A
+pullback sums integer rows over one scale; pullback_form and
+pullback_function build one rational per nonzero coefficient, the orders
+nu_C_* build none.  The table is the one series cache: only the branch
+solver holds a private one.  _eliminate, the one elimination step,
+kills the leading term of an integer row with a multiple of another; the
+cancellation engine, the semimodule oracle and the potential all run on
+it.
 
 The differential value of a form is the t-order of a(t) in
 phi*(omega) = a(t) dt/t.  Orders are reported as Finite(v) or
@@ -37,7 +41,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InternalDisagreement, NotACusp, OrderTooLow
-from .forms import BivariatePolynomial, OneForm
+from .forms import BivariatePolynomial, OneForm, _integer_cloud
 from .rationals import ZERO, Q, rat
 from .semigroup import (CuspSemigroup, PuiseuxPair,
                         minimal_b_representation)
@@ -49,15 +53,14 @@ __all__ = [
 ]
 
 
-def _accumulate(acc: dict, src: dict, shift: int, c=None, bound=math.inf):
+def _accumulate(acc: dict, src: dict, shift: int, c, bound):
     """acc += c * t^shift * src in place for keys below bound, deleting
-    entries that cancel; c=None adds src unscaled."""
+    entries that cancel."""
     for k, v in src.items():
         k += shift
         if k >= bound:
             continue
-        if c is not None:
-            v = c * v
+        v = c * v
         w = acc.get(k)
         if w is not None:
             v += w
@@ -251,20 +254,21 @@ def _pullback(curve: PuiseuxCurve, f, prec):
     """(row, scale): the pullback of f below prec is row / scale, row
     integer numerators known below prec and every term's truncation.
 
-    For a OneForm it is a(t) with phi*(omega) = a(t) dt/t: A dx pulls back
-    to n t^n A(phi) dt/t and B dy to theta(y) B(phi) dt/t, where
-    theta(y) y^b = theta(y^(b+1)) / (b + 1); for a polynomial h, or a
-    {(a, b): c} map, it is h(phi(t)).  The power-table rows, over D^e,
-    are summed over the lcm of the terms' dens times D^top for the top e.
+    For a OneForm it is a(t) with phi*(omega) = a(t) dt/t: the cloud point
+    x^alpha y^beta (mu dx/x + zeta dy/y) pulls back to
+    t^(n alpha) (n mu y^beta + (zeta / beta) theta(y^beta)) dt/t, read off
+    the integer cloud (mu s, zeta s) as terms over s and s beta; for a
+    polynomial h, or a {(a, b): c} map, it is h(phi(t)).  The power-table
+    rows, over D^e, are summed over the lcm of the terms' dens times D^top
+    for the top e.
     """
     n = curve.pair.n
     if isinstance(f, OneForm):
-        terms = ([(curve.y_power(b, prec), b, n * (a + 1),
-                   n * int(c.numerator), int(c.denominator))
-                  for (a, b), c in f.A.items()]
-                 + [(curve.theta_y_times_power(b, prec), b + 1, n * a,
-                     int(c.numerator), (b + 1) * int(c.denominator))
-                    for (a, b), c in f.B.items()])
+        cloud, s = _integer_cloud(f)
+        terms = ([(curve.y_power(be, prec), be, n * al, n * mu, s)
+                  for (al, be), (mu, _) in cloud.items() if mu]
+                 + [(curve.theta_y_times_power(be - 1, prec), be, n * al,
+                     ze, s * be) for (al, be), (_, ze) in cloud.items() if ze])
     else:
         coeffs = f.coeffs if isinstance(f, BivariatePolynomial) else dict(f)
         terms = [(curve.y_power(b, prec), b, n * a,

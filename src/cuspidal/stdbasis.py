@@ -11,12 +11,11 @@ Index conventions, used throughout: a "math" index i runs over
 i + 1 inside `forms`, `semimodule.basis` and the critical-order tuple.
 """
 
-import math
 from dataclasses import dataclass
 
 from .errors import IndexOutOfRange, InternalDisagreement, NotACusp
-from .forms import (BivariatePolynomial, OneForm, differential, is_basic,
-                    is_resonant, nu_E_form)
+from .forms import (BivariatePolynomial, OneForm, _integer_cloud,
+                    differential, is_basic, is_resonant, nu_E_form)
 from .semigroup import contains
 from .semimodule import (GammaSemimodule, critical_orders, limits,
                          minimal_basis)
@@ -137,18 +136,6 @@ def _cancellation_site(gamma, lambdas, value):
     return None
 
 
-def _clearing_scalar(omega: OneForm) -> int:
-    """Least positive integer rho making rho * omega integral.
-
-    Only denominators are cleared; an already integral form is returned
-    unscaled even when its coefficients share a content."""
-    rho = 1
-    for table in (omega.A, omega.B):
-        for v in table.values():
-            rho = math.lcm(rho, int(v.denominator))
-    return rho
-
-
 def _seed(sm, forms):
     """Candidate opening the next stage: the cheaper of x^l1 omega_s',
     y^l2 omega_s', with its axis and exponent and the axis value u."""
@@ -223,7 +210,7 @@ def compute_standard_basis(curve: PuiseuxCurve) -> ExtendedStandardBasis:
         if new_value <= u_next:
             raise InternalDisagreement("generator %d at or under the axis %d"
                                        % (new_value, u_next))
-        rho = _clearing_scalar(eta)
+        rho = _integer_cloud(eta)[1]
         omega = eta.scaled(rho)
         t_chain.append(t_chain[-1] + u_next - lam[-1])
         lam.append(new_value)
@@ -282,7 +269,7 @@ def dicritically_adjust(basis: ExtendedStandardBasis) -> OneForm:
         raise InternalDisagreement("value %d under the conductor escaped"
                                    " the construction" % nu)
     if a_eta.truncate(curve.trunc).is_zero():
-        rho = _clearing_scalar(eta)
+        rho = _integer_cloud(eta)[1]
         omega = eta.scaled(rho)
         potential = None
     else:
@@ -358,7 +345,7 @@ def delorme_decompose(basis: ExtendedStandardBasis, i: int,
     recomposed = OneForm.zero(basis.curve.pair)
     for ell in range(-1, j + 1):
         recomposed = recomposed + basis.form(ell).times_polynomial(f[ell])
-    if not (target - recomposed).is_zero():
+    if target != recomposed:
         raise InternalDisagreement("decomposition (%d, %d) does not recompose"
                                    % (i, j))
     at_minimum = []

@@ -1,16 +1,20 @@
+import fractions
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cuspidal import blowup
 from cuspidal.blowup import (CORNER, FREE, CuspidalSequence, build_sequence,
                              is_totally_dicritical, transform_form)
-from cuspidal.errors import IndexOutOfRange
+from cuspidal.errors import IndexOutOfRange, InternalDisagreement
 from cuspidal.forms import (OneForm, Region, differential, is_prebasic,
                             is_resonant, nu_E_form, rdo)
-from cuspidal.rationals import rat
+from cuspidal.rationals import Q, rat
 from cuspidal.semigroup import PuiseuxPair, copair
+
+from oracles import FractionGcdCounter
 
 P511 = PuiseuxPair(5, 11)
 
@@ -177,3 +181,26 @@ def test_dicritical_routes_agree(w):
     if w.is_zero():
         return
     is_totally_dicritical(w)
+
+
+def test_disagreeing_routes_raise(monkeypatch):
+    real = blowup._terminal_condition
+    monkeypatch.setattr(blowup, "_terminal_condition",
+                        lambda cloud: not real(cloud))
+    for w in (dicritical_49_form(), OneForm(P511, B={(0, 0): rat(1)})):
+        with pytest.raises(InternalDisagreement, match="disagree"):
+            is_totally_dicritical(w)
+
+
+@pytest.mark.skipif(Q is not fractions.Fraction,
+                    reason="counts the normalisations of fractions.Fraction")
+def test_verdict_builds_no_rational(monkeypatch):
+    # both routes read the integer cloud: the resonance test and every
+    # mu + zeta of the blow-up walk are int operations
+    forms = [dicritical_49_form().scaled(rat(-2, 3)),
+             OneForm(P511, A={(0, 1): rat(-11, 6), (2, 3): rat(5, 4)},
+                     B={(1, 0): rat(5, 6), (4, 1): rat(-7, 9)})]
+    counter = FractionGcdCounter(monkeypatch)
+    verdicts = [is_totally_dicritical(w) for w in forms]
+    assert counter.calls == 0
+    assert verdicts[0].vertex == (3, 4) and all(verdicts)

@@ -62,15 +62,23 @@ def test_rational_tails_oracle_and_semiroot_agree(curve, data):
 @settings(max_examples=40, deadline=None)
 @given(rational_tail_curves(), st.data())
 def test_fraction_free_solver_matches_the_rational_one(curve, data):
+    """c omega has the branches of omega; with c not an integer its
+    integer cloud mostly needs a clearing scalar L > 1, which no basis
+    form does."""
     basis = compute_standard_basis(curve)
     a = data.draw(small_rationals().filter(
         lambda x: x not in DEFAULT_PARAMETERS), label="a")
+    c = data.draw(small_rationals().filter(lambda x: x.denominator > 1),
+                  label="c")
     for i in range(1, basis.s_index + 2):
         omega = basis.form(i)
         got = solve_invariant_branch(omega, a, curve.trunc)
         want = branch_by_rationals(omega, a, curve.trunc)
         assert got.y.coeffs == want.y.coeffs
         assert got.trunc == want.trunc
+        multiple = omega.scaled(c)
+        assert solve_invariant_branch(multiple, a, curve.trunc) == got
+        assert branch_by_rationals(multiple, a, curve.trunc) == want
 
 
 def monomial_maps(max_size=4):

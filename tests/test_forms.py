@@ -3,10 +3,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspidal.errors import NotPreBasic, QAboveOrder, ZeroForm, ZeroPolynomial
-from cuspidal.forms import (BivariatePolynomial, OneForm, Region, differential,
-                            initial_part, initial_part_data, is_basic,
-                            is_prebasic, is_resonant, nu_E_form,
-                            nu_E_function, rdo)
+from cuspidal.forms import (BivariatePolynomial, OneForm, Region,
+                            _integer_cloud, differential, initial_part,
+                            initial_part_data, is_basic, is_prebasic,
+                            is_resonant, nu_E_form, nu_E_function, rdo)
 from cuspidal.rationals import rat
 from cuspidal.semigroup import PuiseuxPair
 
@@ -175,3 +175,32 @@ def test_differential_preserves_order(w):
     if h.is_zero():
         return
     assert nu_E_form(differential(h, w.pair)) == nu_E_function(h, w.pair)
+
+
+def rational_forms():
+    coeffs = st.dictionaries(
+        st.tuples(st.integers(0, 5), st.integers(0, 5)),
+        st.builds(rat, st.integers(-20, 20), st.integers(1, 12)), max_size=5)
+    return st.builds(lambda A, B: OneForm(P511, A, B), coeffs, coeffs)
+
+
+def prime_factors(k):
+    out, p = set(), 2
+    while p * p <= k:
+        while k % p == 0:
+            out.add(p)
+            k //= p
+        p += 1
+    return out | ({k} if k > 1 else set())
+
+
+@settings(max_examples=150)
+@given(rational_forms())
+def test_integer_cloud_clears_with_the_least_scalar(w):
+    cloud, L = _integer_cloud(w)
+    assert cloud == {p: (mu * L, zeta * L)
+                     for p, (mu, zeta) in w.cloud.items()}
+    assert all(type(c) is int for mz in cloud.values() for c in mz)
+    for p in prime_factors(L):
+        assert any((c * (L // p)).denominator != 1
+                   for mz in w.cloud.values() for c in mz)

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cuspidal import stdbasis
 from cuspidal.corpus import random_cusp_curve
-from cuspidal.errors import IndexOutOfRange, NotACusp
+from cuspidal.errors import IndexOutOfRange, InternalDisagreement, NotACusp
 from cuspidal.forms import (BivariatePolynomial, OneForm, initial_part_data,
                             is_basic, is_resonant, nu_E_form)
 from cuspidal.rationals import rat
@@ -221,6 +222,21 @@ def test_delorme_vii_is_the_axis():
     basis = compute_standard_basis(curve_5_11())
     for i in range(0, basis.s_index + 1):
         assert delorme_decompose(basis, i, i).vij == basis.u[i + 1]
+
+
+def test_delorme_refuses_a_decomposition_that_does_not_recompose(
+        monkeypatch):
+    basis = compute_standard_basis(curve_5_11())
+    real = stdbasis._level_coefficients
+
+    def perturbed(basis, target):
+        f = real(basis, target)
+        f[-1] = f[-1] + BivariatePolynomial.monomial(1, 1, rat(1, 3))
+        return f
+    monkeypatch.setattr(stdbasis, "_level_coefficients", perturbed)
+    for i, j in ((1, 1), (2, 0)):
+        with pytest.raises(InternalDisagreement, match="does not recompose"):
+            delorme_decompose(basis, i, j)
 
 
 def test_delorme_index_errors():

@@ -1,5 +1,6 @@
 """The public surface resolves: every exported name and every name the
-benchmark tracer wraps.  TruncatedSeries carries no rational arithmetic."""
+benchmark tracer wraps.  TruncatedSeries carries no rational arithmetic,
+and only forms clears a form's denominators."""
 
 import ast
 import importlib
@@ -64,3 +65,19 @@ def test_truncated_series_defines_no_rational_arithmetic():
                                      staticmethod, property))}
     assert methods == {"__init__", "is_zero", "order_lb", "coefficient",
                        "truncate", "__eq__", "__repr__", "__mul__"}
+
+
+@pytest.mark.parametrize("name", ["stdbasis", "semiroot", "blowup"])
+def test_no_module_clears_a_form_on_its_own(name):
+    # forms._integer_cloud owns a form's integers; these modules read it
+    # instead of taking an lcm over coefficient denominators themselves
+    module = importlib.import_module("cuspidal." + name)
+    tree = ast.parse(pathlib.Path(module.__file__).read_text())
+    clearing = [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and getattr(node.func, "attr", getattr(node.func, "id", None))
+                == "lcm"
+                and any(isinstance(sub, ast.Attribute)
+                        and sub.attr == "denominator"
+                        for arg in node.args for sub in ast.walk(arg))]
+    assert clearing == []
