@@ -198,7 +198,8 @@ class OneForm:
         return self + -other
 
     def __neg__(self):
-        return self.times_monomial(0, 0, -1)
+        return OneForm(self.pair, {k: -v for k, v in self.A.items()},
+                       {k: -v for k, v in self.B.items()})
 
     def scaled(self, c) -> "OneForm":
         return self.times_monomial(0, 0, c)

@@ -17,7 +17,6 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
     from fractions import Fraction as Q
 
 ZERO = Q(0)
-ONE = Q(1)
 
 
 def rat(num, den=1):

@@ -5,28 +5,29 @@ with a truncation level T; exponents at or above T are unknown rather
 than zero.  trunc = math.inf (None in the constructor) means the series
 is known exactly (polynomials in t).  The library does no rational
 series arithmetic: its sums run on integer numerators in the kernel
-_accumulate, acc += c t^shift src below a bound, the twin of
-forms._accumulate.
+_accumulate, acc += t^shift (c + d k) src[k] t^k below a bound, the twin
+of forms._accumulate.
 
 A PuiseuxCurve is the parametrization phi(t) = (t^n, y(t)) with
 ord y = m.  Pullbacks of polynomials and forms are assembled term by
 term from one power table of the curve; this keeps the cost linear in
 the number of monomials of the input.  A form is read by cloud point:
 x^alpha y^beta (mu dx/x + zeta dy/y) pulls back to
-t^(n alpha) (n mu y^beta + (zeta / beta) theta(y^beta)) dt/t, with
-(mu, zeta) the integers of forms._integer_cloud.  The table is
+t^(n alpha) (n mu y^beta + (zeta / beta) theta(y^beta)) dt/t
+(theta = t d/dt), whose t^(n alpha + k) coefficient is
+[y^beta]_k (n mu + zeta k / beta): the row of y^beta with a weight linear
+in k, over the integers of forms._integer_cloud.  The table is
 fraction-free (Bareiss, Math. Comp. 22, 1968; Geddes, Czapor and Labahn,
 1992): y is held as integer numerators Y over one denominator D (the
-curve's den), the lcm of its denominators, and the entry of each b holds
-the integer numerators of y^b over D^b and of theta(y^(b+1)) over
-D^(b+1) (theta = t d/dt), at the highest precision asked for.  A
-pullback sums integer rows over one scale; pullback_form and
-pullback_function build one rational per nonzero coefficient, the orders
-nu_C_* build none.  The table is the one series cache: only the branch
-solver holds a private one.  _eliminate, the one elimination step,
-kills the leading term of an integer row with a multiple of another; the
-cancellation engine, the semimodule oracle and the potential all run on
-it.
+curve's den), the lcm of its denominators, and the entry of each b is
+one row, the integer numerators of y^b over D^b, at the highest
+precision asked for.  A pullback sums integer rows over one scale;
+pullback_form and pullback_function build one rational per nonzero
+coefficient, the orders nu_C_* build none.  The table is the one series
+cache: only the branch solver holds a private one.  _eliminate, the one
+elimination step, kills the leading term of an integer row with a
+multiple of another; the cancellation engine, the semimodule oracle and
+the potential all run on it.
 
 The differential value of a form is the t-order of a(t) in
 phi*(omega) = a(t) dt/t.  Orders are reported as Finite(v) or
@@ -53,21 +54,22 @@ __all__ = [
 ]
 
 
-def _accumulate(acc: dict, src: dict, shift: int, c, bound):
-    """acc += c * t^shift * src in place for keys below bound, deleting
-    entries that cancel."""
+def _accumulate(acc: dict, src: dict, shift: int, c, d, bound):
+    """acc += sum over k of (c + d k) src[k] t^(k + shift) in place, for
+    keys below bound, deleting entries that cancel: d = 0 scales src, and
+    a row of y^beta with d != 0 adds a multiple of theta(y^beta)."""
     for k, v in src.items():
-        k += shift
-        if k >= bound:
+        key = k + shift
+        if key >= bound:
             continue
-        v = c * v
-        w = acc.get(k)
+        v = (c + d * k) * v
+        w = acc.get(key)
         if w is not None:
             v += w
         if v:
-            acc[k] = v
+            acc[key] = v
         elif w is not None:
-            del acc[k]
+            del acc[key]
 
 
 class TruncatedSeries:
@@ -101,7 +103,7 @@ class TruncatedSeries:
         # most every row's own trunc g + k
         bound = min(self.trunc + other.order_lb(),
                     other.trunc + self.order_lb())
-        return _assemble(((other, k, v) for k, v in self.coeffs.items()),
+        return _assemble(((other, k, v, 0) for k, v in self.coeffs.items()),
                          bound)
 
     def __eq__(self, other):
@@ -153,9 +155,10 @@ class PuiseuxCurve:
     decision of the basis algorithms is taken.
 
     The power table holds y as integer numerators Y over den, the lcm of
-    y's denominators, and y^b as its integer numerators over den^b, known
-    below T + (b - 1) m.  A request below the stored precision truncates
-    the entry, one above it regrows the row from row b - 1 and Y.
+    y's denominators, and one row per b: the integer numerators of y^b
+    over den^b, known below T + (b - 1) m.  A request below the stored
+    precision truncates the row, one above it regrows it from row b - 1
+    and Y.  theta(y^b) is read off the same row, never stored.
     """
 
     __slots__ = ("pair", "gamma", "y", "trunc", "den", "_powers")
@@ -186,10 +189,9 @@ class PuiseuxCurve:
         self.den = math.lcm(*(int(v.denominator) for v in coeffs.values()))
         Y = {k: int(v.numerator) * (self.den // int(v.denominator))
              for k, v in coeffs.items()}
-        # b -> [numerators of y^b over den^b, of theta(y^(b+1)) over
-        # den^(b+1)], each at the highest precision asked for
-        self._powers = {0: [_reduced({0: 1}, math.inf), None],
-                        1: [_reduced(Y, trunc), None]}
+        # b -> the numerators of y^b over den^b, at the highest precision
+        # asked for
+        self._powers = {0: _reduced({0: 1}, math.inf), 1: _reduced(Y, trunc)}
 
     def _precision(self, b: int, prec) -> float:
         """prec, or all of y^b (infinite for b = 0) for None or above T."""
@@ -201,28 +203,22 @@ class PuiseuxCurve:
         """The integer numerators of y^b over den^b, below prec; all of
         them when prec is None or above T."""
         want = self._precision(b, prec)
-        entry = self._powers.setdefault(b, [None, None])
-        if entry[0] is None or entry[0].trunc < want:
+        row = self._powers.get(b)
+        if row is None or row.trunc < want:
             # row b - 1 below want - m times Y is exact below want
             prev = self.y_power(b - 1, want - self.pair.m)
-            entry[0] = _assemble(((prev, k, v) for k, v in
-                                  self._powers[1][0].coeffs.items()), want)
-        return entry[0].truncate(want)
+            row = self._powers[b] = _assemble(
+                ((prev, k, v, 0) for k, v in self._powers[1].coeffs.items()),
+                want)
+        return row.truncate(want)
 
     def theta_y_times_power(self, b: int, prec=None) -> TruncatedSeries:
         """The integer numerators of theta(y^(b+1)) over den^(b+1), below
-        prec: (b + 1) theta(y) y^b, the form-pullback weight of a
-        dy-monomial, times den^(b+1).
-
-        One coefficient sweep over the next power instead of a product.
-        """
-        want = self._precision(b + 1, prec)
-        entry = self._powers.setdefault(b, [None, None])
-        if entry[1] is None or entry[1].trunc < want:
-            entry[1] = _reduced({k: k * v for k, v in
-                                 self.y_power(b + 1, want).coeffs.items()},
-                                want)
-        return entry[1].truncate(want)
+        prec: (b + 1) theta(y) y^b times den^(b+1), one coefficient sweep
+        k v over the row of y^(b+1), kept in no table.  The library reads
+        theta off that row inside _pullback instead."""
+        row = self.y_power(b + 1, prec)
+        return _reduced({k: k * v for k, v in row.coeffs.items()}, row.trunc)
 
     def __eq__(self, other):
         return (isinstance(other, PuiseuxCurve) and self.pair == other.pair
@@ -240,13 +236,13 @@ def _reduced(coeffs: dict, trunc) -> TruncatedSeries:
 
 
 def _assemble(terms, prec) -> TruncatedSeries:
-    """The sum of c * t^shift * src over the (src, shift, c) in terms,
-    known below prec and below every term's own truncation."""
+    """The sum of t^shift (c + d k) src over the (src, shift, c, d) in
+    terms, known below prec and below every term's own truncation."""
     bound = math.inf if prec is None else prec
     acc = {}
-    for src, shift, c in terms:
+    for src, shift, c, d in terms:
         bound = min(bound, src.trunc + shift)
-        _accumulate(acc, src.coeffs, shift, c, bound)
+        _accumulate(acc, src.coeffs, shift, c, d, bound)
     return _reduced(acc, bound)  # the bound may fall after a key is written
 
 
@@ -255,31 +251,34 @@ def _pullback(curve: PuiseuxCurve, f, prec):
     integer numerators known below prec and every term's truncation.
 
     For a OneForm it is a(t) with phi*(omega) = a(t) dt/t: the cloud point
-    x^alpha y^beta (mu dx/x + zeta dy/y) pulls back to
-    t^(n alpha) (n mu y^beta + (zeta / beta) theta(y^beta)) dt/t, read off
-    the integer cloud (mu s, zeta s) as terms over s and s beta; for a
-    polynomial h, or a {(a, b): c} map, it is h(phi(t)).  The power-table
-    rows, over D^e, are summed over the lcm of the terms' dens times D^top
-    for the top e.
+    x^alpha y^beta (mu dx/x + zeta dy/y) adds [y^beta]_k (n mu + zeta k /
+    beta) at t^(n alpha + k), read off the integer cloud (mu L, zeta L) as
+    the row of y^beta with weight n mu L B + (zeta L B / beta) k over L B,
+    B the lcm of the cloud's nonzero beta.  For a polynomial h, or a
+    {(a, b): c} map, it is h(phi(t)), each monomial a row with a constant
+    weight.  Each exponent's row is fetched once, terms shifted to prec
+    or past it are skipped, and the rows, over den^e, are summed over the
+    scale times den^top for the top e.
     """
     n = curve.pair.n
+    bound = math.inf if prec is None else prec
     if isinstance(f, OneForm):
-        cloud, s = _integer_cloud(f)
-        terms = ([(curve.y_power(be, prec), be, n * al, n * mu, s)
-                  for (al, be), (mu, _) in cloud.items() if mu]
-                 + [(curve.theta_y_times_power(be - 1, prec), be, n * al,
-                     ze, s * be) for (al, be), (_, ze) in cloud.items() if ze])
+        cloud, L = _integer_cloud(f)
+        B = math.lcm(*(be for _, be in cloud if be))
+        scale = L * B
+        terms = [(be, n * al, n * mu * B, ze * B // (be or 1))
+                 for (al, be), (mu, ze) in cloud.items() if n * al < bound]
     else:
         coeffs = f.coeffs if isinstance(f, BivariatePolynomial) else dict(f)
-        terms = [(curve.y_power(b, prec), b, n * a,
-                  int(c.numerator), int(c.denominator))
-                 for (a, b), c in coeffs.items() if c != 0]
-    L = math.lcm(*(den for *_, den in terms))
-    top = max((e for _, e, *_ in terms), default=0)
+        scale = math.lcm(*(int(c.denominator) for c in coeffs.values()))
+        terms = [(b, n * a, int(c.numerator) * (scale // int(c.denominator)),
+                  0) for (a, b), c in coeffs.items() if c and n * a < bound]
+    rows = {e: curve.y_power(e, prec) for e in {e for e, *_ in terms}}
+    top = max(rows, default=0)
     dpow = [curve.den ** k for k in range(top + 1)]
-    return (_assemble([(row, shift, num * (L // den) * dpow[top - e])
-                       for row, e, shift, num, den in terms], prec),
-            L * dpow[top])
+    return (_assemble([(rows[e], shift, c * dpow[top - e], d * dpow[top - e])
+                       for e, shift, c, d in terms], prec),
+            scale * dpow[top])
 
 
 def _rational(row: TruncatedSeries, scale: int) -> TruncatedSeries:
@@ -334,7 +333,7 @@ def _eliminate(acc: TruncatedSeries, E: int, r: int, row: TruncatedSeries,
                           if k < top}
             acc.trunc = top
             E *= scale
-        _accumulate(acc.coeffs, row.coeffs, shift, -f, top)
+        _accumulate(acc.coeffs, row.coeffs, shift, -f, 0, top)
     if acc.order_lb() <= r:
         raise InternalDisagreement("elimination at t^%d did not raise the"
                                    " order" % r)

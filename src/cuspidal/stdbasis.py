@@ -21,7 +21,8 @@ from .semimodule import (GammaSemimodule, critical_orders, limits,
                          minimal_basis)
 from .rationals import Q
 from .series import (OrderResult, PuiseuxCurve, TruncatedSeries, _eliminate,
-                     _pullback, integrate_against_conductor, nu_C_function)
+                     _pullback, integrate_against_conductor, nu_C_form,
+                     nu_C_function)
 from .blowup import is_totally_dicritical
 
 
@@ -250,7 +251,9 @@ def dicritically_adjust(basis: ExtendedStandardBasis) -> OneForm:
     has a second representation over some omega_k with k < s, so the
     first cancellation fires even past the conductor, and later ones stop
     there.  Whatever finite value survives is integrated into a potential
-    h and removed as d h.  The result is checked to be totally dicritical
+    h and removed as d h.  The result is certified by its own pullback:
+    nu_C_form(curve, omega) must read AtLeast(T), and that order is kept
+    as basis.certificate.  It is also checked to be totally dicritical
     before it is stored.
     """
     if basis.adjusted is not None:
@@ -278,15 +281,10 @@ def dicritically_adjust(basis: ExtendedStandardBasis) -> OneForm:
             a_eta.trunc - 1))
         omega = eta - differential(potential, pair)
         rho = 1
-        # the residual A / E - theta(P / G) vanishes where A G = k P E
-        P, G = _pullback(curve, potential, None)
-        bound = min(a_eta.trunc, P.trunc)
-        order = min((k for k in a_eta.coeffs.keys() | P.coeffs.keys()
-                     if k < bound and a_eta.coeffs.get(k, 0) * G
-                     != k * P.coeffs.get(k, 0) * E), default=bound)
-        if order < curve.trunc:
-            raise InternalDisagreement("potential left a residue of order %s"
-                                       % order)
+    certificate = nu_C_form(curve, omega)
+    if certificate != OrderResult.AtLeast(curve.trunc):
+        raise InternalDisagreement("adjusted form has value %r, not"
+                                   " AtLeast(%d)" % (certificate, curve.trunc))
     if nu_E_form(omega) != basis.t[-1]:
         raise InternalDisagreement("adjusted form has order %d, not t = %d"
                                    % (nu_E_form(omega), basis.t[-1]))
@@ -294,7 +292,7 @@ def dicritically_adjust(basis: ExtendedStandardBasis) -> OneForm:
     if not is_totally_dicritical(omega):
         raise InternalDisagreement("adjusted form is not totally dicritical")
     basis.adjusted = omega
-    basis.certificate = OrderResult.AtLeast(curve.trunc)
+    basis.certificate = certificate
     basis.traces[s + 1] = ConstructionTrace(axis, ell, steps, rho, potential)
     return omega
 

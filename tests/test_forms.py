@@ -1,3 +1,5 @@
+import fractions
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,8 +9,10 @@ from cuspidal.forms import (BivariatePolynomial, OneForm, Region,
                             _integer_cloud, differential, initial_part,
                             initial_part_data, is_basic, is_prebasic,
                             is_resonant, nu_E_form, nu_E_function, rdo)
-from cuspidal.rationals import rat
+from cuspidal.rationals import Q, rat
 from cuspidal.semigroup import PuiseuxPair
+
+from oracles import FractionGcdCounter
 
 P511 = PuiseuxPair(5, 11)
 P49 = PuiseuxPair(4, 9)
@@ -204,3 +208,17 @@ def test_integer_cloud_clears_with_the_least_scalar(w):
     for p in prime_factors(L):
         assert any((c * (L // p)).denominator != 1
                    for mz in w.cloud.values() for c in mz)
+
+
+@pytest.mark.skipif(Q is not fractions.Fraction,
+                    reason="counts the normalisations of fractions.Fraction")
+def test_negation_builds_no_rational(monkeypatch):
+    # -omega flips every sign: no product, so no normalisation
+    w = OneForm(P511, A={(0, 1): rat(-11, 6), (2, 3): rat(5, 4)},
+                B={(1, 0): rat(5, 6), (4, 1): rat(-7, 9)})
+    counter = FractionGcdCounter(monkeypatch)
+    negated = -w
+    assert counter.calls == 0
+    assert negated.A == {(0, 1): rat(11, 6), (2, 3): rat(-5, 4)}
+    assert negated.B == {(1, 0): rat(-5, 6), (4, 1): rat(7, 9)}
+    assert negated == w.scaled(-1)

@@ -16,6 +16,7 @@ from cuspidal.semigroup import CuspSemigroup, PuiseuxPair, contains
 from cuspidal.series import (OrderResult, PuiseuxCurve, TruncatedSeries,
                              integrate_against_conductor, nu_C_form,
                              nu_C_function, pullback_form, pullback_function)
+from cuspidal.stdbasis import compute_standard_basis
 
 from oracles import antiderivative, combine, theta
 
@@ -196,6 +197,51 @@ def test_power_table_answers_any_request_order(requests):
         answers.append((row, den, want))
     # a later request never changes an earlier answer
     assert all(_over(row, den) == want for row, den, want in answers)
+
+
+def test_power_table_keeps_one_row_per_power():
+    c = curve_5_11()
+    basis = compute_standard_basis(c)
+    pullback_form(c, basis.form(basis.s_index))
+    powers = set(c._powers)
+    for b in sorted(powers - {0}):
+        c.theta_y_times_power(b - 1)
+        c.theta_y_times_power(b - 1, 40)
+    # theta is read off the row of the next power and never stored
+    assert set(c._powers) == powers
+    assert all(type(row) is TruncatedSeries for row in c._powers.values())
+
+
+def test_pullbacks_fetch_each_power_once(monkeypatch):
+    c = curve_5_11()
+    omega = compute_standard_basis(c).form(3)
+    h = BivariatePolynomial({(0, 2): rat(1), (3, 2): rat(-2, 3),
+                             (1, 0): rat(5), (5, 0): rat(1), (2, 1): rat(7)})
+    calls, depth = [], [0]
+    y_power = PuiseuxCurve.y_power
+
+    def counted(self, b, prec=None):
+        # a row grown from the row below it calls y_power again; only the
+        # outermost call is a fetch
+        if not depth[0]:
+            calls.append(b)
+        depth[0] += 1
+        try:
+            return y_power(self, b, prec)
+        finally:
+            depth[0] -= 1
+
+    def refused(self, b, prec=None):
+        raise AssertionError("theta row requested")
+
+    monkeypatch.setattr(PuiseuxCurve, "y_power", counted)
+    monkeypatch.setattr(PuiseuxCurve, "theta_y_times_power", refused)
+    pullback_form(c, omega)
+    assert sorted(calls) == sorted({beta for _, beta in omega.cloud})
+    assert len(calls) < len(omega.A) + len(omega.B)
+    calls.clear()
+    pullback_function(c, h)
+    assert sorted(calls) == [0, 1, 2]
 
 
 def test_nu_C_function_examples():

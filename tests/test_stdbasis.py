@@ -73,6 +73,51 @@ def test_quasi_homogeneous_collapses():
     assert basis.certificate == OrderResult.AtLeast(basis.curve.trunc)
 
 
+def corpus_007():
+    """Member 7 of criterion 06's sequence, (t^9, t^11): its adjustment
+    leaves no residual, so it takes no potential."""
+    rng = random.Random(1319)
+    for _ in range(8):
+        curve = random_cusp_curve(rng, max_n=9, max_extra=4, max_weight=110)
+    return curve
+
+
+@pytest.mark.parametrize("curve, potential",
+                         [(curve_5_11, True), (curve_7_17, True),
+                          (corpus_007, False)],
+                         ids=["ex5_11", "ex7_17", "corpus_007"])
+def test_certificate_is_the_adjusted_forms_own_value(curve, potential):
+    c = curve()
+    basis = compute_standard_basis(c)
+    omega = dicritically_adjust(basis)
+    assert (basis.traces[basis.s_index + 1].potential is not None) == \
+        potential
+    assert basis.certificate == nu_C_form(c, omega) == \
+        OrderResult.AtLeast(c.trunc)
+
+
+def test_adjustment_refuses_a_potential_that_leaves_a_residue(monkeypatch):
+    # without its least-weight monomial c x^a y^b, the potential leaves
+    # d(c x^a y^b) in the adjusted form, of value 5 a + 11 b < T
+    real = stdbasis.integrate_against_conductor
+    dropped = []
+
+    def short(curve, xi):
+        h = real(curve, xi)
+        low = min(h.coeffs, key=lambda p: 5 * p[0] + 11 * p[1])
+        dropped.append(5 * low[0] + 11 * low[1])
+        return BivariatePolynomial({p: c for p, c in h.coeffs.items()
+                                    if p != low})
+
+    monkeypatch.setattr(stdbasis, "integrate_against_conductor", short)
+    basis = compute_standard_basis(curve_5_11())
+    with pytest.raises(InternalDisagreement) as caught:
+        dicritically_adjust(basis)
+    assert str(caught.value) == ("adjusted form has value Finite(%d), not"
+                                 " AtLeast(150)" % dropped[0])
+    assert basis.adjusted is None and basis.certificate is None
+
+
 def test_smooth_pair_rejected():
     c = PuiseuxCurve(PuiseuxPair(1, 3), {3: 1})
     with pytest.raises(NotACusp):

@@ -1,6 +1,7 @@
 """The public surface resolves: every exported name and every name the
 benchmark tracer wraps.  TruncatedSeries carries no rational arithmetic,
-and only forms clears a form's denominators."""
+only forms clears a form's denominators, and no module reads a theta
+row."""
 
 import ast
 import importlib
@@ -81,3 +82,18 @@ def test_no_module_clears_a_form_on_its_own(name):
                         and sub.attr == "denominator"
                         for arg in node.args for sub in ast.walk(arg))]
     assert clearing == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_reads_a_theta_row(name):
+    # a pullback reads theta(y^beta) off the row of y^beta.  Like
+    # TruncatedSeries.__mul__, PuiseuxCurve.theta_y_times_power stays only
+    # for the benchmark tracer's binding and the power-table tests, until
+    # a benchmark change retargets the tracer
+    module = importlib.import_module("cuspidal." + name)
+    tree = ast.parse(pathlib.Path(module.__file__).read_text())
+    calls = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", getattr(node.func, "id", None))
+             == "theta_y_times_power"]
+    assert calls == []
