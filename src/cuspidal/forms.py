@@ -33,7 +33,7 @@ __all__ = [
 
 
 def _clean(coeffs) -> dict:
-    return {k: v for k, v in coeffs.items() if v != 0}
+    return {k: v for k, v in coeffs.items() if v}
 
 
 def _accumulate(acc: dict, src: dict, a: int = 0, b: int = 0, c=None):

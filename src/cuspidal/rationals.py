@@ -11,12 +11,15 @@ denominator omitted when it is 1 ("3", "-11", "23/22").
 
 from __future__ import annotations
 
+import re
+
 try:
     from gmpy2 import mpq as Q
 except ImportError:  # pragma: no cover - exercised only without gmpy2
     from fractions import Fraction as Q
 
 ZERO = Q(0)
+_TEXT = re.compile(r"\s*([+-]?[0-9]+)\s*(?:/\s*([0-9]+)\s*)?")
 
 
 def rat(num, den=1):
@@ -25,12 +28,12 @@ def rat(num, den=1):
 
 
 def rat_from_str(text: str):
-    """Parse the canonical "p" or "p/q" form.  Whitespace is tolerated."""
-    text = text.strip()
-    if "/" in text:
-        p, q = text.split("/", 1)
-        return Q(int(p), int(q))
-    return Q(int(text))
+    """Parse "p" or "p/q" in ASCII digits, a sign allowed on p only;
+    whitespace is tolerated, and any other text raises ValueError."""
+    match = _TEXT.fullmatch(text)
+    if match is None:
+        raise ValueError("not a rational: %r" % text)
+    return rat(int(match[1]), int(match[2] or 1))
 
 
 def rat_to_str(x) -> str:

@@ -4,7 +4,8 @@ Builds the chain omega_-1 = dx, omega_0 = dy, omega_1, ..., omega_s whose
 differential values are the minimal generators lambda_i of the semimodule,
 extends it with a dicritically adjusted omega_{s+1} whose value escapes
 every finite order, and rewrites any omega_{i+1} as a combination
-sum f_ell omega_ell (Delorme decomposition).
+sum f_ell omega_ell (Delorme decomposition).  Each form is built once
+from its level coefficients f_ell, which its trace keeps for Delorme.
 
 Index conventions, used throughout: a "math" index i runs over
 -1, 0, 1, ..., s (+1 for the adjusted form) and lives at python position
@@ -40,10 +41,11 @@ class TraceStep:
 class ConstructionTrace:
     """How the basis form omega_i was assembled from the earlier ones.
 
-    omega_i = rho * (seed - sum of the steps) - d(potential), where the
-    seed is x^exponent omega_{i-1} (axis "x") or y^exponent omega_{i-1}
-    (axis "y"); `potential` is None except for the adjusted form, and
-    rho == 1 whenever it is present.
+    omega_i = rho * (seed - sum of the steps) - d(potential), the seed
+    x^exponent omega_{i-1} (axis "x") or y^exponent omega_{i-1} (axis "y");
+    `potential` is None except for the adjusted form, where rho == 1.
+    `levels` = (f_-1, ..., f_{i-1}) with omega_i = sum f_ell omega_ell is
+    the one record of that combination, the one Delorme substitutes.
     """
 
     axis: str
@@ -51,6 +53,7 @@ class ConstructionTrace:
     steps: tuple
     rho: int
     potential: object
+    levels: tuple
 
 
 @dataclass(frozen=True)
@@ -74,8 +77,8 @@ class ExtendedStandardBasis:
     `forms` holds omega_-1 .. omega_s; `adjusted` and `certificate` stay
     None until dicritically_adjust fills them, which form(s+1) runs the
     first time it is asked for.  `traces` keeps, for every constructed
-    form, the exact combination that produced it; Delorme decompositions
-    are read off these traces instead of being re-derived.  It keeps no
+    form, its level coefficients, the one record of how it was built;
+    Delorme substitutes them instead of re-deriving them.  It keeps no
     pullbacks: series._pullback reads them off the curve's power table.
     """
 
@@ -158,24 +161,51 @@ def _cancel(curve, sm, forms, eta, first_stop, stop, prec=None):
     x^c y^d omega_j.  a_eta is integer numerators over E, and each step
     is series._eliminate against the cancelling term's integer pullback,
     known at full precision below T - m + t_j + m d + n c, which sets how
-    far a_eta, and so the potential, reaches; only mu is a rational.
-    Returns eta, a_eta, E, the steps taken and the value it stopped at;
-    the caller decides what that value means.
+    far a_eta, and so the potential, reaches; only mu is a rational and
+    no form is built.  Returns a_eta, E, the steps taken and the value it
+    stopped at; the caller decides what that value means.
     """
     a_eta, E = _pullback(curve, eta, prec)
     steps = []
     while True:
         nu = a_eta.order_lb()
         if nu >= (stop if steps else first_stop) or not sm.contains(nu):
-            return eta, a_eta, E, tuple(steps), nu
+            return a_eta, E, tuple(steps), nu
         j, c, d = _cancellation_site(curve.gamma, sm.basis, nu)
-        term = forms[j + 1].times_monomial(c, d)
-        canc, F = _pullback(curve, term, prec)
+        canc, F = _pullback(curve, forms[j + 1].times_monomial(c, d), prec)
         # a_eta loses (f / E) canc, which is mu times the pullback canc / F
         E, f = _eliminate(a_eta, E, nu, canc)
-        mu = Q(f * F, E)
-        eta = eta - term.scaled(mu)
-        steps.append(TraceStep(j, c, d, mu))
+        steps.append(TraceStep(j, c, d, Q(f * F, E)))
+
+
+def _combination(forms, levels) -> OneForm:
+    """sum f_ell omega_ell, levels[k] against forms[k]."""
+    total = OneForm.zero(forms[0].pair)
+    for omega, f in zip(forms, levels):
+        total = total + omega.times_polynomial(f)
+    return total
+
+
+def _built(curve, forms, axis, ell, seed, steps, potential):
+    """The next basis form and its trace, built once from its levels: the
+    steps take mu x^c y^d off f_j, eta = seed + sum f_ell omega_ell, and
+    f_top gains the seed's x^ell or y^ell.  omega = rho eta, rho the
+    clearing scalar, or eta - dh with rho = 1 and dh taken off f_-1, f_0."""
+    f = [BivariatePolynomial.zero()] * len(forms)
+    for st in steps:
+        f[st.j + 1] -= BivariatePolynomial.monomial(st.c, st.d, st.mu)
+    eta = seed + _combination(forms, f)
+    f[-1] += BivariatePolynomial.monomial(*((ell, 0) if axis == "x"
+                                            else (0, ell)))
+    if potential is None:
+        rho = _integer_cloud(eta)[1]
+        omega, f = eta.scaled(rho), [g * rho for g in f]
+    else:
+        rho, dh = 1, differential(potential, curve.pair)
+        omega = eta - dh
+        f[0] -= BivariatePolynomial(dh.A)
+        f[1] -= BivariatePolynomial(dh.B)
+    return omega, ConstructionTrace(axis, ell, steps, rho, potential, tuple(f))
 
 
 def compute_standard_basis(curve: PuiseuxCurve) -> ExtendedStandardBasis:
@@ -185,10 +215,10 @@ def compute_standard_basis(curve: PuiseuxCurve) -> ExtendedStandardBasis:
     it to _cancel with stop order c_Gamma for every step: the engine
     cancels the leading value against the cheapest x^c y^d omega_j while
     it stays in the current semimodule.  A value outside it is a new
-    generator, a value reaching the semigroup conductor ends the
-    construction.  Cancellation bookkeeping runs at order conductor + 2,
-    which decides every branch exactly; the curve's own truncation only
-    matters for the later dicritical adjustment.
+    generator, its form assembled by _built and certified by its own
+    pullback; a value reaching the semigroup conductor ends the
+    construction.  Both run at order conductor + 2, which decides every
+    branch exactly; the truncation T only matters for the adjustment.
     """
     pair = curve.pair
     n, m = pair.n, pair.m
@@ -204,19 +234,22 @@ def compute_standard_basis(curve: PuiseuxCurve) -> ExtendedStandardBasis:
     while True:
         sm = GammaSemimodule(gamma, tuple(lam))
         axis, ell, u_next, eta = _seed(sm, forms)
-        eta, _, _, steps, new_value = _cancel(curve, sm, forms, eta,
-                                              c_gamma, c_gamma, work)
+        _, _, steps, new_value = _cancel(curve, sm, forms, eta,
+                                         c_gamma, c_gamma, work)
         if new_value >= c_gamma:
             break
         if new_value <= u_next:
             raise InternalDisagreement("generator %d at or under the axis %d"
                                        % (new_value, u_next))
-        rho = _integer_cloud(eta)[1]
-        omega = eta.scaled(rho)
+        omega, traces[len(lam) - 1] = _built(curve, forms, axis, ell, eta,
+                                             steps, None)
+        value = nu_C_form(curve, omega, work)
+        if value != OrderResult.Finite(new_value):
+            raise InternalDisagreement("form for %d has value %r"
+                                       % (new_value, value))
         t_chain.append(t_chain[-1] + u_next - lam[-1])
         lam.append(new_value)
         forms.append(omega)
-        traces[len(lam) - 2] = ConstructionTrace(axis, ell, steps, rho, None)
         if nu_E_form(omega) != t_chain[-1]:
             raise InternalDisagreement("form for %d has order %d, chain says"
                                        " %d" % (new_value, nu_E_form(omega),
@@ -251,36 +284,32 @@ def dicritically_adjust(basis: ExtendedStandardBasis) -> OneForm:
     has a second representation over some omega_k with k < s, so the
     first cancellation fires even past the conductor, and later ones stop
     there.  Whatever finite value survives is integrated into a potential
-    h and removed as d h.  The result is certified by its own pullback:
-    nu_C_form(curve, omega) must read AtLeast(T), and that order is kept
-    as basis.certificate.  It is also checked to be totally dicritical
-    before it is stored.
+    h, and _built assembles omega = eta - dh once from its levels.  It is
+    certified by its own pullback: nu_C_form(curve, omega) must read
+    AtLeast(T), and that order is kept as basis.certificate.  It is also
+    checked to be totally dicritical before it is stored.
     """
     if basis.adjusted is not None:
         return basis.adjusted
     curve, sm = basis.curve, basis.semimodule
-    pair = curve.pair
     s = sm.s_index
     axis, ell, u_next, eta = _seed(sm, basis.forms)
     if u_next != basis.u[-1]:
         raise InternalDisagreement("seed value %d off the last axis %d"
                                    % (u_next, basis.u[-1]))
-    stop = pair.conductor + 1
-    eta, a_eta, E, steps, nu = _cancel(curve, sm, basis.forms, eta,
-                                       curve.trunc, stop)
+    stop = curve.pair.conductor + 1
+    a_eta, E, steps, nu = _cancel(curve, sm, basis.forms, eta,
+                                  curve.trunc, stop)
     if nu < (stop if steps else curve.trunc):
         raise InternalDisagreement("value %d under the conductor escaped"
                                    " the construction" % nu)
-    if a_eta.truncate(curve.trunc).is_zero():
-        rho = _integer_cloud(eta)[1]
-        omega = eta.scaled(rho)
-        potential = None
-    else:
+    potential = None
+    if not a_eta.truncate(curve.trunc).is_zero():
         potential = integrate_against_conductor(curve, TruncatedSeries(
             {k - 1: Q(v, E) for k, v in a_eta.coeffs.items()},
             a_eta.trunc - 1))
-        omega = eta - differential(potential, pair)
-        rho = 1
+    omega, trace = _built(curve, basis.forms, axis, ell, eta, steps,
+                          potential)
     certificate = nu_C_form(curve, omega)
     if certificate != OrderResult.AtLeast(curve.trunc):
         raise InternalDisagreement("adjusted form has value %r, not"
@@ -293,28 +322,8 @@ def dicritically_adjust(basis: ExtendedStandardBasis) -> OneForm:
         raise InternalDisagreement("adjusted form is not totally dicritical")
     basis.adjusted = omega
     basis.certificate = certificate
-    basis.traces[s + 1] = ConstructionTrace(axis, ell, steps, rho, potential)
+    basis.traces[s + 1] = trace
     return omega
-
-
-def _level_coefficients(basis: ExtendedStandardBasis, target: int) -> dict:
-    """f_ell with omega_target = sum_{ell < target} f_ell omega_ell,
-    transcribed from the construction trace."""
-    tr = basis.traces[target]
-    top = target - 1
-    f = {ell: BivariatePolynomial.zero() for ell in range(-1, top + 1)}
-    if tr.axis == "x":
-        f[top] = f[top] + BivariatePolynomial.monomial(tr.exponent, 0, tr.rho)
-    else:
-        f[top] = f[top] + BivariatePolynomial.monomial(0, tr.exponent, tr.rho)
-    for st in tr.steps:
-        f[st.j] = f[st.j] - BivariatePolynomial.monomial(st.c, st.d,
-                                                         tr.rho * st.mu)
-    if tr.potential is not None:
-        dh = differential(tr.potential, basis.curve.pair)
-        f[-1] = f[-1] - BivariatePolynomial(dh.A)
-        f[0] = f[0] - BivariatePolynomial(dh.B)
-    return f
 
 
 def delorme_decompose(basis: ExtendedStandardBasis, i: int,
@@ -322,7 +331,7 @@ def delorme_decompose(basis: ExtendedStandardBasis, i: int,
     """Rewrite omega_{i+1} over omega_-1, ..., omega_j and certify the
     value pattern of the summands.
 
-    Starts from the trace of omega_{i+1} and substitutes the traces of
+    Starts from the kept levels of omega_{i+1} and substitutes those of
     omega_i, ..., omega_{j+1} in descending order; the result is an exact
     polynomial identity, re-checked here together with the level values.
     """
@@ -332,28 +341,23 @@ def delorme_decompose(basis: ExtendedStandardBasis, i: int,
                               % (s, i, j))
     # first, so that omega_{s+1} and its trace exist when i = s
     target = basis.form(i + 1)
-    f = _level_coefficients(basis, i + 1)
-    for jj in range(i - 1, j - 1, -1):
-        g = _level_coefficients(basis, jj + 1)
-        h_top = f.pop(jj + 1)
-        for ell in range(-1, jj + 1):
-            f[ell] = f[ell] + h_top * g[ell]
+    f = list(basis.traces[i + 1].levels)
+    for level in range(i, j, -1):
+        h_top = f.pop()
+        f = [g + h_top * h for g, h in zip(f, basis.traces[level].levels)]
     k = basis.traces[j + 1].steps[0].j
     vij = basis.t[i + 2] - basis.t[j + 1] + basis.lambdas[j + 1]
-    recomposed = OneForm.zero(basis.curve.pair)
-    for ell in range(-1, j + 1):
-        recomposed = recomposed + basis.form(ell).times_polynomial(f[ell])
-    if target != recomposed:
+    if target != _combination(basis.forms, f):
         raise InternalDisagreement("decomposition (%d, %d) does not recompose"
                                    % (i, j))
     at_minimum = []
-    for ell in range(-1, j + 1):
-        if f[ell].is_zero():
+    for ell, g in enumerate(f, -1):
+        if g.is_zero():
             continue
-        # nu_C(f omega_ell) = nu_C(f) + lambda_ell, so the value needs f
+        # nu_C(g omega_ell) = nu_C(g) + lambda_ell, so the value needs g
         # only up to vij - lambda_ell; AtLeast means above vij
         lam = basis.lambdas[ell + 1]
-        order = nu_C_function(basis.curve, f[ell], vij - lam + 1)
+        order = nu_C_function(basis.curve, g, vij - lam + 1)
         if not order.finite:
             continue
         value = order.value + lam
@@ -365,8 +369,7 @@ def delorme_decompose(basis: ExtendedStandardBasis, i: int,
     if sorted(at_minimum) != sorted((j, k)):
         raise InternalDisagreement("levels touching %d are %r, expected"
                                    " {%d, %d}" % (vij, at_minimum, j, k))
-    return DelormeDecomposition(i, j, tuple(f[ell] for ell in range(-1, j + 1)),
-                                k, vij)
+    return DelormeDecomposition(i, j, tuple(f), k, vij)
 
 
 def semimodule_oracle(curve: PuiseuxCurve) -> GammaSemimodule:

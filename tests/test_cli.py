@@ -228,6 +228,23 @@ def test_exit_one_malformed_argument(capsys, argv, rule):
     assert rule in err
 
 
+@pytest.mark.parametrize("argv, rule", [
+    (["semiroots", "--curve", {"n": 5, "m": 11, "y": [[11, "1"]]},
+      "--a", "1_0"], "unreadable parameter '1_0'"),
+    (["semimodule", "--curve", {"n": 5, "m": 11, "y": [[11, "\uff11"]]}],
+     "unreadable coefficient in y entry"),
+    (["dicritical-check", "--form",
+      {"pair": [4, 9], "dx": [[0, 0, "3/-4"]]}],
+     "unreadable coefficient in dx entry"),
+], ids=["underscore-parameter", "fullwidth-coefficient", "signed-denominator"])
+def test_exit_one_rational_text_outside_the_grammar(capsys, argv, rule):
+    # int() would read these as 10, 1 and -3/4; bad text is never coerced
+    argv = [a if isinstance(a, str) else json.dumps(a) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert rule in err
+
+
 @pytest.mark.parametrize("name", ["ex5_11", "ex7_17"])
 def test_semimodule_of_curve_matches_its_generators(capsys, corpus_dir, name):
     code, from_curve, _ = run(capsys, "semimodule",

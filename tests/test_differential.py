@@ -8,7 +8,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspidal.forms import BivariatePolynomial, OneForm
+from cuspidal.forms import BivariatePolynomial, OneForm, _integer_cloud
 from cuspidal.rationals import Q, rat
 from cuspidal.semigroup import PuiseuxPair
 from cuspidal.semimodule import GammaSemimodule
@@ -16,8 +16,8 @@ from cuspidal.series import (PuiseuxCurve, TruncatedSeries,
                              integrate_against_conductor, pullback_form,
                              pullback_function)
 from cuspidal.semiroot import solve_invariant_branch, verify_main_theorem
-from cuspidal.stdbasis import (_cancel, _seed, compute_standard_basis,
-                               semimodule_oracle)
+from cuspidal.stdbasis import (_built, _cancel, _seed,
+                               compute_standard_basis, semimodule_oracle)
 
 from oracles import (branch_by_rationals, cancel_by_rationals,
                      integrate_by_rationals, oracle_by_rationals,
@@ -123,8 +123,10 @@ def test_integer_pullbacks_and_potential_match_the_rational_ones(curve,
 def test_fraction_free_cancellation_and_oracle_match_the_rational_ones(curve):
     """Every stage of the construction (at c_Gamma + 2) and the adjustment
     (at full precision) take the same steps as the engine on reduced
-    rationals, and stop at the same value with the same a_eta; the
-    rational tails put the pullbacks over D > 1, so the steps rescale."""
+    rationals, and stop at the same value with the same a_eta; the form
+    assembled from the steps is the reference eta times its clearing
+    scalar.  The rational tails put the pullbacks over D > 1, so the
+    steps rescale."""
     basis = compute_standard_basis(curve)
     c = curve.pair.conductor
     runs = [(GammaSemimodule(curve.gamma, basis.lambdas[:k]),
@@ -132,12 +134,13 @@ def test_fraction_free_cancellation_and_oracle_match_the_rational_ones(curve):
             for k in range(2, len(basis.lambdas) + 1)]
     runs.append((basis.semimodule, basis.forms, curve.trunc, c + 1, None))
     for sm, forms, first_stop, stop, prec in runs:
-        eta = _seed(sm, forms)[3]
-        got_eta, A, E, got_steps, got_nu = _cancel(
+        axis, ell, _, eta = _seed(sm, forms)
+        A, E, got_steps, got_nu = _cancel(
             curve, sm, forms, eta, first_stop, stop, prec)
         want_eta, a_eta, want_steps, want_nu = cancel_by_rationals(
             curve, sm, forms, eta, first_stop, stop, prec)
-        assert got_eta == want_eta
+        assert _built(curve, forms, axis, ell, eta, got_steps, None)[0] == \
+            want_eta.scaled(_integer_cloud(want_eta)[1])
         assert got_steps == want_steps
         assert got_nu == want_nu
         assert {k: Q(v, E) for k, v in A.coeffs.items()} == a_eta.coeffs

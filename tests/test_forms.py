@@ -171,6 +171,17 @@ def test_kernel_products_store_no_zeros(w, v):
         assert 0 not in table.values()
 
 
+def test_constructors_drop_zero_coefficients():
+    # the filter reads a coefficient's truth, the same for int, Q(0) and
+    # Q(0, 7), which is Q(0)
+    for zero in (0, Q(0), Q(0, 7)):
+        assert OneForm(P511, {(0, 1): zero}, {(1, 0): zero}).is_zero()
+        assert BivariatePolynomial({(2, 3): zero}).is_zero()
+    assert BivariatePolynomial.monomial(1, 1, 0).is_zero()
+    assert OneForm(P511, {(0, 1): Q(0), (1, 1): rat(2)}).A == \
+        {(1, 1): rat(2)}
+
+
 @settings(max_examples=80)
 @given(small_forms())
 def test_differential_preserves_order(w):

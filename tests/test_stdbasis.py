@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -11,7 +12,7 @@ from cuspidal.forms import (BivariatePolynomial, OneForm, initial_part_data,
                             is_basic, is_resonant, nu_E_form)
 from cuspidal.rationals import rat
 from cuspidal.semigroup import PuiseuxPair, contains
-from cuspidal.semimodule import minimal_basis
+from cuspidal.semimodule import GammaSemimodule, minimal_basis
 from cuspidal.series import (OrderResult, PuiseuxCurve, TruncatedSeries,
                              nu_C_form, nu_C_function)
 from cuspidal.stdbasis import (compute_standard_basis, delorme_decompose,
@@ -94,6 +95,59 @@ def test_certificate_is_the_adjusted_forms_own_value(curve, potential):
         potential
     assert basis.certificate == nu_C_form(c, omega) == \
         OrderResult.AtLeast(c.trunc)
+    # each trace's levels are the one record of how its form was built
+    for k in range(1, basis.s_index + 2):
+        levels = basis.traces[k].levels
+        assert len(levels) == k + 1
+        recomposed = OneForm.zero(c.pair)
+        for ell, f in enumerate(levels, -1):
+            recomposed = recomposed + basis.form(ell).times_polynomial(f)
+        assert recomposed == basis.form(k)
+
+
+@pytest.mark.parametrize("curve", [curve_5_11, curve_7_17],
+                         ids=["ex5_11", "ex7_17"])
+def test_cancellation_engine_builds_no_form(monkeypatch, curve):
+    # _cancel hands back only its steps; _built assembles the form once
+    c = curve()
+    basis = compute_standard_basis(c)
+    s = basis.s_index
+    basis.form(s + 1)
+
+    def refuse(*args):
+        raise AssertionError("the cancellation engine built a form")
+
+    monkeypatch.setattr(OneForm, "scaled", refuse)
+    monkeypatch.setattr(OneForm, "__sub__", refuse)
+    conductor = c.pair.conductor
+    runs = [(GammaSemimodule(c.gamma, basis.lambdas[:k + 1]),
+             basis.forms[:k + 1], conductor, conductor, conductor + 2, k)
+            for k in range(1, s + 1)]
+    runs.append((basis.semimodule, basis.forms, c.trunc, conductor + 1,
+                 None, s + 1))
+    for sm, forms, first_stop, stop, prec, k in runs:
+        eta = stdbasis._seed(sm, forms)[3]
+        *_, steps, _ = stdbasis._cancel(c, sm, forms, eta, first_stop, stop,
+                                        prec)
+        assert steps == basis.traces[k].steps
+
+
+def test_stage_certificate_refuses_a_wrong_form(monkeypatch):
+    # with the last mu doubled, omega_1 keeps the value 16 that the step
+    # was meant to cancel; its own pullback says so
+    real = stdbasis._cancel
+
+    def doubled(*args):
+        a_eta, E, steps, nu = real(*args)
+        if steps:
+            steps = steps[:-1] + (dataclasses.replace(
+                steps[-1], mu=2 * steps[-1].mu),)
+        return a_eta, E, steps, nu
+
+    monkeypatch.setattr(stdbasis, "_cancel", doubled)
+    with pytest.raises(InternalDisagreement) as caught:
+        compute_standard_basis(curve_5_11())
+    assert str(caught.value) == "form for 17 has value Finite(16)"
 
 
 def test_adjustment_refuses_a_potential_that_leaves_a_residue(monkeypatch):
@@ -269,19 +323,38 @@ def test_delorme_vii_is_the_axis():
         assert delorme_decompose(basis, i, i).vij == basis.u[i + 1]
 
 
-def test_delorme_refuses_a_decomposition_that_does_not_recompose(
-        monkeypatch):
+def test_delorme_refuses_a_decomposition_that_does_not_recompose():
     basis = compute_standard_basis(curve_5_11())
-    real = stdbasis._level_coefficients
-
-    def perturbed(basis, target):
-        f = real(basis, target)
-        f[-1] = f[-1] + BivariatePolynomial.monomial(1, 1, rat(1, 3))
-        return f
-    monkeypatch.setattr(stdbasis, "_level_coefficients", perturbed)
+    for target in (2, 3):
+        trace = basis.traces[target]
+        f = list(trace.levels)
+        f[0] = f[0] + BivariatePolynomial.monomial(1, 1, rat(1, 3))
+        basis.traces[target] = dataclasses.replace(trace, levels=tuple(f))
     for i, j in ((1, 1), (2, 0)):
         with pytest.raises(InternalDisagreement, match="does not recompose"):
             delorme_decompose(basis, i, j)
+
+
+@pytest.mark.parametrize("curve", [curve_5_11, curve_7_17],
+                         ids=["ex5_11", "ex7_17"])
+def test_delorme_substitutes_the_kept_levels(monkeypatch, curve):
+    # on a warm basis the potential's differential is already in the
+    # levels of omega_{s+1}; no pair takes it again
+    basis = compute_standard_basis(curve())
+    s = basis.s_index
+    basis.form(s + 1)
+    calls = []
+    real = stdbasis.differential
+
+    def counted(h, pair):
+        calls.append(h)
+        return real(h, pair)
+
+    monkeypatch.setattr(stdbasis, "differential", counted)
+    for i in range(s + 1):
+        for j in range(i + 1):
+            delorme_decompose(basis, i, j)
+    assert calls == []
 
 
 def test_delorme_index_errors():

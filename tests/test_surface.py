@@ -1,7 +1,8 @@
 """The public surface resolves: every exported name and every name the
 benchmark tracer wraps.  TruncatedSeries carries no rational arithmetic,
-only forms clears a form's denominators, and no module reads a theta
-row."""
+only forms clears a form's denominators, no module reads a theta row,
+and the cancellation engine stdbasis._cancel holds no rational form: no
+subtraction and no call to scaled or times_polynomial."""
 
 import ast
 import importlib
@@ -97,3 +98,18 @@ def test_no_module_reads_a_theta_row(name):
              and getattr(node.func, "attr", getattr(node.func, "id", None))
              == "theta_y_times_power"]
     assert calls == []
+
+
+def test_cancellation_engine_holds_no_rational_form():
+    # _cancel returns its steps; stdbasis._built assembles the form from
+    # them once, so the engine neither subtracts nor scales a form
+    from cuspidal import stdbasis
+    tree = ast.parse(pathlib.Path(stdbasis.__file__).read_text())
+    engine, = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "_cancel"]
+    found = [node.lineno for node in ast.walk(engine)
+             if isinstance(getattr(node, "op", None), ast.Sub)
+             or (isinstance(node, ast.Call)
+                 and getattr(node.func, "attr", getattr(node.func, "id", None))
+                 in ("scaled", "times_polynomial"))]
+    assert found == []
