@@ -147,10 +147,11 @@ def cmd_dicritical_check(ns):
 
 
 def cmd_semiroots(ns):
-    basis = compute_standard_basis(_curve_from(ns, ns.curve))
+    curve = _curve_from(ns, ns.curve)
+    parameters = _parameter_list(ns.a)
+    basis = compute_standard_basis(curve)
     indices = [ns.i] if ns.i is not None else \
         list(range(1, basis.s_index + 2))
-    parameters = _parameter_list(ns.a)
     out = []
     for i in indices:
         for a in parameters:
@@ -158,16 +159,11 @@ def cmd_semiroots(ns):
     return {"semiroots": out}
 
 
-def _verify_one(ns, source: str):
-    curve = _curve_from(ns, source)
+def _verify_one(ns, curve, parameters: list):
     basis = compute_standard_basis(curve)
-    if ns.all_semiroots:
-        jobs = [(i, a) for i in range(1, basis.s_index + 2)
-                for a in _parameter_list(DEFAULT_PARAMETERS)]
-    else:
-        jobs = [(ns.i, a) for a in _parameter_list(ns.a)]
+    indices = range(1, basis.s_index + 2) if ns.all_semiroots else [ns.i]
     reports = [verify_report_to_json(verify_main_theorem(basis, i, a))
-               for i, a in jobs]
+               for i in indices for a in parameters]
     return {"curve": curve_to_json(curve),
             "pass": all(r["pass"] for r in reports),
             "reports": reports}
@@ -178,7 +174,13 @@ def cmd_verify(ns):
         raise InputError("--all-semiroots takes no --i or --a")
     if not ns.all_semiroots and (ns.i is None or ns.a is None):
         raise InputError("verify wants --all-semiroots or both --i and --a")
-    results = [_verify_one(ns, source) for source in ns.curve]
+    results, parameters = [], None
+    for source in ns.curve:
+        curve = _curve_from(ns, source)
+        if parameters is None:  # a bad first curve is reported first
+            parameters = _parameter_list(
+                DEFAULT_PARAMETERS if ns.all_semiroots else ns.a)
+        results.append(_verify_one(ns, curve, parameters))
     return results[0] if len(results) == 1 else results
 
 

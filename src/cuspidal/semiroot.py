@@ -4,13 +4,18 @@ A totally dicritical form has a one-parameter family of invariant cusp
 branches (t^n, a t^m + ...).  Solving for the branch coefficient by
 coefficient is an online triangular process: at each order past nu_E the
 next y-coefficient appears through a single nonzero pivot.  The solver
-is fraction-free (Bareiss, Math. Comp. 22, 1968): it holds y as integer
-numerators over one common denominator, y_u = Y[u] / D, and reduces one
-rational per order, the new coefficient, instead of every sum and
-product of the elimination.  The semiroot attached to omega_i carries,
-by the structure theorem, exactly the truncated semimodule generated by
-lambda_-1 .. lambda_{i-1}; this module solves the branches, packages
-them, and rechecks that statement from scratch on demand.
+is fraction-free (Bareiss, Math. Comp. 22, 1968) on graded denominators:
+it holds y_{m+j} as an integer over D d[j], with D = den(a) and
+d[i] d[j] | d[i+j], so that the offset-k coefficient of y^b is an
+integer over D^b d[k], as in the divided-power product of Hurwitz series
+(Keigher, Comm. Algebra 25, 1997).  d grows only at the orders where a
+new coefficient's denominator demands it, and d[r] takes its lcm over
+those growth events alone.  One rational is reduced per order, the new
+coefficient, instead of every sum and product of the elimination.  The
+semiroot attached to omega_i carries, by the structure theorem, exactly
+the truncated semimodule generated by lambda_-1 .. lambda_{i-1}; this
+module solves the branches, packages them, and rechecks that statement
+from scratch on demand.
 """
 
 from __future__ import annotations
@@ -64,15 +69,28 @@ def solve_invariant_branch(omega: OneForm, a, trunc: int = None) -> PuiseuxCurve
 
     The elimination is fraction-free in the manner of Bareiss (Math.
     Comp. 22, 1968; Geddes, Czapor and Labahn, Algorithms for Computer
-    Algebra, 1992).  The form is read on its integer cloud
-    (forms._integer_cloud), a positive multiple with the same branches.
-    y_u is held as Y[u] / D over one common denominator D, the
-    coefficients of y^b as integers over D^b, and the known part of each
-    order as one integer over Bl D^top (Bl the lcm of the cloud's nonzero
-    beta, top the largest).
+    Algebra, 1992), on graded denominators.  The form is read on its
+    integer cloud (forms._integer_cloud), a positive multiple with the
+    same branches.  With D = den(a), y_{m+j} is held as Z[j] / (D d[j]),
+    d[0] = 1, and d[i] d[j] | d[i+j]: any product of coefficients whose
+    offsets sum to k then has a denominator dividing D^b d[k], so the
+    offset-k coefficient of y^b is an integer over D^b d[k].  This is the
+    divided-power product of Hurwitz series (W. F. Keigher, Comm.
+    Algebra 25, 1997), with d[k] in place of k!.  A row update multiplies
+    Z[j] by d[r] / (d[j] d[r - j]), once per order, and the known part
+    of order q + r is one integer over Bl D^top d[r] (Bl the lcm of the
+    cloud's nonzero beta, top the largest).
+    d[r] is the lcm of d[r - 1] and of d[i] d[r - i] over the events
+    i < r only, the orders where d grew past that lcm.  That still gives
+    d[j] d[r - j] | d[r] for every j: a product over a split of r either
+    contains an event part i, and then divides d[i] d[r - i], or comes
+    from d[r - 1]; per prime, a product of lcms is the lcm of the
+    products.  Of those d[i] d[r - i], only the ones where d grew at
+    r - i can exceed d[r - 1].
     One rational per order: y_{m+r} is the only reduced fraction built
-    at order r, and when its denominator does not divide D, D grows by
-    the missing factor g and every numerator over D^b by g^b.
+    at order r, and when its denominator does not divide D d[r], d[r]
+    grows by the missing factor g and only the offset-r entries, one per
+    row, by g.
 
     The branch is known below trunc, default_truncation(omega.pair) by
     default.  Raises NotDicritical when the form fails the dual
@@ -99,71 +117,88 @@ def solve_invariant_branch(omega: OneForm, a, trunc: int = None) -> PuiseuxCurve
     beta = verdict.vertex[1]
     pivot = Bl * cloud[verdict.vertex][1]
 
-    # y_u = Y[u] / D; P[b]: numerators over D^b of the coefficients of
-    # y(t)^b by exponent, so a^b = P[b][m b] / D^b; at order r, entry
-    # m b + r holds the nonzero partial sum without y_{m+r} until y_{m+r}
-    # is known
+    # P[b][k]: numerator over D^b d[k] of the t^(m b + k) coefficient of
+    # y(t)^b, so a^b = P[b][0] / D^b; at order r, offset r holds the
+    # nonzero partial sum without y_{m+r} until y_{m+r} is known
     D = int(a.denominator)
-    Y = {m: int(a.numerator)}
-    P = [{m * b: Y[m] ** b} for b in range(top + 1)]
-    # per beta: its P row and, per cloud point, n alpha, n mu Bl and
-    # zeta Bl / beta (0 at beta = 0), all integers
-    rows = {}
-    for (al, be), (mu, ze) in points:
-        rows.setdefault(be, (P[be], []))[1].append(
-            (n * al, n * mu * Bl, ze * Bl // be if be else 0))
-    rows = sorted(rows.items())
-    dpow = [D ** k for k in range(top + 1)]
+    P = [{0: int(a.numerator) ** b} for b in range(top + 1)]
+    Z = P[1]  # y^1 = y: Z[j] / (D d[j]) is y_{m+j}
+    d = [1]
+    events = []  # the orders r at which d[r] grew past its lcm
+    # the cloud points by weight gap w - q, ascending, each with its P
+    # row, m beta and the integers n mu Bl D^(top - beta) and
+    # zeta Bl D^(top - beta) / beta (0 at beta = 0): at order r a point
+    # reads offset r - gap of its row, over D^beta d[r - gap]
+    by_gap = sorted(
+        ((n * al + m * be - q, P[be], m * be, n * mu * Bl * D ** (top - be),
+          ze * Bl // be * D ** (top - be) if be else 0)
+         for (al, be), (mu, ze) in points), key=lambda point: point[0])
+    scale = pivot * Z[0] ** (beta - 1) * D ** (top - beta + 1)
     for r in range(1, trunc - q):
-        for b in range(1, top + 1):
+        # only rows b >= 2 multiply coefficients, so with top = 1 d only
+        # has to keep d[k] | d[r]; d[i] d[r - i] already divides d[r - 1]
+        # unless d grew at r - i
+        dr = d[r - 1]
+        if top > 1:
+            dr = math.lcm(dr, *[d[i] * d[r - i] for i in events
+                                if d[r - i] != d[r - i - 1]])
+        d.append(dr)
+        # y_{m+j} times offset r - j of y^(b-1) lands over D^b d[r]: each
+        # weight Z[j] d[r] / (d[j] d[r - j]) is built once per order, by
+        # the first row that meets it, and kept for the rows after it
+        w = {}
+        for b in range(2, top + 1):
             acc = 0
             prev = P[b - 1]
-            base = m * b + r
-            for u, yu in Y.items():
-                v = prev.get(base - u)
+            for j, zj in Z.items():
+                v = prev.get(r - j)
                 if v is not None:
-                    acc += yu * v
+                    c = w.get(j)
+                    if c is None:
+                        c = dr // (d[j] * d[r - j])
+                        c = zj if c == 1 else zj * c
+                        if b < top:
+                            w[j] = c
+                    acc += c * v
             if acc:
-                P[b][base] = acc
-        K = q + r
-        # known: the t^K coefficient without y_{m+r}, over Bl D^top
+                P[b][r] = acc
+        # known: the t^(q+r) coefficient without y_{m+r}, over
+        # Bl D^top d[r]; on a cusp's cloud (beta < n) each gap holds one
+        # point, so d[r] / d[k] is taken once per gap
         known = 0
-        for be, (row, pts) in rows:
-            part = 0
-            for nal, nmu, zb in pts:
-                idx = K - nal
-                c = row.get(idx)
-                if c:
-                    part += c * (nmu + zb * idx)
-            if part:
-                known += part * dpow[top - be]
+        for gap, row, mb, nmu, zb in by_gap:
+            k = r - gap
+            if k < 0:
+                break
+            c = row.get(k)
+            if c:
+                c *= nmu + zb * (mb + k)
+                f = dr // d[k]
+                known += c if f == 1 else c * f
         if not known:  # y_{m+r} = 0, and the partial sums are complete
             continue
-        # y_{m+r} = -known / (Bl D^top r zeta a^(beta - 1))
-        y_new = Q(-known, r * pivot * P[beta - 1][m * (beta - 1)]
-                  * dpow[top - beta + 1])
+        # y_{m+r} = -known / (Bl D^top d[r] r zeta a^(beta - 1))
+        y_new = Q(-known, r * scale * dr)
         num, den = int(y_new.numerator), int(y_new.denominator)
-        if D % den:
-            g = den // math.gcd(D, den)
-            D *= g
-            for u in Y:
-                Y[u] *= g
-            for b in range(1, top + 1):
-                gb = g ** b
-                row = P[b]
-                for k in row:
-                    row[k] *= gb
-            dpow = [D ** k for k in range(top + 1)]
-        Y[m + r] = num * (D // den)
+        Dd = D * dr
+        if Dd % den:
+            g = den // math.gcd(Dd, den)
+            Dd *= g
+            d[r] = dr * g
+            events.append(r)
+            for b in range(2, top + 1):
+                v = P[b].get(r)
+                if v is not None:
+                    P[b][r] = v * g
+        zr = num * (Dd // den)
         for b in range(1, top + 1):
-            key = m * b + r
-            full = (P[b].get(key, 0)
-                    + b * P[b - 1][m * (b - 1)] * Y[m + r])
+            full = P[b].get(r, 0) + b * P[b - 1][0] * zr
             if full:
-                P[b][key] = full
+                P[b][r] = full
             else:
-                P[b].pop(key, None)
-    return PuiseuxCurve(pair, {u: Q(yu, D) for u, yu in Y.items()}, trunc)
+                P[b].pop(r, None)
+    return PuiseuxCurve(pair, {m + j: Q(z, D * d[j]) for j, z in Z.items()},
+                        trunc)
 
 
 def _solve(basis: ExtendedStandardBasis, i: int, a):

@@ -356,12 +356,22 @@ def integrate_against_conductor(curve: PuiseuxCurve,
     if xi.order_lb() < curve.gamma.conductor:
         raise OrderTooLow("integrand order %s below the conductor %d"
                           % (xi.order_lb(), curve.gamma.conductor))
+    E = math.lcm(*(int(v.denominator) for v in xi.coeffs.values()))
+    return _integrate(curve, {k: int(v.numerator) * (E // int(v.denominator))
+                              for k, v in xi.coeffs.items()}, E, xi.trunc)
+
+
+def _integrate(curve: PuiseuxCurve, xi: dict, E: int,
+               trunc: int) -> BivariatePolynomial:
+    """integrate_against_conductor of the integrand sum xi[k] t^k / E,
+    known below trunc: integer numerators by exponent, none of them zero,
+    the least exponent at or above the conductor."""
     n = curve.pair.n
     # the residual, the antiderivative of xi, is R / E with integer R
-    E = math.lcm(*(int(v.denominator) * (k + 1) for k, v in xi.coeffs.items()))
-    acc = {k + 1: int(v.numerator) * (E // (int(v.denominator) * (k + 1)))
-           for k, v in xi.coeffs.items()}
-    acc = _reduced(acc, xi.trunc + 1)
+    L = math.lcm(*(k + 1 for k in xi))
+    acc = _reduced({k + 1: v * (L // (k + 1)) for k, v in xi.items()},
+                   trunc + 1)
+    E *= L
     out = {}
     while not acc.is_zero():
         r = acc.order_lb()

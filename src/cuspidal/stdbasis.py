@@ -21,9 +21,8 @@ from .semigroup import contains
 from .semimodule import (GammaSemimodule, critical_orders, limits,
                          minimal_basis)
 from .rationals import Q
-from .series import (OrderResult, PuiseuxCurve, TruncatedSeries, _eliminate,
-                     _pullback, integrate_against_conductor, nu_C_form,
-                     nu_C_function)
+from .series import (OrderResult, PuiseuxCurve, _eliminate, _integrate,
+                     _pullback, nu_C_form, nu_C_function)
 from .blowup import is_totally_dicritical
 
 
@@ -305,9 +304,10 @@ def dicritically_adjust(basis: ExtendedStandardBasis) -> OneForm:
                                    " the construction" % nu)
     potential = None
     if not a_eta.truncate(curve.trunc).is_zero():
-        potential = integrate_against_conductor(curve, TruncatedSeries(
-            {k - 1: Q(v, E) for k, v in a_eta.coeffs.items()},
-            a_eta.trunc - 1))
+        # a(t) dt/t: the integrand is a(t) / t, on the same integers
+        potential = _integrate(curve, {k - 1: v for k, v in
+                                       a_eta.coeffs.items()},
+                               E, a_eta.trunc - 1)
     omega, trace = _built(curve, basis.forms, axis, ell, eta, steps,
                           potential)
     certificate = nu_C_form(curve, omega)

@@ -245,6 +245,29 @@ def test_exit_one_rational_text_outside_the_grammar(capsys, argv, rule):
     assert rule in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["semiroots", "--a", "1_0"],
+    ["verify", "--i", "1", "--a", "1_0"],
+], ids=["semiroots", "verify"])
+def test_bad_parameter_is_refused_before_the_construction(capsys, monkeypatch,
+                                                          argv):
+    import cuspidal.cli as cli_mod
+    calls = []
+    original = cli_mod.compute_standard_basis
+
+    def counted(curve):
+        calls.append(curve)
+        return original(curve)
+
+    monkeypatch.setattr(cli_mod, "compute_standard_basis", counted)
+    inline = json.dumps({"n": 7, "m": 17,
+                         "y": [[17, "1"], [30, "1"], [33, "1"], [36, "1"]]})
+    code, out, err = run(capsys, *argv, "--curve", inline)
+    assert (code, out) == (1, "")
+    assert "unreadable parameter '1_0'" in err
+    assert calls == []
+
+
 @pytest.mark.parametrize("name", ["ex5_11", "ex7_17"])
 def test_semimodule_of_curve_matches_its_generators(capsys, corpus_dir, name):
     code, from_curve, _ = run(capsys, "semimodule",

@@ -1,4 +1,5 @@
 import fractions
+import math
 import random
 
 import pytest
@@ -18,7 +19,7 @@ from cuspidal.series import OrderResult, PuiseuxCurve, nu_C_form, pullback_form
 from cuspidal.stdbasis import (compute_standard_basis, dicritically_adjust,
                                semimodule_oracle)
 
-from oracles import FractionGcdCounter
+from oracles import FractionGcdCounter, branch_by_rationals
 
 P511 = PuiseuxPair(5, 11)
 
@@ -103,6 +104,30 @@ def test_oracle_and_window_checks_build_no_rational(monkeypatch):
     counter = FractionGcdCounter(monkeypatch)
     assert checks() == expected
     assert counter.calls == 0
+
+
+@pytest.fixture(scope="module")
+def basis_7_17_shared():
+    return basis_7_17()
+
+
+@pytest.mark.parametrize("i, a", [(1, rat(1, 2)), (2, rat(-1, 3)),
+                                  (2, rat(-3, 2)), (3, rat(-1, 3)),
+                                  (3, rat(-3, 2))],
+                         ids=["1,1/2", "2,-1/3", "2,-3/2", "3,-1/3", "3,-3/2"])
+def test_graded_denominators_match_the_rational_branch(basis_7_17_shared,
+                                                       i, a):
+    # on these (7,17) branches the denominators grow at most orders, so
+    # d grows at many orders and the event-only lcm is exercised; the
+    # omega_1 branch keeps den(a) throughout
+    omega = basis_7_17_shared.form(i)
+    branch = solve_invariant_branch(omega, a)
+    assert branch == branch_by_rationals(omega, a)
+    den, growth = a.denominator, 0
+    for _, c in sorted(branch.y.coeffs.items()):
+        growth += math.lcm(den, c.denominator) != den
+        den = math.lcm(den, c.denominator)
+    assert growth == 0 if i == 1 else growth > 100
 
 
 def test_omega1_branch_is_monomial():

@@ -1,4 +1,5 @@
 import dataclasses
+import fractions
 import random
 
 import pytest
@@ -10,13 +11,15 @@ from cuspidal.corpus import random_cusp_curve
 from cuspidal.errors import IndexOutOfRange, InternalDisagreement, NotACusp
 from cuspidal.forms import (BivariatePolynomial, OneForm, initial_part_data,
                             is_basic, is_resonant, nu_E_form)
-from cuspidal.rationals import rat
+from cuspidal.rationals import Q, rat
 from cuspidal.semigroup import PuiseuxPair, contains
 from cuspidal.semimodule import GammaSemimodule, minimal_basis
 from cuspidal.series import (OrderResult, PuiseuxCurve, TruncatedSeries,
                              nu_C_form, nu_C_function)
 from cuspidal.stdbasis import (compute_standard_basis, delorme_decompose,
                                dicritically_adjust, semimodule_oracle)
+
+from oracles import FractionGcdCounter
 
 P511 = PuiseuxPair(5, 11)
 
@@ -153,23 +156,55 @@ def test_stage_certificate_refuses_a_wrong_form(monkeypatch):
 def test_adjustment_refuses_a_potential_that_leaves_a_residue(monkeypatch):
     # without its least-weight monomial c x^a y^b, the potential leaves
     # d(c x^a y^b) in the adjusted form, of value 5 a + 11 b < T
-    real = stdbasis.integrate_against_conductor
+    real = stdbasis._integrate
     dropped = []
 
-    def short(curve, xi):
-        h = real(curve, xi)
+    def short(curve, xi, E, trunc):
+        h = real(curve, xi, E, trunc)
         low = min(h.coeffs, key=lambda p: 5 * p[0] + 11 * p[1])
         dropped.append(5 * low[0] + 11 * low[1])
         return BivariatePolynomial({p: c for p, c in h.coeffs.items()
                                     if p != low})
 
-    monkeypatch.setattr(stdbasis, "integrate_against_conductor", short)
+    monkeypatch.setattr(stdbasis, "_integrate", short)
     basis = compute_standard_basis(curve_5_11())
     with pytest.raises(InternalDisagreement) as caught:
         dicritically_adjust(basis)
     assert str(caught.value) == ("adjusted form has value Finite(%d), not"
                                  " AtLeast(150)" % dropped[0])
     assert basis.adjusted is None and basis.certificate is None
+
+
+@pytest.mark.skipif(Q is not fractions.Fraction,
+                    reason="counts the normalisations of fractions.Fraction")
+@pytest.mark.parametrize("curve", [curve_5_11(), curve_7_17()],
+                         ids=["5,11", "7,17"])
+def test_adjustment_integrates_on_integers(monkeypatch, curve):
+    # from the engine's return to the potential, the adjustment builds one
+    # rational per monomial of the potential and none per coefficient of
+    # its integrand, which reaches the integrator as integer numerators
+    counter = FractionGcdCounter(monkeypatch)
+    returns, potentials = [], []
+    real_cancel, real_integrate = stdbasis._cancel, stdbasis._integrate
+
+    def cancel(*args):
+        out = real_cancel(*args)
+        returns.append(counter.calls)
+        return out
+
+    def integrate(curve, xi, E, trunc):
+        assert all(type(v) is int for v in xi.values())
+        h = real_integrate(curve, xi, E, trunc)
+        potentials.append((counter.calls - returns[-1], len(xi),
+                           len(h.coeffs)))
+        return h
+
+    monkeypatch.setattr(stdbasis, "_cancel", cancel)
+    monkeypatch.setattr(stdbasis, "_integrate", integrate)
+    dicritically_adjust(compute_standard_basis(curve))
+    [(calls, integrand, monomials)] = potentials
+    assert integrand > 0 and monomials > 0
+    assert calls <= monomials
 
 
 def test_smooth_pair_rejected():
