@@ -6,12 +6,15 @@ on the long truncated-series computations; Fraction is a drop-in fallback
 with identical semantics for everything we do.
 
 Canonical text form: lowest terms, the sign on the numerator, no spaces,
-denominator omitted when it is 1 ("3", "-11", "23/22").
+denominator omitted when it is 1 ("3", "-11", "23/22").  Text of any
+height is printed; text is read up to the interpreter's digit cap per
+integer (sys.get_int_max_str_digits(), 4300 by default from CPython 3.11).
 """
 
 from __future__ import annotations
 
 import re
+import sys
 
 try:
     from gmpy2 import mpq as Q
@@ -29,15 +32,33 @@ def rat(num, den=1):
 
 def rat_from_str(text: str):
     """Parse "p" or "p/q" in ASCII digits, a sign allowed on p only;
-    whitespace is tolerated, and any other text raises ValueError."""
+    whitespace is tolerated, and any other text raises ValueError, as
+    does an integer over the digit cap (see module docstring)."""
     match = _TEXT.fullmatch(text)
     if match is None:
         raise ValueError("not a rational: %r" % text)
-    return rat(int(match[1]), int(match[2] or 1))
+    try:
+        return rat(int(match[1]), int(match[2] or 1))
+    except ValueError:  # the grammar admits digits only: it is the cap
+        raise ValueError("over the digit cap: an integer of more than %d "
+                         "digits in %r" % (sys.get_int_max_str_digits(),
+                                           text[:20] + "...")) from None
+
+
+def _digits(k: int) -> str:
+    """str(k) at any height: past the digit cap, str refuses, so k is
+    split at 10^h, about half its digits, and each part is printed."""
+    try:
+        return str(k)
+    except ValueError:
+        if k < 0:
+            return "-" + _digits(-k)
+        h = k.bit_length() * 3 // 20  # log10(2) / 2 is about 3 / 20
+        high, low = divmod(k, 10 ** h)
+        return _digits(high) + _digits(low).zfill(h)
 
 
 def rat_to_str(x) -> str:
     """Canonical text form of a rational or an int (see module docstring)."""
-    if x.denominator == 1:
-        return str(x.numerator)
-    return "%d/%d" % (x.numerator, x.denominator)
+    text = _digits(x.numerator)
+    return text if x.denominator == 1 else text + "/" + _digits(x.denominator)

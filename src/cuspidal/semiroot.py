@@ -8,14 +8,14 @@ is fraction-free (Bareiss, Math. Comp. 22, 1968) on graded denominators:
 it holds y_{m+j} as an integer over D d[j], with D = den(a) and
 d[i] d[j] | d[i+j], so that the offset-k coefficient of y^b is an
 integer over D^b d[k], as in the divided-power product of Hurwitz series
-(Keigher, Comm. Algebra 25, 1997).  d grows only at the orders where a
-new coefficient's denominator demands it, and d[r] takes its lcm over
-those growth events alone.  One rational is reduced per order, the new
-coefficient, instead of every sum and product of the elimination.  The
-semiroot attached to omega_i carries, by the structure theorem, exactly
-the truncated semimodule generated by lambda_-1 .. lambda_{i-1}; this
-module solves the branches, packages them, and rechecks that statement
-from scratch on demand.
+(Keigher, Comm. Algebra 25, 1997).  Every ratio of d is read off its
+small steps e[k] = d[k] / d[k - 1], which exceed 1 only at the orders
+where a product or a new coefficient demands it.  One rational is
+reduced per order, the new coefficient, instead of every sum and product
+of the elimination.  The semiroot attached to omega_i carries, by the
+structure theorem, exactly the truncated semimodule generated by
+lambda_-1 .. lambda_{i-1}; this module solves the branches, packages
+them, and rechecks that statement from scratch on demand.
 """
 
 from __future__ import annotations
@@ -77,23 +77,24 @@ def solve_invariant_branch(omega: OneForm, a, trunc: int = None) -> PuiseuxCurve
     offset-k coefficient of y^b is an integer over D^b d[k].  This is the
     divided-power product of Hurwitz series (W. F. Keigher, Comm.
     Algebra 25, 1997), with d[k] in place of k!.  A row update multiplies
-    Z[j] by d[r] / (d[j] d[r - j]), once per order, and the known part
-    of order q + r is one integer over Bl D^top d[r] (Bl the lcm of the
-    cloud's nonzero beta, top the largest).
-    d[r] is the lcm of d[r - 1] and of d[i] d[r - i] over the events
-    i < r only, the orders where d grew past that lcm.  That still gives
-    d[j] d[r - j] | d[r] for every j: a product over a split of r either
-    contains an event part i, and then divides d[i] d[r - i], or comes
-    from d[r - 1]; per prime, a product of lcms is the lcm of the
-    products.  Of those d[i] d[r - i], only the ones where d grew at
-    r - i can exceed d[r - 1].
+    Z[j] by W[j] = d[r] / (d[j] d[r - j]), once per order, and the known
+    part of order q + r is one integer over Bl D^top d[r] (Bl the lcm of
+    the cloud's nonzero beta, top the largest).
+    d[r] is the least multiple of d[r - 1] divisible by d[i] d[r - i] for
+    the events i < r, the orders where d grew past it: expanded into those
+    lcms, a product over a split of r divides d[i] d[r - i] for an event
+    part i, or d[r - 1].  Each ratio is read off the small steps e[k] =
+    d[k] / d[k - 1]: W[j] moves to W[j] e[r + 1] / e[r + 1 - j], and as
+    d[i] d[r - i] | d[r - 1] e[r] exactly when e[r - i] | W[i] e[r] (W of
+    order r - 1), e[r] is the lcm of e[r - i] / gcd(e[r - i], W[i]).
     One rational per order: y_{m+r} is the only reduced fraction built
     at order r, and when its denominator does not divide D d[r], d[r]
-    grows by the missing factor g and only the offset-r entries, one per
-    row, by g.
+    grows by the missing factor g, and so do only the offset-r entries,
+    one per row, and the weights W[j] with 0 < j < r.
 
-    The branch is known below trunc, default_truncation(omega.pair) by
-    default.  Raises NotDicritical when the form fails the dual
+    Orders below trunc, default_truncation(omega.pair) by default, are
+    solved, so y is exact below m + trunc - q; the coefficients from there
+    to trunc read 0.  Raises NotDicritical when the form fails the dual
     dicriticalness check, ZeroPivot when a = 0.
     """
     pair = omega.pair
@@ -124,6 +125,8 @@ def solve_invariant_branch(omega: OneForm, a, trunc: int = None) -> PuiseuxCurve
     P = [{0: int(a.numerator) ** b} for b in range(top + 1)]
     Z = P[1]  # y^1 = y: Z[j] / (D d[j]) is y_{m+j}
     d = [1]
+    e = [1]  # e[k] = d[k] / d[k - 1], small beside d[k]
+    W = {}  # W[j] = d[r] / (d[j] d[r - j]) for the keys j > 0 of Z
     events = []  # the orders r at which d[r] grew past its lcm
     # the cloud points by weight gap w - q, ascending, each with its P
     # row, m beta and the integers n mu Bl D^(top - beta) and
@@ -136,16 +139,21 @@ def solve_invariant_branch(omega: OneForm, a, trunc: int = None) -> PuiseuxCurve
     scale = pivot * Z[0] ** (beta - 1) * D ** (top - beta + 1)
     for r in range(1, trunc - q):
         # only rows b >= 2 multiply coefficients, so with top = 1 d only
-        # has to keep d[k] | d[r]; d[i] d[r - i] already divides d[r - 1]
-        # unless d grew at r - i
-        dr = d[r - 1]
+        # has to keep d[k] | d[r], and e[r] = 1; d[i] d[r - i] already
+        # divides d[r - 1] unless e[r - i] > 1
+        er = 1
         if top > 1:
-            dr = math.lcm(dr, *[d[i] * d[r - i] for i in events
-                                if d[r - i] != d[r - i - 1]])
+            er = math.lcm(*[e[r - i] // math.gcd(e[r - i], W[i])
+                            for i in events if e[r - i] != 1])
+            for j in W:
+                if e[r - j] != er:
+                    W[j] = W[j] * er // e[r - j]
+        e.append(er)
+        dr = d[r - 1] * er
         d.append(dr)
         # y_{m+j} times offset r - j of y^(b-1) lands over D^b d[r]: each
-        # weight Z[j] d[r] / (d[j] d[r - j]) is built once per order, by
-        # the first row that meets it, and kept for the rows after it
+        # weight Z[j] W[j] is built once per order, by the first row that
+        # meets it, and kept for the rows after it
         w = {}
         for b in range(2, top + 1):
             acc = 0
@@ -155,7 +163,7 @@ def solve_invariant_branch(omega: OneForm, a, trunc: int = None) -> PuiseuxCurve
                 if v is not None:
                     c = w.get(j)
                     if c is None:
-                        c = dr // (d[j] * d[r - j])
+                        c = W.get(j, 1)
                         c = zj if c == 1 else zj * c
                         if b < top:
                             w[j] = c
@@ -185,12 +193,16 @@ def solve_invariant_branch(omega: OneForm, a, trunc: int = None) -> PuiseuxCurve
             g = den // math.gcd(Dd, den)
             Dd *= g
             d[r] = dr * g
+            e[r] *= g
             events.append(r)
+            for j in W:
+                W[j] *= g
             for b in range(2, top + 1):
                 v = P[b].get(r)
                 if v is not None:
                     P[b][r] = v * g
         zr = num * (Dd // den)
+        W[r] = 1
         for b in range(1, top + 1):
             full = P[b].get(r, 0) + b * P[b - 1][0] * zr
             if full:

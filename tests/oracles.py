@@ -14,13 +14,16 @@ the same eliminations on reduced rational pullbacks.  combine, theta and
 antiderivative are the rational series arithmetic these references need,
 which the library itself no longer carries.
 FractionGcdCounter counts the normalisations of fractions.Fraction for
-the tests that bound them.
+the tests that bound them.  no_digit_cap lifts the interpreter's cap on
+int-text conversion, so that a test can read text of any height.
 """
 
 from __future__ import annotations
 
+import contextlib
 import fractions
 import math
+import sys
 import types
 
 from cuspidal.blowup import is_totally_dicritical
@@ -72,6 +75,19 @@ class FractionGcdCounter:
         shim.__dict__.update(math.__dict__)
         shim.gcd = gcd
         monkeypatch.setattr(fractions, "math", shim)
+
+
+@contextlib.contextmanager
+def no_digit_cap():
+    if not hasattr(sys, "set_int_max_str_digits"):  # no cap before 3.11
+        yield
+        return
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(cap)
 
 
 def semigroup_members(n: int, m: int, bound: int) -> set:

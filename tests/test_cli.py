@@ -6,7 +6,11 @@ from cuspidal.cli import main
 from cuspidal.errors import VerificationFailure
 from cuspidal.forms import OneForm
 from cuspidal.jsonio import parse_curve, parse_form
-from cuspidal.rationals import rat
+from cuspidal.rationals import rat, rat_from_str
+from cuspidal.semiroot import semiroot
+from cuspidal.stdbasis import compute_standard_basis
+
+from oracles import no_digit_cap
 
 
 @pytest.fixture()
@@ -104,6 +108,22 @@ def test_semiroots_listing(capsys, corpus_dir):
     lead = doc["semiroots"][1]["parametrization"][:4]
     assert lead == [[11, "2"], [12, "4"], [13, "92/11"], [14, "2176/121"]]
     assert doc["semiroots"][0]["semimodule"] == [5, 11, 17]
+
+
+def test_semiroots_print_coefficients_past_the_digit_cap(capsys):
+    # the (5,11) omega_2 branch at a 61-digit parameter reaches
+    # coefficients of more than 4300 digits, the default cap of str(int)
+    curve = {"n": 5, "m": 11, "y": [[11, "1"], [12, "1"]]}
+    a = "%d/%d" % (10 ** 60 + 7, 10 ** 60 + 9)
+    code, out, err = run(capsys, "semiroots", "--curve", json.dumps(curve),
+                         "--i", "2", "--a", a)
+    assert (code, err) == (0, "")
+    entries = json.loads(out)["semiroots"][0]["parametrization"]
+    assert max(len(text) for _, text in entries) > 4300
+    with no_digit_cap():
+        printed = {k: rat_from_str(text) for k, text in entries}
+    basis = compute_standard_basis(parse_curve(curve))
+    assert printed == semiroot(basis, 2, rat_from_str(a)).curve.y.coeffs
 
 
 def test_verify_all_semiroots(capsys, corpus_dir):

@@ -1,8 +1,13 @@
 """The canonical text form of rationals, the one the JSON documents use."""
 
+import random
+import sys
+
 import pytest
 
 from cuspidal.rationals import Q, rat, rat_from_str, rat_to_str
+
+from oracles import no_digit_cap
 
 
 def test_text_form_of_ints_and_rationals():
@@ -25,3 +30,27 @@ def test_text_outside_the_grammar_is_refused(text):
     # int() alone would read the first five as 1000, 12, 12, -3/4 and 3/4
     with pytest.raises(ValueError):
         rat_from_str(text)
+
+
+def test_text_of_any_height_round_trips():
+    # past the interpreter's digit cap (4300 by default from CPython 3.11)
+    # str refuses; rat_to_str still prints, and its text reads back
+    rng = random.Random(5)
+    big = [10 ** 6000 + 7, -(10 ** 5001), rng.getrandbits(40000) | 1,
+           (10 ** 9000 - 1) // 9 * 7]
+    cases = [Q(big[0], 3), Q(big[1], big[2]), Q(big[3]),
+             Q(-big[2], 10 ** 4400)]
+    for x in cases:
+        text = rat_to_str(x)
+        with no_digit_cap():
+            assert text == ("%d" % x.numerator if x.denominator == 1
+                            else "%d/%d" % (x.numerator, x.denominator))
+            assert rat_from_str(text) == x
+        assert len(text) > 5000
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no digit cap before CPython 3.11")
+def test_text_over_the_digit_cap_is_refused_by_name():
+    with pytest.raises(ValueError, match="digit cap"):
+        rat_from_str("1/" + "3" * (sys.get_int_max_str_digits() + 1))

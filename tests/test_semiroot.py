@@ -130,6 +130,40 @@ def test_graded_denominators_match_the_rational_branch(basis_7_17_shared,
     assert growth == 0 if i == 1 else growth > 100
 
 
+BIG = rat(12345678901234567891, 98765432109876543217)
+
+
+@pytest.mark.parametrize("n, i, a", [(7, 2, rat(-7, 12)), (7, 2, rat(1, 30)),
+                                     (7, 3, rat(1, 6)), (5, 2, rat(5, 8)),
+                                     (5, 2, BIG)],
+                         ids=["7,2,-7/12", "7,2,1/30", "7,3,1/6", "5,2,5/8",
+                              "5,2,20-digit"])
+def test_step_ratio_weights_match_the_rational_branch(basis_7_17_shared,
+                                                      n, i, a):
+    # parameters whose denominators share primes with the orders, and one
+    # of 20 digits over 20: in each, some growth factor g > 1 lands where
+    # e[r] > 1, and some gcd(e[r - i], W[i]) is neither 1 nor e[r - i]
+    basis = basis_7_17_shared if n == 7 else basis_5_11()
+    omega = basis.form(i)
+    assert solve_invariant_branch(omega, a) == branch_by_rationals(omega, a)
+
+
+def test_branch_is_exact_below_m_plus_trunc_minus_q(basis_7_17_shared):
+    # orders below trunc only are solved, so y_{m+r} is final for
+    # m + r < m + T - q; a solve q - m orders longer reaches every
+    # exponent below T and agrees up to that edge
+    omega = basis_7_17_shared.form(2)
+    m, q, T = 17, nu_E_form(omega), basis_7_17_shared.curve.trunc
+    edge = m + T - q
+    short = solve_invariant_branch(omega, 1)
+    long = solve_invariant_branch(omega, 1, T + q - m)
+    assert (short.trunc, q, edge) == (T, 38, 313)
+    assert ({k: c for k, c in short.y.coeffs.items() if k < edge}
+            == {k: c for k, c in long.y.coeffs.items() if k < edge})
+    # and the edge is tight: the branch has terms between it and T
+    assert any(edge <= k < T for k in long.y.coeffs)
+
+
 def test_omega1_branch_is_monomial():
     basis = basis_5_11()
     branch = solve_invariant_branch(basis.form(1), 3)

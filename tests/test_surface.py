@@ -1,8 +1,9 @@
 """The public surface resolves: every exported name and every name the
 benchmark tracer wraps.  TruncatedSeries carries no rational arithmetic,
 only forms clears a form's denominators, no module reads a theta row,
-and the cancellation engine stdbasis._cancel holds no rational form: no
-subtraction and no call to scaled or times_polynomial."""
+the cancellation engine stdbasis._cancel holds no rational form: no
+subtraction and no call to scaled or times_polynomial, and the branch
+solver takes no product of two full-height denominators d[i] d[j]."""
 
 import ast
 import importlib
@@ -112,4 +113,23 @@ def test_cancellation_engine_holds_no_rational_form():
              or (isinstance(node, ast.Call)
                  and getattr(node.func, "attr", getattr(node.func, "id", None))
                  in ("scaled", "times_polynomial"))]
+    assert found == []
+
+
+def test_branch_solver_multiplies_no_two_denominators():
+    # every ratio of d in solve_invariant_branch comes from the small steps
+    # e[k] = d[k] / d[k - 1], never from a product d[i] * d[j] of two
+    # ~1,500-bit denominators
+    module = importlib.import_module("cuspidal.semiroot")
+    tree = ast.parse(pathlib.Path(module.__file__).read_text())
+    solver, = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef)
+               and node.name == "solve_invariant_branch"]
+
+    def is_d(node):
+        return (isinstance(node, ast.Subscript)
+                and isinstance(node.value, ast.Name) and node.value.id == "d")
+    found = [node.lineno for node in ast.walk(solver)
+             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+             and is_d(node.left) and is_d(node.right)]
     assert found == []
