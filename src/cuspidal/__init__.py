@@ -11,9 +11,8 @@ relating all of these.
 from .semigroup import (PuiseuxPair, CuspSemigroup, GammaRepresentation,
                         contains, represent, copair)
 from .semimodule import (GammaSemimodule, Limits, LevelSet, Tops,
-                         minimal_basis, axes, limits, critical_orders,
-                         is_increasing, level_set, ray_level_set,
-                         is_circular_interval, tops, semimodule_conductor)
+                         minimal_basis, limits, is_increasing, level_set,
+                         ray_level_set, is_circular_interval, tops)
 from .forms import (BivariatePolynomial, OneForm, Region, InitialPart,
                     differential, nu_E_form, nu_E_function, initial_part,
                     initial_part_data, rdo, is_basic, is_prebasic,

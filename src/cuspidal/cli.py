@@ -23,7 +23,7 @@ from .jsonio import (InputError, basis_to_json, curve_to_json,
                      delorme_to_json, dicritical_to_json, dumps,
                      form_to_json, parse_curve, parse_form,
                      semiroot_to_json, verify_report_to_json)
-from .rationals import rat_from_str
+from .rationals import OverDigitCap, rat_from_str
 from .semigroup import CuspSemigroup, PuiseuxPair, copair
 from .semimodule import GammaSemimodule, is_increasing, minimal_basis
 from .semiroot import semiroot, verify_main_theorem
@@ -82,6 +82,8 @@ def _parameter_list(text: str) -> list:
     for chunk in text.split(","):
         try:
             out.append(rat_from_str(chunk))
+        except OverDigitCap as exc:
+            raise InputError("unreadable parameter: %s" % exc) from None
         except (ValueError, ZeroDivisionError):
             raise InputError("unreadable parameter %r" % chunk) from None
     if not out:
@@ -100,7 +102,7 @@ def cmd_semigroup(ns):
         return {"copair": list(copair(pair))}
     gamma = CuspSemigroup(pair)
     return {"pair": [pair.n, pair.m],
-            "conductor": gamma.conductor,
+            "conductor": pair.conductor,
             "apery": list(gamma.apery)}
 
 

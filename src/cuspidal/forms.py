@@ -12,7 +12,8 @@ variable: mu at (alpha, beta) is the A-coefficient of x^(alpha-1) y^beta,
 zeta the B-coefficient of x^alpha y^(beta-1).
 
 Sums and products run on the kernel _accumulate, acc += c x^a y^b src,
-the twin of series._accumulate.  _integer_cloud owns a form's integers.
+the twin of series._accumulate.  _integer_cloud owns a form's integers,
+computed once and kept on the form.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import (NotPreBasic, QAboveOrder, ZeroForm, ZeroPolynomial)
-from .rationals import ZERO, rat
+from .rationals import Q, rat
 from .semigroup import PuiseuxPair, copair
 
 __all__ = [
@@ -95,10 +96,6 @@ class BivariatePolynomial:
         self.coeffs = _clean(dict(coeffs) if coeffs else {})
 
     @classmethod
-    def zero(cls) -> "BivariatePolynomial":
-        return cls()
-
-    @classmethod
     def monomial(cls, a: int, b: int, c=1) -> "BivariatePolynomial":
         return cls({(a, b): rat(c)})
 
@@ -138,8 +135,9 @@ class BivariatePolynomial:
 class OneForm:
     """omega = A dx + B dy with exact rational sparse coefficients.
 
-    The cloud and the dicriticalness verdict (blowup.is_totally_dicritical)
-    are computed once, on first request, and kept on the form.
+    The integer cloud (_integer_cloud) and the dicriticalness verdict
+    (blowup.is_totally_dicritical) are computed once, on first request,
+    and kept on the form.
     """
 
     __slots__ = ("pair", "A", "B", "_cloud", "_verdict")
@@ -150,10 +148,6 @@ class OneForm:
         self.B = _clean(dict(B) if B else {})
         self._cloud = None
         self._verdict = None
-
-    @classmethod
-    def zero(cls, pair: PuiseuxPair) -> "OneForm":
-        return cls(pair)
 
     @classmethod
     def from_cloud(cls, pair: PuiseuxPair, cloud) -> "OneForm":
@@ -174,16 +168,9 @@ class OneForm:
 
     @property
     def cloud(self) -> dict:
-        """{(alpha, beta): (mu, zeta)}, cached once."""
-        if self._cloud is None:
-            pts = {}
-            for (a, b), c in self.A.items():
-                pts[(a + 1, b)] = (c, ZERO)
-            for (a, b), c in self.B.items():
-                mu = pts.get((a, b + 1), (ZERO, ZERO))[0]
-                pts[(a, b + 1)] = (mu, c)
-            self._cloud = pts
-        return self._cloud
+        """{(alpha, beta): (mu, zeta)}, the integer cloud over L."""
+        pts, L = _integer_cloud(self)
+        return {p: (Q(mu, L), Q(zeta, L)) for p, (mu, zeta) in pts.items()}
 
     def is_zero(self) -> bool:
         return not self.A and not self.B
@@ -222,13 +209,21 @@ class OneForm:
 def _integer_cloud(omega: OneForm):
     """(cloud, L): L the least positive integer clearing every denominator
     of omega's cloud, cloud {(alpha, beta): (mu L, zeta L)} as ints.  The
-    pullback, the branch solver, the blow-up walk, the resonance test and
-    the standard basis's clearing scalar all read a form's integers here."""
-    pts = omega.cloud
-    L = math.lcm(*(int(c.denominator) for mz in pts.values() for c in mz))
-    return ({p: (int(mu.numerator) * (L // int(mu.denominator)),
-                 int(zeta.numerator) * (L // int(zeta.denominator)))
-             for p, (mu, zeta) in pts.items()}, L)
+    pullback, the branch solver, the blow-up walk, the order theory and
+    the standard basis's clearing scalar all read a form's integers here.
+    Computed once from A and B and kept on the form, so the cloud is
+    shared: readers must not mutate it."""
+    if omega._cloud is None:
+        L = math.lcm(*(int(c.denominator) for plain in (omega.A, omega.B)
+                       for c in plain.values()))
+
+        def num(c):
+            return int(c.numerator) * (L // int(c.denominator))
+        pts = {(a + 1, b): (num(c), 0) for (a, b), c in omega.A.items()}
+        for (a, b), c in omega.B.items():
+            pts[(a, b + 1)] = (pts.get((a, b + 1), (0,))[0], num(c))
+        omega._cloud = (pts, L)
+    return omega._cloud
 
 
 class Region:
@@ -279,19 +274,18 @@ def nu_E_form(omega: OneForm) -> int:
     """Divisorial order: min of n*alpha + m*beta over the cloud."""
     if omega.is_zero():
         raise ZeroForm("nu_E of the zero form")
-    return min(_weight(omega.pair, p) for p in omega.cloud)
+    return min(_weight(omega.pair, p) for p in _integer_cloud(omega)[0])
 
 
-def nu_E_function(h, pair: PuiseuxPair) -> int:
+def nu_E_function(h: BivariatePolynomial, pair: PuiseuxPair) -> int:
     """Weighted order of a polynomial: min of n*a + m*b over its support.
 
     Satisfies nu_E(dh) = nu_E(h): the differential shifts each monomial
     into the cloud point of the same weight.
     """
-    coeffs = h.coeffs if isinstance(h, BivariatePolynomial) else _clean(h)
-    if not coeffs:
+    if h.is_zero():
         raise ZeroPolynomial("nu_E of the zero polynomial")
-    return min(pair.n * a + pair.m * b for (a, b) in coeffs)
+    return min(pair.n * a + pair.m * b for (a, b) in h.coeffs)
 
 
 def initial_part(omega: OneForm, q: int) -> OneForm:
@@ -317,8 +311,8 @@ def rdo(omega: OneForm) -> int:
     if omega.is_zero():
         raise ZeroForm("rdo of the zero form")
     nu = nu_E_form(omega)
-    a = min(p[0] for p in omega.cloud)
-    b = min(p[1] for p in omega.cloud)
+    a = min(p[0] for p in _integer_cloud(omega)[0])
+    b = min(p[1] for p in _integer_cloud(omega)[0])
     return nu - omega.pair.n * a - omega.pair.m * b
 
 
@@ -337,9 +331,10 @@ def is_prebasic(omega: OneForm):
         raise ZeroForm("pre-basic test on the zero form")
     pair = omega.pair
     q = nu_E_form(omega)
-    vertex, *ties = [p for p in omega.cloud if _weight(pair, p) == q]
+    cloud = _integer_cloud(omega)[0]
+    vertex, *ties = [p for p in cloud if _weight(pair, p) == q]
     region = Region(pair, vertex)
-    if not ties and all(region.contains(p) for p in omega.cloud):
+    if not ties and all(region.contains(p) for p in cloud):
         return vertex
     return None
 
@@ -349,21 +344,22 @@ def initial_part_data(omega: OneForm) -> InitialPart:
     vertex = is_prebasic(omega)
     if vertex is None:
         raise NotPreBasic("form has no region vertex")
-    mu, zeta = omega.cloud[vertex]
-    return InitialPart(vertex, mu, zeta)
+    return InitialPart(vertex, *omega.cloud[vertex])
 
 
 def is_resonant(omega: OneForm) -> bool:
     """Whether n*mu + m*zeta = 0 at the vertex; needs a pre-basic form."""
-    mu, zeta = _integer_cloud(omega)[0][initial_part_data(omega).vertex]
+    vertex = is_prebasic(omega)
+    if vertex is None:
+        raise NotPreBasic("form has no region vertex")
+    mu, zeta = _integer_cloud(omega)[0][vertex]
     return omega.pair.n * mu + omega.pair.m * zeta == 0
 
 
-def differential(h, pair: PuiseuxPair) -> OneForm:
+def differential(h: BivariatePolynomial, pair: PuiseuxPair) -> OneForm:
     """dh as a OneForm; nu_E is preserved, monomial by monomial."""
-    coeffs = h.coeffs if isinstance(h, BivariatePolynomial) else _clean(h)
     A, B = {}, {}
-    for (a, b), c in coeffs.items():
+    for (a, b), c in h.coeffs.items():
         if a:
             A[(a - 1, b)] = a * c
         if b:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 
 from .forms import OneForm, is_basic, nu_E_form
-from .rationals import rat_from_str, rat_to_str
+from .rationals import OverDigitCap, rat_from_str, rat_to_str
 from .semigroup import PuiseuxPair, copair
 from .series import PuiseuxCurve
 
@@ -111,6 +111,9 @@ def _parse_entries(entries, what: str, exponents: tuple) -> dict:
                              % (what, entry))
         try:
             table[key] = rat_from_str(entry[k])
+        except OverDigitCap as exc:
+            raise InputError("unreadable coefficient in %s entry at %r: %s"
+                             % (what, entry[:k], exc)) from None
         except (ValueError, ZeroDivisionError):
             raise InputError("unreadable coefficient in %s entry %r"
                              % (what, entry)) from None

@@ -25,6 +25,10 @@ ZERO = Q(0)
 _TEXT = re.compile(r"\s*([+-]?[0-9]+)\s*(?:/\s*([0-9]+)\s*)?")
 
 
+class OverDigitCap(ValueError):
+    """Rational text with an integer over the digit cap; names the rule."""
+
+
 def rat(num, den=1):
     """Build an exact rational from integers (or another rational)."""
     return Q(num) if den == 1 and isinstance(num, (int, Q)) else Q(num, den)
@@ -33,16 +37,16 @@ def rat(num, den=1):
 def rat_from_str(text: str):
     """Parse "p" or "p/q" in ASCII digits, a sign allowed on p only;
     whitespace is tolerated, and any other text raises ValueError, as
-    does an integer over the digit cap (see module docstring)."""
+    does an integer over the digit cap (OverDigitCap, see the module)."""
     match = _TEXT.fullmatch(text)
     if match is None:
         raise ValueError("not a rational: %r" % text)
     try:
         return rat(int(match[1]), int(match[2] or 1))
     except ValueError:  # the grammar admits digits only: it is the cap
-        raise ValueError("over the digit cap: an integer of more than %d "
-                         "digits in %r" % (sys.get_int_max_str_digits(),
-                                           text[:20] + "...")) from None
+        raise OverDigitCap("over the digit cap: an integer of more than %d "
+                           "digits in %r" % (sys.get_int_max_str_digits(),
+                                             text[:20] + "...")) from None
 
 
 def _digits(k: int) -> str:

@@ -72,10 +72,6 @@ class CuspSemigroup:
         table = tuple(((r * minv) % n) * m for r in range(n))
         object.__setattr__(self, "apery", table)
 
-    @property
-    def conductor(self) -> int:
-        return self.pair.conductor
-
 
 def contains(gamma: CuspSemigroup, p: int) -> bool:
     """Membership p in <n, m>, answered by the residue table.

@@ -190,11 +190,6 @@ def minimal_basis(gamma: CuspSemigroup, generators) -> tuple:
     return _scan(_as_semigroup(gamma), gens)[0]
 
 
-def axes(sm: GammaSemimodule) -> tuple:
-    """(u_0, ..., u_{s+1}); computed eagerly at construction."""
-    return sm.axes
-
-
 def limits(sm: GammaSemimodule, i: int) -> Limits:
     """Limits of the truncation Lambda_i, for 0 <= i <= s.
 
@@ -206,7 +201,7 @@ def limits(sm: GammaSemimodule, i: int) -> Limits:
         raise IndexOutOfRange("limits index %d outside 0..%d" % (i, sm.s_index))
     n, m = sm.gamma.pair.n, sm.gamma.pair.m
     lam = sm.basis[i + 1]
-    cap = sm.gamma.conductor + sm.basis[-1] + n * m
+    cap = sm.gamma.pair.conductor + sm.basis[-1] + n * m
 
     def first(step: int) -> int:
         p = 1
@@ -217,13 +212,6 @@ def limits(sm: GammaSemimodule, i: int) -> Limits:
         return p
 
     return Limits(first(n), first(m))
-
-
-def critical_orders(sm: GammaSemimodule) -> tuple:
-    """(t_-1, ..., t_{s+1}); requires a basis starting with (n, m)."""
-    if sm.critical_orders is None:
-        raise ValueError("critical orders need lambda_-1 = n and lambda_0 = m")
-    return sm.critical_orders
 
 
 def is_increasing(sm: GammaSemimodule) -> bool:
@@ -274,8 +262,3 @@ def tops(sm: GammaSemimodule) -> Tops:
     q1 = (lam + n * lim.ell1) // n
     q2 = (lam + m * lim.ell2) // n
     return Tops(q1, q2, max(q1, q2))
-
-
-def semimodule_conductor(sm: GammaSemimodule) -> int:
-    """Least c with [c, oo) inside the semimodule (0 when the whole of N is)."""
-    return sm.conductor

@@ -254,11 +254,11 @@ def _pullback(curve: PuiseuxCurve, f, prec):
     x^alpha y^beta (mu dx/x + zeta dy/y) adds [y^beta]_k (n mu + zeta k /
     beta) at t^(n alpha + k), read off the integer cloud (mu L, zeta L) as
     the row of y^beta with weight n mu L B + (zeta L B / beta) k over L B,
-    B the lcm of the cloud's nonzero beta.  For a polynomial h, or a
-    {(a, b): c} map, it is h(phi(t)), each monomial a row with a constant
-    weight.  Each exponent's row is fetched once, terms shifted to prec
-    or past it are skipped, and the rows, over den^e, are summed over the
-    scale times den^top for the top e.
+    B the lcm of the cloud's nonzero beta.  For a BivariatePolynomial h
+    it is h(phi(t)), each monomial a row with a constant weight.  Each
+    exponent's row is fetched once, terms shifted to prec or past it are
+    skipped, and the rows, over den^e, are summed over the scale times
+    den^top for the top e.
     """
     n = curve.pair.n
     bound = math.inf if prec is None else prec
@@ -269,10 +269,9 @@ def _pullback(curve: PuiseuxCurve, f, prec):
         terms = [(be, n * al, n * mu * B, ze * B // (be or 1))
                  for (al, be), (mu, ze) in cloud.items() if n * al < bound]
     else:
-        coeffs = f.coeffs if isinstance(f, BivariatePolynomial) else dict(f)
-        scale = math.lcm(*(int(c.denominator) for c in coeffs.values()))
+        scale = math.lcm(*(int(c.denominator) for c in f.coeffs.values()))
         terms = [(b, n * a, int(c.numerator) * (scale // int(c.denominator)),
-                  0) for (a, b), c in coeffs.items() if c and n * a < bound]
+                  0) for (a, b), c in f.coeffs.items() if n * a < bound]
     rows = {e: curve.y_power(e, prec) for e in {e for e, *_ in terms}}
     top = max(rows, default=0)
     dpow = [curve.den ** k for k in range(top + 1)]
@@ -352,10 +351,10 @@ def integrate_against_conductor(curve: PuiseuxCurve,
     power table; it builds one rational, the monomial's coefficient.
     """
     if xi.is_zero():
-        return BivariatePolynomial.zero()
-    if xi.order_lb() < curve.gamma.conductor:
+        return BivariatePolynomial()
+    if xi.order_lb() < curve.pair.conductor:
         raise OrderTooLow("integrand order %s below the conductor %d"
-                          % (xi.order_lb(), curve.gamma.conductor))
+                          % (xi.order_lb(), curve.pair.conductor))
     E = math.lcm(*(int(v.denominator) for v in xi.coeffs.values()))
     return _integrate(curve, {k: int(v.numerator) * (E // int(v.denominator))
                               for k, v in xi.coeffs.items()}, E, xi.trunc)

@@ -18,8 +18,7 @@ from .errors import IndexOutOfRange, InternalDisagreement, NotACusp
 from .forms import (BivariatePolynomial, OneForm, _integer_cloud,
                     differential, is_basic, is_resonant, nu_E_form)
 from .semigroup import contains
-from .semimodule import (GammaSemimodule, critical_orders, limits,
-                         minimal_basis)
+from .semimodule import GammaSemimodule, limits, minimal_basis
 from .rationals import Q
 from .series import (OrderResult, PuiseuxCurve, _eliminate, _integrate,
                      _pullback, nu_C_form, nu_C_function)
@@ -41,16 +40,13 @@ class ConstructionTrace:
     """How the basis form omega_i was assembled from the earlier ones.
 
     omega_i = rho * (seed - sum of the steps) - d(potential), the seed
-    x^exponent omega_{i-1} (axis "x") or y^exponent omega_{i-1} (axis "y");
+    x^ell omega_{i-1} or y^ell omega_{i-1} and rho its clearing scalar;
     `potential` is None except for the adjusted form, where rho == 1.
     `levels` = (f_-1, ..., f_{i-1}) with omega_i = sum f_ell omega_ell is
     the one record of that combination, the one Delorme substitutes.
     """
 
-    axis: str
-    exponent: int
     steps: tuple
-    rho: int
     potential: object
     levels: tuple
 
@@ -102,7 +98,7 @@ class ExtendedStandardBasis:
 
     @property
     def t(self) -> tuple:
-        return critical_orders(self.semimodule)
+        return self.semimodule.critical_orders
 
     @property
     def u(self) -> tuple:
@@ -179,7 +175,7 @@ def _cancel(curve, sm, forms, eta, first_stop, stop, prec=None):
 
 def _combination(forms, levels) -> OneForm:
     """sum f_ell omega_ell, levels[k] against forms[k]."""
-    total = OneForm.zero(forms[0].pair)
+    total = OneForm(forms[0].pair)
     for omega, f in zip(forms, levels):
         total = total + omega.times_polynomial(f)
     return total
@@ -190,7 +186,7 @@ def _built(curve, forms, axis, ell, seed, steps, potential):
     steps take mu x^c y^d off f_j, eta = seed + sum f_ell omega_ell, and
     f_top gains the seed's x^ell or y^ell.  omega = rho eta, rho the
     clearing scalar, or eta - dh with rho = 1 and dh taken off f_-1, f_0."""
-    f = [BivariatePolynomial.zero()] * len(forms)
+    f = [BivariatePolynomial()] * len(forms)
     for st in steps:
         f[st.j + 1] -= BivariatePolynomial.monomial(st.c, st.d, st.mu)
     eta = seed + _combination(forms, f)
@@ -200,11 +196,11 @@ def _built(curve, forms, axis, ell, seed, steps, potential):
         rho = _integer_cloud(eta)[1]
         omega, f = eta.scaled(rho), [g * rho for g in f]
     else:
-        rho, dh = 1, differential(potential, curve.pair)
+        dh = differential(potential, curve.pair)
         omega = eta - dh
         f[0] -= BivariatePolynomial(dh.A)
         f[1] -= BivariatePolynomial(dh.B)
-    return omega, ConstructionTrace(axis, ell, steps, rho, potential, tuple(f))
+    return omega, ConstructionTrace(steps, potential, tuple(f))
 
 
 def compute_standard_basis(curve: PuiseuxCurve) -> ExtendedStandardBasis:
@@ -257,10 +253,10 @@ def compute_standard_basis(curve: PuiseuxCurve) -> ExtendedStandardBasis:
             raise InternalDisagreement("more generators than residues mod %d"
                                        % n)
     t_chain.append(t_chain[-1] + u_next - lam[-1])
-    if tuple(t_chain) != critical_orders(sm):
+    if tuple(t_chain) != sm.critical_orders:
         raise InternalDisagreement("incremental critical orders %r disagree"
                                    " with the semimodule's %r"
-                                   % (t_chain, critical_orders(sm)))
+                                   % (t_chain, sm.critical_orders))
     basis = ExtendedStandardBasis(curve, sm, forms, traces)
     for i in range(1, sm.s_index + 1):
         _check_shape(basis.form(i), i)

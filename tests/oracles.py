@@ -259,10 +259,10 @@ def integrate_by_rationals(curve, xi):
     """A polynomial h with h(phi(t)) = integral of xi: greedily, the least-b
     monomial x^a y^b of weight r kills the residual's leading order r."""
     if xi.is_zero():
-        return BivariatePolynomial.zero()
-    if xi.order_lb() < curve.gamma.conductor:
+        return BivariatePolynomial()
+    if xi.order_lb() < curve.pair.conductor:
         raise OrderTooLow("integrand order %s below the conductor %d"
-                          % (xi.order_lb(), curve.gamma.conductor))
+                          % (xi.order_lb(), curve.pair.conductor))
     power = _rational_powers(curve)
     n = curve.pair.n
     alpha = curve.y.coefficient(curve.pair.m)

@@ -15,7 +15,7 @@ from cuspidal import (GammaSemimodule, OneForm, PuiseuxPair, Region,
                       is_circular_interval, is_increasing, is_prebasic,
                       is_resonant, is_totally_dicritical, level_set, limits,
                       nu_E_form, pullback_form, pullback_function,
-                      ray_level_set, semimodule_conductor, semimodule_oracle,
+                      ray_level_set, semimodule_oracle,
                       semiroot, solve_invariant_branch, tops, transform_form,
                       verify_main_theorem, zariski_invariant)
 from cuspidal.corpus import (example_curve_5_11, example_curve_7_17,
@@ -154,7 +154,7 @@ def test_criterion_08_semimodule_combinatorics():
         n = sm.gamma.pair.n
         gamma = sm.gamma
         tp = tops(sm)
-        conductor = semimodule_conductor(sm)
+        conductor = sm.conductor
         assert conductor <= n * (tp.main - 1)
         v = min(tp.q1, tp.q2)
         assert v == sm.axes[-1] // n
@@ -193,7 +193,7 @@ def test_criterion_09_delorme_decompositions():
                                    + basis.lambdas[j + 1])
                 assert -1 <= dec.distinguished_index < j
                 target = basis.form(i + 1)
-                recomposed = OneForm.zero(curve.pair)
+                recomposed = OneForm(curve.pair)
                 for ell in range(-1, j + 1):
                     recomposed = recomposed + basis.form(ell).times_polynomial(
                         dec.coefficients[ell + 1])

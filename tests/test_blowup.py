@@ -9,8 +9,9 @@ from cuspidal import blowup
 from cuspidal.blowup import (CORNER, FREE, CuspidalSequence, build_sequence,
                              is_totally_dicritical, transform_form)
 from cuspidal.errors import IndexOutOfRange, InternalDisagreement
-from cuspidal.forms import (OneForm, Region, differential, is_prebasic,
-                            is_resonant, nu_E_form, rdo)
+from cuspidal.forms import (BivariatePolynomial, OneForm, Region,
+                            differential, is_prebasic, is_resonant,
+                            nu_E_form, rdo)
 from cuspidal.rationals import Q, rat
 from cuspidal.semigroup import PuiseuxPair, copair
 
@@ -170,7 +171,8 @@ def test_dicritical_examples():
     dy = OneForm(P511, B={(0, 0): rat(1)})
     assert not is_totally_dicritical(dy)
 
-    two_pt = differential({(11, 0): rat(-1), (0, 5): rat(1)}, P511)
+    two_pt = differential(
+        BivariatePolynomial({(11, 0): rat(-1), (0, 5): rat(1)}), P511)
     assert not is_totally_dicritical(two_pt)
 
 

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -263,6 +264,28 @@ def test_exit_one_rational_text_outside_the_grammar(capsys, argv, rule):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert rule in err
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no digit cap before CPython 3.11")
+@pytest.mark.parametrize("where", ["parameter", "y", "dx", "dy"])
+def test_exit_one_names_the_digit_cap_and_bounds_the_echo(capsys, where):
+    # both readers of rational text, cli._parameter_list for --a and
+    # jsonio._parse_entries for coefficients, forward rat_from_str's rule
+    big = "7" * (sys.get_int_max_str_digits() + 700)
+    curve = {"n": 5, "m": 11, "y": [[11, "1"], [12, "1"]]}
+    if where == "parameter":
+        argv = ["semiroots", "--curve", json.dumps(curve), "--a", "1," + big]
+    elif where == "y":
+        curve["y"][1][1] = big
+        argv = ["semiroots", "--curve", json.dumps(curve)]
+    else:
+        form = {"pair": [4, 9], where: [[0, 0, "1/" + big]]}
+        argv = ["dicritical-check", "--form", json.dumps(form)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert "digit cap" in err
+    assert all(len(line) < 200 for line in err.splitlines())
 
 
 @pytest.mark.parametrize("argv", [

@@ -36,7 +36,11 @@ RUNS = (["standard-basis --curve %s.json" % c for c in CURVES]
         + ["semimodule --curve %s.json" % c for c in CURVES]
         + ["semiroots --curve %s.json" % c for c in CURVES]
         + ["verify --all-semiroots --curve %s.json" % c for c in VERIFIED]
-        + ["dicritical-check --form ex4_9_form.json"])
+        + ["dicritical-check --form ex4_9_form.json",
+           "semigroup --pair 5,11",
+           "semimodule --generators 5,11,17,23,29",
+           "semimodule --generators 7,11",
+           "delorme --curve ex5_11.json --i 3 --j 1"])
 
 
 def seed_corpus(directory: pathlib.Path) -> None:

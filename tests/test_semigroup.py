@@ -33,7 +33,7 @@ def test_pair_validation():
 
 def test_conductor_and_apery_5_11():
     g = CuspSemigroup(PuiseuxPair(5, 11))
-    assert g.conductor == 40
+    assert g.pair.conductor == 40
     assert g.apery == (0, 11, 22, 33, 44)
 
 
@@ -111,7 +111,7 @@ def test_minimal_b_representation(pair):
 @given(coprime_pairs())
 def test_conductor_is_tight(pair):
     g = CuspSemigroup(pair)
-    c = g.conductor
+    c = g.pair.conductor
     for k in range(2 * pair.n * pair.m):
         assert contains(g, c + k)
     if pair.n > 1:

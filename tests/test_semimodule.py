@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspidal import (GammaSemimodule, PuiseuxPair, axes, contains,
-                      critical_orders, is_increasing, level_set, limits,
-                      minimal_basis, semimodule_conductor, tops)
+from cuspidal import (GammaSemimodule, PuiseuxPair, contains, is_increasing,
+                      level_set, limits, minimal_basis, tops)
 from cuspidal.corpus import random_increasing_semimodule
 from cuspidal.errors import IndexOutOfRange
 from cuspidal.semimodule import is_circular_interval, ray_level_set
@@ -20,15 +19,15 @@ def sm_5_11():
 
 def test_reference_semimodule_axes_and_limits():
     sm = sm_5_11()
-    assert axes(sm) == (5, 16, 22, 28, 34)
+    assert sm.axes == (5, 16, 22, 28, 34)
     assert tuple(limits(sm, 0)) == (1, 4)
     assert tuple(limits(sm, 1)) == (1, 3)
 
 
 def test_reference_semimodule_conductor_and_orders():
     sm = sm_5_11()
-    assert semimodule_conductor(sm) == 25
-    assert critical_orders(sm) == (5, 11, 16, 21, 26, 31)
+    assert sm.conductor == 25
+    assert sm.critical_orders == (5, 11, 16, 21, 26, 31)
     assert is_increasing(sm)
 
 
@@ -71,8 +70,7 @@ def test_limits_index_errors():
 
 def test_critical_orders_need_full_start():
     sm = GammaSemimodule(PuiseuxPair(5, 11), (7, 11))
-    with pytest.raises(ValueError):
-        critical_orders(sm)
+    assert sm.critical_orders is None
 
 
 def test_level_sets_small():
@@ -108,10 +106,10 @@ def test_random_semimodules_match_enumeration(seed):
     sm = random_increasing_semimodule(rng, max_n=7, max_steps=3)
     n, m = sm.gamma.pair.n, sm.gamma.pair.m
     assert minimal_basis(sm.gamma.pair, sm.basis) == sm.basis
-    assert axes(sm) == oracles.axes_of(n, m, sm.basis)
+    assert sm.axes == oracles.axes_of(n, m, sm.basis)
     bound = oracles.enum_bound(n, m, sm.basis)
     members = oracles.semimodule_members(n, m, sm.basis, bound)
-    assert semimodule_conductor(sm) == oracles.conductor_of(members, bound)
+    assert sm.conductor == oracles.conductor_of(members, bound)
     for i in range(sm.s_index + 1):
         assert tuple(limits(sm, i)) == oracles.limits_of(n, m, sm.basis, i)
 
@@ -122,8 +120,8 @@ def test_axis_consistency_with_limits(seed):
     rng = random.Random(seed)
     sm = random_increasing_semimodule(rng, max_n=7, max_steps=3)
     n, m = sm.gamma.pair.n, sm.gamma.pair.m
-    u = axes(sm)
-    t = critical_orders(sm)
+    u = sm.axes
+    t = sm.critical_orders
     for i in range(sm.s_index + 1):
         ell1, ell2 = limits(sm, i)
         lam = sm.basis[i + 1]
@@ -143,7 +141,7 @@ def test_axis_two_representations(seed):
     rng = random.Random(seed)
     sm = random_increasing_semimodule(rng, max_n=7, max_steps=3)
     n, m = sm.gamma.pair.n, sm.gamma.pair.m
-    u = axes(sm)
+    u = sm.axes
     for i in range(1, len(u)):
         diff = u[i] - sm.basis[i]
         assert diff >= 0 and contains(sm.gamma, diff)
@@ -157,9 +155,9 @@ def test_increasing_semimodule_level_sets_become_circular(seed):
     sm = random_increasing_semimodule(rng, max_n=7, max_steps=3)
     n = sm.gamma.pair.n
     t = tops(sm)
-    assert semimodule_conductor(sm) <= n * (t.main - 1)
+    assert sm.conductor <= n * (t.main - 1)
     # circularity holds from the window carrying u_{s+1} onwards
-    v = axes(sm)[-1] // n
+    v = sm.axes[-1] // n
     assert v == min(t.q1, t.q2)
     for q in range(v, t.main + 2 * n):
         assert is_circular_interval(level_set(sm, q).members, n)
@@ -190,4 +188,4 @@ def test_conductor_shifts_with_leading_generator():
     pair = PuiseuxPair(5, 11)
     sm = sm_5_11()
     shifted = GammaSemimodule(pair, tuple(b - 5 for b in sm.basis))
-    assert semimodule_conductor(shifted) == semimodule_conductor(sm) - 5
+    assert shifted.conductor == sm.conductor - 5

@@ -246,9 +246,11 @@ def test_pullbacks_fetch_each_power_once(monkeypatch):
 
 def test_nu_C_function_examples():
     c = curve_5_11()
-    assert nu_C_function(c, {(1, 0): rat(1)}) == OrderResult.Finite(5)
-    assert nu_C_function(c, {(0, 1): rat(1)}) == OrderResult.Finite(11)
-    h = {(0, 5): rat(1), (11, 0): rat(-1)}
+    x = BivariatePolynomial({(1, 0): rat(1)})
+    y = BivariatePolynomial({(0, 1): rat(1)})
+    assert nu_C_function(c, x) == OrderResult.Finite(5)
+    assert nu_C_function(c, y) == OrderResult.Finite(11)
+    h = BivariatePolynomial({(0, 5): rat(1), (11, 0): rat(-1)})
     assert nu_C_function(c, h) == OrderResult.Finite(56)
 
 

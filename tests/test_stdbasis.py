@@ -102,7 +102,7 @@ def test_certificate_is_the_adjusted_forms_own_value(curve, potential):
     for k in range(1, basis.s_index + 2):
         levels = basis.traces[k].levels
         assert len(levels) == k + 1
-        recomposed = OneForm.zero(c.pair)
+        recomposed = OneForm(c.pair)
         for ell, f in enumerate(levels, -1):
             recomposed = recomposed + basis.form(ell).times_polynomial(f)
         assert recomposed == basis.form(k)
@@ -324,7 +324,7 @@ def test_delorme_one_one_of_omega2():
     dec = delorme_decompose(basis, 1, 1)
     assert dec.vij == 22
     assert dec.distinguished_index == 0
-    assert dec.coefficients == (BivariatePolynomial.zero(),
+    assert dec.coefficients == (BivariatePolynomial(),
                                 BivariatePolynomial({(0, 1): rat(-5)}),
                                 BivariatePolynomial({(1, 0): rat(11)}))
 

@@ -3,9 +3,12 @@ benchmark tracer wraps.  TruncatedSeries carries no rational arithmetic,
 only forms clears a form's denominators, no module reads a theta row,
 the cancellation engine stdbasis._cancel holds no rational form: no
 subtraction and no call to scaled or times_polynomial, and the branch
-solver takes no product of two full-height denominators d[i] d[j]."""
+solver takes no product of two full-height denominators d[i] d[j].  No
+module-level function only returns an attribute of its parameter, and a
+form's integer cloud is computed once."""
 
 import ast
+import fractions
 import importlib
 import importlib.util
 import pathlib
@@ -15,7 +18,12 @@ import types
 import pytest
 
 import cuspidal
+from cuspidal.forms import OneForm, _integer_cloud
+from cuspidal.rationals import Q, rat
+from cuspidal.semigroup import PuiseuxPair
 from cuspidal.series import TruncatedSeries
+
+from oracles import FractionGcdCounter
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 MODULES = sorted(info.name for info in pkgutil.iter_modules(cuspidal.__path__))
@@ -133,3 +141,46 @@ def test_branch_solver_multiplies_no_two_denominators():
              if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
              and is_d(node.left) and is_d(node.right)]
     assert found == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_function_only_returns_an_attribute_of_a_parameter(name):
+    # readers take sm.axes or pair.conductor themselves; a function whose
+    # whole body is `return param.attr` only renames an attribute
+    module = importlib.import_module("cuspidal." + name)
+    tree = ast.parse(pathlib.Path(module.__file__).read_text())
+    found = []
+    for node in tree.body:
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        body = node.body
+        if ast.get_docstring(node) is not None:
+            body = body[1:]
+        params = {a.arg for a in node.args.posonlyargs + node.args.args
+                  + node.args.kwonlyargs}
+        if (len(body) == 1 and isinstance(body[0], ast.Return)
+                and isinstance(body[0].value, ast.Attribute)
+                and isinstance(body[0].value.value, ast.Name)
+                and body[0].value.value.id in params):
+            found.append(node.name)
+    assert found == []
+
+
+@pytest.mark.skipif(Q is not fractions.Fraction,
+                    reason="counts the normalisations of fractions.Fraction")
+def test_integer_cloud_is_computed_once(monkeypatch):
+    w = OneForm(PuiseuxPair(5, 11),
+                A={(0, 1): rat(-11, 6), (2, 3): rat(5, 4)},
+                B={(1, 0): rat(5, 6), (2, 2): rat(-7, 9)})
+    first = _integer_cloud(w)
+    counter = FractionGcdCounter(monkeypatch)
+    assert _integer_cloud(w) is first
+    assert counter.calls == 0
+    # the rational view is the kept integers over L, which is A and B
+    # shifted into the logarithmic cloud
+    cloud, L = first
+    assert w.cloud == {p: (rat(mu, L), rat(zeta, L))
+                       for p, (mu, zeta) in cloud.items()}
+    assert all(w.cloud[(a + 1, b)][0] == c for (a, b), c in w.A.items())
+    assert all(w.cloud[(a, b + 1)][1] == c for (a, b), c in w.B.items())
+    assert L == 36
