@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IndexOutOfRange, InternalDisagreement
-from .forms import OneForm, _integer_cloud, is_prebasic, is_resonant
+from .forms import OneForm, _integer_cloud, _resonant_at, is_prebasic
 from .semigroup import PuiseuxPair
 
 __all__ = [
@@ -166,7 +166,7 @@ def is_totally_dicritical(omega: OneForm) -> DicriticalVerdict:
     """
     if omega._verdict is None:
         vertex = is_prebasic(omega)
-        combinatorial = vertex is not None and is_resonant(omega)
+        combinatorial = vertex is not None and _resonant_at(omega, vertex)
         seq = build_sequence(omega.pair)
         # the integer cloud, a positive multiple, walks to the same verdict
         final_cloud, trail = _geometric_walk(seq, _integer_cloud(omega)[0])

@@ -352,6 +352,11 @@ def is_resonant(omega: OneForm) -> bool:
     vertex = is_prebasic(omega)
     if vertex is None:
         raise NotPreBasic("form has no region vertex")
+    return _resonant_at(omega, vertex)
+
+
+def _resonant_at(omega: OneForm, vertex) -> bool:
+    """n*mu + m*zeta = 0 at a vertex that is_prebasic has already found."""
     mu, zeta = _integer_cloud(omega)[0][vertex]
     return omega.pair.n * mu + omega.pair.m * zeta == 0
 

@@ -258,10 +258,10 @@ def verify_main_theorem(basis: ExtendedStandardBasis, i: int, a) -> dict:
     checks = {}
     checks["standard_basis_semimodule"] = branch_basis.semimodule == expected
     checks["oracle_semimodule"] = semimodule_oracle(branch) == expected
-    # lambda_j < c_Gamma + n for every j, so this window decides exactly
-    window = branch.pair.conductor + branch.pair.n * branch.pair.m
+    # a pullback is exact below its precision, so below lambda_j + 1 it
+    # reads Finite(lambda_j) exactly when it does at any higher one
     checks["values_of_lower_forms"] = all(
-        nu_C_form(branch, basis.form(j), window)
+        nu_C_form(branch, basis.form(j), basis.lambdas[j + 1] + 1)
         == OrderResult.Finite(basis.lambdas[j + 1]) for j in range(-1, i))
     # capping at the truncation keeps the certificate but spares the
     # power cache the dead band above it

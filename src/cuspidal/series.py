@@ -21,9 +21,11 @@ fraction-free (Bareiss, Math. Comp. 22, 1968; Geddes, Czapor and Labahn,
 1992): y is held as integer numerators Y over one denominator D (the
 curve's den), the lcm of its denominators, and the entry of each b is
 one row, the integer numerators of y^b over D^b, at the highest
-precision asked for.  A pullback sums integer rows over one scale;
-pullback_form and pullback_function build one rational per nonzero
-coefficient, the orders nu_C_* build none.  The table is the one series
+precision asked for; an even row is the square of row b/2 when that
+takes fewer products than row b - 1 times Y.  A pullback sums integer
+rows over one scale, each exponent's group with small weights and then
+scaled once; pullback_form and pullback_function build one rational per
+nonzero coefficient, the orders nu_C_* build none.  The table is the one series
 cache: only the branch solver holds a private one.  _eliminate, the one
 elimination step, kills the leading term of an integer row with a
 multiple of another; the cancellation engine, the semimodule oracle and
@@ -157,8 +159,12 @@ class PuiseuxCurve:
     The power table holds y as integer numerators Y over den, the lcm of
     y's denominators, and one row per b: the integer numerators of y^b
     over den^b, known below T + (b - 1) m.  A request below the stored
-    precision truncates the row, one above it regrows it from row b - 1
-    and Y.  theta(y^b) is read off the same row, never stored.
+    precision truncates the row, one above it regrows it: an even b as
+    the square of row b/2 when, by the stored rows' term counts, that
+    takes fewer products than row b - 1 times Y, any other b by that
+    chain step.  Dense branch rows are squared; a short polynomial y
+    keeps the chain for its high rows (from b = 8 on for three terms).
+    theta(y^b) is read off the same row, never stored.
     """
 
     __slots__ = ("pair", "gamma", "y", "trunc", "den", "_powers")
@@ -205,11 +211,17 @@ class PuiseuxCurve:
         want = self._precision(b, prec)
         row = self._powers.get(b)
         if row is None or row.trunc < want:
-            # row b - 1 below want - m times Y is exact below want
-            prev = self.y_power(b - 1, want - self.pair.m)
-            row = self._powers[b] = _assemble(
-                ((prev, k, v, 0) for k, v in self._powers[1].coeffs.items()),
-                want)
+            m, Y = self.pair.m, self._powers[1].coeffs
+            h, p = (len(self._powers[k].coeffs) if k in self._powers
+                    else None for k in (b // 2, b - 1))
+            if b % 2 == 0 and h and (p is None or h * h + h < 2 * p * len(Y)):
+                # row b / 2, of order b m / 2, squared is exact below want
+                row = _square(self.y_power(b // 2, want - b // 2 * m), want)
+            else:
+                # row b - 1 below want - m times Y is exact below want
+                prev = self.y_power(b - 1, want - m)
+                row = _assemble(((prev, k, v, 0) for k, v in Y.items()), want)
+            self._powers[b] = row
         return row.truncate(want)
 
     def theta_y_times_power(self, b: int, prec=None) -> TruncatedSeries:
@@ -246,6 +258,23 @@ def _assemble(terms, prec) -> TruncatedSeries:
     return _reduced(acc, bound)  # the bound may fall after a key is written
 
 
+def _square(h: TruncatedSeries, bound) -> TruncatedSeries:
+    """h * h below bound, at most h.trunc + ord h: each cross product
+    h[j] h[k], j < k, is taken once and doubled."""
+    items = sorted(h.coeffs.items())
+    acc = {}
+    for i, (j, u) in enumerate(items):
+        if 2 * j >= bound:
+            break
+        acc[2 * j] = acc.get(2 * j, 0) + u * u
+        u += u
+        for k, v in items[i + 1:]:
+            if j + k >= bound:
+                break
+            acc[j + k] = acc.get(j + k, 0) + u * v
+    return _reduced({k: v for k, v in acc.items() if v}, bound)
+
+
 def _pullback(curve: PuiseuxCurve, f, prec):
     """(row, scale): the pullback of f below prec is row / scale, row
     integer numerators known below prec and every term's truncation.
@@ -258,7 +287,8 @@ def _pullback(curve: PuiseuxCurve, f, prec):
     it is h(phi(t)), each monomial a row with a constant weight.  Each
     exponent's row is fetched once, terms shifted to prec or past it are
     skipped, and the rows, over den^e, are summed over the scale times
-    den^top for the top e.
+    den^top for the top e: the terms of one e are summed with their small
+    weights and the sum is multiplied by den^(top - e) once.
     """
     n = curve.pair.n
     bound = math.inf if prec is None else prec
@@ -274,10 +304,15 @@ def _pullback(curve: PuiseuxCurve, f, prec):
                   0) for (a, b), c in f.coeffs.items() if n * a < bound]
     rows = {e: curve.y_power(e, prec) for e in {e for e, *_ in terms}}
     top = max(rows, default=0)
-    dpow = [curve.den ** k for k in range(top + 1)]
-    return (_assemble([(rows[e], shift, c * dpow[top - e], d * dpow[top - e])
-                       for e, shift, c, d in terms], prec),
-            scale * dpow[top])
+    bound = min([bound] + [rows[e].trunc + shift for e, shift, *_ in terms])
+    groups = {}
+    for e, shift, c, d in terms:
+        groups.setdefault(e, []).append((rows[e], shift, c, d))
+    parts = []
+    for e, group in groups.items():
+        s = curve.den ** (top - e)
+        parts += group if s == 1 else [(_assemble(group, bound), 0, s, 0)]
+    return _assemble(parts, bound), scale * curve.den ** top
 
 
 def _rational(row: TruncatedSeries, scale: int) -> TruncatedSeries:

@@ -2,10 +2,12 @@
 
 The corpus is `seed-corpus --count 5 --seed 0`.  Every run in RUNS
 prints one JSON document, and the digest of its stdout must equal the
-entry of the same name in golden_bytes.json.  Only ex7_17 verify
-(about 8 s on 2 CPUs) is skipped, to keep the whole file near 10 s;
-ex7_17 semiroots takes about 1.8 s, and rand_002 semiroots and verify
-about 0.2 s and 1.3 s.
+entry of the same name in golden_bytes.json.  Only ex7_17
+`verify --all-semiroots` (4 to 11 s on 2 CPUs, as the machine's speed
+drifts) is skipped, to keep the whole file near 10 s; its branch recheck
+is guarded by ex7_17 verify at i = 3, a = 1/2 (about 1 s, the branch
+with a 1,450-bit den), ex7_17 semiroots takes about 0.7 s, and rand_002
+semiroots and verify about 0.1 s and 0.3 s.
 
 A change that means to alter the output regenerates the digests from a
 checkout with
@@ -40,7 +42,8 @@ RUNS = (["standard-basis --curve %s.json" % c for c in CURVES]
            "semigroup --pair 5,11",
            "semimodule --generators 5,11,17,23,29",
            "semimodule --generators 7,11",
-           "delorme --curve ex5_11.json --i 3 --j 1"])
+           "delorme --curve ex5_11.json --i 3 --j 1",
+           "verify --curve ex7_17.json --i 3 --a 1/2"])
 
 
 def seed_corpus(directory: pathlib.Path) -> None:

@@ -1,4 +1,5 @@
 import fractions
+import importlib
 import math
 import random
 
@@ -104,6 +105,30 @@ def test_oracle_and_window_checks_build_no_rational(monkeypatch):
     counter = FractionGcdCounter(monkeypatch)
     assert checks() == expected
     assert counter.calls == 0
+
+
+@pytest.mark.parametrize("i, j, bump, moved", [(2, 1, -1, 18), (3, 2, 0, 22)],
+                         ids=["omega_1 rises", "omega_2 drops"])
+def test_lower_form_checks_catch_a_perturbed_coefficient(monkeypatch, i, j,
+                                                         bump, moved):
+    # the branch's t^12 coefficient c set to 0 (bump -1) lifts omega_1's
+    # value past lambda_1, and set to c + 1 (bump 0) drops omega_2's
+    # below lambda_2: the window lambda_j + 1 fails both, like the wider
+    # c_Gamma + nm that reads the moved value itself
+    basis = basis_5_11()
+    branch = solve_invariant_branch(basis.form(i), rat(-2, 3))
+    y = dict(branch.y.coeffs)
+    y[12] = (y[12] + 1) * (bump + 1)
+    perturbed = PuiseuxCurve(branch.pair, y, branch.trunc)
+    window = branch.pair.conductor + branch.pair.n * branch.pair.m
+    assert nu_C_form(perturbed, basis.form(j), window) == \
+        OrderResult.Finite(moved) != OrderResult.Finite(basis.lambdas[j + 1])
+    monkeypatch.setattr(importlib.import_module("cuspidal.semiroot"),
+                        "solve_invariant_branch",
+                        lambda omega, a, trunc=None: perturbed)
+    with pytest.raises(VerificationFailure) as caught:
+        verify_main_theorem(basis, i, rat(-2, 3))
+    assert caught.value.report["checks"]["values_of_lower_forms"] is False
 
 
 @pytest.fixture(scope="module")

@@ -8,15 +8,17 @@ from hypothesis import strategies as st
 from cuspidal import series
 from cuspidal.errors import (CuspidalError, InternalDisagreement, NotACusp,
                              OrderTooLow)
-from cuspidal.forms import (BivariatePolynomial, OneForm, differential,
-                            is_basic, is_prebasic, is_resonant, nu_E_form)
+from cuspidal.forms import (BivariatePolynomial, OneForm, _integer_cloud,
+                            differential, is_basic, is_prebasic, is_resonant,
+                            nu_E_form)
 from cuspidal.jsonio import parse_curve
 from cuspidal.rationals import rat, rat_from_str
 from cuspidal.semigroup import CuspSemigroup, PuiseuxPair, contains
 from cuspidal.series import (OrderResult, PuiseuxCurve, TruncatedSeries,
                              integrate_against_conductor, nu_C_form,
                              nu_C_function, pullback_form, pullback_function)
-from cuspidal.stdbasis import compute_standard_basis
+from cuspidal.semiroot import solve_invariant_branch
+from cuspidal.stdbasis import compute_standard_basis, dicritically_adjust
 
 from oracles import antiderivative, combine, theta
 
@@ -136,6 +138,7 @@ def test_power_table_reads_below_a_full_power_without_products(monkeypatch):
     full = _repeated_product(c, b)
     products, grown = [], []
     mul, accumulate = TruncatedSeries.__mul__, series._accumulate
+    square = series._square
 
     def counted(self, other):
         products.append((self, other))
@@ -145,8 +148,13 @@ def test_power_table_reads_below_a_full_power_without_products(monkeypatch):
         grown.append(args[2:])
         return accumulate(*args)
 
+    def counted_square(*args):
+        grown.append(args[1:])
+        return square(*args)
+
     monkeypatch.setattr(TruncatedSeries, "__mul__", counted)
     monkeypatch.setattr(series, "_accumulate", counted_accumulate)
+    monkeypatch.setattr(series, "_square", counted_square)
     for p in (20, 61, 100, c.trunc):
         assert c.y_power(b, p).trunc == p
         assert c.theta_y_times_power(b - 1, p).trunc == p
@@ -166,6 +174,92 @@ def _repeated_product(curve, b):
     for _ in range(b):
         out = out * curve.y
     return out
+
+
+def _watch_squares(monkeypatch):
+    """The term counts of the rows that y_power squares, in call order."""
+    squared, square = [], series._square
+
+    def counted(h, bound):
+        squared.append(len(h.coeffs))
+        return square(h, bound)
+
+    monkeypatch.setattr(series, "_square", counted)
+    return squared
+
+
+@pytest.fixture(scope="module")
+def branch_7_17():
+    """ex7_17's omega_3 branch at a = 1/2 and its rows y^1 .. y^6 by
+    repeated products on the integer numerators."""
+    basis = compute_standard_basis(
+        PuiseuxCurve(PuiseuxPair(7, 17), {17: 1, 30: 1, 33: 1, 36: 1}))
+    omega = basis.form(3)
+    branch = solve_invariant_branch(omega, rat(1, 2), basis.curve.trunc)
+    rows = [TruncatedSeries({0: 1}), branch.y_power(1)]
+    for _ in range(2, max(be for _, be in omega.cloud) + 1):
+        rows.append(rows[-1] * rows[1])
+    return branch, rows
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_squared_rows_equal_repeated_products(monkeypatch, branch_7_17, seed):
+    branch, rows = branch_7_17
+    T = branch.trunc
+    assert branch.den.bit_length() > 1400 and len(rows) == 7
+    requests = [(b, p) for b in range(1, 7) for p in (None, 60, 150, T - 7)]
+    random.Random(seed).shuffle(requests)
+    squared = _watch_squares(monkeypatch)
+    cold = PuiseuxCurve(branch.pair, branch.y.coeffs, T)
+    for b, p in requests:
+        top = rows[b].trunc if p is None else p
+        assert cold.y_power(b, p) == rows[b].truncate(top)
+    assert squared
+
+
+def test_polynomial_y_keeps_the_chain(monkeypatch):
+    # |y^k| = 2k + 1 for y = t^11 + t^12 + t^13: squaring y^(b/2) takes
+    # (b + 1)(b + 2) / 2 products and the chain step y^(b-1) times y
+    # takes 3 (2b - 1), so the square is cheaper only below b = 8
+    c = curve_5_11()
+    squared = _watch_squares(monkeypatch)
+    rows = [c.y_power(b) for b in range(1, 11)]
+    assert squared == [3, 5, 7]
+    assert rows == [_repeated_product(c, b) for b in range(1, 11)]
+
+
+def test_pullback_scales_each_exponent_group_once(monkeypatch):
+    # the adjusted form has several cloud points on each beta below its
+    # top, and the branch has den > 1: every row is read with the cloud's
+    # own small weight, and den^(top - beta) multiplies the group's sum
+    basis = compute_standard_basis(curve_5_11())
+    omega = dicritically_adjust(basis)
+    branch = solve_invariant_branch(basis.form(2), rat(-2, 3))
+    cloud, _ = _integer_cloud(omega)
+    betas = [be for _, be in cloud]
+    assert branch.den > 1
+    assert any(betas.count(be) > 1 for be in betas if be < max(betas))
+    B = math.lcm(*(be for be in betas if be))
+    weights = {(5 * mu * B, ze * B // (be or 1))
+               for (_, be), (mu, ze) in cloud.items()}
+    expected = pullback_form(branch, omega)
+    fetched, read = [], []
+    y_power, accumulate = PuiseuxCurve.y_power, series._accumulate
+
+    def fetch(self, b, prec=None):
+        fetched.append(y_power(self, b, prec))
+        return fetched[-1]
+
+    def watched(acc, src, shift, c, d, bound):
+        if any(src is row.coeffs for row in fetched):
+            read.append((c, d))
+        return accumulate(acc, src, shift, c, d, bound)
+
+    monkeypatch.setattr(PuiseuxCurve, "y_power", fetch)
+    monkeypatch.setattr(series, "_accumulate", watched)
+    assert pullback_form(branch, omega) == expected
+    assert len(read) == len(cloud)
+    assert set(read) <= weights
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspidal import stdbasis
+from cuspidal import blowup, forms, stdbasis
 from cuspidal.corpus import random_cusp_curve
 from cuspidal.errors import IndexOutOfRange, InternalDisagreement, NotACusp
 from cuspidal.forms import (BivariatePolynomial, OneForm, initial_part_data,
@@ -223,6 +223,23 @@ def test_adjusted_form_of_reference_curve():
     assert is_basic(adjusted) and is_resonant(adjusted)
     # idempotent: the second call hands back the stored form
     assert dicritically_adjust(basis) is adjusted
+
+
+def test_adjustment_finds_the_adjusted_vertex_twice(monkeypatch):
+    # _check_shape's is_resonant finds the vertex once, and the
+    # dicriticalness verdict finds it again and reads resonance off it
+    basis = compute_standard_basis(curve_5_11())
+    calls = []
+    real = forms.is_prebasic
+
+    def counted(omega):
+        calls.append(omega)
+        return real(omega)
+
+    monkeypatch.setattr(forms, "is_prebasic", counted)
+    monkeypatch.setattr(blowup, "is_prebasic", counted)
+    adjusted = dicritically_adjust(basis)
+    assert len(calls) == 2 and all(w is adjusted for w in calls)
 
 
 def test_adjustment_with_potential_small_even_n():
