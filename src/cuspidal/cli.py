@@ -63,14 +63,35 @@ def _write(path: str, text: str) -> None:
                          % (path, exc.strerror or exc)) from None
 
 
-def _pair_argument(text: str) -> PuiseuxPair:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise InputError("--pair wants the form n,m")
+def _integer(text: str) -> int:
+    """int(text), the argparse type of every integer flag and the reader
+    behind _integers; bad text is refused in type=int's words, and text
+    with more digits than the interpreter's cap (see rationals) by
+    naming that rule instead of echoing every digit."""
     try:
-        n, m = int(parts[0]), int(parts[1])
+        return int(text)
     except ValueError:
-        raise InputError("--pair wants two integers, got %r" % text) from None
+        cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if 0 < cap < sum(map(str.isdigit, text)):
+            raise argparse.ArgumentTypeError(OverDigitCap(text)) from None
+        raise argparse.ArgumentTypeError("invalid int value: %r"
+                                         % text) from None
+
+
+def _integers(text: str, rule: str) -> list:
+    """The comma-separated integers of text, refused under `rule`."""
+    try:
+        return [_integer(v) for v in text.split(",")]
+    except argparse.ArgumentTypeError as exc:
+        if isinstance(exc.args[0], OverDigitCap):
+            raise InputError("%s: %s" % (rule, exc)) from None
+        raise InputError("%s, got %r" % (rule, text)) from None
+
+
+def _pair_argument(text: str) -> PuiseuxPair:
+    if len(text.split(",")) != 2:
+        raise InputError("--pair wants the form n,m")
+    n, m = _integers(text, "--pair wants two integers")
     try:
         return PuiseuxPair(n, m)
     except ValueError as exc:
@@ -114,11 +135,7 @@ def cmd_semimodule(ns):
     if ns.curve is not None:
         sm = compute_standard_basis(_curve_from(ns, ns.curve)).semimodule
     else:
-        try:
-            values = [int(v) for v in ns.generators.split(",")]
-        except ValueError:
-            raise InputError("--generators wants integers, got %r"
-                             % ns.generators) from None
+        values = _integers(ns.generators, "--generators wants integers")
         if len(values) < 2:
             raise InputError("--generators wants at least n,m")
         pair = _pair_argument("%d,%d" % (values[0], values[1]))
@@ -226,20 +243,20 @@ def build_parser() -> _Parser:
                        help="semimodule of differential values")
     p.add_argument("--curve", metavar="JSON")
     p.add_argument("--generators", metavar="N,M,...")
-    p.add_argument("--truncation", type=int)
+    p.add_argument("--truncation", type=_integer)
     p.set_defaults(func=cmd_semimodule)
 
     p = sub.add_parser("standard-basis",
                        help="standard basis, adjusted form, decompositions")
     p.add_argument("--curve", required=True, metavar="JSON")
-    p.add_argument("--truncation", type=int)
+    p.add_argument("--truncation", type=_integer)
     p.set_defaults(func=cmd_standard_basis)
 
     p = sub.add_parser("delorme", help="one Delorme decomposition")
     p.add_argument("--curve", required=True, metavar="JSON")
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
-    p.add_argument("--truncation", type=int)
+    p.add_argument("--i", type=_integer, required=True)
+    p.add_argument("--j", type=_integer, required=True)
+    p.add_argument("--truncation", type=_integer)
     p.set_defaults(func=cmd_delorme)
 
     p = sub.add_parser("dicritical-check",
@@ -249,23 +266,23 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("semiroots", help="invariant branches of basis forms")
     p.add_argument("--curve", required=True, metavar="JSON")
-    p.add_argument("--i", type=int)
+    p.add_argument("--i", type=_integer)
     p.add_argument("--a", default=DEFAULT_PARAMETERS, metavar="A1,A2,...")
-    p.add_argument("--truncation", type=int)
+    p.add_argument("--truncation", type=_integer)
     p.set_defaults(func=cmd_semiroots)
 
     p = sub.add_parser("verify", help="recheck the semiroot theorem")
     p.add_argument("--curve", required=True, nargs="+", metavar="JSON")
     p.add_argument("--all-semiroots", action="store_true")
-    p.add_argument("--i", type=int)
+    p.add_argument("--i", type=_integer)
     p.add_argument("--a", metavar="A1,A2,...")
-    p.add_argument("--truncation", type=int)
+    p.add_argument("--truncation", type=_integer)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("seed-corpus", help="write example and random curves")
     p.add_argument("--directory", default=".")
-    p.add_argument("--count", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--count", type=_integer, default=5)
+    p.add_argument("--seed", type=_integer, default=0)
     p.set_defaults(func=cmd_seed_corpus)
 
     for sp in sub.choices.values():

@@ -66,7 +66,3 @@ class VerificationFailure(CuspidalError):
     def __init__(self, message: str, report=None):
         super().__init__(message)
         self.report = report
-
-
-class CapExceeded(CuspidalError):
-    """An internal enumeration ran past its proven bound; indicates a bug, not bad input."""

@@ -26,7 +26,12 @@ _TEXT = re.compile(r"\s*([+-]?[0-9]+)\s*(?:/\s*([0-9]+)\s*)?")
 
 
 class OverDigitCap(ValueError):
-    """Rational text with an integer over the digit cap; names the rule."""
+    """Text with an integer over the digit cap; names the rule."""
+
+    def __init__(self, text: str):
+        super().__init__("over the digit cap: an integer of more than %d "
+                         "digits in %r" % (sys.get_int_max_str_digits(),
+                                           text[:20] + "..."))
 
 
 def rat(num, den=1):
@@ -44,9 +49,7 @@ def rat_from_str(text: str):
     try:
         return rat(int(match[1]), int(match[2] or 1))
     except ValueError:  # the grammar admits digits only: it is the cap
-        raise OverDigitCap("over the digit cap: an integer of more than %d "
-                           "digits in %r" % (sys.get_int_max_str_digits(),
-                                             text[:20] + "...")) from None
+        raise OverDigitCap(text) from None
 
 
 def _digits(k: int) -> str:

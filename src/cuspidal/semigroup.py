@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import NotInSemigroup, NotUniqueRange
+from .errors import InternalDisagreement, NotInSemigroup, NotUniqueRange
 
 
 @dataclass(frozen=True)
@@ -120,5 +120,6 @@ def copair(pair: PuiseuxPair) -> tuple:
         return (0, 1)
     d = pow(n, -1, m)
     b = (d * n - 1) // m
-    assert d * n - b * m == 1 and 0 <= b < n and 0 < d <= m
+    if not (d * n - b * m == 1 and 0 <= b < n and 0 < d <= m):
+        raise InternalDisagreement("co-pair %r off for %r" % ((b, d), (n, m)))
     return (b, d)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CapExceeded, IndexOutOfRange
+from .errors import IndexOutOfRange
 from .semigroup import CuspSemigroup, PuiseuxPair
 
 
@@ -101,7 +101,7 @@ class GammaSemimodule:
         self.basis = basis
         self.axes = axes
         self._prefix_tables = tables
-        self.conductor = self.prefix_conductor(self.s_index)
+        self.conductor = max(0, max(tables[-1]) - gamma.pair.n + 1)
 
         self.critical_orders = None
         n, m = gamma.pair.n, gamma.pair.m
@@ -120,16 +120,6 @@ class GammaSemimodule:
         if p < 0:
             return False
         return p >= self._prefix_tables[-1][p % self.gamma.pair.n]
-
-    def prefix_contains(self, k: int, p: int) -> bool:
-        """Membership in Lambda_k = Gamma(lambda_-1 .. lambda_k), -1 <= k <= s."""
-        if p < 0:
-            return False
-        return p >= self._prefix_tables[k + 1][p % self.gamma.pair.n]
-
-    def prefix_conductor(self, k: int) -> int:
-        table = self._prefix_tables[k + 1]
-        return max(0, max(table) - self.gamma.pair.n + 1)
 
     def truncated(self, k: int) -> "GammaSemimodule":
         """The semimodule of the first k+2 generators (indices -1 .. k)."""
@@ -193,23 +183,20 @@ def minimal_basis(gamma: CuspSemigroup, generators) -> tuple:
 def limits(sm: GammaSemimodule, i: int) -> Limits:
     """Limits of the truncation Lambda_i, for 0 <= i <= s.
 
-    Scans p = 1, 2, ... for the first multiple with n p + lambda_i (resp.
-    m p + lambda_i) inside Lambda_{i-1}.  The scan is bounded by the
-    prefix conductor; running past the library-wide cap means a bug.
+    Read off the table of Lambda_{i-1}: lambda_i + step p is a member once
+    it reaches the start of its class's ray, and p + n falls in the class
+    of p, so each p = 1 .. n is lifted by whole periods until it gets
+    there and the limit is the least lifted p (step = n, resp. m).
     """
     if not 0 <= i <= sm.s_index:
         raise IndexOutOfRange("limits index %d outside 0..%d" % (i, sm.s_index))
     n, m = sm.gamma.pair.n, sm.gamma.pair.m
-    lam = sm.basis[i + 1]
-    cap = sm.gamma.pair.conductor + sm.basis[-1] + n * m
+    lam, table = sm.basis[i + 1], sm._prefix_tables[i]
 
     def first(step: int) -> int:
-        p = 1
-        while not sm.prefix_contains(i - 1, step * p + lam):
-            p += 1
-            if step * p + lam > cap:
-                raise CapExceeded("limit scan passed the proven bound")
-        return p
+        # value v climbs ceil((start - v) / (step n)) periods, if under it
+        return min(p + n * max(0, -((v - table[v % n]) // (step * n)))
+                   for p, v in ((p, lam + step * p) for p in range(1, n + 1)))
 
     return Limits(first(n), first(m))
 

@@ -69,16 +69,15 @@ class DelormeDecomposition:
 class ExtendedStandardBasis:
     """The standard basis of a curve, with room for the adjusted form.
 
-    `forms` holds omega_-1 .. omega_s; `adjusted` and `certificate` stay
-    None until dicritically_adjust fills them, which form(s+1) runs the
-    first time it is asked for.  `traces` keeps, for every constructed
-    form, its level coefficients, the one record of how it was built;
-    Delorme substitutes them instead of re-deriving them.  It keeps no
-    pullbacks: series._pullback reads them off the curve's power table.
+    `forms` holds omega_-1 .. omega_s; `adjusted` stays None until
+    dicritically_adjust fills it, which form(s+1) runs the first time it
+    is asked for.  `traces` keeps, for every constructed form, its level
+    coefficients, the one record of how it was built; Delorme substitutes
+    them instead of re-deriving them.  It keeps no pullbacks:
+    series._pullback reads them off the curve's power table.
     """
 
-    __slots__ = ("curve", "semimodule", "forms", "traces",
-                 "adjusted", "certificate")
+    __slots__ = ("curve", "semimodule", "forms", "traces", "adjusted")
 
     def __init__(self, curve, semimodule, forms, traces):
         self.curve = curve
@@ -86,7 +85,6 @@ class ExtendedStandardBasis:
         self.forms = tuple(forms)
         self.traces = dict(traces)
         self.adjusted = None
-        self.certificate = None
 
     @property
     def s_index(self) -> int:
@@ -137,14 +135,14 @@ def _cancellation_site(gamma, lambdas, value):
 
 def _seed(sm, forms):
     """Candidate opening the next stage: the cheaper of x^l1 omega_s',
-    y^l2 omega_s', with its axis and exponent and the axis value u."""
+    y^l2 omega_s', as the axis value u, the monomial level and the form."""
     pair = sm.gamma.pair
-    lim = limits(sm, sm.s_index)
-    ux = pair.n * lim.ell1 + sm.basis[-1]
-    uy = pair.m * lim.ell2 + sm.basis[-1]
-    if ux <= uy:
-        return "x", lim.ell1, ux, forms[-1].times_monomial(lim.ell1, 0)
-    return "y", lim.ell2, uy, forms[-1].times_monomial(0, lim.ell2)
+    ell1, ell2 = limits(sm, sm.s_index)
+    if pair.n * ell1 <= pair.m * ell2:
+        u, level = pair.n * ell1, BivariatePolynomial.monomial(ell1, 0)
+    else:
+        u, level = pair.m * ell2, BivariatePolynomial.monomial(0, ell2)
+    return u + sm.basis[-1], level, forms[-1].times_polynomial(level)
 
 
 def _cancel(curve, sm, forms, eta, first_stop, stop, prec=None):
@@ -181,17 +179,16 @@ def _combination(forms, levels) -> OneForm:
     return total
 
 
-def _built(curve, forms, axis, ell, seed, steps, potential):
+def _built(curve, forms, level, seed, steps, potential):
     """The next basis form and its trace, built once from its levels: the
     steps take mu x^c y^d off f_j, eta = seed + sum f_ell omega_ell, and
-    f_top gains the seed's x^ell or y^ell.  omega = rho eta, rho the
+    f_top gains the seed's level x^ell or y^ell.  omega = rho eta, rho the
     clearing scalar, or eta - dh with rho = 1 and dh taken off f_-1, f_0."""
     f = [BivariatePolynomial()] * len(forms)
     for st in steps:
         f[st.j + 1] -= BivariatePolynomial.monomial(st.c, st.d, st.mu)
     eta = seed + _combination(forms, f)
-    f[-1] += BivariatePolynomial.monomial(*((ell, 0) if axis == "x"
-                                            else (0, ell)))
+    f[-1] += level
     if potential is None:
         rho = _integer_cloud(eta)[1]
         omega, f = eta.scaled(rho), [g * rho for g in f]
@@ -228,7 +225,7 @@ def compute_standard_basis(curve: PuiseuxCurve) -> ExtendedStandardBasis:
     traces = {}
     while True:
         sm = GammaSemimodule(gamma, tuple(lam))
-        axis, ell, u_next, eta = _seed(sm, forms)
+        u_next, level, eta = _seed(sm, forms)
         _, _, steps, new_value = _cancel(curve, sm, forms, eta,
                                          c_gamma, c_gamma, work)
         if new_value >= c_gamma:
@@ -236,8 +233,8 @@ def compute_standard_basis(curve: PuiseuxCurve) -> ExtendedStandardBasis:
         if new_value <= u_next:
             raise InternalDisagreement("generator %d at or under the axis %d"
                                        % (new_value, u_next))
-        omega, traces[len(lam) - 1] = _built(curve, forms, axis, ell, eta,
-                                             steps, None)
+        omega, traces[len(lam) - 1] = _built(curve, forms, level, eta, steps,
+                                             None)
         value = nu_C_form(curve, omega, work)
         if value != OrderResult.Finite(new_value):
             raise InternalDisagreement("form for %d has value %r"
@@ -280,15 +277,15 @@ def dicritically_adjust(basis: ExtendedStandardBasis) -> OneForm:
     first cancellation fires even past the conductor, and later ones stop
     there.  Whatever finite value survives is integrated into a potential
     h, and _built assembles omega = eta - dh once from its levels.  It is
-    certified by its own pullback: nu_C_form(curve, omega) must read
-    AtLeast(T), and that order is kept as basis.certificate.  It is also
-    checked to be totally dicritical before it is stored.
+    certified by its own pullback below T: nu_C_form(curve, omega,
+    curve.trunc) must read AtLeast(T).  It is also checked to be totally
+    dicritical before it is stored.
     """
     if basis.adjusted is not None:
         return basis.adjusted
     curve, sm = basis.curve, basis.semimodule
     s = sm.s_index
-    axis, ell, u_next, eta = _seed(sm, basis.forms)
+    u_next, level, eta = _seed(sm, basis.forms)
     if u_next != basis.u[-1]:
         raise InternalDisagreement("seed value %d off the last axis %d"
                                    % (u_next, basis.u[-1]))
@@ -304,12 +301,11 @@ def dicritically_adjust(basis: ExtendedStandardBasis) -> OneForm:
         potential = _integrate(curve, {k - 1: v for k, v in
                                        a_eta.coeffs.items()},
                                E, a_eta.trunc - 1)
-    omega, trace = _built(curve, basis.forms, axis, ell, eta, steps,
-                          potential)
-    certificate = nu_C_form(curve, omega)
-    if certificate != OrderResult.AtLeast(curve.trunc):
+    omega, trace = _built(curve, basis.forms, level, eta, steps, potential)
+    value = nu_C_form(curve, omega, curve.trunc)
+    if value != OrderResult.AtLeast(curve.trunc):
         raise InternalDisagreement("adjusted form has value %r, not"
-                                   " AtLeast(%d)" % (certificate, curve.trunc))
+                                   " AtLeast(%d)" % (value, curve.trunc))
     if nu_E_form(omega) != basis.t[-1]:
         raise InternalDisagreement("adjusted form has order %d, not t = %d"
                                    % (nu_E_form(omega), basis.t[-1]))
@@ -317,7 +313,6 @@ def dicritically_adjust(basis: ExtendedStandardBasis) -> OneForm:
     if not is_totally_dicritical(omega):
         raise InternalDisagreement("adjusted form is not totally dicritical")
     basis.adjusted = omega
-    basis.certificate = certificate
     basis.traces[s + 1] = trace
     return omega
 

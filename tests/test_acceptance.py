@@ -164,7 +164,7 @@ def test_criterion_08_semimodule_combinatorics():
         assert level_set(sm, saturation).members == frozenset(range(n))
         for i in range(sm.s_index + 1):
             for k in range(-1, i):
-                assert sm.axes[i + 1] < sm.prefix_conductor(k) + n
+                assert sm.axes[i + 1] < sm.truncated(k).conductor + n
         for mu in sm.basis:
             previous = ray_level_set(gamma, mu, 0)
             for q in range(1, saturation + 1):

@@ -288,6 +288,35 @@ def test_exit_one_names_the_digit_cap_and_bounds_the_echo(capsys, where):
     assert all(len(line) < 200 for line in err.splitlines())
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no digit cap before CPython 3.11")
+@pytest.mark.parametrize("argv", [
+    ["standard-basis", "--curve", "ex5_11.json", "--truncation", "{big}"],
+    ["semigroup", "--pair", "5,{big}"],
+    ["semimodule", "--generators", "5,11,{big}"],
+], ids=["flag", "pair", "generators"])
+def test_exit_one_names_the_digit_cap_of_an_integer_argument(capsys, argv):
+    # every integer argument goes through cli._integer, which refuses an
+    # integer over the cap by naming the rule, not by echoing its digits
+    big = "7" * (sys.get_int_max_str_digits() + 700)
+    code, out, err = run(capsys, *[a.format(big=big) for a in argv])
+    assert (code, out) == (1, "")
+    assert "digit cap" in err
+    assert all(len(line) < 200 for line in err.splitlines())
+
+
+@pytest.mark.parametrize("argv, refusal", [
+    (["delorme", "--curve", "x", "--i", "x", "--j", "1"],
+     "cuspidal delorme: error: argument --i: invalid int value: 'x'\n"),
+    (["semigroup", "--pair", "5,x"],
+     "error: --pair wants two integers, got '5,x'\n"),
+    (["semimodule", "--generators", "5,x"],
+     "error: --generators wants integers, got '5,x'\n"),
+], ids=["flag", "pair", "generators"])
+def test_short_integer_refusals_keep_their_words(capsys, argv, refusal):
+    assert run(capsys, *argv) == (1, "", refusal)
+
+
 @pytest.mark.parametrize("argv", [
     ["semiroots", "--a", "1_0"],
     ["verify", "--i", "1", "--a", "1_0"],

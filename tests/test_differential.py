@@ -134,12 +134,12 @@ def test_fraction_free_cancellation_and_oracle_match_the_rational_ones(curve):
             for k in range(2, len(basis.lambdas) + 1)]
     runs.append((basis.semimodule, basis.forms, curve.trunc, c + 1, None))
     for sm, forms, first_stop, stop, prec in runs:
-        axis, ell, _, eta = _seed(sm, forms)
+        _, level, eta = _seed(sm, forms)
         A, E, got_steps, got_nu = _cancel(
             curve, sm, forms, eta, first_stop, stop, prec)
         want_eta, a_eta, want_steps, want_nu = cancel_by_rationals(
             curve, sm, forms, eta, first_stop, stop, prec)
-        assert _built(curve, forms, axis, ell, eta, got_steps, None)[0] == \
+        assert _built(curve, forms, level, eta, got_steps, None)[0] == \
             want_eta.scaled(_integer_cloud(want_eta)[1])
         assert got_steps == want_steps
         assert got_nu == want_nu

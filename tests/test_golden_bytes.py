@@ -43,7 +43,11 @@ RUNS = (["standard-basis --curve %s.json" % c for c in CURVES]
            "semimodule --generators 5,11,17,23,29",
            "semimodule --generators 7,11",
            "delorme --curve ex5_11.json --i 3 --j 1",
-           "verify --curve ex7_17.json --i 3 --a 1/2"])
+           "verify --curve ex7_17.json --i 3 --a 1/2",
+           # the adjustment at a non-default T, and at criterion 06's
+           # member 7, (t^9, t^11), whose adjustment takes no potential
+           "standard-basis --curve ex5_11.json --truncation 200",
+           'standard-basis --curve {"n":9,"m":11,"y":[[11,"1"]]}'])
 
 
 def seed_corpus(directory: pathlib.Path) -> None:

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -114,6 +115,24 @@ def test_random_semimodules_match_enumeration(seed):
         assert tuple(limits(sm, i)) == oracles.limits_of(n, m, sm.basis, i)
 
 
+def test_limits_of_arbitrary_generator_systems_match_enumeration():
+    # minimal bases of arbitrary generators, increasing or not, not only
+    # the increasing semimodules random_increasing_semimodule draws
+    rng = random.Random(1906)
+    shapes = set()
+    for _ in range(300):
+        n = rng.randint(2, 9)
+        m = rng.choice([k for k in range(n + 1, 4 * n) if math.gcd(n, k) == 1])
+        pair = PuiseuxPair(n, m)
+        gens = [rng.randint(0, 2 * n * m) for _ in range(rng.randint(1, n))]
+        sm = GammaSemimodule(pair, minimal_basis(pair, gens))
+        shapes.add(is_increasing(sm))
+        for i in range(sm.s_index + 1):
+            assert tuple(limits(sm, i)) == \
+                oracles.limits_of(n, m, sm.basis, i)
+    assert shapes == {False, True}
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10 ** 6))
 def test_axis_consistency_with_limits(seed):
@@ -145,7 +164,7 @@ def test_axis_two_representations(seed):
     for i in range(1, len(u)):
         diff = u[i] - sm.basis[i]
         assert diff >= 0 and contains(sm.gamma, diff)
-        assert sm.prefix_contains(i - 2, u[i])
+        assert sm.truncated(i - 2).contains(u[i])
 
 
 @settings(max_examples=40, deadline=None)
@@ -172,7 +191,8 @@ def test_rays_prefixes_and_redundancy_against_enumeration(seed):
     bound = oracles.enum_bound(n, m, sm.basis)
     for k in range(-1, sm.s_index + 1):
         members = oracles.semimodule_members(n, m, sm.basis[:k + 2], bound)
-        assert sm.prefix_conductor(k) == oracles.conductor_of(members, bound)
+        assert sm.truncated(k).conductor == \
+            oracles.conductor_of(members, bound)
     for mu in sm.basis:
         ray = oracles.semimodule_members(n, m, (mu,), bound)
         for q in range(bound // n):

@@ -4,8 +4,9 @@ only forms clears a form's denominators, no module reads a theta row,
 the cancellation engine stdbasis._cancel holds no rational form: no
 subtraction and no call to scaled or times_polynomial, and the branch
 solver takes no product of two full-height denominators d[i] d[j].  No
-module-level function only returns an attribute of its parameter, and a
-form's integer cloud is computed once."""
+module-level function only returns an attribute of its parameter, a
+form's integer cloud is computed once, no module asserts, and the
+semimodule module runs no while loop."""
 
 import ast
 import fractions
@@ -122,6 +123,25 @@ def test_cancellation_engine_holds_no_rational_form():
                  and getattr(node.func, "attr", getattr(node.func, "id", None))
                  in ("scaled", "times_polynomial"))]
     assert found == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_asserts(name):
+    # python -O strips assert statements; a broken invariant raises
+    # InternalDisagreement instead, which no flag turns off
+    module = importlib.import_module("cuspidal." + name)
+    tree = ast.parse(pathlib.Path(module.__file__).read_text())
+    assert [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)] == []
+
+
+def test_semimodule_runs_no_unbounded_search():
+    # axes, limits and conductors are read off the per-class tables, so
+    # the module has no while loop
+    module = importlib.import_module("cuspidal.semimodule")
+    tree = ast.parse(pathlib.Path(module.__file__).read_text())
+    assert [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.While)] == []
 
 
 def test_branch_solver_multiplies_no_two_denominators():
