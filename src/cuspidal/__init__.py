@@ -13,9 +13,8 @@ from .semigroup import (PuiseuxPair, CuspSemigroup, GammaRepresentation,
 from .semimodule import (GammaSemimodule, Limits, LevelSet, Tops,
                          minimal_basis, limits, is_increasing, level_set,
                          ray_level_set, is_circular_interval, tops)
-from .forms import (BivariatePolynomial, OneForm, Region, InitialPart,
-                    differential, nu_E_form, nu_E_function, initial_part,
-                    initial_part_data, rdo, is_basic, is_prebasic,
+from .forms import (BivariatePolynomial, OneForm, Region, differential,
+                    nu_E_form, initial_part, rdo, is_basic, is_prebasic,
                     is_resonant)
 from .series import (TruncatedSeries, OrderResult, PuiseuxCurve,
                      pullback_form, pullback_function, nu_C_form,

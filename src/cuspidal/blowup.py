@@ -42,14 +42,6 @@ class CuspidalSequence:
     def length(self) -> int:
         return len(self.pairs)
 
-    @property
-    def freeness_index(self) -> int:
-        """Number of leading free blow-ups; the first one is always free."""
-        if self.length == 1:
-            return 0
-        first = self.pairs[0]
-        return first.m // first.n
-
     def __repr__(self):
         bits = []
         for i, p in enumerate(self.pairs):

@@ -23,7 +23,7 @@ from .jsonio import (InputError, basis_to_json, curve_to_json,
                      delorme_to_json, dicritical_to_json, dumps,
                      form_to_json, parse_curve, parse_form,
                      semiroot_to_json, verify_report_to_json)
-from .rationals import OverDigitCap, rat_from_str
+from .rationals import OverDigitCap, echo, int_from_str, rat_from_str
 from .semigroup import CuspSemigroup, PuiseuxPair, copair
 from .semimodule import GammaSemimodule, is_increasing, minimal_basis
 from .semiroot import semiroot, verify_main_theorem
@@ -52,6 +52,8 @@ def _load_json(source: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError("malformed JSON in %r: %s" % (source, exc)) from None
+    except ValueError as exc:  # an integer over the digit cap
+        raise InputError(str(exc)) from None
 
 
 def _write(path: str, text: str) -> None:
@@ -64,28 +66,27 @@ def _write(path: str, text: str) -> None:
 
 
 def _integer(text: str) -> int:
-    """int(text), the argparse type of every integer flag and the reader
-    behind _integers; bad text is refused in type=int's words, and text
-    with more digits than the interpreter's cap (see rationals) by
-    naming that rule instead of echoing every digit."""
+    """The argparse type of every integer flag: text in the grammar of
+    rationals.int_from_str.  Other text is refused in type=int's words,
+    and an integer over the digit cap by naming that rule; either echoes
+    at most 20 characters."""
     try:
-        return int(text)
+        return int_from_str(text)
+    except OverDigitCap as exc:
+        raise argparse.ArgumentTypeError(exc) from None
     except ValueError:
-        cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if 0 < cap < sum(map(str.isdigit, text)):
-            raise argparse.ArgumentTypeError(OverDigitCap(text)) from None
-        raise argparse.ArgumentTypeError("invalid int value: %r"
-                                         % text) from None
+        raise argparse.ArgumentTypeError("invalid int value: %s"
+                                         % echo(text)) from None
 
 
 def _integers(text: str, rule: str) -> list:
     """The comma-separated integers of text, refused under `rule`."""
     try:
-        return [_integer(v) for v in text.split(",")]
-    except argparse.ArgumentTypeError as exc:
-        if isinstance(exc.args[0], OverDigitCap):
-            raise InputError("%s: %s" % (rule, exc)) from None
-        raise InputError("%s, got %r" % (rule, text)) from None
+        return [int_from_str(v) for v in text.split(",")]
+    except OverDigitCap as exc:
+        raise InputError("%s: %s" % (rule, exc)) from None
+    except ValueError:
+        raise InputError("%s, got %s" % (rule, echo(text))) from None
 
 
 def _pair_argument(text: str) -> PuiseuxPair:
@@ -106,7 +107,7 @@ def _parameter_list(text: str) -> list:
         except OverDigitCap as exc:
             raise InputError("unreadable parameter: %s" % exc) from None
         except (ValueError, ZeroDivisionError):
-            raise InputError("unreadable parameter %r" % chunk) from None
+            raise InputError("unreadable parameter %s" % echo(chunk)) from None
     if not out:
         raise InputError("empty parameter list")
     return out
@@ -140,7 +141,10 @@ def cmd_semimodule(ns):
             raise InputError("--generators wants at least n,m")
         pair = _pair_argument("%d,%d" % (values[0], values[1]))
         gamma = CuspSemigroup(pair)
-        sm = GammaSemimodule(gamma, minimal_basis(gamma, values))
+        try:
+            sm = GammaSemimodule(gamma, minimal_basis(gamma, values))
+        except ValueError as exc:
+            raise InputError(str(exc)) from None
     return {"lambda": list(sm.basis),
             "t": list(sm.critical_orders) if sm.critical_orders else None,
             "u": list(sm.axes),
@@ -317,7 +321,7 @@ def main(argv=None) -> int:
             payload["report"] = report
         sys.stdout.write(dumps(payload))
         return 2
-    except (InputError, CuspidalError, ValueError) as exc:
+    except (InputError, CuspidalError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1
     if not ns.output:

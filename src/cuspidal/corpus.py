@@ -1,4 +1,5 @@
-"""Seeded random generators for stress-testing the combinatorial layer."""
+"""The bundled example curves and form, and the seeded random cusps of
+the CLI's seed-corpus."""
 
 from __future__ import annotations
 
@@ -6,42 +7,10 @@ import math
 import random
 
 from .semigroup import PuiseuxPair
-from .semimodule import GammaSemimodule
 from .series import PuiseuxCurve
 
-__all__ = ["random_coprime_pair", "random_increasing_semimodule",
-           "random_cusp_curve", "example_curve_5_11", "example_curve_7_17",
+__all__ = ["random_cusp_curve", "example_curve_5_11", "example_curve_7_17",
            "example_form_4_9"]
-
-
-def random_coprime_pair(rng: random.Random, max_n: int = 8) -> PuiseuxPair:
-    """Pick a coprime pair with 2 <= n <= max_n and n < m <= 3 n + 7."""
-    while True:
-        n = rng.randint(2, max_n)
-        m = rng.randint(n + 1, 3 * n + 7)
-        if math.gcd(n, m) == 1:
-            return PuiseuxPair(n, m)
-
-
-def random_increasing_semimodule(rng: random.Random, max_n: int = 8,
-                                 max_steps: int = 4) -> GammaSemimodule:
-    """Grow a basis (n, m, ...) where each new value exceeds the axis u_{i+1}.
-
-    Each extension keeps the semimodule increasing by construction: the
-    candidate pool is the gap set strictly between the next axis and the
-    point past which no gaps remain.
-    """
-    pair = random_coprime_pair(rng, max_n=max_n)
-    sm = GammaSemimodule(pair, (pair.n, pair.m))
-    for _ in range(max_steps):
-        if rng.random() < 0.25:
-            break
-        pool = [p for p in range(sm.axes[-1] + 1, sm.conductor)
-                if not sm.contains(p)]
-        if not pool:
-            break
-        sm = GammaSemimodule(pair, sm.basis + (rng.choice(pool),))
-    return sm
 
 
 def random_cusp_curve(rng: random.Random, max_n: int = 9,

@@ -28,10 +28,6 @@ class ZeroForm(CuspidalError):
     """An operation needing a nonzero 1-form received the zero form."""
 
 
-class ZeroPolynomial(CuspidalError):
-    """An operation needing a nonzero polynomial received zero."""
-
-
 class QAboveOrder(CuspidalError):
     """Weight-q part requested for q above the divisorial order."""
 

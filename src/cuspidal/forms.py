@@ -19,17 +19,15 @@ computed once and kept on the form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import (NotPreBasic, QAboveOrder, ZeroForm, ZeroPolynomial)
+from .errors import NotPreBasic, QAboveOrder, ZeroForm
 from .rationals import Q, rat
 from .semigroup import PuiseuxPair, copair
 
 __all__ = [
-    "BivariatePolynomial", "OneForm", "Region", "InitialPart",
-    "nu_E_form", "nu_E_function", "initial_part", "initial_part_data",
-    "rdo", "is_basic", "is_prebasic", "is_resonant",
-    "differential",
+    "BivariatePolynomial", "OneForm", "Region",
+    "nu_E_form", "initial_part", "rdo", "is_basic", "is_prebasic",
+    "is_resonant", "differential",
 ]
 
 
@@ -257,15 +255,6 @@ class Region:
         return "R^{%d,%d}%s" % (self.pair.n, self.pair.m, self.base)
 
 
-@dataclass(frozen=True)
-class InitialPart:
-    """x^a y^b (mu dx/x + zeta dy/y), the weight-minimal slice at the vertex."""
-
-    vertex: tuple
-    mu: object
-    zeta: object
-
-
 def _weight(pair: PuiseuxPair, point) -> int:
     return pair.n * point[0] + pair.m * point[1]
 
@@ -275,17 +264,6 @@ def nu_E_form(omega: OneForm) -> int:
     if omega.is_zero():
         raise ZeroForm("nu_E of the zero form")
     return min(_weight(omega.pair, p) for p in _integer_cloud(omega)[0])
-
-
-def nu_E_function(h: BivariatePolynomial, pair: PuiseuxPair) -> int:
-    """Weighted order of a polynomial: min of n*a + m*b over its support.
-
-    Satisfies nu_E(dh) = nu_E(h): the differential shifts each monomial
-    into the cloud point of the same weight.
-    """
-    if h.is_zero():
-        raise ZeroPolynomial("nu_E of the zero polynomial")
-    return min(pair.n * a + pair.m * b for (a, b) in h.coeffs)
 
 
 def initial_part(omega: OneForm, q: int) -> OneForm:
@@ -339,14 +317,6 @@ def is_prebasic(omega: OneForm):
     return None
 
 
-def initial_part_data(omega: OneForm) -> InitialPart:
-    """Vertex and its logarithmic coefficients, for pre-basic forms."""
-    vertex = is_prebasic(omega)
-    if vertex is None:
-        raise NotPreBasic("form has no region vertex")
-    return InitialPart(vertex, *omega.cloud[vertex])
-
-
 def is_resonant(omega: OneForm) -> bool:
     """Whether n*mu + m*zeta = 0 at the vertex; needs a pre-basic form."""
     vertex = is_prebasic(omega)
@@ -362,7 +332,9 @@ def _resonant_at(omega: OneForm, vertex) -> bool:
 
 
 def differential(h: BivariatePolynomial, pair: PuiseuxPair) -> OneForm:
-    """dh as a OneForm; nu_E is preserved, monomial by monomial."""
+    """dh as a OneForm.  nu_E(dh) = nu_E(h), the least n a + m b over h's
+    support, only when h has no constant term: d drops it and moves every
+    other monomial to the cloud point of the same weight."""
     A, B = {}, {}
     for (a, b), c in h.coeffs.items():
         if a:

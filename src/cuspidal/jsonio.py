@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 
 from .forms import OneForm, is_basic, nu_E_form
-from .rationals import OverDigitCap, rat_from_str, rat_to_str
+from .rationals import OverDigitCap, echo, rat_from_str, rat_to_str
 from .semigroup import PuiseuxPair, copair
 from .series import PuiseuxCurve
 
@@ -81,7 +81,10 @@ def parse_curve(obj, trunc_override: int = None) -> PuiseuxCurve:
     trunc = obj.get("truncation") if trunc_override is None else trunc_override
     if trunc is not None and not _is_int(trunc):
         raise InputError("truncation must be an integer")
-    return PuiseuxCurve(pair, coeffs, trunc)
+    try:
+        return PuiseuxCurve(pair, coeffs, trunc)
+    except ValueError as exc:  # a truncation or a term off the cusp rules
+        raise InputError(str(exc)) from None
 
 
 def _parse_entries(entries, what: str, exponents: tuple) -> dict:
@@ -115,8 +118,9 @@ def _parse_entries(entries, what: str, exponents: tuple) -> dict:
             raise InputError("unreadable coefficient in %s entry at %r: %s"
                              % (what, entry[:k], exc)) from None
         except (ValueError, ZeroDivisionError):
-            raise InputError("unreadable coefficient in %s entry %r"
-                             % (what, entry)) from None
+            raise InputError("unreadable coefficient in %s entry [%s]" % (
+                what, ", ".join([repr(e) for e in entry[:k]]
+                                + [echo(entry[k])]))) from None
     return table
 
 
@@ -155,9 +159,9 @@ def delorme_to_json(dec) -> dict:
 
 def basis_to_json(basis, decompositions) -> dict:
     return {
-        "lambda": list(basis.lambdas),
-        "t": list(basis.t),
-        "u": list(basis.u),
+        "lambda": list(basis.semimodule.basis),
+        "t": list(basis.semimodule.critical_orders),
+        "u": list(basis.semimodule.axes),
         "forms": [form_to_json(basis.form(i))
                   for i in range(-1, basis.s_index + 1)],
         "adjusted_form": form_to_json(basis.form(basis.s_index + 1)),

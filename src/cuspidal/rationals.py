@@ -7,8 +7,10 @@ with identical semantics for everything we do.
 
 Canonical text form: lowest terms, the sign on the numerator, no spaces,
 denominator omitted when it is 1 ("3", "-11", "23/22").  Text of any
-height is printed; text is read up to the interpreter's digit cap per
-integer (sys.get_int_max_str_digits(), 4300 by default from CPython 3.11).
+height is printed.  Rational and integer text share one grammar (ASCII
+digits, a sign, surrounding whitespace), read up to the interpreter's
+digit cap per integer (sys.get_int_max_str_digits(), 4300 by default
+from CPython 3.11); a refusal echoes at most 20 characters (echo).
 """
 
 from __future__ import annotations
@@ -22,7 +24,13 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
     from fractions import Fraction as Q
 
 ZERO = Q(0)
-_TEXT = re.compile(r"\s*([+-]?[0-9]+)\s*(?:/\s*([0-9]+)\s*)?")
+_INTEGER = re.compile(r"\s*([+-]?[0-9]+)\s*")
+_TEXT = re.compile(_INTEGER.pattern + r"(?:/\s*([0-9]+)\s*)?")
+
+
+def echo(text: str) -> str:
+    """repr of text, cut to 20 characters and "..." when it is longer."""
+    return repr(text if len(text) <= 20 else text[:20] + "...")
 
 
 class OverDigitCap(ValueError):
@@ -30,8 +38,8 @@ class OverDigitCap(ValueError):
 
     def __init__(self, text: str):
         super().__init__("over the digit cap: an integer of more than %d "
-                         "digits in %r" % (sys.get_int_max_str_digits(),
-                                           text[:20] + "..."))
+                         "digits in %s" % (sys.get_int_max_str_digits(),
+                                           echo(text)))
 
 
 def rat(num, den=1):
@@ -39,17 +47,29 @@ def rat(num, den=1):
     return Q(num) if den == 1 and isinstance(num, (int, Q)) else Q(num, den)
 
 
+def _read(grammar, text: str, what: str) -> list:
+    """The integers of text's groups in grammar, 1 for an absent one; other
+    text raises ValueError, an integer over the digit cap OverDigitCap."""
+    match = grammar.fullmatch(text)
+    if match is None:
+        raise ValueError("not %s: %s" % (what, echo(text)))
+    try:
+        return [int(group) for group in match.groups("1")]
+    except ValueError:  # the grammar admits digits only: it is the cap
+        raise OverDigitCap(text) from None
+
+
 def rat_from_str(text: str):
     """Parse "p" or "p/q" in ASCII digits, a sign allowed on p only;
     whitespace is tolerated, and any other text raises ValueError, as
     does an integer over the digit cap (OverDigitCap, see the module)."""
-    match = _TEXT.fullmatch(text)
-    if match is None:
-        raise ValueError("not a rational: %r" % text)
-    try:
-        return rat(int(match[1]), int(match[2] or 1))
-    except ValueError:  # the grammar admits digits only: it is the cap
-        raise OverDigitCap(text) from None
+    return rat(*_read(_TEXT, text, "a rational"))
+
+
+def int_from_str(text: str) -> int:
+    """Parse "p" in the grammar of rat_from_str, which int() widens with
+    underscores and non-ASCII digits; errors as in rat_from_str."""
+    return _read(_INTEGER, text, "an integer")[0]
 
 
 def _digits(k: int) -> str:

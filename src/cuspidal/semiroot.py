@@ -261,12 +261,13 @@ def verify_main_theorem(basis: ExtendedStandardBasis, i: int, a) -> dict:
     # a pullback is exact below its precision, so below lambda_j + 1 it
     # reads Finite(lambda_j) exactly when it does at any higher one
     checks["values_of_lower_forms"] = all(
-        nu_C_form(branch, basis.form(j), basis.lambdas[j + 1] + 1)
-        == OrderResult.Finite(basis.lambdas[j + 1]) for j in range(-1, i))
+        nu_C_form(branch, basis.form(j), expected.basis[j + 1] + 1)
+        == OrderResult.Finite(expected.basis[j + 1]) for j in range(-1, i))
     # capping at the truncation keeps the certificate but spares the
     # power cache the dead band above it
     checks["invariance"] = not nu_C_form(branch, omega, branch.trunc).finite
-    checks["critical_order"] = nu_E_form(omega) == branch_basis.t[-1]
+    checks["critical_order"] = (nu_E_form(omega)
+                                == branch_basis.semimodule.critical_orders[-1])
     report = {
         "i": i,
         "a": rat_to_str(a),
@@ -289,4 +290,4 @@ def zariski_invariant(curve: PuiseuxCurve):
     basis = compute_standard_basis(curve)
     if basis.s_index == 0:
         return "quasi-homogeneous"
-    return basis.lambdas[2] - curve.pair.n
+    return basis.semimodule.basis[2] - curve.pair.n

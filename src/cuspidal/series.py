@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 from .errors import InternalDisagreement, NotACusp, OrderTooLow
 from .forms import BivariatePolynomial, OneForm, _integer_cloud
-from .rationals import ZERO, Q, rat
+from .rationals import Q, rat
 from .semigroup import (CuspSemigroup, PuiseuxPair,
                         minimal_b_representation)
 
@@ -92,9 +92,6 @@ class TruncatedSeries:
     def order_lb(self):
         """Order when a nonzero coefficient is known, else the truncation."""
         return min(self.coeffs) if self.coeffs else self.trunc
-
-    def coefficient(self, k: int):
-        return self.coeffs.get(k, ZERO)
 
     def truncate(self, top: int) -> "TruncatedSeries":
         """The orders below top; self when that cuts nothing."""

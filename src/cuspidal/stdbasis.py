@@ -90,18 +90,6 @@ class ExtendedStandardBasis:
     def s_index(self) -> int:
         return self.semimodule.s_index
 
-    @property
-    def lambdas(self) -> tuple:
-        return self.semimodule.basis
-
-    @property
-    def t(self) -> tuple:
-        return self.semimodule.critical_orders
-
-    @property
-    def u(self) -> tuple:
-        return self.semimodule.axes
-
     def form(self, i: int) -> OneForm:
         """omega_i by math index; i = s+1 reaches the adjusted form."""
         if -1 <= i <= self.s_index:
@@ -113,7 +101,7 @@ class ExtendedStandardBasis:
     def __repr__(self):
         tag = "+adjusted" if self.adjusted is not None else ""
         return ("ExtendedStandardBasis(lambdas=%r%s)"
-                % (list(self.lambdas), tag))
+                % (list(self.semimodule.basis), tag))
 
 
 def _cancellation_site(gamma, lambdas, value):
@@ -286,9 +274,9 @@ def dicritically_adjust(basis: ExtendedStandardBasis) -> OneForm:
     curve, sm = basis.curve, basis.semimodule
     s = sm.s_index
     u_next, level, eta = _seed(sm, basis.forms)
-    if u_next != basis.u[-1]:
+    if u_next != sm.axes[-1]:
         raise InternalDisagreement("seed value %d off the last axis %d"
-                                   % (u_next, basis.u[-1]))
+                                   % (u_next, sm.axes[-1]))
     stop = curve.pair.conductor + 1
     a_eta, E, steps, nu = _cancel(curve, sm, basis.forms, eta,
                                   curve.trunc, stop)
@@ -306,9 +294,9 @@ def dicritically_adjust(basis: ExtendedStandardBasis) -> OneForm:
     if value != OrderResult.AtLeast(curve.trunc):
         raise InternalDisagreement("adjusted form has value %r, not"
                                    " AtLeast(%d)" % (value, curve.trunc))
-    if nu_E_form(omega) != basis.t[-1]:
-        raise InternalDisagreement("adjusted form has order %d, not t = %d"
-                                   % (nu_E_form(omega), basis.t[-1]))
+    if nu_E_form(omega) != sm.critical_orders[-1]:
+        raise InternalDisagreement("adjusted form has order %d, not t = %d" % (
+            nu_E_form(omega), sm.critical_orders[-1]))
     _check_shape(omega, s + 1)
     if not is_totally_dicritical(omega):
         raise InternalDisagreement("adjusted form is not totally dicritical")
@@ -326,7 +314,7 @@ def delorme_decompose(basis: ExtendedStandardBasis, i: int,
     omega_i, ..., omega_{j+1} in descending order; the result is an exact
     polynomial identity, re-checked here together with the level values.
     """
-    s = basis.s_index
+    s, sm = basis.s_index, basis.semimodule
     if not 0 <= j <= i <= s:
         raise IndexOutOfRange("need 0 <= j <= i <= %d, got (%d, %d)"
                               % (s, i, j))
@@ -337,7 +325,8 @@ def delorme_decompose(basis: ExtendedStandardBasis, i: int,
         h_top = f.pop()
         f = [g + h_top * h for g, h in zip(f, basis.traces[level].levels)]
     k = basis.traces[j + 1].steps[0].j
-    vij = basis.t[i + 2] - basis.t[j + 1] + basis.lambdas[j + 1]
+    t, lam = sm.critical_orders, sm.basis
+    vij = t[i + 2] - t[j + 1] + lam[j + 1]
     if target != _combination(basis.forms, f):
         raise InternalDisagreement("decomposition (%d, %d) does not recompose"
                                    % (i, j))
@@ -347,11 +336,10 @@ def delorme_decompose(basis: ExtendedStandardBasis, i: int,
             continue
         # nu_C(g omega_ell) = nu_C(g) + lambda_ell, so the value needs g
         # only up to vij - lambda_ell; AtLeast means above vij
-        lam = basis.lambdas[ell + 1]
-        order = nu_C_function(basis.curve, g, vij - lam + 1)
+        order = nu_C_function(basis.curve, g, vij - lam[ell + 1] + 1)
         if not order.finite:
             continue
-        value = order.value + lam
+        value = order.value + lam[ell + 1]
         if value < vij:
             raise InternalDisagreement("summand %d of (%d, %d) has value %s"
                                        " under %d" % (ell, i, j, value, vij))

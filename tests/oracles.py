@@ -16,6 +16,8 @@ which the library itself no longer carries.
 FractionGcdCounter counts the normalisations of fractions.Fraction for
 the tests that bound them.  no_digit_cap lifts the interpreter's cap on
 int-text conversion, so that a test can read text of any height.
+random_coprime_pair and random_increasing_semimodule draw the pairs and
+the increasing semimodules of the combinatorial suites.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import contextlib
 import fractions
 import math
+import random
 import sys
 import types
 
@@ -31,7 +34,7 @@ from cuspidal.errors import (InternalDisagreement, NotDicritical, OrderTooLow,
                              ZeroPivot)
 from cuspidal.forms import BivariatePolynomial, OneForm, nu_E_form
 from cuspidal.rationals import ZERO, rat
-from cuspidal.semigroup import minimal_b_representation
+from cuspidal.semigroup import PuiseuxPair, minimal_b_representation
 from cuspidal.semimodule import GammaSemimodule, minimal_basis
 from cuspidal.series import (PuiseuxCurve, TruncatedSeries, default_truncation,
                              pullback_form)
@@ -265,13 +268,13 @@ def integrate_by_rationals(curve, xi):
                           % (xi.order_lb(), curve.pair.conductor))
     power = _rational_powers(curve)
     n = curve.pair.n
-    alpha = curve.y.coefficient(curve.pair.m)
+    alpha = curve.y.coeffs.get(curve.pair.m, 0)
     residual = antiderivative(xi)
     out = {}
     while not residual.is_zero():
         r = residual.order_lb()
         rep = minimal_b_representation(curve.gamma, r)
-        c = residual.coefficient(r) / alpha ** rep.b
+        c = residual.coeffs.get(r, 0) / alpha ** rep.b
         out[(rep.a, rep.b)] = c
         residual = combine([(residual, 1, 0),
                             (power(rep.b), -c, n * rep.a)])
@@ -293,7 +296,7 @@ def cancel_by_rationals(curve, sm, forms, eta, first_stop, stop, prec=None):
         j, c, d = _cancellation_site(curve.gamma, sm.basis, nu)
         term = forms[j + 1].times_monomial(c, d)
         canc = pullback_form(curve, term, prec)
-        mu = a_eta.coefficient(nu) / canc.coefficient(nu)
+        mu = a_eta.coeffs.get(nu, 0) / canc.coeffs.get(nu, 0)
         a_eta = combine([(a_eta, 1, 0), (canc, -mu, 0)])
         eta = eta - term.scaled(mu)
         steps.append(TraceStep(j, c, d, mu))
@@ -329,10 +332,40 @@ def oracle_by_rationals(curve):
                 break
             pivot = table.get(o)
             if pivot is None:
-                table[o] = combine([(s, 1 / s.coefficient(o), 0)])
+                table[o] = combine([(s, 1 / s.coeffs.get(o, 0), 0)])
                 if span is None or not span.contains(o):
                     span = GammaSemimodule(gamma, minimal_basis(gamma, table))
                     bound = min(bound, span.conductor + n)
                 break
-            s = combine([(s, 1, 0), (pivot, -s.coefficient(o), 0)])
+            s = combine([(s, 1, 0), (pivot, -s.coeffs.get(o, 0), 0)])
     return span
+
+
+def random_coprime_pair(rng: random.Random, max_n: int = 8) -> PuiseuxPair:
+    """Pick a coprime pair with 2 <= n <= max_n and n < m <= 3 n + 7."""
+    while True:
+        n = rng.randint(2, max_n)
+        m = rng.randint(n + 1, 3 * n + 7)
+        if math.gcd(n, m) == 1:
+            return PuiseuxPair(n, m)
+
+
+def random_increasing_semimodule(rng: random.Random, max_n: int = 8,
+                                 max_steps: int = 4) -> GammaSemimodule:
+    """Grow a basis (n, m, ...) where each new value exceeds the axis u_{i+1}.
+
+    Each extension keeps the semimodule increasing by construction: the
+    candidate pool is the gap set strictly between the next axis and the
+    point past which no gaps remain.
+    """
+    pair = random_coprime_pair(rng, max_n=max_n)
+    sm = GammaSemimodule(pair, (pair.n, pair.m))
+    for _ in range(max_steps):
+        if rng.random() < 0.25:
+            break
+        pool = [p for p in range(sm.axes[-1] + 1, sm.conductor)
+                if not sm.contains(p)]
+        if not pool:
+            break
+        sm = GammaSemimodule(pair, sm.basis + (rng.choice(pool),))
+    return sm

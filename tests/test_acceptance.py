@@ -19,9 +19,10 @@ from cuspidal import (GammaSemimodule, OneForm, PuiseuxPair, Region,
                       semiroot, solve_invariant_branch, tops, transform_form,
                       verify_main_theorem, zariski_invariant)
 from cuspidal.corpus import (example_curve_5_11, example_curve_7_17,
-                             example_form_4_9, random_coprime_pair,
-                             random_cusp_curve, random_increasing_semimodule)
+                             example_form_4_9, random_cusp_curve)
 from cuspidal.rationals import rat
+
+from oracles import random_coprime_pair, random_increasing_semimodule
 
 
 def _finish(label, started, budget=None):
@@ -46,8 +47,8 @@ def test_criterion_01_semimodule_axes_and_limits():
 def test_criterion_02_standard_basis_of_the_reference_curve():
     started = time.perf_counter()
     basis = compute_standard_basis(example_curve_5_11())
-    assert basis.lambdas == (5, 11, 17, 23, 29)
-    assert basis.t == (5, 11, 16, 21, 26, 31)
+    assert basis.semimodule.basis == (5, 11, 17, 23, 29)
+    assert basis.semimodule.critical_orders == (5, 11, 16, 21, 26, 31)
     pair = basis.curve.pair
     w1 = OneForm(pair, {(0, 1): -11}, {(1, 0): 5})
     w2 = w1.times_monomial(1, 0, 11) - OneForm(pair, None, {(0, 1): 5})
@@ -56,8 +57,9 @@ def test_criterion_02_standard_basis_of_the_reference_curve():
     assert basis.form(2) == w2
     assert basis.form(3) == w3
     dicritically_adjust(basis)
+    t = basis.semimodule.critical_orders
     for i in range(-1, basis.s_index + 2):
-        assert nu_E_form(basis.form(i)) == basis.t[i + 1]
+        assert nu_E_form(basis.form(i)) == t[i + 1]
     _finish("02 standard basis of (t^5, t^11+t^12+t^13)", started, 5)
 
 
@@ -186,11 +188,11 @@ def test_criterion_09_delorme_decompositions():
     for curve in (example_curve_5_11(), example_curve_7_17()):
         basis = compute_standard_basis(curve)
         s = basis.s_index
+        lam, t = basis.semimodule.basis, basis.semimodule.critical_orders
         for i in range(s + 1):
             for j in range(i + 1):
                 dec = delorme_decompose(basis, i, j)
-                assert dec.vij == (basis.t[i + 2] - basis.t[j + 1]
-                                   + basis.lambdas[j + 1])
+                assert dec.vij == t[i + 2] - t[j + 1] + lam[j + 1]
                 assert -1 <= dec.distinguished_index < j
                 target = basis.form(i + 1)
                 recomposed = OneForm(curve.pair)

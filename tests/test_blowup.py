@@ -1,4 +1,5 @@
 import fractions
+import itertools
 import math
 
 import pytest
@@ -43,9 +44,14 @@ def forms_for(draw, pair_strategy=coprime_pairs()):
     return OneForm(pair, A, B)
 
 
+def leading_free_steps(seq) -> int:
+    """The free blow-ups before the first corner: m // n - 1 for n < m."""
+    return len(list(itertools.takewhile(FREE.__eq__, seq.kinds)))
+
+
 def test_sequence_terminal_pair():
     seq = build_sequence(PuiseuxPair(1, 1))
-    assert seq.length == 1 and seq.freeness_index == 0
+    assert seq.length == 1 and leading_free_steps(seq) == 0
     assert seq.pairs == (PuiseuxPair(1, 1),)
     assert seq.kinds == ()
 
@@ -55,7 +61,7 @@ def test_sequence_2_3():
     assert [(p.n, p.m) for p in seq.pairs] == [(2, 3), (1, 2), (1, 1)]
     assert seq.kinds == (CORNER, FREE)
     assert seq.length == 3
-    assert seq.freeness_index == 1
+    assert leading_free_steps(seq) == 0
 
 
 def test_sequence_5_11():
@@ -63,7 +69,7 @@ def test_sequence_5_11():
     assert seq.kinds[0] == FREE
     assert [(p.n, p.m) for p in seq.pairs] == \
         [(5, 11), (5, 6), (1, 5), (1, 4), (1, 3), (1, 2), (1, 1)]
-    assert seq.freeness_index == 2
+    assert leading_free_steps(seq) == 1
 
 
 @settings(max_examples=120)
@@ -77,7 +83,8 @@ def test_sequence_recursion_invariants(pair):
         else:
             assert p.m < 2 * p.n and (nxt.n, nxt.m) == (p.m - p.n, p.n)
     if seq.length > 1:
-        assert (seq.freeness_index >= 2) == (pair.m >= 2 * pair.n)
+        assert (leading_free_steps(seq) >= 1) == (pair.m >= 2 * pair.n)
+        assert leading_free_steps(seq) == pair.m // pair.n - 1
 
 
 def test_transform_dx_free_step():

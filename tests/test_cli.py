@@ -317,6 +317,57 @@ def test_short_integer_refusals_keep_their_words(capsys, argv, refusal):
     assert run(capsys, *argv) == (1, "", refusal)
 
 
+@pytest.mark.parametrize("argv, refusal", [
+    (["semigroup", "--pair", "\uff15,11"],
+     "error: --pair wants two integers, got '\uff15,11'\n"),
+    (["semimodule", "--generators", "5,11,1_7"],
+     "error: --generators wants integers, got '5,11,1_7'\n"),
+    (["delorme", "--curve", "x", "--i", "1_0", "--j", "0"],
+     "cuspidal delorme: error: argument --i: invalid int value: '1_0'\n"),
+], ids=["fullwidth-pair", "underscore-generator", "underscore-flag"])
+def test_integer_text_outside_the_grammar_is_refused(capsys, argv, refusal):
+    # int() would read these as 5,11, 5,11,17 and 10; integer arguments
+    # read the grammar of rational text
+    assert run(capsys, *argv) == (1, "", refusal)
+
+
+LONG = "x" * 5000
+
+
+@pytest.mark.parametrize("argv, rule", [
+    (["delorme", "--curve", "x", "--i", LONG, "--j", "0"],
+     "invalid int value"),
+    (["semigroup", "--pair", LONG + ",11"], "--pair wants two integers"),
+    (["semimodule", "--generators", "5,11," + LONG],
+     "--generators wants integers"),
+    (["semiroots", "--curve", json.dumps({"n": 5, "m": 11, "y": [[11, "1"]]}),
+      "--a", LONG], "unreadable parameter"),
+    (["semiroots", "--curve",
+      json.dumps({"n": 5, "m": 11, "y": [[11, "1"], [12, LONG]]})],
+     "unreadable coefficient in y entry [12, "),
+], ids=["flag", "pair", "generators", "parameter", "y"])
+def test_refused_text_echoes_at_most_twenty_characters(capsys, argv, rule):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert rule in err and "...'" in err
+    assert all(len(line) < 200 for line in err.splitlines())
+
+
+def test_internal_value_error_is_not_reported_as_bad_input(capsys,
+                                                           monkeypatch):
+    # main reports InputError and CuspidalError; a ValueError raised after
+    # the input was read is a fault of the program and propagates
+    import cuspidal.cli as cli_mod
+
+    def boom(basis, i, j):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli_mod, "delorme_decompose", boom)
+    inline = json.dumps({"n": 5, "m": 11, "y": [[11, "1"]]})
+    with pytest.raises(ValueError, match="boom"):
+        main(["delorme", "--curve", inline, "--i", "0", "--j", "0"])
+
+
 @pytest.mark.parametrize("argv", [
     ["semiroots", "--a", "1_0"],
     ["verify", "--i", "1", "--a", "1_0"],

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspidal.errors import NotPreBasic, QAboveOrder, ZeroForm, ZeroPolynomial
+from cuspidal.errors import NotPreBasic, QAboveOrder, ZeroForm
 from cuspidal.forms import (BivariatePolynomial, OneForm, Region,
                             _integer_cloud, differential, initial_part,
-                            initial_part_data, is_basic, is_prebasic,
-                            is_resonant, nu_E_form, nu_E_function, rdo)
+                            is_basic, is_prebasic, is_resonant, nu_E_form,
+                            rdo)
 from cuspidal.rationals import Q, rat
 from cuspidal.semigroup import PuiseuxPair
 
@@ -65,16 +65,6 @@ def test_nu_E_examples():
         nu_E_form(OneForm(P511))
 
 
-def test_nu_E_function_examples():
-    assert nu_E_function(BivariatePolynomial({(3, 2): rat(1)}), P511) == 37
-    assert nu_E_function(BivariatePolynomial({(0, 5): rat(1),
-                                              (11, 0): rat(-1)}), P511) == 55
-    assert nu_E_function(BivariatePolynomial({(4, 0): rat(1), (0, 2): rat(1)}),
-                         PuiseuxPair(7, 17)) == 28
-    with pytest.raises(ZeroPolynomial):
-        nu_E_function(BivariatePolynomial(), P511)
-
-
 def test_initial_part_slices():
     w = dicritical_49_form()
     expected = OneForm(P49, A={(2, 4): rat(-9)}, B={(3, 3): rat(4)})
@@ -126,9 +116,11 @@ def test_resonance():
 
 
 def test_initial_part_data_vertex_coefficients():
-    data = initial_part_data(dicritical_49_form())
-    assert data.vertex == (3, 4)
-    assert (data.mu, data.zeta) == (rat(-9), rat(4))
+    # the vertex and its logarithmic coefficients (mu, zeta)
+    w = dicritical_49_form()
+    vertex = is_prebasic(w)
+    assert vertex == (3, 4)
+    assert w.cloud[vertex] == (rat(-9), rat(4))
 
 
 def test_region_base_is_strict_weight_minimum():
@@ -192,7 +184,8 @@ def test_differential_preserves_order(w):
     h = BivariatePolynomial({k: v for k, v in w.A.items() if k != (0, 0)})
     if h.is_zero():
         return
-    assert nu_E_form(differential(h, w.pair)) == nu_E_function(h, w.pair)
+    order = min(w.pair.n * a + w.pair.m * b for (a, b) in h.coeffs)
+    assert nu_E_form(differential(h, w.pair)) == order
 
 
 def rational_forms():

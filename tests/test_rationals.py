@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from cuspidal.rationals import Q, rat, rat_from_str, rat_to_str
+from cuspidal.rationals import (OverDigitCap, Q, int_from_str, rat,
+                                rat_from_str, rat_to_str)
 
 from oracles import no_digit_cap
 
@@ -21,6 +22,11 @@ def test_text_form_of_ints_and_rationals():
 def test_text_form_tolerates_whitespace():
     assert rat_from_str(" -3 / 4\n") == rat(-3, 4)
     assert rat_from_str("+5") == 5
+    # integer text is the same grammar without the denominator
+    assert [int_from_str(text) for text in ("7", " -3\n", "+5", "0012")] \
+        == [7, -3, 5, 12]
+    with pytest.raises(ValueError):
+        int_from_str("5/1")
 
 
 @pytest.mark.parametrize("text", ["1_000", "١٢", "１２",
@@ -30,6 +36,8 @@ def test_text_outside_the_grammar_is_refused(text):
     # int() alone would read the first five as 1000, 12, 12, -3/4 and 3/4
     with pytest.raises(ValueError):
         rat_from_str(text)
+    with pytest.raises(ValueError):
+        int_from_str(text)
 
 
 def test_text_of_any_height_round_trips():
@@ -54,3 +62,6 @@ def test_text_of_any_height_round_trips():
 def test_text_over_the_digit_cap_is_refused_by_name():
     with pytest.raises(ValueError, match="digit cap"):
         rat_from_str("1/" + "3" * (sys.get_int_max_str_digits() + 1))
+    with pytest.raises(OverDigitCap, match="digit cap"):
+        int_from_str("3" * (sys.get_int_max_str_digits() + 1))
+

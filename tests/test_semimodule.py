@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from cuspidal import (GammaSemimodule, PuiseuxPair, contains, is_increasing,
                       level_set, limits, minimal_basis, tops)
-from cuspidal.corpus import random_increasing_semimodule
 from cuspidal.errors import IndexOutOfRange
 from cuspidal.semimodule import is_circular_interval, ray_level_set
 
 import oracles
+from oracles import random_increasing_semimodule
 
 
 def sm_5_11():

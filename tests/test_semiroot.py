@@ -101,7 +101,7 @@ def test_oracle_and_window_checks_build_no_rational(monkeypatch):
         return oracle, values
     expected = checks()  # warms the power table
     assert expected[1] == [OrderResult.Finite(lam)
-                           for lam in basis.lambdas[:i + 1]]
+                           for lam in basis.semimodule.basis[:i + 1]]
     counter = FractionGcdCounter(monkeypatch)
     assert checks() == expected
     assert counter.calls == 0
@@ -121,8 +121,9 @@ def test_lower_form_checks_catch_a_perturbed_coefficient(monkeypatch, i, j,
     y[12] = (y[12] + 1) * (bump + 1)
     perturbed = PuiseuxCurve(branch.pair, y, branch.trunc)
     window = branch.pair.conductor + branch.pair.n * branch.pair.m
+    lam_j = basis.semimodule.basis[j + 1]
     assert nu_C_form(perturbed, basis.form(j), window) == \
-        OrderResult.Finite(moved) != OrderResult.Finite(basis.lambdas[j + 1])
+        OrderResult.Finite(moved) != OrderResult.Finite(lam_j)
     monkeypatch.setattr(importlib.import_module("cuspidal.semiroot"),
                         "solve_invariant_branch",
                         lambda omega, a, trunc=None: perturbed)
@@ -229,7 +230,7 @@ def test_verify_reference_curve_all_indices():
             assert set(report["checks"]) == {
                 "standard_basis_semimodule", "oracle_semimodule",
                 "values_of_lower_forms", "invariance", "critical_order"}
-            assert report["expected"] == list(basis.lambdas[:i + 1])
+            assert report["expected"] == list(basis.semimodule.basis[:i + 1])
 
 
 def test_zariski_invariant():

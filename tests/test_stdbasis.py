@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from cuspidal import blowup, forms, stdbasis
 from cuspidal.corpus import random_cusp_curve
 from cuspidal.errors import IndexOutOfRange, InternalDisagreement, NotACusp
-from cuspidal.forms import (BivariatePolynomial, OneForm, initial_part_data,
-                            is_basic, is_resonant, nu_E_form)
+from cuspidal.forms import (BivariatePolynomial, OneForm, is_basic,
+                            is_prebasic, is_resonant, nu_E_form)
 from cuspidal.rationals import Q, rat
 from cuspidal.semigroup import PuiseuxPair, contains
 from cuspidal.semimodule import GammaSemimodule, minimal_basis
@@ -34,14 +34,15 @@ def curve_7_17():
 
 def test_reference_basis_values():
     basis = compute_standard_basis(curve_5_11())
-    assert basis.lambdas == (5, 11, 17, 23, 29)
-    assert basis.t == (5, 11, 16, 21, 26, 31)
-    assert basis.u == (5, 16, 22, 28, 34)
+    assert basis.semimodule.basis == (5, 11, 17, 23, 29)
+    assert basis.semimodule.critical_orders == (5, 11, 16, 21, 26, 31)
+    assert basis.semimodule.axes == (5, 16, 22, 28, 34)
     assert basis.s_index == 3
+    sm = basis.semimodule
     for i in range(-1, 4):
         assert nu_C_form(basis.curve, basis.form(i)) == \
-            OrderResult.Finite(basis.lambdas[i + 1])
-        assert nu_E_form(basis.form(i)) == basis.t[i + 1]
+            OrderResult.Finite(sm.basis[i + 1])
+        assert nu_E_form(basis.form(i)) == sm.critical_orders[i + 1]
 
 
 def test_reference_basis_exact_forms():
@@ -63,14 +64,14 @@ def test_reference_basis_exact_forms():
 
 def test_seven_seventeen_semimodule():
     basis = compute_standard_basis(curve_7_17())
-    assert basis.lambdas == (7, 17, 37, 57)
+    assert basis.semimodule.basis == (7, 17, 37, 57)
     assert semimodule_oracle(basis.curve) == basis.semimodule
 
 
 def test_quasi_homogeneous_collapses():
     basis = compute_standard_basis(PuiseuxCurve(P511, {11: 1}))
     assert basis.s_index == 0
-    assert basis.lambdas == (5, 11)
+    assert basis.semimodule.basis == (5, 11)
     adjusted = dicritically_adjust(basis)
     assert adjusted == OneForm(P511, A={(0, 1): rat(-11)}, B={(1, 0): rat(5)})
     assert nu_E_form(adjusted) == 16
@@ -124,7 +125,7 @@ def test_cancellation_engine_builds_no_form(monkeypatch, curve):
     monkeypatch.setattr(OneForm, "scaled", refuse)
     monkeypatch.setattr(OneForm, "__sub__", refuse)
     conductor = c.pair.conductor
-    runs = [(GammaSemimodule(c.gamma, basis.lambdas[:k + 1]),
+    runs = [(GammaSemimodule(c.gamma, basis.semimodule.basis[:k + 1]),
              basis.forms[:k + 1], conductor, conductor, conductor + 2, k)
             for k in range(1, s + 1)]
     runs.append((basis.semimodule, basis.forms, c.trunc, conductor + 1,
@@ -362,7 +363,7 @@ def test_delorme_all_pairs_reference():
     # the operation re-checks recomposition and the level pattern itself;
     # here we pin the v table and that every pair goes through
     basis = compute_standard_basis(curve_5_11())
-    lam, t = basis.lambdas, basis.t
+    lam, t = basis.semimodule.basis, basis.semimodule.critical_orders
     for i in range(0, basis.s_index + 1):
         for j in range(0, i + 1):
             dec = delorme_decompose(basis, i, j)
@@ -374,7 +375,8 @@ def test_delorme_all_pairs_reference():
 def test_delorme_vii_is_the_axis():
     basis = compute_standard_basis(curve_5_11())
     for i in range(0, basis.s_index + 1):
-        assert delorme_decompose(basis, i, i).vij == basis.u[i + 1]
+        assert delorme_decompose(basis, i, i).vij == \
+            basis.semimodule.axes[i + 1]
 
 
 def test_delorme_refuses_a_decomposition_that_does_not_recompose():
@@ -428,8 +430,8 @@ def test_vertex_chain_is_monotone():
     for i in range(1, basis.s_index + 2):
         form = dicritically_adjust(basis) if i == basis.s_index + 1 \
             else basis.form(i)
-        a, b = initial_part_data(form).vertex
-        assert n * a + m * b == basis.t[i + 1]
+        a, b = is_prebasic(form)
+        assert n * a + m * b == basis.semimodule.critical_orders[i + 1]
         if prev is not None:
             assert a >= prev[0] and b >= prev[1]
         prev = (a, b)
@@ -447,9 +449,10 @@ def test_random_curves_basis_and_oracle_agree(seed):
         assert is_basic(basis.form(i)) and is_resonant(basis.form(i))
     adjusted = dicritically_adjust(basis)
     assert nu_C_form(curve, adjusted) == OrderResult.AtLeast(curve.trunc)
+    lam, t = basis.semimodule.basis, basis.semimodule.critical_orders
     for i in range(0, basis.s_index + 1):
         dec = delorme_decompose(basis, i, 0)
-        assert dec.vij == basis.t[i + 2] - basis.t[1] + basis.lambdas[1]
+        assert dec.vij == t[i + 2] - t[1] + lam[1]
 
 
 @settings(deadline=None, max_examples=10)
@@ -462,8 +465,9 @@ def test_random_upper_bound_on_values_at_critical_order(seed):
     pair = curve.pair
     n, m = pair.n, pair.m
     gamma = curve.gamma
+    sm = basis.semimodule
     for i in range(1, basis.s_index + 1):
-        t_i = basis.t[i + 1]
+        t_i = sm.critical_orders[i + 1]
         from cuspidal.semigroup import represent
         rep = represent(gamma, t_i)
         for _ in range(6):
@@ -482,10 +486,10 @@ def test_random_upper_bound_on_values_at_critical_order(seed):
             if omega.is_zero() or nu_E_form(omega) != t_i:
                 continue
             value = nu_C_form(curve, omega)
-            assert value.finite and value.value <= basis.lambdas[i + 1]
+            assert value.finite and value.value <= sm.basis[i + 1]
         # ... and the basis form attains the bound
         assert nu_C_form(curve, basis.form(i)) == \
-            OrderResult.Finite(basis.lambdas[i + 1])
+            OrderResult.Finite(sm.basis[i + 1])
 
 
 @settings(deadline=None, max_examples=10)
@@ -515,7 +519,7 @@ def test_random_value_gap_dominates_order_gap(seed):
         hit = [k for k in range(0, basis.s_index + 1)
                if not sm.truncated(k - 1).contains(value.value)]
         for k in hit:
-            lam_k, t_k = basis.lambdas[k + 1], basis.t[k + 1]
+            lam_k, t_k = sm.basis[k + 1], sm.critical_orders[k + 1]
             assert contains(gamma, order - t_k)
             assert value.value - order >= lam_k - t_k
 
@@ -535,11 +539,11 @@ def test_random_membership_vs_higher_order_witness(seed):
         if i > basis.s_index:
             continue
         a, b = rng.randint(0, 3), rng.randint(0, 2)
-        k = basis.lambdas[i + 1] + n * a + m * b
+        k = sm.basis[i + 1] + n * a + m * b
         inside = sm.truncated(i - 1).contains(k)
         witness = None
         for j in range(-1, i):
-            gap = k - basis.lambdas[j + 1]
+            gap = k - sm.basis[j + 1]
             if gap >= 0 and contains(curve.gamma, gap):
                 c = (gap * pow(n, -1, m)) % m
                 d = (gap - n * c) // m
@@ -548,4 +552,5 @@ def test_random_membership_vs_higher_order_witness(seed):
         assert inside == (witness is not None)
         if witness is not None:
             assert nu_C_form(curve, witness) == OrderResult.Finite(k)
-            assert nu_E_form(witness) > basis.t[i + 1] + n * a + m * b
+            assert nu_E_form(witness) > \
+                sm.critical_orders[i + 1] + n * a + m * b

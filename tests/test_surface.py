@@ -1,14 +1,17 @@
 """The public surface resolves: every exported name and every name the
-benchmark tracer wraps.  TruncatedSeries carries no rational arithmetic,
+benchmark tracer wraps.  Every function, class, method and property in
+src/ is named from src/, bound by the tracer or part of the paper API.
+TruncatedSeries carries no rational arithmetic,
 only forms clears a form's denominators, no module reads a theta row,
 the cancellation engine stdbasis._cancel holds no rational form: no
 subtraction and no call to scaled or times_polynomial, and the branch
 solver takes no product of two full-height denominators d[i] d[j].  No
-module-level function only returns an attribute of its parameter, a
+function or method only returns an attribute of its parameter, a
 form's integer cloud is computed once, no module asserts, and the
 semimodule module runs no while loop."""
 
 import ast
+import collections
 import fractions
 import importlib
 import importlib.util
@@ -49,13 +52,19 @@ def test_package_imports_resolve():
                 getattr(source, alias.name)
 
 
-def test_tracer_targets_resolve():
+def _tracer_targets() -> tuple:
+    """bench/tracer.py's TARGETS: (module, attribute path, span name)."""
     path = ROOT / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("_bench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    assert tracer.TARGETS
-    for module_name, attr_path, _ in tracer.TARGETS:
+    return tracer.TARGETS
+
+
+def test_tracer_targets_resolve():
+    targets = _tracer_targets()
+    assert targets
+    for module_name, attr_path, _ in targets:
         owner = importlib.import_module("cuspidal." + module_name)
         if "." in attr_path:
             # the tracer swaps methods in the class's own __dict__
@@ -67,6 +76,61 @@ def test_tracer_targets_resolve():
                 (module_name, attr_path)
 
 
+def _definitions(node, prefix=""):
+    """(qualified name, node) of every function and class under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield prefix + child.name, child
+            yield from _definitions(child, prefix + child.name + ".")
+        else:
+            yield from _definitions(child, prefix)
+
+
+def _references(node):
+    """Every name node mentions: Name ids, Attribute attrs, import aliases."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name
+
+
+# the paper's API, which the acceptance criteria exercise, and the
+# argparse hook that argparse itself calls
+PAPER_API = {("semimodule", "level_set"), ("semimodule", "ray_level_set"),
+             ("semimodule", "tops"), ("semimodule", "is_circular_interval"),
+             ("forms", "initial_part"), ("semiroot", "zariski_invariant"),
+             ("blowup", "transform_form"), ("semigroup", "represent")}
+CALLED_BY_ARGPARSE = {("cli", "_Parser.error")}
+
+
+def test_every_name_in_src_is_reached_from_src():
+    # nothing in src/ that only tests reach: each function, class, method
+    # and property is named somewhere in src/ outside its own body, or the
+    # benchmark tracer binds it, or it is the paper API.  Re-exports in
+    # __init__ and strings in __all__ do not count as a use
+    trees = {name: ast.parse(pathlib.Path(importlib.import_module(
+        "cuspidal." + name).__file__).read_text()) for name in MODULES}
+    used = collections.Counter()
+    for tree in trees.values():
+        used.update(_references(tree))
+    exempt = {(module, path) for module, path, _ in _tracer_targets()}
+    exempt |= PAPER_API | CALLED_BY_ARGPARSE
+    unreached = []
+    for module, tree in trees.items():
+        for qualname, node in _definitions(tree):
+            name = node.name
+            if (name.startswith("__") and name.endswith("__")
+                    or (module, qualname) in exempt):
+                continue
+            own = collections.Counter(_references(node))
+            if used[name] - own[name] <= 0:
+                unreached.append("%s.%s" % (module, qualname))
+    assert unreached == []
+
+
 def test_truncated_series_defines_no_rational_arithmetic():
     # Sums, scalings, shifts and integrals of rational series live in the
     # tests' oracles; the library eliminates on integer numerators.
@@ -75,8 +139,8 @@ def test_truncated_series_defines_no_rational_arithmetic():
     methods = {name for name, value in vars(TruncatedSeries).items()
                if isinstance(value, (types.FunctionType, classmethod,
                                      staticmethod, property))}
-    assert methods == {"__init__", "is_zero", "order_lb", "coefficient",
-                       "truncate", "__eq__", "__repr__", "__mul__"}
+    assert methods == {"__init__", "is_zero", "order_lb", "truncate",
+                       "__eq__", "__repr__", "__mul__"}
 
 
 @pytest.mark.parametrize("name", ["stdbasis", "semiroot", "blowup"])
@@ -163,26 +227,42 @@ def test_branch_solver_multiplies_no_two_denominators():
     assert found == []
 
 
+# bench/tracer.py reads basis.s_index, so this rename stays until a
+# benchmark change retargets the tracer
+ATTRIBUTE_RENAMES_KEPT = {("stdbasis", "ExtendedStandardBasis.s_index")}
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_no_function_only_returns_an_attribute_of_a_parameter(name):
-    # readers take sm.axes or pair.conductor themselves; a function whose
-    # whole body is `return param.attr` only renames an attribute
+    # readers take sm.axes, pair.conductor or basis.semimodule.basis
+    # themselves; a function or method whose whole body is `return
+    # param.attr` or `return self.a.b` only renames an attribute
     module = importlib.import_module("cuspidal." + name)
     tree = ast.parse(pathlib.Path(module.__file__).read_text())
+    functions = [("", node) for node in tree.body]
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            functions += [(cls.name + ".", node) for node in cls.body]
     found = []
-    for node in tree.body:
-        if not isinstance(node, ast.FunctionDef):
+    for owner, node in functions:
+        if (not isinstance(node, ast.FunctionDef)
+                or node.name.startswith("__")
+                or (name, owner + node.name) in ATTRIBUTE_RENAMES_KEPT):
             continue
         body = node.body
         if ast.get_docstring(node) is not None:
             body = body[1:]
         params = {a.arg for a in node.args.posonlyargs + node.args.args
                   + node.args.kwonlyargs}
-        if (len(body) == 1 and isinstance(body[0], ast.Return)
-                and isinstance(body[0].value, ast.Attribute)
-                and isinstance(body[0].value.value, ast.Name)
-                and body[0].value.value.id in params):
-            found.append(node.name)
+        if len(body) != 1 or not isinstance(body[0], ast.Return):
+            continue
+        value = body[0].value
+        if not isinstance(value, ast.Attribute):
+            continue
+        while isinstance(value, ast.Attribute):
+            value = value.value
+        if isinstance(value, ast.Name) and value.id in params:
+            found.append(owner + node.name)
     assert found == []
 
 
