@@ -44,14 +44,19 @@ def _load_json(source: str):
         text = source
     else:
         try:
-            with open(source) as handle:
+            with open(source, encoding="utf-8") as handle:
                 text = handle.read()
         except OSError as exc:
-            raise InputError("cannot read %r: %s" % (source, exc)) from None
+            raise InputError("cannot read %s: %s"
+                             % (echo(source), exc.strerror or exc)) from None
+        except UnicodeDecodeError:
+            raise InputError("cannot read %s: not UTF-8 text"
+                             % echo(source)) from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise InputError("malformed JSON in %r: %s" % (source, exc)) from None
+        raise InputError("malformed JSON in %s: %s"
+                         % (echo(source), exc)) from None
     except ValueError as exc:  # an integer over the digit cap
         raise InputError(str(exc)) from None
 
@@ -61,8 +66,8 @@ def _write(path: str, text: str) -> None:
         with open(path, "w") as handle:
             handle.write(text)
     except OSError as exc:
-        raise InputError("cannot write %r: %s"
-                         % (path, exc.strerror or exc)) from None
+        raise InputError("cannot write %s: %s"
+                         % (echo(path), exc.strerror or exc)) from None
 
 
 def _integer(text: str) -> int:
@@ -213,8 +218,8 @@ def cmd_seed_corpus(ns):
     try:
         os.makedirs(ns.directory, exist_ok=True)
     except OSError as exc:
-        raise InputError("cannot write %r: %s"
-                         % (ns.directory, exc.strerror or exc)) from None
+        raise InputError("cannot write %s: %s" % (
+            echo(ns.directory), exc.strerror or exc)) from None
     written = []
 
     def emit(name, obj):
@@ -307,8 +312,8 @@ def main(argv=None) -> int:
         # an --output that can never be a file fails before any work
         if ns.output and (os.path.isdir(ns.output) or not os.path.isdir(
                 os.path.dirname(os.path.abspath(ns.output)))):
-            raise InputError("cannot write %r: it is a directory or its "
-                             "directory is missing" % ns.output)
+            raise InputError("cannot write %s: it is a directory or its "
+                             "directory is missing" % echo(ns.output))
         text = dumps(ns.func(ns))
         if ns.output:
             _write(ns.output, text)

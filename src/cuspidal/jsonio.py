@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 
 from .forms import OneForm, is_basic, nu_E_form
-from .rationals import OverDigitCap, echo, rat_from_str, rat_to_str
+from .rationals import OverDigitCap, cut, echo, rat_from_str, rat_to_str
 from .semigroup import PuiseuxPair, copair
 from .series import PuiseuxCurve
 
@@ -37,7 +37,7 @@ def _require_keys(obj: dict, allowed, required, what: str):
         raise InputError("%s must be a JSON object" % what)
     for key in obj:
         if key not in allowed:
-            raise InputError("unknown field %r in %s" % (key, what))
+            raise InputError("unknown field %s in %s" % (echo(key), what))
     for key in required:
         if key not in obj:
             raise InputError("missing field %r in %s" % (key, what))
@@ -54,8 +54,8 @@ def _parse_pair(n, m) -> PuiseuxPair:
     try:
         return PuiseuxPair(n, m)
     except ValueError as exc:
-        raise InputError("invalid Puiseux pair (%r, %r): %s"
-                         % (n, m, exc)) from None
+        raise InputError("invalid Puiseux pair (%s, %s): %s"
+                         % (cut(n), cut(m), exc)) from None
 
 
 def y_to_json(curve: PuiseuxCurve) -> list:
@@ -87,6 +87,13 @@ def parse_curve(obj, trunc_override: int = None) -> PuiseuxCurve:
         raise InputError(str(exc)) from None
 
 
+def _shown(entry: list) -> str:
+    """An entry, or its exponents, as in a refusal: the list's repr with
+    every exponent and the coefficient text cut to 20 characters."""
+    return "[%s]" % ", ".join(echo(e) if isinstance(e, str) else cut(e)
+                              for e in entry)
+
+
 def _parse_entries(entries, what: str, exponents: tuple) -> dict:
     """The [exponent, ..., "coefficient"] entries of y or of dx and dy.
 
@@ -107,20 +114,19 @@ def _parse_entries(entries, what: str, exponents: tuple) -> dict:
                              % (what, shape))
         key = entry[0] if k == 1 else tuple(entry[:k])
         if min(entry[:k]) < 0:
-            raise InputError("negative exponent in %s entry %r"
-                             % (what, entry))
+            raise InputError("negative exponent in %s entry %s"
+                             % (what, _shown(entry)))
         if key in table:
-            raise InputError("duplicate exponent in %s entry %r"
-                             % (what, entry))
+            raise InputError("duplicate exponent in %s entry %s"
+                             % (what, _shown(entry)))
         try:
             table[key] = rat_from_str(entry[k])
         except OverDigitCap as exc:
-            raise InputError("unreadable coefficient in %s entry at %r: %s"
-                             % (what, entry[:k], exc)) from None
+            raise InputError("unreadable coefficient in %s entry at %s: %s"
+                             % (what, _shown(entry[:k]), exc)) from None
         except (ValueError, ZeroDivisionError):
-            raise InputError("unreadable coefficient in %s entry [%s]" % (
-                what, ", ".join([repr(e) for e in entry[:k]]
-                                + [echo(entry[k])]))) from None
+            raise InputError("unreadable coefficient in %s entry %s"
+                             % (what, _shown(entry))) from None
     return table
 
 

@@ -10,7 +10,8 @@ denominator omitted when it is 1 ("3", "-11", "23/22").  Text of any
 height is printed.  Rational and integer text share one grammar (ASCII
 digits, a sign, surrounding whitespace), read up to the interpreter's
 digit cap per integer (sys.get_int_max_str_digits(), 4300 by default
-from CPython 3.11); a refusal echoes at most 20 characters (echo).
+from CPython 3.11); a refusal echoes at most 20 characters of any text
+or integer it was given (cut, and echo for quoted text).
 """
 
 from __future__ import annotations
@@ -28,9 +29,16 @@ _INTEGER = re.compile(r"\s*([+-]?[0-9]+)\s*")
 _TEXT = re.compile(_INTEGER.pattern + r"(?:/\s*([0-9]+)\s*)?")
 
 
+def cut(value) -> str:
+    """Text, or an int's digits at any height, as it is up to 20
+    characters; longer, its first 20 characters and "..."."""
+    text = value if isinstance(value, str) else _digits(int(value))
+    return text if len(text) <= 20 else text[:20] + "..."
+
+
 def echo(text: str) -> str:
     """repr of text, cut to 20 characters and "..." when it is longer."""
-    return repr(text if len(text) <= 20 else text[:20] + "...")
+    return repr(cut(text))
 
 
 class OverDigitCap(ValueError):

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import InternalDisagreement, NotInSemigroup, NotUniqueRange
+from .rationals import cut
 
 
 @dataclass(frozen=True)
@@ -30,9 +31,11 @@ class PuiseuxPair:
         if not (isinstance(self.n, int) and isinstance(self.m, int)):
             raise TypeError("pair entries must be ints")
         if not 1 <= self.n <= self.m:
-            raise ValueError("need 1 <= n <= m, got (%d, %d)" % (self.n, self.m))
+            raise ValueError("need 1 <= n <= m, got (%s, %s)"
+                             % (cut(self.n), cut(self.m)))
         if math.gcd(self.n, self.m) != 1:
-            raise ValueError("pair (%d, %d) is not coprime" % (self.n, self.m))
+            raise ValueError("pair (%s, %s) is not coprime"
+                             % (cut(self.n), cut(self.m)))
 
     @property
     def conductor(self) -> int:

@@ -27,7 +27,7 @@ from .errors import (IndexOutOfRange, NotDicritical, VerificationFailure,
                      ZeroPivot)
 from .forms import OneForm, _integer_cloud, nu_E_form
 from .jsonio import y_to_json
-from .rationals import Q, rat, rat_to_str
+from .rationals import Q, cut, rat, rat_to_str
 from .series import OrderResult, PuiseuxCurve, default_truncation, nu_C_form
 from .stdbasis import (ExtendedStandardBasis, compute_standard_basis,
                        semimodule_oracle)
@@ -217,8 +217,8 @@ def _solve(basis: ExtendedStandardBasis, i: int, a):
     """omega_i, its invariant branch at parameter a, the branch's standard
     basis and the prefix Lambda_{i-1} that basis must carry."""
     if not 1 <= i <= basis.s_index + 1:
-        raise IndexOutOfRange("semiroot index %d outside 1..%d"
-                              % (i, basis.s_index + 1))
+        raise IndexOutOfRange("semiroot index %s outside 1..%d"
+                              % (cut(i), basis.s_index + 1))
     omega = basis.form(i)
     branch = solve_invariant_branch(omega, a, basis.curve.trunc)
     return (omega, branch, compute_standard_basis(branch),

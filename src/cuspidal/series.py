@@ -16,7 +16,8 @@ x^alpha y^beta (mu dx/x + zeta dy/y) pulls back to
 t^(n alpha) (n mu y^beta + (zeta / beta) theta(y^beta)) dt/t
 (theta = t d/dt), whose t^(n alpha + k) coefficient is
 [y^beta]_k (n mu + zeta k / beta): the row of y^beta with a weight linear
-in k, over the integers of forms._integer_cloud.  The table is
+in k, over the integers of forms._integer_cloud.  A monomial multiple
+x^c y^d omega is read off omega's own cloud, moved by (c, d).  The table is
 fraction-free (Bareiss, Math. Comp. 22, 1968; Geddes, Czapor and Labahn,
 1992): y is held as integer numerators Y over one denominator D (the
 curve's den), the lcm of its denominators, and the entry of each b is
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 
 from .errors import InternalDisagreement, NotACusp, OrderTooLow
 from .forms import BivariatePolynomial, OneForm, _integer_cloud
-from .rationals import Q, rat
+from .rationals import Q, cut, rat
 from .semigroup import (CuspSemigroup, PuiseuxPair,
                         minimal_b_representation)
 
@@ -171,19 +172,20 @@ class PuiseuxCurve:
         terms = [k for k, v in y_coeffs.items() if v != 0]
         if m not in terms:
             raise NotACusp("zero leading coefficient: y must start with a "
-                           "nonzero t^%d term" % m)
+                           "nonzero t^%s term" % cut(m))
         if min(terms) < m:
-            raise NotACusp("y-series has a term below t^%d" % m)
+            raise NotACusp("y-series has a term below t^%s" % cut(m))
         floor = default_truncation(pair)
         if trunc is None:
             trunc = floor
         elif trunc < floor:
-            raise ValueError("truncation must be an integer >= %d for the "
-                             "pair (%d, %d)" % (floor, pair.n, m))
+            raise ValueError("truncation must be an integer >= %s for the "
+                             "pair (%s, %s)" % (cut(floor), cut(pair.n),
+                                                cut(m)))
         high = [k for k in terms if k >= trunc]
         if high:
-            raise ValueError("y term t^%d at or above the truncation %d"
-                             % (min(high), trunc))
+            raise ValueError("y term t^%s at or above the truncation %s"
+                             % (cut(min(high)), cut(trunc)))
         self.pair = pair
         self.gamma = CuspSemigroup(pair)
         self.trunc = trunc
@@ -272,33 +274,39 @@ def _square(h: TruncatedSeries, bound) -> TruncatedSeries:
     return _reduced({k: v for k, v in acc.items() if v}, bound)
 
 
-def _pullback(curve: PuiseuxCurve, f, prec):
-    """(row, scale): the pullback of f below prec is row / scale, row
-    integer numerators known below prec and every term's truncation.
+def _pullback(curve: PuiseuxCurve, f, prec, c: int = 0, d: int = 0):
+    """(row, scale): the pullback of x^c y^d f below prec is row / scale,
+    row integer numerators known below prec and every term's truncation.
 
     For a OneForm it is a(t) with phi*(omega) = a(t) dt/t: the cloud point
-    x^alpha y^beta (mu dx/x + zeta dy/y) adds [y^beta]_k (n mu + zeta k /
-    beta) at t^(n alpha + k), read off the integer cloud (mu L, zeta L) as
-    the row of y^beta with weight n mu L B + (zeta L B / beta) k over L B,
-    B the lcm of the cloud's nonzero beta.  For a BivariatePolynomial h
-    it is h(phi(t)), each monomial a row with a constant weight.  Each
-    exponent's row is fetched once, terms shifted to prec or past it are
-    skipped, and the rows, over den^e, are summed over the scale times
-    den^top for the top e: the terms of one e are summed with their small
-    weights and the sum is multiplied by den^(top - e) once.
+    x^alpha y^beta (mu dx/x + zeta dy/y) of f moves to (alpha + c,
+    beta + d) with the same (mu, zeta), and adds [y^beta']_k (n mu + zeta
+    k / beta') at t^(n alpha' + k) for the moved point (alpha', beta'),
+    read off the kept integer cloud (mu L, zeta L) as the row of y^beta'
+    with weight n mu L B + (zeta L B / beta') k over L B, B the lcm of the
+    moved cloud's nonzero beta'.  For a BivariatePolynomial h it is
+    x^c y^d h at phi(t), each monomial x^(a + c) y^(b + d) a row with a
+    constant weight.  So a monomial multiple of a form or a polynomial
+    needs no product of its own.  Each exponent's row is fetched once,
+    terms shifted to prec or past it are skipped, and the rows, over
+    den^e, are summed over the scale times den^top for the top e: the
+    terms of one e are summed with their small weights and the sum is
+    multiplied by den^(top - e) once.
     """
     n = curve.pair.n
     bound = math.inf if prec is None else prec
     if isinstance(f, OneForm):
         cloud, L = _integer_cloud(f)
-        B = math.lcm(*(be for _, be in cloud if be))
+        B = math.lcm(*(be + d for _, be in cloud if be + d))
         scale = L * B
-        terms = [(be, n * al, n * mu * B, ze * B // (be or 1))
-                 for (al, be), (mu, ze) in cloud.items() if n * al < bound]
+        terms = [(be + d, n * (al + c), n * mu * B, ze * B // (be + d or 1))
+                 for (al, be), (mu, ze) in cloud.items()
+                 if n * (al + c) < bound]
     else:
-        scale = math.lcm(*(int(c.denominator) for c in f.coeffs.values()))
-        terms = [(b, n * a, int(c.numerator) * (scale // int(c.denominator)),
-                  0) for (a, b), c in f.coeffs.items() if n * a < bound]
+        scale = math.lcm(*(int(v.denominator) for v in f.coeffs.values()))
+        terms = [(b + d, n * (a + c),
+                  int(v.numerator) * (scale // int(v.denominator)), 0)
+                 for (a, b), v in f.coeffs.items() if n * (a + c) < bound]
     rows = {e: curve.y_power(e, prec) for e in {e for e, *_ in terms}}
     top = max(rows, default=0)
     bound = min([bound] + [rows[e].trunc + shift for e, shift, *_ in terms])

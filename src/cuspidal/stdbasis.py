@@ -19,7 +19,7 @@ from .forms import (BivariatePolynomial, OneForm, _integer_cloud,
                     differential, is_basic, is_resonant, nu_E_form)
 from .semigroup import contains
 from .semimodule import GammaSemimodule, limits, minimal_basis
-from .rationals import Q
+from .rationals import Q, cut
 from .series import (OrderResult, PuiseuxCurve, _eliminate, _integrate,
                      _pullback, nu_C_form, nu_C_function)
 from .blowup import is_totally_dicritical
@@ -41,13 +41,13 @@ class ConstructionTrace:
 
     omega_i = rho * (seed - sum of the steps) - d(potential), the seed
     x^ell omega_{i-1} or y^ell omega_{i-1} and rho its clearing scalar;
-    `potential` is None except for the adjusted form, where rho == 1.
-    `levels` = (f_-1, ..., f_{i-1}) with omega_i = sum f_ell omega_ell is
-    the one record of that combination, the one Delorme substitutes.
+    only the adjusted form takes a potential, and there rho == 1.
+    `steps` are the cancellations in order.  `levels` = (f_-1, ...,
+    f_{i-1}) with omega_i = sum f_ell omega_ell is the one record of the
+    combination, -dh included, and the one Delorme substitutes.
     """
 
     steps: tuple
-    potential: object
     levels: tuple
 
 
@@ -96,7 +96,7 @@ class ExtendedStandardBasis:
             return self.forms[i + 1]
         if i == self.s_index + 1:
             return dicritically_adjust(self)
-        raise IndexOutOfRange("no form at index %d" % i)
+        raise IndexOutOfRange("no form at index %s" % cut(i))
 
     def __repr__(self):
         tag = "+adjusted" if self.adjusted is not None else ""
@@ -121,39 +121,41 @@ def _cancellation_site(gamma, lambdas, value):
     return None
 
 
-def _seed(sm, forms):
-    """Candidate opening the next stage: the cheaper of x^l1 omega_s',
-    y^l2 omega_s', as the axis value u, the monomial level and the form."""
+def _seed(sm):
+    """Candidate opening the next stage, the cheaper of x^l1 omega_s' and
+    y^l2 omega_s': its axis value u and the monomial's exponents (a, b).
+    No form is built: the engine reads the seed off the cloud of omega_s'."""
     pair = sm.gamma.pair
     ell1, ell2 = limits(sm, sm.s_index)
     if pair.n * ell1 <= pair.m * ell2:
-        u, level = pair.n * ell1, BivariatePolynomial.monomial(ell1, 0)
-    else:
-        u, level = pair.m * ell2, BivariatePolynomial.monomial(0, ell2)
-    return u + sm.basis[-1], level, forms[-1].times_polynomial(level)
+        return pair.n * ell1 + sm.basis[-1], (ell1, 0)
+    return pair.m * ell2 + sm.basis[-1], (0, ell2)
 
 
-def _cancel(curve, sm, forms, eta, first_stop, stop, prec=None):
+def _cancel(curve, sm, forms, seed, first_stop, stop, prec=None):
     """The cancellation engine shared by the construction and the adjustment.
 
-    While the leading value nu of a_eta, the pullback of eta below prec,
-    lies in the semimodule and under the stop order (first_stop before
-    the first step, stop after it), cancel it against the cheapest
-    x^c y^d omega_j.  a_eta is integer numerators over E, and each step
-    is series._eliminate against the cancelling term's integer pullback,
-    known at full precision below T - m + t_j + m d + n c, which sets how
-    far a_eta, and so the potential, reaches; only mu is a rational and
-    no form is built.  Returns a_eta, E, the steps taken and the value it
-    stopped at; the caller decides what that value means.
+    eta is the seed x^a y^b omega_s' with seed = (a, b), forms[-1] =
+    omega_s'.  While the leading value nu of a_eta, the pullback of eta
+    below prec, lies in the semimodule and under the stop order
+    (first_stop before the first step, stop after it), cancel it against
+    the cheapest x^c y^d omega_j.  a_eta is integer numerators over E, and
+    each step is series._eliminate against the cancelling term's integer
+    pullback, known at full precision below T - m + t_j + m d + n c, which
+    sets how far a_eta, and so the potential, reaches.  Every monomial
+    multiple, the seed included, is pulled back off the kept integer
+    cloud of the form it multiplies, moved by its exponents: only mu is a
+    rational and no form is built.  Returns a_eta, E, the steps taken and
+    the value it stopped at; the caller decides what that value means.
     """
-    a_eta, E = _pullback(curve, eta, prec)
+    a_eta, E = _pullback(curve, forms[-1], prec, *seed)
     steps = []
     while True:
         nu = a_eta.order_lb()
         if nu >= (stop if steps else first_stop) or not sm.contains(nu):
             return a_eta, E, tuple(steps), nu
         j, c, d = _cancellation_site(curve.gamma, sm.basis, nu)
-        canc, F = _pullback(curve, forms[j + 1].times_monomial(c, d), prec)
+        canc, F = _pullback(curve, forms[j + 1], prec, c, d)
         # a_eta loses (f / E) canc, which is mu times the pullback canc / F
         E, f = _eliminate(a_eta, E, nu, canc)
         steps.append(TraceStep(j, c, d, Q(f * F, E)))
@@ -167,16 +169,17 @@ def _combination(forms, levels) -> OneForm:
     return total
 
 
-def _built(curve, forms, level, seed, steps, potential):
+def _built(curve, forms, seed, steps, potential):
     """The next basis form and its trace, built once from its levels: the
-    steps take mu x^c y^d off f_j, eta = seed + sum f_ell omega_ell, and
-    f_top gains the seed's level x^ell or y^ell.  omega = rho eta, rho the
-    clearing scalar, or eta - dh with rho = 1 and dh taken off f_-1, f_0."""
+    steps take mu x^c y^d off f_j, eta = x^a y^b omega_s' + sum f_ell
+    omega_ell for seed = (a, b), the one seed form built, and f_top gains
+    the seed's level x^a y^b.  omega = rho eta, rho the clearing scalar,
+    or eta - dh with rho = 1 and dh taken off f_-1, f_0."""
     f = [BivariatePolynomial()] * len(forms)
     for st in steps:
         f[st.j + 1] -= BivariatePolynomial.monomial(st.c, st.d, st.mu)
-    eta = seed + _combination(forms, f)
-    f[-1] += level
+    eta = forms[-1].times_monomial(*seed) + _combination(forms, f)
+    f[-1] += BivariatePolynomial.monomial(*seed)
     if potential is None:
         rho = _integer_cloud(eta)[1]
         omega, f = eta.scaled(rho), [g * rho for g in f]
@@ -185,7 +188,7 @@ def _built(curve, forms, level, seed, steps, potential):
         omega = eta - dh
         f[0] -= BivariatePolynomial(dh.A)
         f[1] -= BivariatePolynomial(dh.B)
-    return omega, ConstructionTrace(steps, potential, tuple(f))
+    return omega, ConstructionTrace(steps, tuple(f))
 
 
 def compute_standard_basis(curve: PuiseuxCurve) -> ExtendedStandardBasis:
@@ -213,16 +216,15 @@ def compute_standard_basis(curve: PuiseuxCurve) -> ExtendedStandardBasis:
     traces = {}
     while True:
         sm = GammaSemimodule(gamma, tuple(lam))
-        u_next, level, eta = _seed(sm, forms)
-        _, _, steps, new_value = _cancel(curve, sm, forms, eta,
+        u_next, seed = _seed(sm)
+        _, _, steps, new_value = _cancel(curve, sm, forms, seed,
                                          c_gamma, c_gamma, work)
         if new_value >= c_gamma:
             break
         if new_value <= u_next:
             raise InternalDisagreement("generator %d at or under the axis %d"
                                        % (new_value, u_next))
-        omega, traces[len(lam) - 1] = _built(curve, forms, level, eta, steps,
-                                             None)
+        omega, traces[len(lam) - 1] = _built(curve, forms, seed, steps, None)
         value = nu_C_form(curve, omega, work)
         if value != OrderResult.Finite(new_value):
             raise InternalDisagreement("form for %d has value %r"
@@ -273,12 +275,12 @@ def dicritically_adjust(basis: ExtendedStandardBasis) -> OneForm:
         return basis.adjusted
     curve, sm = basis.curve, basis.semimodule
     s = sm.s_index
-    u_next, level, eta = _seed(sm, basis.forms)
+    u_next, seed = _seed(sm)
     if u_next != sm.axes[-1]:
         raise InternalDisagreement("seed value %d off the last axis %d"
                                    % (u_next, sm.axes[-1]))
     stop = curve.pair.conductor + 1
-    a_eta, E, steps, nu = _cancel(curve, sm, basis.forms, eta,
+    a_eta, E, steps, nu = _cancel(curve, sm, basis.forms, seed,
                                   curve.trunc, stop)
     if nu < (stop if steps else curve.trunc):
         raise InternalDisagreement("value %d under the conductor escaped"
@@ -289,7 +291,7 @@ def dicritically_adjust(basis: ExtendedStandardBasis) -> OneForm:
         potential = _integrate(curve, {k - 1: v for k, v in
                                        a_eta.coeffs.items()},
                                E, a_eta.trunc - 1)
-    omega, trace = _built(curve, basis.forms, level, eta, steps, potential)
+    omega, trace = _built(curve, basis.forms, seed, steps, potential)
     value = nu_C_form(curve, omega, curve.trunc)
     if value != OrderResult.AtLeast(curve.trunc):
         raise InternalDisagreement("adjusted form has value %r, not"
@@ -316,8 +318,8 @@ def delorme_decompose(basis: ExtendedStandardBasis, i: int,
     """
     s, sm = basis.s_index, basis.semimodule
     if not 0 <= j <= i <= s:
-        raise IndexOutOfRange("need 0 <= j <= i <= %d, got (%d, %d)"
-                              % (s, i, j))
+        raise IndexOutOfRange("need 0 <= j <= i <= %d, got (%s, %s)"
+                              % (s, cut(i), cut(j)))
     # first, so that omega_{s+1} and its trace exist when i = s
     target = basis.form(i + 1)
     f = list(basis.traces[i + 1].levels)
@@ -361,8 +363,10 @@ def semimodule_oracle(curve: PuiseuxCurve) -> GammaSemimodule:
     recorded order set spanning a semimodule with conductor c makes any
     monomial of weight >= c + n redundant (each minimal generator is the
     least member of its residue class, hence under c + n), so the scan
-    stops there; c_Gamma + n m is a hard ceiling.  It shares only the
-    pullbacks, _eliminate and the semimodule type with the construction.
+    stops there; c_Gamma + n m is a hard ceiling.  The only forms built
+    are dx and dy: each monomial form is pulled back as one of them moved
+    by (a, b).  It shares only the pullbacks, _eliminate and the
+    semimodule type with the construction.
     """
     pair = curve.pair
     n, m = pair.n, pair.m
@@ -377,12 +381,11 @@ def semimodule_oracle(curve: PuiseuxCurve) -> GammaSemimodule:
     table = {}
     span = None
     bound = cap
+    dxdy = (OneForm(pair, {(0, 0): 1}), OneForm(pair, None, {(0, 0): 1}))
     for w, kind, a, b in monos:
         if w >= bound:
             break
-        mono = {(a, b): 1}
-        s, _ = _pullback(curve, OneForm(pair, mono, None) if kind == 0
-                         else OneForm(pair, None, mono), bound)
+        s, _ = _pullback(curve, dxdy[kind], bound, a, b)
         while True:
             o = s.order_lb()
             if o >= bound:

@@ -29,6 +29,7 @@ import tempfile
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 LONG = "x" * 5000
+NINES = "9" * 4000
 REFUSALS = [
     ["semigroup"],
     ["semigroup", "--pair", "4,6"],
@@ -57,6 +58,13 @@ REFUSALS = [
     ["verify", "--curve", "ex5_11.json", "--i", "1"],
     ["dicritical-check", "--form", '{"pair": [4, 9]}'],
     ["seed-corpus", "--directory", "negative", "--count", "-3"],
+    ["standard-basis", "--curve", "{" + LONG],
+    ["standard-basis", "--curve", LONG + ".json"],
+    ["semigroup", "--pair", "5,11", "--output", LONG + "/x.json"],
+    ["standard-basis", "--curve",
+     '{"n": 5, "m": 11, "y": [[11, "1"], [%s, "1"]]}' % NINES],
+    ["dicritical-check", "--form",
+     '{"pair": [4, 9], "dx": [[%s, 0, "1"], [%s, 0, "2"]]}' % (NINES, NINES)],
 ]
 
 

@@ -353,6 +353,70 @@ def test_refused_text_echoes_at_most_twenty_characters(capsys, argv, rule):
     assert all(len(line) < 200 for line in err.splitlines())
 
 
+NINES = "9" * 4000
+
+
+@pytest.mark.parametrize("argv, rule", [
+    (["standard-basis", "--curve", "{" + LONG],
+     "malformed JSON in '{xxxxxxxxxxxxxxxxxxx...': "),
+    (["standard-basis", "--curve", LONG + ".json"],
+     "cannot read 'xxxxxxxxxxxxxxxxxxxx...': "),
+    (["semigroup", "--pair", "5,11", "--output", LONG + "/x.json"],
+     "cannot write 'xxxxxxxxxxxxxxxxxxxx...': it is a directory"),
+    (["seed-corpus", "--directory", LONG, "--count", "0"],
+     "cannot write 'xxxxxxxxxxxxxxxxxxxx...': "),
+    (["standard-basis", "--curve",
+      '{"n": 5, "m": 11, "y": [[11, "1"], [%s, "1"]]}' % NINES],
+     "y term t^99999999999999999999... at or above the truncation 150"),
+    (["dicritical-check", "--form",
+      '{"pair": [4, 9], "dx": [[%s, 0, "1"], [%s, 0, "2"]]}' % (NINES, NINES)],
+     "duplicate exponent in dx entry [99999999999999999999..., 0, '2']"),
+    (["dicritical-check", "--form",
+      '{"pair": [4, 9], "dy": [[0, -%s, "%s"]]}' % (NINES, LONG)],
+     "negative exponent in dy entry [0, -9999999999999999999..., "
+     "'xxxxxxxxxxxxxxxxxxxx...']"),
+    (["dicritical-check", "--form",
+      '{"pair": [4, 9], "dx": [[%s, 0, "z"]]}' % NINES],
+     "unreadable coefficient in dx entry [99999999999999999999..., 0, 'z']"),
+    (["standard-basis", "--curve",
+      '{"n": 5, "m": 11, "y": [[11, "1"]], "%s": 1}' % LONG],
+     "unknown field 'xxxxxxxxxxxxxxxxxxxx...' in curve object"),
+    (["standard-basis", "--curve",
+      '{"n": %s, "m": 11, "y": [[11, "1"]]}' % NINES],
+     "invalid Puiseux pair (99999999999999999999..., 11): need 1 <= n <= m,"
+     " got (99999999999999999999..., 11)"),
+    (["standard-basis", "--curve", '{"n": 2, "m": %s, "y": [[%s, "1"]],'
+      ' "truncation": 5}' % (NINES, NINES)],
+     "truncation must be an integer >= 49999999999999999999... for the pair"
+     " (2, 99999999999999999999...)"),
+    (["semigroup", "--pair", NINES + ",5"],
+     "need 1 <= n <= m, got (99999999999999999999..., 5)"),
+    (["delorme", "--curve", '{"n": 5, "m": 11, "y": [[11, "1"]]}',
+      "--i", NINES, "--j", "0"],
+     "need 0 <= j <= i <= 0, got (99999999999999999999..., 0)"),
+    (["semiroots", "--curve", '{"n": 5, "m": 11, "y": [[11, "1"]]}',
+      "--i", NINES], "semiroot index 99999999999999999999... outside 1..1"),
+], ids=["malformed-source", "missing-path", "output-path", "directory",
+        "y-exponent", "dx-duplicate", "dy-negative", "dx-unreadable",
+        "unknown-field", "json-pair", "truncation-floor", "pair-flag",
+        "delorme-index", "semiroot-index"])
+def test_long_paths_sources_and_exponents_are_echoed_cut(capsys, argv, rule):
+    # every path, source, exponent and entry a refusal echoes is cut to
+    # 20 characters and "...", however long the input was
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert rule in err
+    assert all(len(line) < 200 for line in err.splitlines())
+
+
+def test_unreadable_file_is_refused_without_a_traceback(capsys, tmp_path):
+    source = tmp_path / "curve.json"
+    source.write_bytes(b"\xff{")
+    code, out, err = run(capsys, "standard-basis", "--curve", str(source))
+    assert (code, out) == (1, "")
+    assert err.endswith(": not UTF-8 text\n")
+
+
 def test_internal_value_error_is_not_reported_as_bad_input(capsys,
                                                            monkeypatch):
     # main reports InputError and CuspidalError; a ValueError raised after

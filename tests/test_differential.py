@@ -12,7 +12,7 @@ from cuspidal.forms import BivariatePolynomial, OneForm, _integer_cloud
 from cuspidal.rationals import Q, rat
 from cuspidal.semigroup import PuiseuxPair
 from cuspidal.semimodule import GammaSemimodule
-from cuspidal.series import (PuiseuxCurve, TruncatedSeries,
+from cuspidal.series import (PuiseuxCurve, TruncatedSeries, _pullback,
                              integrate_against_conductor, pullback_form,
                              pullback_function)
 from cuspidal.semiroot import solve_invariant_branch, verify_main_theorem
@@ -118,6 +118,32 @@ def test_integer_pullbacks_and_potential_match_the_rational_ones(curve,
         integrate_by_rationals(curve, xi).coeffs
 
 
+@settings(max_examples=80, deadline=None)
+@given(rational_tail_curves(leads=small_rationals().filter(
+           lambda x: abs(x) != 1)), st.data())
+def test_shifted_pullback_is_the_pullback_of_the_monomial_multiple(curve,
+                                                                   data):
+    """_pullback(curve, f, prec, c, d) moves f's cloud or support by
+    (c, d): the row and the scale of x^c y^d f, with no product built."""
+    pair = curve.pair
+    prec = data.draw(st.one_of(
+        st.none(), st.integers(1, curve.trunc - 1),
+        st.integers(curve.trunc + 1, curve.trunc + 2 * pair.m)), label="prec")
+    c = data.draw(st.integers(0, 3), label="c")
+    d = data.draw(st.integers(0, 3), label="d")
+    omega = OneForm(pair, data.draw(monomial_maps(), label="A"),
+                    data.draw(monomial_maps(), label="B"))
+    h = BivariatePolynomial(data.draw(monomial_maps(), label="h"))
+    for (got, got_scale), (want, want_scale) in (
+            (_pullback(curve, omega, prec, c, d),
+             _pullback(curve, omega.times_monomial(c, d), prec)),
+            (_pullback(curve, h, prec, c, d),
+             _pullback(curve, BivariatePolynomial.monomial(c, d) * h, prec))):
+        assert got.coeffs == want.coeffs
+        assert got.trunc == want.trunc
+        assert got_scale == want_scale
+
+
 @settings(max_examples=60, deadline=None)
 @given(rational_tail_curves(leads=small_rationals()))
 def test_fraction_free_cancellation_and_oracle_match_the_rational_ones(curve):
@@ -134,12 +160,13 @@ def test_fraction_free_cancellation_and_oracle_match_the_rational_ones(curve):
             for k in range(2, len(basis.semimodule.basis) + 1)]
     runs.append((basis.semimodule, basis.forms, curve.trunc, c + 1, None))
     for sm, forms, first_stop, stop, prec in runs:
-        _, level, eta = _seed(sm, forms)
+        _, seed = _seed(sm)
         A, E, got_steps, got_nu = _cancel(
-            curve, sm, forms, eta, first_stop, stop, prec)
+            curve, sm, forms, seed, first_stop, stop, prec)
         want_eta, a_eta, want_steps, want_nu = cancel_by_rationals(
-            curve, sm, forms, eta, first_stop, stop, prec)
-        assert _built(curve, forms, level, eta, got_steps, None)[0] == \
+            curve, sm, forms, forms[-1].times_monomial(*seed), first_stop,
+            stop, prec)
+        assert _built(curve, forms, seed, got_steps, None)[0] == \
             want_eta.scaled(_integer_cloud(want_eta)[1])
         assert got_steps == want_steps
         assert got_nu == want_nu

@@ -5,8 +5,8 @@ import sys
 
 import pytest
 
-from cuspidal.rationals import (OverDigitCap, Q, int_from_str, rat,
-                                rat_from_str, rat_to_str)
+from cuspidal.rationals import (OverDigitCap, Q, cut, echo, int_from_str,
+                                rat, rat_from_str, rat_to_str)
 
 from oracles import no_digit_cap
 
@@ -65,3 +65,11 @@ def test_text_over_the_digit_cap_is_refused_by_name():
     with pytest.raises(OverDigitCap, match="digit cap"):
         int_from_str("3" * (sys.get_int_max_str_digits() + 1))
 
+
+def test_refusals_cut_text_and_ints_of_any_height_to_twenty_characters():
+    # an int past the digit cap, which str() refuses, is cut too
+    assert cut("x" * 20) == "x" * 20
+    assert cut("x" * 21) == cut("x" * 5000) == "x" * 20 + "..."
+    assert cut(-(10 ** 5000)) == "-1" + "0" * 18 + "..."
+    assert cut(12345) == "12345" and cut(True) == "1"
+    assert echo("x" * 21) == repr("x" * 20 + "...")

@@ -88,16 +88,31 @@ def corpus_007():
     return curve
 
 
+def integrated_potentials(monkeypatch) -> list:
+    """The potentials h that stdbasis._integrate returns from now on."""
+    real = stdbasis._integrate
+    out = []
+
+    def recorded(*args):
+        out.append(real(*args))
+        return out[-1]
+
+    monkeypatch.setattr(stdbasis, "_integrate", recorded)
+    return out
+
+
 @pytest.mark.parametrize("curve, potential",
                          [(curve_5_11, True), (curve_7_17, True),
                           (corpus_007, False)],
                          ids=["ex5_11", "ex7_17", "corpus_007"])
-def test_certificate_is_the_adjusted_forms_own_value(curve, potential):
+def test_certificate_is_the_adjusted_forms_own_value(monkeypatch, curve,
+                                                     potential):
+    # the adjustment takes a potential exactly when it integrates one
+    potentials = integrated_potentials(monkeypatch)
     c = curve()
     basis = compute_standard_basis(c)
     omega = dicritically_adjust(basis)
-    assert (basis.traces[basis.s_index + 1].potential is not None) == \
-        potential
+    assert (potentials != []) == potential
     assert nu_C_form(c, omega, c.trunc) == nu_C_form(c, omega) == \
         OrderResult.AtLeast(c.trunc)
     # each trace's levels are the one record of how its form was built
@@ -113,17 +128,21 @@ def test_certificate_is_the_adjusted_forms_own_value(curve, potential):
 @pytest.mark.parametrize("curve", [curve_5_11, curve_7_17],
                          ids=["ex5_11", "ex7_17"])
 def test_cancellation_engine_builds_no_form(monkeypatch, curve):
-    # _cancel hands back only its steps; _built assembles the form once
+    # _seed names the seed monomial and _cancel hands back only its steps,
+    # reading every x^c y^d omega_j off omega_j's cloud; _built assembles
+    # the form once
     c = curve()
     basis = compute_standard_basis(c)
     s = basis.s_index
     basis.form(s + 1)
 
-    def refuse(*args):
+    def refuse(*args, **kwargs):
         raise AssertionError("the cancellation engine built a form")
 
     monkeypatch.setattr(OneForm, "scaled", refuse)
     monkeypatch.setattr(OneForm, "__sub__", refuse)
+    monkeypatch.setattr(OneForm, "__init__", refuse)
+    monkeypatch.setattr(BivariatePolynomial, "__init__", refuse)
     conductor = c.pair.conductor
     runs = [(GammaSemimodule(c.gamma, basis.semimodule.basis[:k + 1]),
              basis.forms[:k + 1], conductor, conductor, conductor + 2, k)
@@ -131,8 +150,8 @@ def test_cancellation_engine_builds_no_form(monkeypatch, curve):
     runs.append((basis.semimodule, basis.forms, c.trunc, conductor + 1,
                  None, s + 1))
     for sm, forms, first_stop, stop, prec, k in runs:
-        eta = stdbasis._seed(sm, forms)[2]
-        *_, steps, _ = stdbasis._cancel(c, sm, forms, eta, first_stop, stop,
+        seed = stdbasis._seed(sm)[1]
+        *_, steps, _ = stdbasis._cancel(c, sm, forms, seed, first_stop, stop,
                                         prec)
         assert steps == basis.traces[k].steps
 
@@ -245,9 +264,10 @@ def test_adjustment_finds_the_adjusted_vertex_twice(monkeypatch):
     assert len(calls) == 2 and all(w is adjusted for w in calls)
 
 
-def test_adjustment_with_potential_small_even_n():
+def test_adjustment_with_potential_small_even_n(monkeypatch):
     # (t^2, t^7 + t^8): u_1 = 9 passes the conductor 6, so the loop takes
     # exactly the opening cancellation and integrates the rest.
+    potentials = integrated_potentials(monkeypatch)
     pair = PuiseuxPair(2, 7)
     basis = compute_standard_basis(PuiseuxCurve(pair, {7: 1, 8: 1}))
     assert basis.s_index == 0
@@ -256,13 +276,32 @@ def test_adjustment_with_potential_small_even_n():
                        A={(0, 1): rat(-7, 2), (4, 0): rat(-1, 2)},
                        B={(1, 0): rat(1)})
     assert adjusted == expected
-    assert basis.traces[1].potential is not None
+    [h] = potentials
+    assert h is not None
     assert nu_E_form(adjusted) == 9
 
 
 def test_oracle_matches_on_reference_curves():
     for c in (curve_5_11(), curve_7_17(), PuiseuxCurve(P511, {11: 1})):
         assert semimodule_oracle(c) == compute_standard_basis(c).semimodule
+
+
+@pytest.mark.parametrize("curve", [curve_5_11, curve_7_17],
+                         ids=["ex5_11", "ex7_17"])
+def test_oracle_builds_only_dx_and_dy(monkeypatch, curve):
+    # each x^a y^b dx and x^a y^b dy it scans is dx or dy moved by (a, b)
+    c = curve()
+    want = compute_standard_basis(c).semimodule
+    built = []
+    real = OneForm.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(OneForm, "__init__", counted)
+    assert semimodule_oracle(c) == want
+    assert len(built) <= 2
 
 
 @pytest.mark.parametrize("curve", [curve_5_11, curve_7_17],

@@ -1,14 +1,14 @@
 """The public surface resolves: every exported name and every name the
 benchmark tracer wraps.  Every function, class, method and property in
 src/ is named from src/, bound by the tracer or part of the paper API.
-TruncatedSeries carries no rational arithmetic,
-only forms clears a form's denominators, no module reads a theta row,
-the cancellation engine stdbasis._cancel holds no rational form: no
-subtraction and no call to scaled or times_polynomial, and the branch
-solver takes no product of two full-height denominators d[i] d[j].  No
-function or method only returns an attribute of its parameter, a
-form's integer cloud is computed once, no module asserts, and the
-semimodule module runs no while loop."""
+TruncatedSeries carries no rational arithmetic, only forms clears a
+form's denominators, and no module reads a theta row.  The seed and the
+cancellation engine, stdbasis._seed and _cancel, build no form and no
+polynomial: they subtract nothing and call nothing that builds, combines
+or scales one.  The branch solver takes no product of two full-height
+denominators d[i] d[j].  No function or method only returns an attribute
+of its parameter, a form's integer cloud is computed once, no module
+asserts, and the semimodule module runs no while loop."""
 
 import ast
 import collections
@@ -175,17 +175,23 @@ def test_no_module_reads_a_theta_row(name):
 
 
 def test_cancellation_engine_holds_no_rational_form():
-    # _cancel returns its steps; stdbasis._built assembles the form from
-    # them once, so the engine neither subtracts nor scales a form
+    # _seed names the seed monomial and _cancel returns its steps, pulling
+    # every x^c y^d omega_j back off omega_j's cloud; stdbasis._built
+    # assembles the form from them once, so neither builds, combines,
+    # subtracts nor scales a form or a polynomial
     from cuspidal import stdbasis
     tree = ast.parse(pathlib.Path(stdbasis.__file__).read_text())
-    engine, = [node for node in tree.body
-               if isinstance(node, ast.FunctionDef) and node.name == "_cancel"]
-    found = [node.lineno for node in ast.walk(engine)
+    engine = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef)
+              and node.name in ("_seed", "_cancel")]
+    assert len(engine) == 2
+    banned = ("scaled", "times_polynomial", "times_monomial", "monomial",
+              "OneForm", "BivariatePolynomial", "_combination")
+    found = [node.lineno for function in engine for node in ast.walk(function)
              if isinstance(getattr(node, "op", None), ast.Sub)
              or (isinstance(node, ast.Call)
                  and getattr(node.func, "attr", getattr(node.func, "id", None))
-                 in ("scaled", "times_polynomial"))]
+                 in banned)]
     assert found == []
 
 
