@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import random
+import re
 import sys
 
 from .blowup import is_totally_dicritical
@@ -23,7 +24,8 @@ from .jsonio import (InputError, basis_to_json, curve_to_json,
                      delorme_to_json, dicritical_to_json, dumps,
                      form_to_json, parse_curve, parse_form,
                      semiroot_to_json, verify_report_to_json)
-from .rationals import OverDigitCap, echo, int_from_str, rat_from_str
+from .rationals import (OverDigitCap, cut, echo, int_from_str,
+                        rat_from_str)
 from .semigroup import CuspSemigroup, PuiseuxPair, copair
 from .semimodule import GammaSemimodule, is_increasing, minimal_basis
 from .semiroot import semiroot, verify_main_theorem
@@ -34,8 +36,13 @@ _PARSER = None  # built by the first main() call, not at import, then reused
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors; 2 is reserved for failed checks
+    # argparse exits 2 on usage errors; 2 is reserved for failed checks.
+    # Its messages quote argv whole, so each run of over 20 characters
+    # between spaces and quotes is cut as rationals.cut cuts; a run cut
+    # already, as the type errors of _integer echo one, stays as it is
     def error(self, message):
+        message = re.sub(r"[^\s']{21,}", lambda run: cut(run.group()),
+                         message)
         self.exit(1, "%s: error: %s\n" % (self.prog, message))
 
 

@@ -122,14 +122,18 @@ def _cancellation_site(gamma, lambdas, value):
 
 
 def _seed(sm):
-    """Candidate opening the next stage, the cheaper of x^l1 omega_s' and
-    y^l2 omega_s': its axis value u and the monomial's exponents (a, b).
-    No form is built: the engine reads the seed off the cloud of omega_s'."""
-    pair = sm.gamma.pair
+    """Exponents (a, b) of the monomial opening the next stage, the cheaper
+    of x^l1 omega_s' and y^l2 omega_s'.  Its value must be the last axis
+    u_{s'+1} of sm, which the scan found independently.  No form is built:
+    the engine reads the seed off the cloud of omega_s'."""
+    n, m = sm.gamma.pair.n, sm.gamma.pair.m
     ell1, ell2 = limits(sm, sm.s_index)
-    if pair.n * ell1 <= pair.m * ell2:
-        return pair.n * ell1 + sm.basis[-1], (ell1, 0)
-    return pair.m * ell2 + sm.basis[-1], (0, ell2)
+    a, b = (ell1, 0) if n * ell1 <= m * ell2 else (0, ell2)
+    u = n * a + m * b + sm.basis[-1]
+    if u != sm.axes[-1]:
+        raise InternalDisagreement("seed value %d off the last axis %d"
+                                   % (u, sm.axes[-1]))
+    return a, b
 
 
 def _cancel(curve, sm, forms, seed, first_stop, stop, prec=None):
@@ -194,12 +198,14 @@ def _built(curve, forms, seed, steps, potential):
 def compute_standard_basis(curve: PuiseuxCurve) -> ExtendedStandardBasis:
     """Construct omega_1, ..., omega_s and the semimodule of the curve.
 
-    Each stage opens with the seed above the last basis element and hands
-    it to _cancel with stop order c_Gamma for every step: the engine
-    cancels the leading value against the cheapest x^c y^d omega_j while
-    it stays in the current semimodule.  A value outside it is a new
-    generator, its form assembled by _built and certified by its own
-    pullback; a value reaching the semigroup conductor ends the
+    Starts from the semimodule Gamma(n, m) of dx and dy and grows it by
+    one generator a stage.  Each stage opens with the seed of _seed, whose
+    value is the semimodule's last axis, and hands it to _cancel with stop
+    order c_Gamma for every step: the engine cancels the leading value
+    against the cheapest x^c y^d omega_j while it stays in the current
+    semimodule.  A value outside it is a new generator, above the axis;
+    _built assembles its form and _certify checks it before the next stage
+    opens.  A value reaching the semigroup conductor ends the
     construction.  Both run at order conductor + 2, which decides every
     branch exactly; the truncation T only matters for the adjustment.
     """
@@ -207,51 +213,44 @@ def compute_standard_basis(curve: PuiseuxCurve) -> ExtendedStandardBasis:
     n, m = pair.n, pair.m
     if n < 2:
         raise NotACusp("(%d, %d) parametrizes a smooth branch" % (n, m))
-    gamma = curve.gamma
     c_gamma = pair.conductor
     work = c_gamma + 2
+    sm = GammaSemimodule(curve.gamma, (n, m))
     forms = [OneForm(pair, {(0, 0): 1}, None), OneForm(pair, None, {(0, 0): 1})]
-    lam = [n, m]
-    t_chain = [n, m]
     traces = {}
     while True:
-        sm = GammaSemimodule(gamma, tuple(lam))
-        u_next, seed = _seed(sm)
-        _, _, steps, new_value = _cancel(curve, sm, forms, seed,
-                                         c_gamma, c_gamma, work)
-        if new_value >= c_gamma:
-            break
-        if new_value <= u_next:
+        seed = _seed(sm)
+        _, _, steps, value = _cancel(curve, sm, forms, seed, c_gamma, c_gamma,
+                                     work)
+        if value >= c_gamma:
+            return ExtendedStandardBasis(curve, sm, forms, traces)
+        if value <= sm.axes[-1]:
             raise InternalDisagreement("generator %d at or under the axis %d"
-                                       % (new_value, u_next))
-        omega, traces[len(lam) - 1] = _built(curve, forms, seed, steps, None)
-        value = nu_C_form(curve, omega, work)
-        if value != OrderResult.Finite(new_value):
-            raise InternalDisagreement("form for %d has value %r"
-                                       % (new_value, value))
-        t_chain.append(t_chain[-1] + u_next - lam[-1])
-        lam.append(new_value)
+                                       % (value, sm.axes[-1]))
+        i = sm.s_index + 1
+        omega, traces[i] = _built(curve, forms, seed, steps, None)
+        _certify(curve, sm, omega, i, OrderResult.Finite(value), work)
         forms.append(omega)
-        if nu_E_form(omega) != t_chain[-1]:
-            raise InternalDisagreement("form for %d has order %d, chain says"
-                                       " %d" % (new_value, nu_E_form(omega),
-                                                t_chain[-1]))
-        if len(lam) > n:
+        if len(forms) > n:
             raise InternalDisagreement("more generators than residues mod %d"
                                        % n)
-    t_chain.append(t_chain[-1] + u_next - lam[-1])
-    if tuple(t_chain) != sm.critical_orders:
-        raise InternalDisagreement("incremental critical orders %r disagree"
-                                   " with the semimodule's %r"
-                                   % (t_chain, sm.critical_orders))
-    basis = ExtendedStandardBasis(curve, sm, forms, traces)
-    for i in range(1, sm.s_index + 1):
-        _check_shape(basis.form(i), i)
-    return basis
+        sm = GammaSemimodule(sm.gamma, sm.basis + (value,))
 
 
-def _check_shape(omega: OneForm, i: int):
-    """Every constructed form past dy must be basic and resonant."""
+def _certify(curve, sm, omega: OneForm, i: int, value, prec):
+    """The certificate of every basis form past dy, the adjusted one
+    included: omega_i, built over the semimodule sm of omega_-1 ..
+    omega_{i-1}, has the differential value `value` by its own pullback
+    below prec, the divisorial order t_i that sm reads off its axes, and
+    is basic and resonant."""
+    got = nu_C_form(curve, omega, prec)
+    if got != value:
+        raise InternalDisagreement("omega_%d has value %r, not %r"
+                                   % (i, got, value))
+    order = nu_E_form(omega)
+    if order != sm.critical_orders[-1]:
+        raise InternalDisagreement("omega_%d has order %d, not t = %d"
+                                   % (i, order, sm.critical_orders[-1]))
     if not is_basic(omega):
         raise InternalDisagreement("omega_%d is not basic" % i)
     if not is_resonant(omega):
@@ -261,24 +260,21 @@ def _check_shape(omega: OneForm, i: int):
 def dicritically_adjust(basis: ExtendedStandardBasis) -> OneForm:
     """Extend the basis with omega_{s+1}, invariant up to the truncation.
 
-    Runs _cancel at the full curve truncation with stop order T for the
-    first step and c_Gamma + 1 after it: the opening value u_{s+1} always
+    The last stage of the construction: the seed of _seed, on the last
+    axis u_{s+1}, goes to _cancel at the full curve truncation with stop
+    order T for the first step and c_Gamma + 1 after it: u_{s+1} always
     has a second representation over some omega_k with k < s, so the
     first cancellation fires even past the conductor, and later ones stop
     there.  Whatever finite value survives is integrated into a potential
-    h, and _built assembles omega = eta - dh once from its levels.  It is
-    certified by its own pullback below T: nu_C_form(curve, omega,
-    curve.trunc) must read AtLeast(T).  It is also checked to be totally
-    dicritical before it is stored.
+    h, and _built assembles omega = eta - dh once from its levels.
+    _certify checks it as it checks every omega_i, with value AtLeast(T)
+    by its own pullback below T and order t_{s+1}; it is also checked to
+    be totally dicritical before it is stored.
     """
     if basis.adjusted is not None:
         return basis.adjusted
     curve, sm = basis.curve, basis.semimodule
-    s = sm.s_index
-    u_next, seed = _seed(sm)
-    if u_next != sm.axes[-1]:
-        raise InternalDisagreement("seed value %d off the last axis %d"
-                                   % (u_next, sm.axes[-1]))
+    seed = _seed(sm)
     stop = curve.pair.conductor + 1
     a_eta, E, steps, nu = _cancel(curve, sm, basis.forms, seed,
                                   curve.trunc, stop)
@@ -292,18 +288,13 @@ def dicritically_adjust(basis: ExtendedStandardBasis) -> OneForm:
                                        a_eta.coeffs.items()},
                                E, a_eta.trunc - 1)
     omega, trace = _built(curve, basis.forms, seed, steps, potential)
-    value = nu_C_form(curve, omega, curve.trunc)
-    if value != OrderResult.AtLeast(curve.trunc):
-        raise InternalDisagreement("adjusted form has value %r, not"
-                                   " AtLeast(%d)" % (value, curve.trunc))
-    if nu_E_form(omega) != sm.critical_orders[-1]:
-        raise InternalDisagreement("adjusted form has order %d, not t = %d" % (
-            nu_E_form(omega), sm.critical_orders[-1]))
-    _check_shape(omega, s + 1)
+    i = sm.s_index + 1
+    _certify(curve, sm, omega, i, OrderResult.AtLeast(curve.trunc),
+             curve.trunc)
     if not is_totally_dicritical(omega):
         raise InternalDisagreement("adjusted form is not totally dicritical")
     basis.adjusted = omega
-    basis.traces[s + 1] = trace
+    basis.traces[i] = trace
     return omega
 
 

@@ -65,6 +65,13 @@ REFUSALS = [
      '{"n": 5, "m": 11, "y": [[11, "1"], [%s, "1"]]}' % NINES],
     ["dicritical-check", "--form",
      '{"pair": [4, 9], "dx": [[%s, 0, "1"], [%s, 0, "2"]]}' % (NINES, NINES)],
+    [LONG],
+    ["semigroup", "--pair", "5,11", LONG],
+    ["semigroup", "--copair=" + LONG],
+    ["nosuch"],
+    ["semigroup", "--pair", "5,11", "a", "b", "c"],
+    ["semigroup", "--copair=1"],
+    ["semigroup", "--pair", "5,11", "--bogus"],
 ]
 
 

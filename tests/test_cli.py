@@ -409,6 +409,35 @@ def test_long_paths_sources_and_exponents_are_echoed_cut(capsys, argv, rule):
     assert all(len(line) < 200 for line in err.splitlines())
 
 
+CHOICES = ("(choose from 'semigroup', 'semimodule', 'standard-basis',"
+           " 'delorme', 'dicritical-check', 'semiroots', 'verify',"
+           " 'seed-corpus')")
+
+
+@pytest.mark.parametrize("argv, refusal", [
+    ([LONG], "cuspidal: error: argument command: invalid choice:"
+     " 'xxxxxxxxxxxxxxxxxxxx...' " + CHOICES),
+    (["semigroup", "--pair", "5,11", LONG],
+     "cuspidal: error: unrecognized arguments: xxxxxxxxxxxxxxxxxxxx..."),
+    (["semigroup", "--copair=" + LONG], "cuspidal semigroup: error: argument"
+     " --copair: ignored explicit argument 'xxxxxxxxxxxxxxxxxxxx...'"),
+    (["nosuch"], "cuspidal: error: argument command: invalid choice:"
+     " 'nosuch' " + CHOICES),
+    (["semigroup", "--pair", "5,11", "a", "b", "c"],
+     "cuspidal: error: unrecognized arguments: a b c"),
+    (["semigroup", "--copair=1"], "cuspidal semigroup: error: argument"
+     " --copair: ignored explicit argument '1'"),
+    (["semigroup", "--pair", "5,11", "--bogus"],
+     "cuspidal: error: unrecognized arguments: --bogus"),
+], ids=["long-choice", "long-extra", "long-explicit", "choice", "extra",
+        "explicit", "option"])
+def test_argparse_refusals_echo_at_most_twenty_characters(capsys, argv,
+                                                          refusal):
+    # argparse builds these messages; the parser's error hook cuts what
+    # they quote of argv, and a short refusal keeps its bytes
+    assert run(capsys, *argv) == (1, "", refusal + "\n")
+
+
 def test_unreadable_file_is_refused_without_a_traceback(capsys, tmp_path):
     source = tmp_path / "curve.json"
     source.write_bytes(b"\xff{")

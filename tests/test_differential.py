@@ -160,7 +160,7 @@ def test_fraction_free_cancellation_and_oracle_match_the_rational_ones(curve):
             for k in range(2, len(basis.semimodule.basis) + 1)]
     runs.append((basis.semimodule, basis.forms, curve.trunc, c + 1, None))
     for sm, forms, first_stop, stop, prec in runs:
-        _, seed = _seed(sm)
+        seed = _seed(sm)
         A, E, got_steps, got_nu = _cancel(
             curve, sm, forms, seed, first_stop, stop, prec)
         want_eta, a_eta, want_steps, want_nu = cancel_by_rationals(

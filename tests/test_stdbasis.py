@@ -13,7 +13,7 @@ from cuspidal.forms import (BivariatePolynomial, OneForm, is_basic,
                             is_prebasic, is_resonant, nu_E_form)
 from cuspidal.rationals import Q, rat
 from cuspidal.semigroup import PuiseuxPair, contains
-from cuspidal.semimodule import GammaSemimodule, minimal_basis
+from cuspidal.semimodule import GammaSemimodule, Limits, minimal_basis
 from cuspidal.series import (OrderResult, PuiseuxCurve, TruncatedSeries,
                              nu_C_form, nu_C_function)
 from cuspidal.stdbasis import (compute_standard_basis, delorme_decompose,
@@ -150,7 +150,7 @@ def test_cancellation_engine_builds_no_form(monkeypatch, curve):
     runs.append((basis.semimodule, basis.forms, c.trunc, conductor + 1,
                  None, s + 1))
     for sm, forms, first_stop, stop, prec, k in runs:
-        seed = stdbasis._seed(sm)[1]
+        seed = stdbasis._seed(sm)
         *_, steps, _ = stdbasis._cancel(c, sm, forms, seed, first_stop, stop,
                                         prec)
         assert steps == basis.traces[k].steps
@@ -171,7 +171,8 @@ def test_stage_certificate_refuses_a_wrong_form(monkeypatch):
     monkeypatch.setattr(stdbasis, "_cancel", doubled)
     with pytest.raises(InternalDisagreement) as caught:
         compute_standard_basis(curve_5_11())
-    assert str(caught.value) == "form for 17 has value Finite(16)"
+    assert str(caught.value) == ("omega_1 has value Finite(16), not"
+                                 " Finite(17)")
 
 
 def test_adjustment_refuses_a_potential_that_leaves_a_residue(monkeypatch):
@@ -191,9 +192,71 @@ def test_adjustment_refuses_a_potential_that_leaves_a_residue(monkeypatch):
     basis = compute_standard_basis(curve_5_11())
     with pytest.raises(InternalDisagreement) as caught:
         dicritically_adjust(basis)
-    assert str(caught.value) == ("adjusted form has value Finite(%d), not"
+    assert str(caught.value) == ("omega_4 has value Finite(%d), not"
                                  " AtLeast(150)" % dropped[0])
     assert basis.adjusted is None and basis.s_index + 1 not in basis.traces
+
+
+def off_axis_limits(monkeypatch):
+    """From now on stdbasis reads ell1 one too large, so the x seed of the
+    (5, 11) basis lands 5 past the last axis."""
+    real = stdbasis.limits
+    monkeypatch.setattr(stdbasis, "limits", lambda sm, i: Limits(
+        real(sm, i).ell1 + 1, real(sm, i).ell2))
+
+
+def counted_calls(monkeypatch, name: str) -> list:
+    """The argument tuples of every call to stdbasis.<name> from now on."""
+    real = getattr(stdbasis, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(stdbasis, name, counted)
+    return calls
+
+
+def test_stage_seed_off_the_axis_is_refused_before_it_cancels(monkeypatch):
+    off_axis_limits(monkeypatch)
+    cancels = counted_calls(monkeypatch, "_cancel")
+    with pytest.raises(InternalDisagreement) as caught:
+        compute_standard_basis(curve_5_11())
+    assert str(caught.value) == "seed value 21 off the last axis 16"
+    assert cancels == []
+
+
+def test_adjustment_seed_off_the_axis_is_refused(monkeypatch):
+    basis = compute_standard_basis(curve_5_11())
+    off_axis_limits(monkeypatch)
+    with pytest.raises(InternalDisagreement) as caught:
+        dicritically_adjust(basis)
+    assert str(caught.value) == "seed value 39 off the last axis 34"
+    assert basis.adjusted is None
+
+
+def test_certificate_reads_the_order_off_the_semimodule(monkeypatch):
+    # t_1 = 16 and t_4 = 31 are the semimodule's critical orders
+    basis = compute_standard_basis(curve_5_11())
+    real = stdbasis.nu_E_form
+    monkeypatch.setattr(stdbasis, "nu_E_form", lambda omega: real(omega) + 1)
+    with pytest.raises(InternalDisagreement) as caught:
+        compute_standard_basis(curve_5_11())
+    assert str(caught.value) == "omega_1 has order 17, not t = 16"
+    with pytest.raises(InternalDisagreement) as caught:
+        dicritically_adjust(basis)
+    assert str(caught.value) == "omega_4 has order 32, not t = 31"
+    assert basis.adjusted is None
+
+
+def test_stage_shape_is_certified_before_the_next_stage(monkeypatch):
+    built = counted_calls(monkeypatch, "_built")
+    monkeypatch.setattr(stdbasis, "is_basic", lambda omega: False)
+    with pytest.raises(InternalDisagreement) as caught:
+        compute_standard_basis(curve_5_11())
+    assert str(caught.value) == "omega_1 is not basic"
+    assert len(built) == 1
 
 
 @pytest.mark.skipif(Q is not fractions.Fraction,
@@ -248,7 +311,7 @@ def test_adjusted_form_of_reference_curve():
 
 
 def test_adjustment_finds_the_adjusted_vertex_twice(monkeypatch):
-    # _check_shape's is_resonant finds the vertex once, and the
+    # _certify's is_resonant finds the vertex once, and the
     # dicriticalness verdict finds it again and reads resonance off it
     basis = compute_standard_basis(curve_5_11())
     calls = []

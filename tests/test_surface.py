@@ -5,7 +5,9 @@ TruncatedSeries carries no rational arithmetic, only forms clears a
 form's denominators, and no module reads a theta row.  The seed and the
 cancellation engine, stdbasis._seed and _cancel, build no form and no
 polynomial: they subtract nothing and call nothing that builds, combines
-or scales one.  The branch solver takes no product of two full-height
+or scales one.  Only stdbasis._certify checks a basis form's value,
+order and shape, and the construction and the adjustment both call it
+and _seed.  The branch solver takes no product of two full-height
 denominators d[i] d[j].  No function or method only returns an attribute
 of its parameter, a form's integer cloud is computed once, no module
 asserts, and the semimodule module runs no while loop."""
@@ -193,6 +195,24 @@ def test_cancellation_engine_holds_no_rational_form():
                  and getattr(node.func, "attr", getattr(node.func, "id", None))
                  in banned)]
     assert found == []
+
+
+def test_every_basis_form_passes_one_certificate():
+    # the value, order and shape of a basis form are checked in _certify
+    # alone, and the construction and the adjustment both open with the
+    # seed's axis check and close with that certificate
+    from cuspidal import stdbasis
+    tree = ast.parse(pathlib.Path(stdbasis.__file__).read_text())
+    calls = {node.name: {getattr(call.func, "attr",
+                                 getattr(call.func, "id", None))
+                         for call in ast.walk(node)
+                         if isinstance(call, ast.Call)}
+             for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    checks = {"nu_C_form", "nu_E_form", "is_basic", "is_resonant"}
+    assert {name for name, called in calls.items()
+            if called & checks} == {"_certify"}
+    for name in ("compute_standard_basis", "dicritically_adjust"):
+        assert {"_seed", "_certify"} <= calls[name]
 
 
 @pytest.mark.parametrize("name", MODULES)
