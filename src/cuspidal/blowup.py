@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import IndexOutOfRange, InternalDisagreement
+from .errors import IndexOutOfRange, InputError, InternalDisagreement
 from .forms import OneForm, _integer_cloud, _resonant_at, is_prebasic
 from .semigroup import PuiseuxPair
 
@@ -92,7 +92,7 @@ def transform_form(seq: CuspidalSequence, omega: OneForm, step: int) -> OneForm:
     if not 0 <= step <= seq.length - 2:
         raise IndexOutOfRange("step %d outside 0..%d" % (step, seq.length - 2))
     if omega.pair != seq.pairs[step]:
-        raise ValueError("form lives at pair %r, not %r"
+        raise InputError("form lives at pair %r, not %r"
                          % (omega.pair, seq.pairs[step]))
     cloud = _transform_cloud(seq.kinds[step], omega.cloud)
     return OneForm.from_cloud(seq.pairs[step + 1], cloud)

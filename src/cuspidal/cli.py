@@ -2,9 +2,10 @@
 
 Every subcommand reads JSON (inline or from a file), runs one
 computation, and prints one canonical JSON document.  Exit codes:
-0 success, 1 bad input (the message names the violated rule), 2 a
-structure check failed (the failing report is printed as JSON so batch
-drivers can triage without scraping stderr).
+0 success, 1 bad input (errors.InputError, whose message names the
+violated rule) or any other CuspidalError, 2 a structure check failed
+(the failing report is printed as JSON so batch drivers can triage
+without scraping stderr).
 """
 
 from __future__ import annotations
@@ -19,11 +20,10 @@ import sys
 from .blowup import is_totally_dicritical
 from .corpus import (example_curve_5_11, example_curve_7_17,
                      example_form_4_9, random_cusp_curve)
-from .errors import CuspidalError, VerificationFailure
-from .jsonio import (InputError, basis_to_json, curve_to_json,
-                     delorme_to_json, dicritical_to_json, dumps,
-                     form_to_json, parse_curve, parse_form,
-                     semiroot_to_json, verify_report_to_json)
+from .errors import CuspidalError, InputError, VerificationFailure
+from .jsonio import (basis_to_json, curve_to_json, delorme_to_json,
+                     dicritical_to_json, dumps, form_to_json, parse_curve,
+                     parse_form, semiroot_to_json, verify_report_to_json)
 from .rationals import (OverDigitCap, cut, echo, int_from_str,
                         rat_from_str)
 from .semigroup import CuspSemigroup, PuiseuxPair, copair
@@ -33,16 +33,19 @@ from .stdbasis import compute_standard_basis, delorme_decompose
 
 DEFAULT_PARAMETERS = "1,2,-1,1/2"
 _PARSER = None  # built by the first main() call, not at import, then reused
+# what argparse's refusals echo of argv: the unrecognized arguments, a
+# quoted value, or a run between spaces and quotes, each over 20 characters
+_ECHOED = re.compile(r"(?s)(?<=unrecognized arguments: ).{21,}"
+                     r"|(?<=')[^']{21,}(?=')|[^\s']{21,}")
 
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; 2 is reserved for failed checks.
-    # Its messages quote argv whole, so each run of over 20 characters
-    # between spaces and quotes is cut as rationals.cut cuts; a run cut
-    # already, as the type errors of _integer echo one, stays as it is
+    # Its messages quote argv whole, so each echo of over 20 characters is
+    # cut as rationals.cut cuts; an echo cut already, as the type errors
+    # of _integer echo one, stays as it is
     def error(self, message):
-        message = re.sub(r"[^\s']{21,}", lambda run: cut(run.group()),
-                         message)
+        message = _ECHOED.sub(lambda echoed: cut(echoed.group()), message)
         self.exit(1, "%s: error: %s\n" % (self.prog, message))
 
 
@@ -86,7 +89,7 @@ def _integer(text: str) -> int:
         return int_from_str(text)
     except OverDigitCap as exc:
         raise argparse.ArgumentTypeError(exc) from None
-    except ValueError:
+    except InputError:
         raise argparse.ArgumentTypeError("invalid int value: %s"
                                          % echo(text)) from None
 
@@ -97,18 +100,14 @@ def _integers(text: str, rule: str) -> list:
         return [int_from_str(v) for v in text.split(",")]
     except OverDigitCap as exc:
         raise InputError("%s: %s" % (rule, exc)) from None
-    except ValueError:
+    except InputError:
         raise InputError("%s, got %s" % (rule, echo(text))) from None
 
 
 def _pair_argument(text: str) -> PuiseuxPair:
     if len(text.split(",")) != 2:
         raise InputError("--pair wants the form n,m")
-    n, m = _integers(text, "--pair wants two integers")
-    try:
-        return PuiseuxPair(n, m)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    return PuiseuxPair(*_integers(text, "--pair wants two integers"))
 
 
 def _parameter_list(text: str) -> list:
@@ -118,16 +117,13 @@ def _parameter_list(text: str) -> list:
             out.append(rat_from_str(chunk))
         except OverDigitCap as exc:
             raise InputError("unreadable parameter: %s" % exc) from None
-        except (ValueError, ZeroDivisionError):
+        except (InputError, ZeroDivisionError):
             raise InputError("unreadable parameter %s" % echo(chunk)) from None
-    if not out:
-        raise InputError("empty parameter list")
     return out
 
 
 def _curve_from(ns, source: str):
-    return parse_curve(_load_json(source),
-                       trunc_override=getattr(ns, "truncation", None))
+    return parse_curve(_load_json(source), trunc_override=ns.truncation)
 
 
 def cmd_semigroup(ns):
@@ -151,12 +147,8 @@ def cmd_semimodule(ns):
         values = _integers(ns.generators, "--generators wants integers")
         if len(values) < 2:
             raise InputError("--generators wants at least n,m")
-        pair = _pair_argument("%d,%d" % (values[0], values[1]))
-        gamma = CuspSemigroup(pair)
-        try:
-            sm = GammaSemimodule(gamma, minimal_basis(gamma, values))
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
+        gamma = CuspSemigroup(PuiseuxPair(values[0], values[1]))
+        sm = GammaSemimodule(gamma, minimal_basis(gamma, values))
     return {"lambda": list(sm.basis),
             "t": list(sm.critical_orders) if sm.critical_orders else None,
             "u": list(sm.axes),
@@ -333,7 +325,7 @@ def main(argv=None) -> int:
             payload["report"] = report
         sys.stdout.write(dumps(payload))
         return 2
-    except (InputError, CuspidalError) as exc:
+    except CuspidalError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1
     if not ns.output:

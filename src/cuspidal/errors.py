@@ -12,6 +12,10 @@ class CuspidalError(Exception):
     """Base class for all errors raised by this library."""
 
 
+class InputError(CuspidalError, ValueError):
+    """Input breaks a documented rule; the message names the rule."""
+
+
 class NotInSemigroup(CuspidalError):
     """The integer has no representation a*n + b*m with a, b >= 0."""
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import NotPreBasic, QAboveOrder, ZeroForm
+from .errors import InputError, NotPreBasic, QAboveOrder, ZeroForm
 from .rationals import Q, rat
 from .semigroup import PuiseuxPair, copair
 
@@ -156,11 +156,11 @@ class OneForm:
         for (alpha, beta), (mu, zeta) in cloud.items():
             if mu != 0:
                 if alpha < 1:
-                    raise ValueError("mu at alpha=0 is not a regular form")
+                    raise InputError("mu at alpha=0 is not a regular form")
                 A[(alpha - 1, beta)] = mu
             if zeta != 0:
                 if beta < 1:
-                    raise ValueError("zeta at beta=0 is not a regular form")
+                    raise InputError("zeta at beta=0 is not a regular form")
                 B[(alpha, beta - 1)] = zeta
         return cls(pair, A, B)
 

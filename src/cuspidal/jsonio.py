@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 
+from .errors import InputError
 from .forms import OneForm, is_basic, nu_E_form
 from .rationals import OverDigitCap, cut, echo, rat_from_str, rat_to_str
 from .semigroup import PuiseuxPair, copair
@@ -22,10 +23,6 @@ __all__ = [
     "poly_to_json", "y_to_json", "basis_to_json", "delorme_to_json",
     "semiroot_to_json", "verify_report_to_json", "dicritical_to_json",
 ]
-
-
-class InputError(ValueError):
-    """Input JSON violates the schema; the message names the rule."""
 
 
 def dumps(obj) -> str:
@@ -53,7 +50,7 @@ def _parse_pair(n, m) -> PuiseuxPair:
         raise InputError("pair entries must be integers")
     try:
         return PuiseuxPair(n, m)
-    except ValueError as exc:
+    except InputError as exc:
         raise InputError("invalid Puiseux pair (%s, %s): %s"
                          % (cut(n), cut(m), exc)) from None
 
@@ -73,18 +70,14 @@ def curve_to_json(curve: PuiseuxCurve) -> dict:
 
 
 def parse_curve(obj, trunc_override: int = None) -> PuiseuxCurve:
-    """The curve of a JSON object; PuiseuxCurve enforces the cusp rules."""
+    """The curve of a JSON object; PuiseuxCurve enforces the cusp rules,
+    the truncation's type among them."""
     _require_keys(obj, ("n", "m", "y", "truncation"), ("n", "m", "y"),
                   "curve object")
     pair = _parse_pair(obj["n"], obj["m"])
     coeffs = _parse_entries(obj["y"], "y", ("exponent",))
     trunc = obj.get("truncation") if trunc_override is None else trunc_override
-    if trunc is not None and not _is_int(trunc):
-        raise InputError("truncation must be an integer")
-    try:
-        return PuiseuxCurve(pair, coeffs, trunc)
-    except ValueError as exc:  # a truncation or a term off the cusp rules
-        raise InputError(str(exc)) from None
+    return PuiseuxCurve(pair, coeffs, trunc)
 
 
 def _shown(entry: list) -> str:
@@ -124,7 +117,7 @@ def _parse_entries(entries, what: str, exponents: tuple) -> dict:
         except OverDigitCap as exc:
             raise InputError("unreadable coefficient in %s entry at %s: %s"
                              % (what, _shown(entry[:k]), exc)) from None
-        except (ValueError, ZeroDivisionError):
+        except (InputError, ZeroDivisionError):
             raise InputError("unreadable coefficient in %s entry %s"
                              % (what, _shown(entry))) from None
     return table

@@ -1,9 +1,7 @@
 """Exact rational arithmetic.
 
-All coefficient arithmetic in the library is exact.  gmpy2's mpq is used
-when available because it is several times faster than the stdlib Fraction
-on the long truncated-series computations; Fraction is a drop-in fallback
-with identical semantics for everything we do.
+All coefficient arithmetic in the library is exact.  gmpy2's mpq replaces
+the stdlib Fraction when gmpy2 is installed, with identical output.
 
 Canonical text form: lowest terms, the sign on the numerator, no spaces,
 denominator omitted when it is 1 ("3", "-11", "23/22").  Text of any
@@ -11,13 +9,17 @@ height is printed.  Rational and integer text share one grammar (ASCII
 digits, a sign, surrounding whitespace), read up to the interpreter's
 digit cap per integer (sys.get_int_max_str_digits(), 4300 by default
 from CPython 3.11); a refusal echoes at most 20 characters of any text
-or integer it was given (cut, and echo for quoted text).
+or integer it was given (cut, and echo for quoted text).  Text off the
+grammar raises errors.InputError, an integer over the cap OverDigitCap,
+one kind of it.
 """
 
 from __future__ import annotations
 
 import re
 import sys
+
+from .errors import InputError
 
 try:
     from gmpy2 import mpq as Q
@@ -41,7 +43,7 @@ def echo(text: str) -> str:
     return repr(cut(text))
 
 
-class OverDigitCap(ValueError):
+class OverDigitCap(InputError):
     """Text with an integer over the digit cap; names the rule."""
 
     def __init__(self, text: str):
@@ -57,10 +59,10 @@ def rat(num, den=1):
 
 def _read(grammar, text: str, what: str) -> list:
     """The integers of text's groups in grammar, 1 for an absent one; other
-    text raises ValueError, an integer over the digit cap OverDigitCap."""
+    text raises InputError, an integer over the digit cap OverDigitCap."""
     match = grammar.fullmatch(text)
     if match is None:
-        raise ValueError("not %s: %s" % (what, echo(text)))
+        raise InputError("not %s: %s" % (what, echo(text)))
     try:
         return [int(group) for group in match.groups("1")]
     except ValueError:  # the grammar admits digits only: it is the cap
@@ -69,7 +71,7 @@ def _read(grammar, text: str, what: str) -> list:
 
 def rat_from_str(text: str):
     """Parse "p" or "p/q" in ASCII digits, a sign allowed on p only;
-    whitespace is tolerated, and any other text raises ValueError, as
+    whitespace is tolerated, and any other text raises InputError, as
     does an integer over the digit cap (OverDigitCap, see the module)."""
     return rat(*_read(_TEXT, text, "a rational"))
 

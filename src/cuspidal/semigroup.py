@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import InternalDisagreement, NotInSemigroup, NotUniqueRange
+from .errors import (InputError, InternalDisagreement, NotInSemigroup,
+                     NotUniqueRange)
 from .rationals import cut
 
 
@@ -31,10 +32,10 @@ class PuiseuxPair:
         if not (isinstance(self.n, int) and isinstance(self.m, int)):
             raise TypeError("pair entries must be ints")
         if not 1 <= self.n <= self.m:
-            raise ValueError("need 1 <= n <= m, got (%s, %s)"
+            raise InputError("need 1 <= n <= m, got (%s, %s)"
                              % (cut(self.n), cut(self.m)))
         if math.gcd(self.n, self.m) != 1:
-            raise ValueError("pair (%s, %s) is not coprime"
+            raise InputError("pair (%s, %s) is not coprime"
                              % (cut(self.n), cut(self.m)))
 
     @property

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import IndexOutOfRange
+from .errors import IndexOutOfRange, InputError
 from .semigroup import CuspSemigroup, PuiseuxPair
 
 
@@ -86,16 +86,16 @@ class GammaSemimodule:
         gamma = _as_semigroup(gamma)
         basis = tuple(int(b) for b in basis)
         if not basis:
-            raise ValueError("empty generator system")
+            raise InputError("empty generator system")
         if any(b < 0 for b in basis):
-            raise ValueError("generators must be non-negative")
+            raise InputError("generators must be non-negative")
         if any(x >= y for x, y in zip(basis, basis[1:])):
-            raise ValueError("generators must be strictly increasing; "
+            raise InputError("generators must be strictly increasing; "
                              "call minimal_basis() to normalize")
         kept, axes, tables = _scan(gamma, basis)
         if kept != basis:
             extra = next(b for b in basis if b not in kept)
-            raise ValueError("generator %d is redundant: already in the "
+            raise InputError("generator %d is redundant: already in the "
                              "semimodule of the previous ones" % extra)
         self.gamma = gamma
         self.basis = basis
@@ -174,9 +174,9 @@ def minimal_basis(gamma: CuspSemigroup, generators) -> tuple:
     """
     gens = sorted(set(int(g) for g in generators))
     if not gens:
-        raise ValueError("empty generator system")
+        raise InputError("empty generator system")
     if gens[0] < 0:
-        raise ValueError("generators must be non-negative")
+        raise InputError("generators must be non-negative")
     return _scan(_as_semigroup(gamma), gens)[0]
 
 
@@ -213,7 +213,7 @@ def level_set(sm: GammaSemimodule, q: int) -> LevelSet:
     members into the circular-interval picture.
     """
     if q < 0:
-        raise ValueError("level index must be >= 0")
+        raise InputError("level index must be >= 0")
     n = sm.gamma.pair.n
     minv = sm.gamma.pair.m_inverse_mod_n
     hits = frozenset((p * minv) % n

@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InternalDisagreement, NotACusp, OrderTooLow
+from .errors import InputError, InternalDisagreement, NotACusp, OrderTooLow
 from .forms import BivariatePolynomial, OneForm, _integer_cloud
 from .rationals import Q, cut, rat
 from .semigroup import (CuspSemigroup, PuiseuxPair,
@@ -149,10 +149,11 @@ def default_truncation(pair: PuiseuxPair) -> int:
 class PuiseuxCurve:
     """phi(t) = (t^n, y(t)) with ord y = m, known below the truncation T.
 
-    The cusp rules live here: y has a nonzero t^m term and no nonzero
-    term below t^m or at or above T (refused, not dropped), and T is at
-    least default_truncation(pair), under which every structural
-    decision of the basis algorithms is taken.
+    The cusp rules live here: T is an integer (a bool is not), y has a
+    nonzero t^m term and no nonzero term below t^m or at or above T
+    (refused, not dropped), and T is at least default_truncation(pair),
+    under which every structural decision of the basis algorithms is
+    taken.
 
     The power table holds y as integer numerators Y over den, the lcm of
     y's denominators, and one row per b: the integer numerators of y^b
@@ -168,6 +169,9 @@ class PuiseuxCurve:
     __slots__ = ("pair", "gamma", "y", "trunc", "den", "_powers")
 
     def __init__(self, pair: PuiseuxPair, y_coeffs, trunc=None):
+        if trunc is not None and (isinstance(trunc, bool)
+                                  or not isinstance(trunc, int)):
+            raise InputError("truncation must be an integer")
         m = pair.m
         terms = [k for k, v in y_coeffs.items() if v != 0]
         if m not in terms:
@@ -179,12 +183,12 @@ class PuiseuxCurve:
         if trunc is None:
             trunc = floor
         elif trunc < floor:
-            raise ValueError("truncation must be an integer >= %s for the "
+            raise InputError("truncation must be an integer >= %s for the "
                              "pair (%s, %s)" % (cut(floor), cut(pair.n),
                                                 cut(m)))
         high = [k for k in terms if k >= trunc]
         if high:
-            raise ValueError("y term t^%s at or above the truncation %s"
+            raise InputError("y term t^%s at or above the truncation %s"
                              % (cut(min(high)), cut(trunc)))
         self.pair = pair
         self.gamma = CuspSemigroup(pair)

@@ -30,6 +30,7 @@ import tempfile
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 LONG = "x" * 5000
 NINES = "9" * 4000
+WORDS = " ".join(["x"] * 2500)
 REFUSALS = [
     ["semigroup"],
     ["semigroup", "--pair", "4,6"],
@@ -72,6 +73,17 @@ REFUSALS = [
     ["semigroup", "--pair", "5,11", "a", "b", "c"],
     ["semigroup", "--copair=1"],
     ["semigroup", "--pair", "5,11", "--bogus"],
+    ["semimodule", "--generators", "4,6,7"],
+    ["semimodule", "--generators", "11,5,17"],
+    ["standard-basis", "--curve",
+     '{"n": 5, "m": 11, "y": [[11, "1"]], "truncation": 150.5}'],
+    ["standard-basis", "--curve",
+     '{"n": 5, "m": 11, "y": [[11, "1"]], "truncation": true}'],
+    ["semiroots", "--curve", "ex5_11.json", "--a", ""],
+    ["semigroup", "--pair", "5,11", WORDS],
+    ["semigroup", "--copair=" + WORDS],
+    [WORDS],
+    ["semigroup", "--pair", "5,11"] + WORDS.split(),
 ]
 
 

@@ -3,12 +3,16 @@ import sys
 
 import pytest
 
+from cuspidal.blowup import build_sequence, transform_form
 from cuspidal.cli import main
-from cuspidal.errors import VerificationFailure
+from cuspidal.errors import CuspidalError, InputError, VerificationFailure
 from cuspidal.forms import OneForm
 from cuspidal.jsonio import parse_curve, parse_form
 from cuspidal.rationals import rat, rat_from_str
+from cuspidal.semigroup import CuspSemigroup, PuiseuxPair
+from cuspidal.semimodule import GammaSemimodule, level_set, minimal_basis
 from cuspidal.semiroot import semiroot
+from cuspidal.series import PuiseuxCurve
 from cuspidal.stdbasis import compute_standard_basis
 
 from oracles import no_digit_cap
@@ -412,6 +416,7 @@ def test_long_paths_sources_and_exponents_are_echoed_cut(capsys, argv, rule):
 CHOICES = ("(choose from 'semigroup', 'semimodule', 'standard-basis',"
            " 'delorme', 'dicritical-check', 'semiroots', 'verify',"
            " 'seed-corpus')")
+WORDS = " ".join(["x"] * 2500)
 
 
 @pytest.mark.parametrize("argv, refusal", [
@@ -429,8 +434,17 @@ CHOICES = ("(choose from 'semigroup', 'semimodule', 'standard-basis',"
      " --copair: ignored explicit argument '1'"),
     (["semigroup", "--pair", "5,11", "--bogus"],
      "cuspidal: error: unrecognized arguments: --bogus"),
+    ([WORDS], "cuspidal: error: argument command: invalid choice:"
+     " 'x x x x x x x x x x ...' " + CHOICES),
+    (["semigroup", "--pair", "5,11", WORDS],
+     "cuspidal: error: unrecognized arguments: x x x x x x x x x x ..."),
+    (["semigroup", "--pair", "5,11"] + WORDS.split(),
+     "cuspidal: error: unrecognized arguments: x x x x x x x x x x ..."),
+    (["semigroup", "--copair=" + WORDS], "cuspidal semigroup: error: argument"
+     " --copair: ignored explicit argument 'x x x x x x x x x x ...'"),
 ], ids=["long-choice", "long-extra", "long-explicit", "choice", "extra",
-        "explicit", "option"])
+        "explicit", "option", "words-choice", "words-extra", "many-extras",
+        "words-explicit"])
 def test_argparse_refusals_echo_at_most_twenty_characters(capsys, argv,
                                                           refusal):
     # argparse builds these messages; the parser's error hook cuts what
@@ -448,8 +462,9 @@ def test_unreadable_file_is_refused_without_a_traceback(capsys, tmp_path):
 
 def test_internal_value_error_is_not_reported_as_bad_input(capsys,
                                                            monkeypatch):
-    # main reports InputError and CuspidalError; a ValueError raised after
-    # the input was read is a fault of the program and propagates
+    # main reports CuspidalError, InputError among them; a ValueError
+    # raised after the input was read is a fault of the program and
+    # propagates
     import cuspidal.cli as cli_mod
 
     def boom(basis, i, j):
@@ -459,6 +474,55 @@ def test_internal_value_error_is_not_reported_as_bad_input(capsys,
     inline = json.dumps({"n": 5, "m": 11, "y": [[11, "1"]]})
     with pytest.raises(ValueError, match="boom"):
         main(["delorme", "--curve", inline, "--i", "0", "--j", "0"])
+
+
+P511 = PuiseuxPair(5, 11)
+G511 = CuspSemigroup(P511)
+CAP = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.parametrize("build, rule", [
+    (lambda: PuiseuxPair(4, 6), "pair (4, 6) is not coprime"),
+    (lambda: PuiseuxPair(11, 5), "need 1 <= n <= m, got (11, 5)"),
+    (lambda: PuiseuxCurve(P511, {11: 1}, 100),
+     "truncation must be an integer >= 150 for the pair (5, 11)"),
+    (lambda: PuiseuxCurve(P511, {11: 1, 150: 2}, 150),
+     "y term t^150 at or above the truncation 150"),
+    (lambda: GammaSemimodule(G511, (5, 11, 16)), "generator 16 is redundant:"
+     " already in the semimodule of the previous ones"),
+    (lambda: GammaSemimodule(G511, (11, 5)), "generators must be strictly"
+     " increasing; call minimal_basis() to normalize"),
+    (lambda: GammaSemimodule(G511, ()), "empty generator system"),
+    (lambda: GammaSemimodule(G511, (-1, 5)),
+     "generators must be non-negative"),
+    (lambda: minimal_basis(G511, ()), "empty generator system"),
+    (lambda: minimal_basis(G511, (5, -1)), "generators must be non-negative"),
+    (lambda: level_set(GammaSemimodule(G511, (5, 11)), -1),
+     "level index must be >= 0"),
+    (lambda: OneForm.from_cloud(P511, {(0, 1): (1, 0)}),
+     "mu at alpha=0 is not a regular form"),
+    (lambda: OneForm.from_cloud(P511, {(1, 0): (0, 1)}),
+     "zeta at beta=0 is not a regular form"),
+    (lambda: transform_form(build_sequence(P511), OneForm(PuiseuxPair(4, 9)),
+                            0), "form lives at pair PuiseuxPair(n=4, m=9),"
+     " not PuiseuxPair(n=5, m=11)"),
+    (lambda: rat_from_str("1_0"), "not a rational: '1_0'"),
+    pytest.param(lambda: rat_from_str("9" * (CAP + 1)),
+                 "over the digit cap: an integer of more than %d digits in"
+                 " '99999999999999999999...'" % CAP,
+                 marks=pytest.mark.skipif(not CAP, reason="no digit cap")),
+], ids=["not-coprime", "pair-order", "truncation-floor", "term-at-T",
+        "redundant", "unsorted", "empty", "negative", "basis-empty",
+        "basis-negative", "level-index", "mu-pole", "zeta-pole",
+        "blowup-pair", "rational-text", "digit-cap"])
+def test_every_input_rule_raises_input_error(build, rule):
+    # the owner of each rule raises the one refusal type, which main
+    # reports as a CuspidalError and which is a ValueError as well
+    with pytest.raises(InputError) as caught:
+        build()
+    assert str(caught.value) == rule
+    assert isinstance(caught.value, CuspidalError)
+    assert isinstance(caught.value, ValueError)
 
 
 @pytest.mark.parametrize("argv", [
@@ -494,6 +558,23 @@ def test_semimodule_of_curve_matches_its_generators(capsys, corpus_dir, name):
                                    ",".join(str(v) for v in lam))
     assert code == 0
     assert from_generators == from_curve
+
+
+@pytest.mark.parametrize("a", ["", ","], ids=["empty", "comma"])
+def test_empty_parameter_is_refused_as_unreadable(capsys, a):
+    # str.split(",") always yields a chunk, so an empty list never reaches
+    # the solver: its first empty chunk is refused
+    inline = json.dumps({"n": 5, "m": 11, "y": [[11, "1"]]})
+    assert run(capsys, "semiroots", "--curve", inline, "--a", a) == \
+        (1, "", "error: unreadable parameter ''\n")
+
+
+@pytest.mark.parametrize("trunc", [150.5, True], ids=["float", "bool"])
+def test_json_truncation_must_be_an_integer(capsys, trunc):
+    inline = json.dumps({"n": 5, "m": 11, "y": [[11, "1"]],
+                         "truncation": trunc})
+    assert run(capsys, "standard-basis", "--curve", inline) == \
+        (1, "", "error: truncation must be an integer\n")
 
 
 def test_exit_one_truncation_below_floor(capsys):

@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cuspidal import series
-from cuspidal.errors import (CuspidalError, InternalDisagreement, NotACusp,
-                             OrderTooLow)
+from cuspidal.errors import (CuspidalError, InputError,
+                             InternalDisagreement, NotACusp, OrderTooLow)
 from cuspidal.forms import (BivariatePolynomial, OneForm, _integer_cloud,
                             differential, is_basic, is_prebasic, is_resonant,
                             nu_E_form)
@@ -77,6 +77,15 @@ def test_curve_validation():
         PuiseuxCurve(P511, {11: 1, 150: 2})
     # zero-valued entries are not terms
     assert PuiseuxCurve(P511, {10: 0, 11: 1, 150: 0}) == c
+
+
+@pytest.mark.parametrize("y", [{11: 1}, {12: 1}], ids=["cusp", "not-a-cusp"])
+@pytest.mark.parametrize("trunc", [150.5, True], ids=["float", "bool"])
+def test_truncation_must_be_an_integer(y, trunc):
+    # the type rule comes before the cusp rules, so a curve that breaks
+    # both is refused for its truncation
+    with pytest.raises(InputError, match="^truncation must be an integer$"):
+        PuiseuxCurve(P511, y, trunc)
 
 
 @example({"n": 2, "m": 3, "y": [[3, "1"], [14, "5"]]})

@@ -10,7 +10,9 @@ order and shape, and the construction and the adjustment both call it
 and _seed.  The branch solver takes no product of two full-height
 denominators d[i] d[j].  No function or method only returns an attribute
 of its parameter, a form's integer cloud is computed once, no module
-asserts, and the semimodule module runs no while loop."""
+asserts, and the semimodule module runs no while loop.  Bad input has
+one type, errors.InputError: no module raises a bare ValueError, and
+cli.main exits 1 on CuspidalError alone."""
 
 import ast
 import collections
@@ -223,6 +225,36 @@ def test_no_module_asserts(name):
     tree = ast.parse(pathlib.Path(module.__file__).read_text())
     assert [node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.Assert)] == []
+
+
+def _raised_name(node) -> str:
+    """The class name a raise statement names, called or bare."""
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return getattr(exc, "id", getattr(exc, "attr", None))
+
+
+def test_bad_input_has_one_type():
+    # the owner of each input rule raises errors.InputError, a
+    # CuspidalError, so the command line translates nothing and exits 1
+    # on that one root; a bare ValueError would pass for bad input
+    # nowhere and a second refusal type everywhere
+    trees = {name: ast.parse(pathlib.Path(importlib.import_module(
+        "cuspidal." + name).__file__).read_text()) for name in MODULES}
+    assert [(name, node.lineno) for name, tree in trees.items()
+            for node in ast.walk(tree) if isinstance(node, ast.Raise)
+            and node.exc is not None
+            and _raised_name(node) == "ValueError"] == []
+    assert [name for name, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            and node.name == "InputError"] == ["errors"]
+    main = next(node for node in ast.walk(trees["cli"])
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    exits_one = [ast.unparse(handler.type) for handler in ast.walk(main)
+                 if isinstance(handler, ast.ExceptHandler)
+                 and any(isinstance(sub, ast.Return)
+                         and getattr(sub.value, "value", None) == 1
+                         for sub in ast.walk(handler))]
+    assert exits_one == ["CuspidalError"]
 
 
 def test_semimodule_runs_no_unbounded_search():
