@@ -117,7 +117,7 @@ def _parameter_list(text: str) -> list:
             out.append(rat_from_str(chunk))
         except OverDigitCap as exc:
             raise InputError("unreadable parameter: %s" % exc) from None
-        except (InputError, ZeroDivisionError):
+        except InputError:
             raise InputError("unreadable parameter %s" % echo(chunk)) from None
     return out
 

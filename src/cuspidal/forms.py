@@ -204,24 +204,52 @@ class OneForm:
         return "(%s)dx + (%s)dy" % (_fmt_poly(self.A), _fmt_poly(self.B))
 
 
+def _cleared(*tables):
+    """(L, ints): L the least positive integer clearing every denominator
+    of the rational tables, ints each table as {key: c L} over it."""
+    L = math.lcm(*(int(c.denominator) for plain in tables
+                   for c in plain.values()))
+    return L, [{k: int(c.numerator) * (L // int(c.denominator))
+                for k, c in plain.items()} for plain in tables]
+
+
 def _integer_cloud(omega: OneForm):
     """(cloud, L): L the least positive integer clearing every denominator
     of omega's cloud, cloud {(alpha, beta): (mu L, zeta L)} as ints.  The
-    pullback, the branch solver, the blow-up walk, the order theory and
-    the standard basis's clearing scalar all read a form's integers here.
-    Computed once from A and B and kept on the form, so the cloud is
-    shared: readers must not mutate it."""
+    pullback, the branch solver, the blow-up walk, the order theory, the
+    standard basis's clearing scalar and Delorme's certificate all read a
+    form's integers here.  Computed once from A and B and kept on the
+    form, so the cloud is shared: readers must not mutate it."""
     if omega._cloud is None:
-        L = math.lcm(*(int(c.denominator) for plain in (omega.A, omega.B)
-                       for c in plain.values()))
-
-        def num(c):
-            return int(c.numerator) * (L // int(c.denominator))
-        pts = {(a + 1, b): (num(c), 0) for (a, b), c in omega.A.items()}
-        for (a, b), c in omega.B.items():
-            pts[(a, b + 1)] = (pts.get((a, b + 1), (0,))[0], num(c))
+        L, (A, B) = _cleared(omega.A, omega.B)
+        pts = {(a + 1, b): (v, 0) for (a, b), v in A.items()}
+        for (a, b), v in B.items():
+            pts[(a, b + 1)] = (pts.get((a, b + 1), (0,))[0], v)
         omega._cloud = (pts, L)
     return omega._cloud
+
+
+def _recomposes(target: OneForm, forms, levels) -> bool:
+    """Whether target == sum levels[k] * forms[k], decided on ints.
+
+    In the logarithmic view x^a y^b moves a cloud by (a, b), so f omega
+    is f's integer numerators over D accumulated at each cloud point of
+    omega, scaled by its (mu, zeta).  Every term and the target's kept
+    cloud go over one M = lcm(L, D_k L_k), and the sum must cancel."""
+    pts, L = _integer_cloud(target)
+    terms = [(_cleared(f.coeffs), _integer_cloud(omega))
+             for omega, f in zip(forms, levels) if f.coeffs]
+    M = math.lcm(L, *(D * Lk for (D, _), (_, Lk) in terms))
+    mus = {p: -mu * (M // L) for p, (mu, _) in pts.items() if mu}
+    zetas = {p: -zeta * (M // L) for p, (_, zeta) in pts.items() if zeta}
+    for (D, (F,)), (cloud, Lk) in terms:
+        scale = M // (D * Lk)
+        for (a, b), (mu, zeta) in cloud.items():
+            if mu:
+                _accumulate(mus, F, a, b, mu * scale)
+            if zeta:
+                _accumulate(zetas, F, a, b, zeta * scale)
+    return not mus and not zetas
 
 
 class Region:

@@ -3,13 +3,15 @@
 Rationals travel as strings ("p/q", lowest terms, sign on the numerator)
 so no JSON consumer can round them.  Objects are built with a fixed key
 order and dumped without sorting, which makes every emission byte
-deterministic.  Parsers are strict: an unknown key is an error, not a
-warning, because silently ignored input has burned us before.
+deterministic.  dumps writes json.dumps(indent=2)'s bytes directly, its
+leaves through the C string encoder and int.__repr__, with no cyclic
+garbage.  Parsers are strict: an unknown key is an error, not a warning,
+because silently ignored input has burned us before.
 """
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii
 
 from .errors import InputError
 from .forms import OneForm, is_basic, nu_E_form
@@ -25,8 +27,48 @@ __all__ = [
 ]
 
 
+_LEAVES = {str: encode_basestring_ascii, int: int.__repr__,
+           bool: lambda b: "true" if b else "false",
+           type(None): lambda _: "null"}
+
+
 def dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=False) + "\n"
+    """json.dumps(obj, indent=2)'s bytes and a line break, written by
+    direct recursion into one list of chunks: the stdlib takes its
+    pure-Python encoder whenever indent is given."""
+    chunks = []
+    _emit(obj, chunks, "\n")
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _emit(obj, out: list, newline: str, head: str = "") -> None:
+    """Append head and obj's chunks to out; newline is a line break and
+    obj's indent.  Types dispatch exactly, so a bool is never an int; a
+    type the CLI never emits (a float, a tuple, a non-str key) raises
+    TypeError."""
+    kind = type(obj)
+    leaf = _LEAVES.get(kind)
+    if leaf is not None:
+        out.append(head + leaf(obj))
+        return
+    if kind is not list and kind is not dict:
+        raise TypeError("%s is not written as JSON" % kind.__name__)
+    if not obj:
+        out.append(head + ("[]" if kind is list else "{}"))
+        return
+    inner = newline + "  "
+    sep = head + ("[" if kind is list else "{") + inner
+    for item in obj:
+        if kind is dict:
+            if type(item) is not str:
+                raise TypeError("JSON keys are str, not %s"
+                                % type(item).__name__)
+            sep += encode_basestring_ascii(item) + ": "
+            item = obj[item]
+        _emit(item, out, inner, sep)
+        sep = "," + inner
+    out.append(newline + ("]" if kind is list else "}"))
 
 
 def _require_keys(obj: dict, allowed, required, what: str):
@@ -117,7 +159,7 @@ def _parse_entries(entries, what: str, exponents: tuple) -> dict:
         except OverDigitCap as exc:
             raise InputError("unreadable coefficient in %s entry at %s: %s"
                              % (what, _shown(entry[:k]), exc)) from None
-        except (InputError, ZeroDivisionError):
+        except InputError:
             raise InputError("unreadable coefficient in %s entry %s"
                              % (what, _shown(entry))) from None
     return table

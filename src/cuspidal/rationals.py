@@ -10,8 +10,8 @@ digits, a sign, surrounding whitespace), read up to the interpreter's
 digit cap per integer (sys.get_int_max_str_digits(), 4300 by default
 from CPython 3.11); a refusal echoes at most 20 characters of any text
 or integer it was given (cut, and echo for quoted text).  Text off the
-grammar raises errors.InputError, an integer over the cap OverDigitCap,
-one kind of it.
+grammar or with a zero denominator raises errors.InputError, an integer
+over the cap OverDigitCap, one kind of it.
 """
 
 from __future__ import annotations
@@ -70,10 +70,13 @@ def _read(grammar, text: str, what: str) -> list:
 
 
 def rat_from_str(text: str):
-    """Parse "p" or "p/q" in ASCII digits, a sign allowed on p only;
-    whitespace is tolerated, and any other text raises InputError, as
-    does an integer over the digit cap (OverDigitCap, see the module)."""
-    return rat(*_read(_TEXT, text, "a rational"))
+    """Parse "p" or "p/q" in ASCII digits, q nonzero and a sign allowed on
+    p only; whitespace is tolerated, and any other text raises InputError,
+    as does an integer over the digit cap (OverDigitCap, see the module)."""
+    num, den = _read(_TEXT, text, "a rational")
+    if not den:
+        raise InputError("zero denominator in %s" % echo(text))
+    return rat(num, den)
 
 
 def int_from_str(text: str) -> int:

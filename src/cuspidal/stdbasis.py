@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 from .errors import IndexOutOfRange, InternalDisagreement, NotACusp
 from .forms import (BivariatePolynomial, OneForm, _integer_cloud,
-                    differential, is_basic, is_resonant, nu_E_form)
+                    _recomposes, differential, is_basic, is_resonant,
+                    nu_E_form)
 from .semigroup import contains
 from .semimodule import GammaSemimodule, limits, minimal_basis
 from .rationals import Q, cut
@@ -306,6 +307,8 @@ def delorme_decompose(basis: ExtendedStandardBasis, i: int,
     Starts from the kept levels of omega_{i+1} and substitutes those of
     omega_i, ..., omega_{j+1} in descending order; the result is an exact
     polynomial identity, re-checked here together with the level values.
+    The identity is certified on integers (forms._recomposes): each level
+    is cleared once and accumulated over the kept integer clouds.
     """
     s, sm = basis.s_index, basis.semimodule
     if not 0 <= j <= i <= s:
@@ -320,7 +323,7 @@ def delorme_decompose(basis: ExtendedStandardBasis, i: int,
     k = basis.traces[j + 1].steps[0].j
     t, lam = sm.critical_orders, sm.basis
     vij = t[i + 2] - t[j + 1] + lam[j + 1]
-    if target != _combination(basis.forms, f):
+    if not _recomposes(target, basis.forms, f):
         raise InternalDisagreement("decomposition (%d, %d) does not recompose"
                                    % (i, j))
     at_minimum = []

@@ -5,7 +5,9 @@ working there with relative paths, runs every subcommand on each file of
 it, every delorme pair of each curve and a fixed list of refusals.  It
 prints one line per run: the exit code, the sha256 of stdout, the
 sha256 of stderr and the argv (an argument over 40 characters is shown
-as its first 20 and its length).  Each run is a fresh
+as its first 20 and its length).  Each file the corpus run writes, and
+the file of one `standard-basis --output` run, gets a line too: "file",
+its sha256 and its name.  Each run is a fresh
 `python -m cuspidal.cli` process on the package under --src, by default
 the src/ next to this tests/ directory.  Diff the output of two
 checkouts to see which bytes a change moves:
@@ -80,6 +82,10 @@ REFUSALS = [
     ["standard-basis", "--curve",
      '{"n": 5, "m": 11, "y": [[11, "1"]], "truncation": true}'],
     ["semiroots", "--curve", "ex5_11.json", "--a", ""],
+    ["semiroots", "--curve", "ex5_11.json", "--a", "1/0"],
+    ["standard-basis", "--curve",
+     '{"n": 5, "m": 11, "y": [[11, "1"], [12, "1/0"]]}'],
+    ["dicritical-check", "--form", '{"pair": [4, 9], "dx": [[0, 0, "1/0"]]}'],
     ["semigroup", "--pair", "5,11", WORDS],
     ["semigroup", "--copair=" + WORDS],
     [WORDS],
@@ -101,9 +107,21 @@ def run(argv: list, cwd: str, env: dict) -> subprocess.CompletedProcess:
     return done
 
 
+def written(cwd: str, name: str) -> None:
+    """Prints the sha256 of a file a run wrote and its name."""
+    with open(os.path.join(cwd, name), "rb") as handle:
+        print("file", hashlib.sha256(handle.read()).hexdigest(), name,
+              flush=True)
+
+
 def sweep(cwd: str, env: dict) -> None:
     run(["seed-corpus", "--directory", ".", "--count", "5", "--seed", "0"],
         cwd, env)
+    for name in sorted(os.listdir(cwd)):
+        written(cwd, name)
+    if run(["standard-basis", "--curve", "ex5_11.json", "--output",
+            "out.json"], cwd, env).returncode == 0:
+        written(cwd, "out.json")
     curves = ["ex5_11.json", "ex7_17.json"] + \
         ["rand_%03d.json" % k for k in range(5)]
     run(["dicritical-check", "--form", "ex4_9_form.json"], cwd, env)

@@ -507,6 +507,8 @@ CAP = getattr(sys, "get_int_max_str_digits", lambda: 0)()
                             0), "form lives at pair PuiseuxPair(n=4, m=9),"
      " not PuiseuxPair(n=5, m=11)"),
     (lambda: rat_from_str("1_0"), "not a rational: '1_0'"),
+    (lambda: rat_from_str("1/0"), "zero denominator in '1/0'"),
+    (lambda: rat_from_str(" 3 / 00 "), "zero denominator in ' 3 / 00 '"),
     pytest.param(lambda: rat_from_str("9" * (CAP + 1)),
                  "over the digit cap: an integer of more than %d digits in"
                  " '99999999999999999999...'" % CAP,
@@ -514,7 +516,8 @@ CAP = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 ], ids=["not-coprime", "pair-order", "truncation-floor", "term-at-T",
         "redundant", "unsorted", "empty", "negative", "basis-empty",
         "basis-negative", "level-index", "mu-pole", "zeta-pole",
-        "blowup-pair", "rational-text", "digit-cap"])
+        "blowup-pair", "rational-text", "zero-denominator",
+        "spaced-zero-denominator", "digit-cap"])
 def test_every_input_rule_raises_input_error(build, rule):
     # the owner of each rule raises the one refusal type, which main
     # reports as a CuspidalError and which is a ValueError as well

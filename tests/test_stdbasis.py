@@ -1,5 +1,6 @@
 import dataclasses
 import fractions
+import functools
 import random
 
 import pytest
@@ -491,6 +492,52 @@ def test_delorme_refuses_a_decomposition_that_does_not_recompose():
     for i, j in ((1, 1), (2, 0)):
         with pytest.raises(InternalDisagreement, match="does not recompose"):
             delorme_decompose(basis, i, j)
+
+
+@functools.cache
+def decomposed(curve):
+    """The basis of curve() and its Delorme coefficients at every (i, j),
+    built once per test run; the adjusted form is built too."""
+    basis = compute_standard_basis(curve())
+    s = basis.s_index
+    return basis, {(i, j): delorme_decompose(basis, i, j).coefficients
+                   for i in range(s + 1) for j in range(i + 1)}
+
+
+def recomposes_by_rationals(basis, i, levels):
+    return basis.form(i + 1) == stdbasis._combination(basis.forms, levels)
+
+
+@pytest.mark.parametrize("curve", [curve_5_11, curve_7_17],
+                         ids=["ex5_11", "ex7_17"])
+def test_integer_recomposition_agrees_with_the_rational_sum(curve):
+    basis, pairs = decomposed(curve)
+    for (i, j), levels in pairs.items():
+        assert forms._recomposes(basis.form(i + 1), basis.forms, levels)
+        assert recomposes_by_rationals(basis, i, levels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([curve_5_11, curve_7_17]), st.data())
+def test_integer_recomposition_refuses_every_perturbation(curve, data):
+    # a monomial added to one level, or one nonzero level scaled by p/q
+    # != 1, changes the sum by a nonzero multiple of a basis form
+    basis, pairs = decomposed(curve)
+    i, j = data.draw(st.sampled_from(sorted(pairs)), label="(i, j)")
+    levels = list(pairs[i, j])
+    k = data.draw(st.integers(0, len(levels) - 1), label="k")
+    scale = data.draw(st.builds(rat, st.integers(-9, 9),
+                                st.integers(1, 9)), label="p/q")
+    if levels[k].is_zero() or scale == 1 or data.draw(st.booleans()):
+        a, b = data.draw(st.tuples(st.integers(0, 12), st.integers(0, 12)),
+                         label="(a, b)")
+        c = data.draw(st.builds(rat, st.integers(-9, 9).filter(bool),
+                                st.integers(1, 9)), label="c")
+        levels[k] = levels[k] + BivariatePolynomial.monomial(a, b, c)
+    else:
+        levels[k] = levels[k] * scale
+    assert not recomposes_by_rationals(basis, i, levels)
+    assert not forms._recomposes(basis.form(i + 1), basis.forms, levels)
 
 
 @pytest.mark.parametrize("curve", [curve_5_11, curve_7_17],

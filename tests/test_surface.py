@@ -7,12 +7,13 @@ cancellation engine, stdbasis._seed and _cancel, build no form and no
 polynomial: they subtract nothing and call nothing that builds, combines
 or scales one.  Only stdbasis._certify checks a basis form's value,
 order and shape, and the construction and the adjustment both call it
-and _seed.  The branch solver takes no product of two full-height
-denominators d[i] d[j].  No function or method only returns an attribute
-of its parameter, a form's integer cloud is computed once, no module
-asserts, and the semimodule module runs no while loop.  Bad input has
-one type, errors.InputError: no module raises a bare ValueError, and
-cli.main exits 1 on CuspidalError alone."""
+and _seed.  Delorme certifies its recomposition with forms._recomposes,
+not a rational _combination.  The branch solver takes no product of two
+full-height denominators d[i] d[j].  No function or method only returns
+an attribute of its parameter, a form's integer cloud is computed once,
+no module asserts, and the semimodule module runs no while loop.  Bad
+input has one type, errors.InputError: no module raises a bare
+ValueError, and cli.main exits 1 on CuspidalError alone."""
 
 import ast
 import collections
@@ -215,6 +216,20 @@ def test_every_basis_form_passes_one_certificate():
             if called & checks} == {"_certify"}
     for name in ("compute_standard_basis", "dicritically_adjust"):
         assert {"_seed", "_certify"} <= calls[name]
+
+
+def test_delorme_certifies_its_recomposition_on_integers():
+    # delorme_decompose checks sum f_ell omega_ell against omega_{i+1} with
+    # forms._recomposes, on integer clouds, and builds no rational sum
+    from cuspidal import stdbasis
+    tree = ast.parse(pathlib.Path(stdbasis.__file__).read_text())
+    delorme = next(node for node in tree.body
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name == "delorme_decompose")
+    called = [getattr(call.func, "attr", getattr(call.func, "id", None))
+              for call in ast.walk(delorme) if isinstance(call, ast.Call)]
+    assert "_recomposes" in called
+    assert "_combination" not in called
 
 
 @pytest.mark.parametrize("name", MODULES)
