@@ -24,7 +24,7 @@ class NotUniqueRange(CuspidalError):
     """Representation requested for a value >= n*m, where it stops being unique."""
 
 
-class IndexOutOfRange(CuspidalError):
+class IndexOutOfRange(InputError):
     """A basis or truncation index outside the valid range."""
 
 
@@ -44,7 +44,7 @@ class OrderTooLow(CuspidalError):
     """Series order below the conductor; integration step not available."""
 
 
-class NotACusp(CuspidalError):
+class NotACusp(InputError):
     """Parametrization is not a cusp branch (bad order or leading coefficient, or n < 2)."""
 
 
@@ -52,8 +52,8 @@ class InternalDisagreement(CuspidalError):
     """Two independent routes to the same verdict disagreed; indicates a bug."""
 
 
-class ZeroPivot(CuspidalError):
-    """The linear solve for the next branch coefficient lost its pivot."""
+class ZeroPivot(InputError):
+    """The branch parameter a is zero, so the branch solve has no pivot."""
 
 
 class NotDicritical(CuspidalError):

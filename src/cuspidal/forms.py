@@ -12,8 +12,10 @@ variable: mu at (alpha, beta) is the A-coefficient of x^(alpha-1) y^beta,
 zeta the B-coefficient of x^alpha y^(beta-1).
 
 Sums and products run on the kernel _accumulate, acc += c x^a y^b src,
-the twin of series._accumulate.  _integer_cloud owns a form's integers,
-computed once and kept on the form.
+the twin of series._accumulate.  _cleared is the one routine turning
+rationals into integers, _integer_cloud owns a form's integers, computed
+once and kept on the form, and the level sum _combined on them builds
+the standard basis and certifies Delorme's decompositions.
 """
 
 from __future__ import annotations
@@ -186,9 +188,6 @@ class OneForm:
         return OneForm(self.pair, {k: -v for k, v in self.A.items()},
                        {k: -v for k, v in self.B.items()})
 
-    def scaled(self, c) -> "OneForm":
-        return self.times_monomial(0, 0, c)
-
     def times_monomial(self, a: int, b: int, c=1) -> "OneForm":
         return self.times_polynomial(BivariatePolynomial.monomial(a, b, c))
 
@@ -216,10 +215,10 @@ def _cleared(*tables):
 def _integer_cloud(omega: OneForm):
     """(cloud, L): L the least positive integer clearing every denominator
     of omega's cloud, cloud {(alpha, beta): (mu L, zeta L)} as ints.  The
-    pullback, the branch solver, the blow-up walk, the order theory, the
-    standard basis's clearing scalar and Delorme's certificate all read a
-    form's integers here.  Computed once from A and B and kept on the
-    form, so the cloud is shared: readers must not mutate it."""
+    pullback, the branch solver, the blow-up walk, the order theory and
+    the level sum _combined all read a form's integers here.  Computed
+    once from A and B and kept on the form, so the cloud is shared:
+    readers must not mutate it."""
     if omega._cloud is None:
         L, (A, B) = _cleared(omega.A, omega.B)
         pts = {(a + 1, b): (v, 0) for (a, b), v in A.items()}
@@ -229,27 +228,32 @@ def _integer_cloud(omega: OneForm):
     return omega._cloud
 
 
-def _recomposes(target: OneForm, forms, levels) -> bool:
-    """Whether target == sum levels[k] * forms[k], decided on ints.
-
-    In the logarithmic view x^a y^b moves a cloud by (a, b), so f omega
-    is f's integer numerators over D accumulated at each cloud point of
-    omega, scaled by its (mu, zeta).  Every term and the target's kept
-    cloud go over one M = lcm(L, D_k L_k), and the sum must cancel."""
-    pts, L = _integer_cloud(target)
+def _combined(forms, levels):
+    """(M, A, B): sum levels[k] * forms[k], its dx and dy coefficients as
+    integer numerators over one M.  x^a y^b moves a cloud by (a, b), so
+    f omega is f's integer numerators over D accumulated at each kept
+    cloud point of omega, scaled by its (mu, zeta); each level is cleared
+    once and every term goes over M = lcm(D_k L_k)."""
     terms = [(_cleared(f.coeffs), _integer_cloud(omega))
              for omega, f in zip(forms, levels) if f.coeffs]
-    M = math.lcm(L, *(D * Lk for (D, _), (_, Lk) in terms))
-    mus = {p: -mu * (M // L) for p, (mu, _) in pts.items() if mu}
-    zetas = {p: -zeta * (M // L) for p, (_, zeta) in pts.items() if zeta}
-    for (D, (F,)), (cloud, Lk) in terms:
-        scale = M // (D * Lk)
+    M = math.lcm(*(D * L for (D, _), (_, L) in terms))
+    A, B = {}, {}
+    for (D, (F,)), (cloud, L) in terms:
+        scale = M // (D * L)
         for (a, b), (mu, zeta) in cloud.items():
             if mu:
-                _accumulate(mus, F, a, b, mu * scale)
+                _accumulate(A, F, a - 1, b, mu * scale)
             if zeta:
-                _accumulate(zetas, F, a, b, zeta * scale)
-    return not mus and not zetas
+                _accumulate(B, F, a, b - 1, zeta * scale)
+    return M, A, B
+
+
+def _recomposes(target: OneForm, forms, levels) -> bool:
+    """Whether target == sum levels[k] * forms[k], decided on ints: the
+    sum less the target cancels."""
+    _, A, B = _combined((target, *forms),
+                        (BivariatePolynomial.monomial(0, 0, -1), *levels))
+    return not A and not B
 
 
 class Region:

@@ -26,11 +26,12 @@ precision asked for; an even row is the square of row b/2 when that
 takes fewer products than row b - 1 times Y.  A pullback sums integer
 rows over one scale, each exponent's group with small weights and then
 scaled once; pullback_form and pullback_function build one rational per
-nonzero coefficient, the orders nu_C_* build none.  The table is the one series
-cache: only the branch solver holds a private one.  _eliminate, the one
-elimination step, kills the leading term of an integer row with a
-multiple of another; the cancellation engine, the semimodule oracle and
-the potential all run on it.
+nonzero coefficient, the orders nu_C_* build none.  Rational input (y, a
+polynomial, an integrand) is cleared by forms._cleared.  The table is
+the one series cache: only the branch solver holds a private one.
+_eliminate, the one elimination step, kills the leading term of an
+integer row with a multiple of another; the cancellation engine, the
+semimodule oracle and the potential all run on it.
 
 The differential value of a form is the t-order of a(t) in
 phi*(omega) = a(t) dt/t.  Orders are reported as Finite(v) or
@@ -45,7 +46,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InputError, InternalDisagreement, NotACusp, OrderTooLow
-from .forms import BivariatePolynomial, OneForm, _integer_cloud
+from .forms import BivariatePolynomial, OneForm, _cleared, _integer_cloud
 from .rationals import Q, cut, rat
 from .semigroup import (CuspSemigroup, PuiseuxPair,
                         minimal_b_representation)
@@ -194,10 +195,7 @@ class PuiseuxCurve:
         self.gamma = CuspSemigroup(pair)
         self.trunc = trunc
         self.y = TruncatedSeries(y_coeffs, trunc)
-        coeffs = self.y.coeffs
-        self.den = math.lcm(*(int(v.denominator) for v in coeffs.values()))
-        Y = {k: int(v.numerator) * (self.den // int(v.denominator))
-             for k, v in coeffs.items()}
+        self.den, (Y,) = _cleared(self.y.coeffs)
         # b -> the numerators of y^b over den^b, at the highest precision
         # asked for
         self._powers = {0: _reduced({0: 1}, math.inf), 1: _reduced(Y, trunc)}
@@ -307,10 +305,9 @@ def _pullback(curve: PuiseuxCurve, f, prec, c: int = 0, d: int = 0):
                  for (al, be), (mu, ze) in cloud.items()
                  if n * (al + c) < bound]
     else:
-        scale = math.lcm(*(int(v.denominator) for v in f.coeffs.values()))
-        terms = [(b + d, n * (a + c),
-                  int(v.numerator) * (scale // int(v.denominator)), 0)
-                 for (a, b), v in f.coeffs.items() if n * (a + c) < bound]
+        scale, (F,) = _cleared({(a, b): v for (a, b), v in f.coeffs.items()
+                                if n * (a + c) < bound})
+        terms = [(b + d, n * (a + c), v, 0) for (a, b), v in F.items()]
     rows = {e: curve.y_power(e, prec) for e in {e for e, *_ in terms}}
     top = max(rows, default=0)
     bound = min([bound] + [rows[e].trunc + shift for e, shift, *_ in terms])
@@ -399,9 +396,8 @@ def integrate_against_conductor(curve: PuiseuxCurve,
     if xi.order_lb() < curve.pair.conductor:
         raise OrderTooLow("integrand order %s below the conductor %d"
                           % (xi.order_lb(), curve.pair.conductor))
-    E = math.lcm(*(int(v.denominator) for v in xi.coeffs.values()))
-    return _integrate(curve, {k: int(v.numerator) * (E // int(v.denominator))
-                              for k, v in xi.coeffs.items()}, E, xi.trunc)
+    E, (R,) = _cleared(xi.coeffs)
+    return _integrate(curve, R, E, xi.trunc)
 
 
 def _integrate(curve: PuiseuxCurve, xi: dict, E: int,

@@ -5,19 +5,21 @@ differential values are the minimal generators lambda_i of the semimodule,
 extends it with a dicritically adjusted omega_{s+1} whose value escapes
 every finite order, and rewrites any omega_{i+1} as a combination
 sum f_ell omega_ell (Delorme decomposition).  Each form is built once
-from its level coefficients f_ell, which its trace keeps for Delorme.
+from its level coefficients f_ell, which its trace keeps for Delorme;
+one integer level sum, forms._combined, builds the form and certifies
+the decomposition.
 
 Index conventions, used throughout: a "math" index i runs over
 -1, 0, 1, ..., s (+1 for the adjusted form) and lives at python position
 i + 1 inside `forms`, `semimodule.basis` and the critical-order tuple.
 """
 
+import math
 from dataclasses import dataclass
 
 from .errors import IndexOutOfRange, InternalDisagreement, NotACusp
-from .forms import (BivariatePolynomial, OneForm, _integer_cloud,
-                    _recomposes, differential, is_basic, is_resonant,
-                    nu_E_form)
+from .forms import (BivariatePolynomial, OneForm, _combined, _recomposes,
+                    differential, is_basic, is_resonant, nu_E_form)
 from .semigroup import contains
 from .semimodule import GammaSemimodule, limits, minimal_basis
 from .rationals import Q, cut
@@ -166,31 +168,27 @@ def _cancel(curve, sm, forms, seed, first_stop, stop, prec=None):
         steps.append(TraceStep(j, c, d, Q(f * F, E)))
 
 
-def _combination(forms, levels) -> OneForm:
-    """sum f_ell omega_ell, levels[k] against forms[k]."""
-    total = OneForm(forms[0].pair)
-    for omega, f in zip(forms, levels):
-        total = total + omega.times_polynomial(f)
-    return total
-
-
 def _built(curve, forms, seed, steps, potential):
     """The next basis form and its trace, built once from its levels: the
-    steps take mu x^c y^d off f_j, eta = x^a y^b omega_s' + sum f_ell
-    omega_ell for seed = (a, b), the one seed form built, and f_top gains
-    the seed's level x^a y^b.  omega = rho eta, rho the clearing scalar,
-    or eta - dh with rho = 1 and dh taken off f_-1, f_0."""
+    steps take mu x^c y^d off f_j, f_top gains the seed x^a y^b, and eta =
+    sum f_ell omega_ell = (A dx + B dy) / M by forms._combined.  omega =
+    rho eta, integral for rho = M / gcd(M, A, B), or eta - dh with dh taken
+    off f_-1 and f_0; dh stays out of the integer sum, where each of
+    omega's coefficients would need its own reduction."""
     f = [BivariatePolynomial()] * len(forms)
     for st in steps:
         f[st.j + 1] -= BivariatePolynomial.monomial(st.c, st.d, st.mu)
-    eta = forms[-1].times_monomial(*seed) + _combination(forms, f)
     f[-1] += BivariatePolynomial.monomial(*seed)
+    M, A, B = _combined(forms, f)
     if potential is None:
-        rho = _integer_cloud(eta)[1]
-        omega, f = eta.scaled(rho), [g * rho for g in f]
+        g = math.gcd(M, *A.values(), *B.values())
+        omega = OneForm(curve.pair, {k: Q(v // g) for k, v in A.items()},
+                        {k: Q(v // g) for k, v in B.items()})
+        f = [h * (M // g) for h in f]
     else:
         dh = differential(potential, curve.pair)
-        omega = eta - dh
+        omega = OneForm(curve.pair, {k: Q(v, M) for k, v in A.items()},
+                        {k: Q(v, M) for k, v in B.items()}) - dh
         f[0] -= BivariatePolynomial(dh.A)
         f[1] -= BivariatePolynomial(dh.B)
     return omega, ConstructionTrace(steps, tuple(f))

@@ -10,9 +10,11 @@ before the curve's power table went fraction-free: the same formulas on
 reduced rationals, with every power y^b a repeated product of y.
 cancel_by_rationals and oracle_by_rationals are the cancellation engine
 and the semimodule oracle as they stood before they went fraction-free:
-the same eliminations on reduced rational pullbacks.  combine, theta and
-antiderivative are the rational series arithmetic these references need,
-which the library itself no longer carries.
+the same eliminations on reduced rational pullbacks.
+combination_by_rationals is the level sum sum f_ell omega_ell of the
+construction and of Delorme's certificate, on reduced rationals.
+combine, theta and antiderivative are the rational series arithmetic
+these references need, which the library itself no longer carries.
 FractionGcdCounter counts the normalisations of fractions.Fraction for
 the tests that bound them.  no_digit_cap lifts the interpreter's cap on
 int-text conversion, so that a test can read text of any height.
@@ -298,11 +300,21 @@ def cancel_by_rationals(curve, sm, forms, eta, first_stop, stop, prec=None):
         canc = pullback_form(curve, term, prec)
         mu = a_eta.coeffs.get(nu, 0) / canc.coeffs.get(nu, 0)
         a_eta = combine([(a_eta, 1, 0), (canc, -mu, 0)])
-        eta = eta - term.scaled(mu)
+        eta = eta - term.times_monomial(0, 0, mu)
         steps.append(TraceStep(j, c, d, mu))
         if not a_eta.order_lb() > nu:
             raise InternalDisagreement("cancellation at %d did not raise"
                                        " the value" % nu)
+
+
+def combination_by_rationals(forms, levels):
+    """sum f_ell omega_ell on reduced rationals, levels[k] against
+    forms[k]: the rational sum the construction and Delorme's certificate
+    ran before both went onto forms._combined."""
+    total = OneForm(forms[0].pair)
+    for omega, f in zip(forms, levels):
+        total = total + omega.times_polynomial(f)
+    return total
 
 
 def oracle_by_rationals(curve):

@@ -206,7 +206,7 @@ def test_disagreeing_routes_raise(monkeypatch):
 def test_verdict_builds_no_rational(monkeypatch):
     # both routes read the integer cloud: the resonance test and every
     # mu + zeta of the blow-up walk are int operations
-    forms = [dicritical_49_form().scaled(rat(-2, 3)),
+    forms = [dicritical_49_form().times_monomial(0, 0, rat(-2, 3)),
              OneForm(P511, A={(0, 1): rat(-11, 6), (2, 3): rat(5, 4)},
                      B={(1, 0): rat(5, 6), (4, 1): rat(-7, 9)})]
     counter = FractionGcdCounter(monkeypatch)

@@ -76,7 +76,7 @@ def test_fraction_free_solver_matches_the_rational_one(curve, data):
         want = branch_by_rationals(omega, a, curve.trunc)
         assert got.y.coeffs == want.y.coeffs
         assert got.trunc == want.trunc
-        multiple = omega.scaled(c)
+        multiple = omega.times_monomial(0, 0, c)
         assert solve_invariant_branch(multiple, a, curve.trunc) == got
         assert branch_by_rationals(multiple, a, curve.trunc) == want
 
@@ -167,7 +167,7 @@ def test_fraction_free_cancellation_and_oracle_match_the_rational_ones(curve):
             curve, sm, forms, forms[-1].times_monomial(*seed), first_stop,
             stop, prec)
         assert _built(curve, forms, seed, got_steps, None)[0] == \
-            want_eta.scaled(_integer_cloud(want_eta)[1])
+            want_eta.times_monomial(0, 0, _integer_cloud(want_eta)[1])
         assert got_steps == want_steps
         assert got_nu == want_nu
         assert {k: Q(v, E) for k, v in A.coeffs.items()} == a_eta.coeffs

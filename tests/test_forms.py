@@ -228,4 +228,4 @@ def test_negation_builds_no_rational(monkeypatch):
     assert counter.calls == 0
     assert negated.A == {(0, 1): rat(11, 6), (2, 3): rat(-5, 4)}
     assert negated.B == {(1, 0): rat(-5, 6), (4, 1): rat(7, 9)}
-    assert negated == w.scaled(-1)
+    assert negated == w.times_monomial(0, 0, -1)

@@ -74,7 +74,7 @@ def test_pullbacks_normalise_once_per_nonzero_coefficient(monkeypatch):
     assert branch.den > 1
     assert not nu_C_form(branch, omega, branch.trunc).finite
     cold = PuiseuxCurve(branch.pair, branch.y.coeffs, branch.trunc)
-    lower = basis.form(1).scaled(rat(3, 7)) + omega
+    lower = basis.form(1).times_monomial(0, 0, rat(3, 7)) + omega
     counter = FractionGcdCounter(monkeypatch)
     assert not nu_C_form(branch, omega, branch.trunc).finite
     assert counter.calls == 0

@@ -20,7 +20,7 @@ from cuspidal.series import (OrderResult, PuiseuxCurve, TruncatedSeries,
 from cuspidal.stdbasis import (compute_standard_basis, delorme_decompose,
                                dicritically_adjust, semimodule_oracle)
 
-from oracles import FractionGcdCounter
+from oracles import FractionGcdCounter, combination_by_rationals
 
 P511 = PuiseuxPair(5, 11)
 
@@ -120,10 +120,8 @@ def test_certificate_is_the_adjusted_forms_own_value(monkeypatch, curve,
     for k in range(1, basis.s_index + 2):
         levels = basis.traces[k].levels
         assert len(levels) == k + 1
-        recomposed = OneForm(c.pair)
-        for ell, f in enumerate(levels, -1):
-            recomposed = recomposed + basis.form(ell).times_polynomial(f)
-        assert recomposed == basis.form(k)
+        assert combination_by_rationals(basis.forms[:k + 1], levels) == \
+            basis.form(k)
 
 
 @pytest.mark.parametrize("curve", [curve_5_11, curve_7_17],
@@ -140,7 +138,6 @@ def test_cancellation_engine_builds_no_form(monkeypatch, curve):
     def refuse(*args, **kwargs):
         raise AssertionError("the cancellation engine built a form")
 
-    monkeypatch.setattr(OneForm, "scaled", refuse)
     monkeypatch.setattr(OneForm, "__sub__", refuse)
     monkeypatch.setattr(OneForm, "__init__", refuse)
     monkeypatch.setattr(BivariatePolynomial, "__init__", refuse)
@@ -504,14 +501,35 @@ def decomposed(curve):
                    for i in range(s + 1) for j in range(i + 1)}
 
 
+def random_curve(seed):
+    """The curve random_cusp_curve draws from seed, as a callable."""
+    def curve():
+        return random_cusp_curve(random.Random(seed), max_n=6, max_weight=60)
+    return curve
+
+
 def recomposes_by_rationals(basis, i, levels):
-    return basis.form(i + 1) == stdbasis._combination(basis.forms, levels)
+    return basis.form(i + 1) == combination_by_rationals(basis.forms, levels)
 
 
-@pytest.mark.parametrize("curve", [curve_5_11, curve_7_17],
-                         ids=["ex5_11", "ex7_17"])
+# seed 37's omega_2 sums to integers with gcd 7, so its levels carry a
+# clearing scalar M / g below the common denominator M
+RECOMPOSED_SEEDS = (0, 1, 2, 3, 4, 37)
+
+
+@pytest.mark.parametrize("curve", [curve_5_11, curve_7_17,
+                                   *map(random_curve, RECOMPOSED_SEEDS)],
+                         ids=["ex5_11", "ex7_17",
+                              *("random%d" % seed
+                                for seed in RECOMPOSED_SEEDS)])
 def test_integer_recomposition_agrees_with_the_rational_sum(curve):
+    # the construction and Delorme's certificate share forms._combined,
+    # so a check at j = i re-adds the levels a form was built from; the
+    # rational sum of every form's own levels is the independent check
     basis, pairs = decomposed(curve)
+    for i in range(1, basis.s_index + 2):
+        assert basis.form(i) == combination_by_rationals(
+            basis.forms[:i + 1], basis.traces[i].levels)
     for (i, j), levels in pairs.items():
         assert forms._recomposes(basis.form(i + 1), basis.forms, levels)
         assert recomposes_by_rationals(basis, i, levels)

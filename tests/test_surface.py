@@ -1,18 +1,21 @@
 """The public surface resolves: every exported name and every name the
 benchmark tracer wraps.  Every function, class, method and property in
 src/ is named from src/, bound by the tracer or part of the paper API.
-TruncatedSeries carries no rational arithmetic, only forms clears a
-form's denominators, and no module reads a theta row.  The seed and the
-cancellation engine, stdbasis._seed and _cancel, build no form and no
-polynomial: they subtract nothing and call nothing that builds, combines
-or scales one.  Only stdbasis._certify checks a basis form's value,
-order and shape, and the construction and the adjustment both call it
-and _seed.  Delorme certifies its recomposition with forms._recomposes,
-not a rational _combination.  The branch solver takes no product of two
-full-height denominators d[i] d[j].  No function or method only returns
-an attribute of its parameter, a form's integer cloud is computed once,
-no module asserts, and the semimodule module runs no while loop.  Bad
-input has one type, errors.InputError: no module raises a bare
+TruncatedSeries carries no rational arithmetic, only forms clears
+denominators, in forms._cleared, and no module reads a theta row.  The
+seed and the cancellation engine, stdbasis._seed and _cancel, build no
+form and no polynomial: they subtract nothing and call nothing that
+builds, combines or scales one.  Only stdbasis._certify checks a basis
+form's value, order and shape, and the construction and the adjustment
+both call it and _seed.  The construction and Delorme's certificate
+share one integer level sum, forms._combined, and stdbasis multiplies no
+form by a polynomial or a monomial.  The branch solver takes no product
+of two full-height denominators d[i] d[j].  No function or method only
+returns an attribute of its parameter, a form's integer cloud is
+computed once, no module asserts, and the semimodule module runs no
+while loop.  Bad input has one type, errors.InputError: a
+parametrization that is not a cusp, an index out of range and a zero
+branch parameter are refused as InputErrors, no module raises a bare
 ValueError, and cli.main exits 1 on CuspidalError alone."""
 
 import ast
@@ -27,10 +30,13 @@ import types
 import pytest
 
 import cuspidal
+from cuspidal.errors import IndexOutOfRange, InputError, NotACusp, ZeroPivot
 from cuspidal.forms import OneForm, _integer_cloud
 from cuspidal.rationals import Q, rat
 from cuspidal.semigroup import PuiseuxPair
-from cuspidal.series import TruncatedSeries
+from cuspidal.semiroot import semiroot
+from cuspidal.series import PuiseuxCurve, TruncatedSeries
+from cuspidal.stdbasis import compute_standard_basis
 
 from oracles import FractionGcdCounter
 
@@ -148,10 +154,12 @@ def test_truncated_series_defines_no_rational_arithmetic():
                        "__eq__", "__repr__", "__mul__"}
 
 
-@pytest.mark.parametrize("name", ["stdbasis", "semiroot", "blowup"])
+@pytest.mark.parametrize("name", [name for name in MODULES
+                                  if name != "forms"])
 def test_no_module_clears_a_form_on_its_own(name):
-    # forms._integer_cloud owns a form's integers; these modules read it
-    # instead of taking an lcm over coefficient denominators themselves
+    # forms._cleared is the one routine that turns rationals into
+    # integers, and forms._integer_cloud owns a form's integers; no other
+    # module takes an lcm over coefficient denominators itself
     module = importlib.import_module("cuspidal." + name)
     tree = ast.parse(pathlib.Path(module.__file__).read_text())
     clearing = [node.lineno for node in ast.walk(tree)
@@ -219,17 +227,26 @@ def test_every_basis_form_passes_one_certificate():
 
 
 def test_delorme_certifies_its_recomposition_on_integers():
-    # delorme_decompose checks sum f_ell omega_ell against omega_{i+1} with
-    # forms._recomposes, on integer clouds, and builds no rational sum
-    from cuspidal import stdbasis
-    tree = ast.parse(pathlib.Path(stdbasis.__file__).read_text())
-    delorme = next(node for node in tree.body
-                   if isinstance(node, ast.FunctionDef)
-                   and node.name == "delorme_decompose")
-    called = [getattr(call.func, "attr", getattr(call.func, "id", None))
-              for call in ast.walk(delorme) if isinstance(call, ast.Call)]
-    assert "_recomposes" in called
-    assert "_combination" not in called
+    # the construction (_built) and Delorme's certificate (_recomposes)
+    # run one level sum, forms._combined, on integer clouds, and nothing
+    # in stdbasis builds a rational sum or a monomial multiple of a form
+    from cuspidal import forms, stdbasis
+    trees = {module: ast.parse(pathlib.Path(module.__file__).read_text())
+             for module in (forms, stdbasis)}
+    calls = {node.name: {getattr(call.func, "attr",
+                                 getattr(call.func, "id", None))
+                         for call in ast.walk(node)
+                         if isinstance(call, ast.Call)}
+             for tree in trees.values() for node in tree.body
+             if isinstance(node, ast.FunctionDef)}
+    assert "_recomposes" in calls["delorme_decompose"]
+    assert "_combined" in calls["_built"]
+    assert "_combined" in calls["_recomposes"]
+    banned = {"_combination", "scaled", "times_polynomial", "times_monomial"}
+    assert [node.lineno for node in ast.walk(trees[stdbasis])
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None))
+            in banned] == []
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -270,6 +287,26 @@ def test_bad_input_has_one_type():
                          and getattr(sub.value, "value", None) == 1
                          for sub in ast.walk(handler))]
     assert exits_one == ["CuspidalError"]
+
+
+def test_refusals_of_caller_input_are_input_errors():
+    # a parametrization that is not a cusp, a basis index out of range
+    # and a zero branch parameter each break a rule of the caller's input
+    with pytest.raises(NotACusp, match="zero leading coefficient") as exc:
+        PuiseuxCurve(PuiseuxPair(5, 11), {12: 1})
+    refusals = [exc.value]
+    with pytest.raises(NotACusp, match="smooth branch") as exc:
+        compute_standard_basis(PuiseuxCurve(PuiseuxPair(1, 2), {2: 1}))
+    refusals.append(exc.value)
+    basis = compute_standard_basis(PuiseuxCurve(PuiseuxPair(5, 11),
+                                                {11: 1, 12: 1, 13: 1}))
+    with pytest.raises(IndexOutOfRange, match="no form at index 9") as exc:
+        basis.form(9)
+    refusals.append(exc.value)
+    with pytest.raises(ZeroPivot, match="must be nonzero") as exc:
+        semiroot(basis, 1, 0)
+    refusals.append(exc.value)
+    assert all(isinstance(refusal, InputError) for refusal in refusals)
 
 
 def test_semimodule_runs_no_unbounded_search():
