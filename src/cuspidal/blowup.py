@@ -4,8 +4,8 @@ The sequence attached to a coprime pair is the Euclid recursion
 (n, m) -> (n, m-n) while m >= 2n (a free step, substitution x = x1,
 y = x1 y1) and (n, m) -> (m-n, n) otherwise (a corner step, y = x1 y1,
 x = y1), ending at (1, 1).  On logarithmic clouds each step acts by the
-unimodular map Psi and a linear coefficient map, so everything here is
-integer linear algebra; no series are touched.
+unimodular map Psi on cloud points and their coefficients alike, so
+everything here is integer linear algebra; no series are touched.
 
 The total-dicriticalness test runs both characterizations independently:
 the combinatorial one (pre-basic and resonant) and the geometric one
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from .errors import IndexOutOfRange, InputError, InternalDisagreement
 from .forms import OneForm, _integer_cloud, _resonant_at, is_prebasic
+from .rationals import cut
 from .semigroup import PuiseuxPair
 
 __all__ = [
@@ -66,20 +67,15 @@ def build_sequence(pair: PuiseuxPair) -> CuspidalSequence:
     return CuspidalSequence(tuple(pairs), tuple(kinds))
 
 
-def _map_point(kind: str, point):
-    a, b = point
-    return (a + b, b) if kind == FREE else (b, a + b)
-
-
-def _map_coeffs(kind: str, mu, zeta):
-    return (mu + zeta, zeta) if kind == FREE else (zeta, mu + zeta)
+def _psi(kind: str, u, v) -> tuple:
+    """Psi of a step, on a cloud point and on its (mu, zeta) alike."""
+    return (u + v, v) if kind == FREE else (v, u + v)
 
 
 def _transform_cloud(kind: str, cloud: dict) -> dict:
-    # Psi is injective and the coefficient map never sends a nonzero pair
-    # to (0, 0), so the cloud neither merges nor loses points.
-    return {_map_point(kind, p): _map_coeffs(kind, mu, zeta)
-            for p, (mu, zeta) in cloud.items()}
+    # Psi is injective and never sends a nonzero pair to (0, 0), so the
+    # cloud neither merges nor loses points.
+    return {_psi(kind, *p): _psi(kind, *c) for p, c in cloud.items()}
 
 
 def transform_form(seq: CuspidalSequence, omega: OneForm, step: int) -> OneForm:
@@ -90,7 +86,8 @@ def transform_form(seq: CuspidalSequence, omega: OneForm, step: int) -> OneForm:
     divided out here.
     """
     if not 0 <= step <= seq.length - 2:
-        raise IndexOutOfRange("step %d outside 0..%d" % (step, seq.length - 2))
+        raise IndexOutOfRange("step %s outside 0..%d"
+                              % (cut(step), seq.length - 2))
     if omega.pair != seq.pairs[step]:
         raise InputError("form lives at pair %r, not %r"
                          % (omega.pair, seq.pairs[step]))

@@ -23,7 +23,8 @@ from .corpus import (example_curve_5_11, example_curve_7_17,
 from .errors import CuspidalError, InputError, VerificationFailure
 from .jsonio import (basis_to_json, curve_to_json, delorme_to_json,
                      dicritical_to_json, dumps, form_to_json, parse_curve,
-                     parse_form, semiroot_to_json, verify_report_to_json)
+                     parse_form, semimodule_to_json, semiroot_to_json,
+                     verify_report_to_json)
 from .rationals import (OverDigitCap, cut, echo, int_from_str,
                         rat_from_str)
 from .semigroup import CuspSemigroup, PuiseuxPair, copair
@@ -149,10 +150,7 @@ def cmd_semimodule(ns):
             raise InputError("--generators wants at least n,m")
         gamma = CuspSemigroup(PuiseuxPair(values[0], values[1]))
         sm = GammaSemimodule(gamma, minimal_basis(gamma, values))
-    return {"lambda": list(sm.basis),
-            "t": list(sm.critical_orders) if sm.critical_orders else None,
-            "u": list(sm.axes),
-            "conductor": sm.conductor,
+    return {**semimodule_to_json(sm), "conductor": sm.conductor,
             "increasing": is_increasing(sm)}
 
 

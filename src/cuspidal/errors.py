@@ -45,7 +45,7 @@ class OrderTooLow(CuspidalError):
 
 
 class NotACusp(InputError):
-    """Parametrization is not a cusp branch (bad order or leading coefficient, or n < 2)."""
+    """PuiseuxCurve's refusal of a non-cusp: bad order or leading coefficient, or n < 2."""
 
 
 class InternalDisagreement(CuspidalError):

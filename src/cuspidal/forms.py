@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 
 from .errors import InputError, NotPreBasic, QAboveOrder, ZeroForm
-from .rationals import Q, rat
+from .rationals import Q, cut, rat
 from .semigroup import PuiseuxPair, copair
 
 __all__ = [
@@ -306,7 +306,8 @@ def initial_part(omega: OneForm, q: int) -> OneForm:
     """
     nu = nu_E_form(omega)
     if q > nu:
-        raise QAboveOrder("initial part at %d above nu_E = %d" % (q, nu))
+        raise QAboveOrder("initial part at %s above nu_E = %s"
+                          % (cut(q), cut(nu)))
     pair = omega.pair
     keep = {p: c for p, c in omega.cloud.items() if _weight(pair, p) == q}
     return OneForm.from_cloud(pair, keep)

@@ -20,7 +20,7 @@ from .semigroup import PuiseuxPair, copair
 from .series import PuiseuxCurve
 
 __all__ = [
-    "InputError", "dumps",
+    "InputError", "dumps", "semimodule_to_json",
     "curve_to_json", "parse_curve", "form_to_json", "parse_form",
     "poly_to_json", "y_to_json", "basis_to_json", "delorme_to_json",
     "semiroot_to_json", "verify_report_to_json", "dicritical_to_json",
@@ -198,11 +198,18 @@ def delorme_to_json(dec) -> dict:
     }
 
 
+def semimodule_to_json(sm) -> dict:
+    """lambda, t (null unless the basis starts with n, m) and u."""
+    return {
+        "lambda": list(sm.basis),
+        "t": list(sm.critical_orders) if sm.critical_orders else None,
+        "u": list(sm.axes),
+    }
+
+
 def basis_to_json(basis, decompositions) -> dict:
     return {
-        "lambda": list(basis.semimodule.basis),
-        "t": list(basis.semimodule.critical_orders),
-        "u": list(basis.semimodule.axes),
+        **semimodule_to_json(basis.semimodule),
         "forms": [form_to_json(basis.form(i))
                   for i in range(-1, basis.s_index + 1)],
         "adjusted_form": form_to_json(basis.form(basis.s_index + 1)),
@@ -220,10 +227,8 @@ def semiroot_to_json(sr) -> dict:
 
 
 def verify_report_to_json(report: dict) -> dict:
-    out = dict(report)
-    out["checks"] = [{"name": name, "pass": good}
-                     for name, good in report["checks"].items()]
-    return out
+    return {**report, "checks": [{"name": name, "pass": good}
+                                 for name, good in report["checks"].items()]}
 
 
 def dicritical_to_json(omega: OneForm, verdict) -> dict:

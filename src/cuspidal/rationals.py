@@ -26,7 +26,6 @@ try:
 except ImportError:  # pragma: no cover - exercised only without gmpy2
     from fractions import Fraction as Q
 
-ZERO = Q(0)
 _INTEGER = re.compile(r"\s*([+-]?[0-9]+)\s*")
 _TEXT = re.compile(_INTEGER.pattern + r"(?:/\s*([0-9]+)\s*)?")
 

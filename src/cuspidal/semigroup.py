@@ -21,8 +21,8 @@ from .rationals import cut
 class PuiseuxPair:
     """A coprime pair (n, m) with 1 <= n <= m.
 
-    n = 1 is legal here (the blow-up chain walks down to (1, 1)); modules
-    that genuinely need a singular branch check n >= 2 at their own door.
+    n = 1 is legal here (the blow-up chain walks down to (1, 1));
+    series.PuiseuxCurve refuses it, as a smooth branch.
     """
 
     n: int
@@ -95,7 +95,8 @@ def represent(gamma: CuspSemigroup, p: int) -> GammaRepresentation:
     """
     n, m = gamma.pair.n, gamma.pair.m
     if p >= n * m:
-        raise NotUniqueRange("representation of %d >= %d is not unique" % (p, n * m))
+        raise NotUniqueRange("representation of %s >= %s is not unique"
+                             % (cut(p), cut(n * m)))
     return minimal_b_representation(gamma, p)
 
 
@@ -107,7 +108,8 @@ def minimal_b_representation(gamma: CuspSemigroup, p: int) -> GammaRepresentatio
     """
     n, m = gamma.pair.n, gamma.pair.m
     if not contains(gamma, p):
-        raise NotInSemigroup("%d is not in <%d, %d>" % (p, n, m))
+        raise NotInSemigroup("%s is not in <%s, %s>"
+                             % (cut(p), cut(n), cut(m)))
     b = (p * gamma.pair.m_inverse_mod_n) % n
     a = (p - b * m) // n
     return GammaRepresentation(p, a, b)

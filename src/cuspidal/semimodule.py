@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IndexOutOfRange, InputError
+from .rationals import cut
 from .semigroup import CuspSemigroup, PuiseuxPair
 
 
@@ -28,7 +29,8 @@ def _as_semigroup(gamma) -> CuspSemigroup:
 
 
 def _scan(gamma: CuspSemigroup, generators) -> tuple:
-    """The greedy per-class scan behind the constructor and minimal_basis.
+    """The greedy per-class scan behind the constructor and minimal_basis,
+    and the owner of their rules: no empty system, no negative generator.
 
     Walks the generators in the given (increasing) order and keeps those
     outside the semimodule of the ones already kept; the smallest element
@@ -39,6 +41,10 @@ def _scan(gamma: CuspSemigroup, generators) -> tuple:
     new ray meets the semimodule of the earlier ones) and the table after
     each kept generator.
     """
+    if not generators:
+        raise InputError("empty generator system")
+    if min(generators) < 0:
+        raise InputError("generators must be non-negative")
     n, apery = gamma.pair.n, gamma.apery
     kept, axes, tables = [], [], []
     for g in generators:
@@ -63,9 +69,9 @@ class GammaSemimodule:
     """A Gamma-semimodule presented by its minimal basis.
 
     The constructor validates minimality (each generator must lie outside
-    the semimodule spanned by the earlier ones) and rejects unsorted or
-    redundant systems; use minimal_basis() to normalize arbitrary
-    generators first.
+    the semimodule spanned by the earlier ones) and, after _scan's rules,
+    rejects unsorted or redundant systems; use minimal_basis() to
+    normalize arbitrary generators first.
 
     Attributes
     ----------
@@ -85,18 +91,14 @@ class GammaSemimodule:
     def __init__(self, gamma: CuspSemigroup, basis):
         gamma = _as_semigroup(gamma)
         basis = tuple(int(b) for b in basis)
-        if not basis:
-            raise InputError("empty generator system")
-        if any(b < 0 for b in basis):
-            raise InputError("generators must be non-negative")
+        kept, axes, tables = _scan(gamma, basis)
         if any(x >= y for x, y in zip(basis, basis[1:])):
             raise InputError("generators must be strictly increasing; "
                              "call minimal_basis() to normalize")
-        kept, axes, tables = _scan(gamma, basis)
         if kept != basis:
             extra = next(b for b in basis if b not in kept)
-            raise InputError("generator %d is redundant: already in the "
-                             "semimodule of the previous ones" % extra)
+            raise InputError("generator %s is redundant: already in the "
+                             "semimodule of the previous ones" % cut(extra))
         self.gamma = gamma
         self.basis = basis
         self.axes = axes
@@ -167,16 +169,12 @@ class Tops:
 def minimal_basis(gamma: CuspSemigroup, generators) -> tuple:
     """The minimal generator system of the semimodule spanned by `generators`.
 
-    The greedy scan of _scan over the sorted, distinct generators.
+    The greedy scan of _scan, and its rules, over the sorted generators.
 
     minimal_basis(<5,11>, {5, 11, 16, 17}) == (5, 11, 17)
     minimal_basis(<5,11>, {5}) == (5,)
     """
     gens = sorted(set(int(g) for g in generators))
-    if not gens:
-        raise InputError("empty generator system")
-    if gens[0] < 0:
-        raise InputError("generators must be non-negative")
     return _scan(_as_semigroup(gamma), gens)[0]
 
 
@@ -189,7 +187,8 @@ def limits(sm: GammaSemimodule, i: int) -> Limits:
     there and the limit is the least lifted p (step = n, resp. m).
     """
     if not 0 <= i <= sm.s_index:
-        raise IndexOutOfRange("limits index %d outside 0..%d" % (i, sm.s_index))
+        raise IndexOutOfRange("limits index %s outside 0..%d"
+                              % (cut(i), sm.s_index))
     n, m = sm.gamma.pair.n, sm.gamma.pair.m
     lam, table = sm.basis[i + 1], sm._prefix_tables[i]
 

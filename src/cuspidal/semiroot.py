@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .errors import (IndexOutOfRange, NotDicritical, VerificationFailure,
                      ZeroPivot)
 from .forms import OneForm, _integer_cloud, nu_E_form
-from .jsonio import y_to_json
+from .jsonio import semiroot_to_json
 from .rationals import Q, cut, rat, rat_to_str
 from .series import OrderResult, PuiseuxCurve, default_truncation, nu_C_form
 from .stdbasis import (ExtendedStandardBasis, compute_standard_basis,
@@ -269,10 +269,7 @@ def verify_main_theorem(basis: ExtendedStandardBasis, i: int, a) -> dict:
     checks["critical_order"] = (nu_E_form(omega)
                                 == branch_basis.semimodule.critical_orders[-1])
     report = {
-        "i": i,
-        "a": rat_to_str(a),
-        "parametrization": y_to_json(branch),
-        "semimodule": list(branch_basis.semimodule.basis),
+        **semiroot_to_json(Semiroot(i, a, branch, branch_basis.semimodule)),
         "expected": list(expected.basis),
         "pass": all(checks.values()),
         "checks": checks,

@@ -152,9 +152,9 @@ class PuiseuxCurve:
 
     The cusp rules live here: T is an integer (a bool is not), y has a
     nonzero t^m term and no nonzero term below t^m or at or above T
-    (refused, not dropped), and T is at least default_truncation(pair),
+    (refused, not dropped), T is at least default_truncation(pair),
     under which every structural decision of the basis algorithms is
-    taken.
+    taken, and n >= 2 (n = 1 is a smooth branch).
 
     The power table holds y as integer numerators Y over den, the lcm of
     y's denominators, and one row per b: the integer numerators of y^b
@@ -191,6 +191,9 @@ class PuiseuxCurve:
         if high:
             raise InputError("y term t^%s at or above the truncation %s"
                              % (cut(min(high)), cut(trunc)))
+        if pair.n < 2:
+            raise NotACusp("(%s, %s) parametrizes a smooth branch"
+                           % (cut(pair.n), cut(m)))
         self.pair = pair
         self.gamma = CuspSemigroup(pair)
         self.trunc = trunc

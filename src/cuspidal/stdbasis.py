@@ -17,7 +17,7 @@ i + 1 inside `forms`, `semimodule.basis` and the critical-order tuple.
 import math
 from dataclasses import dataclass
 
-from .errors import IndexOutOfRange, InternalDisagreement, NotACusp
+from .errors import IndexOutOfRange, InternalDisagreement
 from .forms import (BivariatePolynomial, OneForm, _combined, _recomposes,
                     differential, is_basic, is_resonant, nu_E_form)
 from .semigroup import contains
@@ -109,7 +109,8 @@ class ExtendedStandardBasis:
 
 def _cancellation_site(gamma, lambdas, value):
     """Smallest math index j with value - lambda_j in Gamma, then the
-    lexicographically least (c, d) with n c + m d = value - lambda_j."""
+    lexicographically least (c, d) with n c + m d = value - lambda_j;
+    value lies in the semimodule of lambdas, so there is such a j."""
     n, m = gamma.pair.n, gamma.pair.m
     for pos, lam in enumerate(lambdas):
         gap = value - lam
@@ -121,7 +122,6 @@ def _cancellation_site(gamma, lambdas, value):
             raise InternalDisagreement("member %d lost its representation"
                                        % gap)
         return pos - 1, c, d
-    return None
 
 
 def _seed(sm):
@@ -210,8 +210,6 @@ def compute_standard_basis(curve: PuiseuxCurve) -> ExtendedStandardBasis:
     """
     pair = curve.pair
     n, m = pair.n, pair.m
-    if n < 2:
-        raise NotACusp("(%d, %d) parametrizes a smooth branch" % (n, m))
     c_gamma = pair.conductor
     work = c_gamma + 2
     sm = GammaSemimodule(curve.gamma, (n, m))

@@ -35,12 +35,14 @@ from cuspidal.blowup import is_totally_dicritical
 from cuspidal.errors import (InternalDisagreement, NotDicritical, OrderTooLow,
                              ZeroPivot)
 from cuspidal.forms import BivariatePolynomial, OneForm, nu_E_form
-from cuspidal.rationals import ZERO, rat
+from cuspidal.rationals import Q, rat
 from cuspidal.semigroup import PuiseuxPair, minimal_b_representation
 from cuspidal.semimodule import GammaSemimodule, minimal_basis
 from cuspidal.series import (PuiseuxCurve, TruncatedSeries, default_truncation,
                              pullback_form)
 from cuspidal.stdbasis import TraceStep, _cancellation_site
+
+ZERO = Q(0)
 
 
 def combine(terms, trunc=None):

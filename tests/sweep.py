@@ -90,6 +90,9 @@ REFUSALS = [
     ["semigroup", "--copair=" + WORDS],
     [WORDS],
     ["semigroup", "--pair", "5,11"] + WORDS.split(),
+    ["standard-basis", "--curve", '{"n": 1, "m": 2, "y": [[2, "1"]]}'],
+    ["standard-basis", "--curve",
+     '{"n": 1, "m": %s, "y": [[%s, "1"]]}' % (NINES, NINES)],
 ]
 
 

@@ -1,3 +1,4 @@
+import importlib
 import json
 import sys
 
@@ -5,17 +6,23 @@ import pytest
 
 from cuspidal.blowup import build_sequence, transform_form
 from cuspidal.cli import main
-from cuspidal.errors import CuspidalError, InputError, VerificationFailure
-from cuspidal.forms import OneForm
+from cuspidal.errors import (CuspidalError, IndexOutOfRange, InputError,
+                             NotInSemigroup, NotUniqueRange, QAboveOrder,
+                             VerificationFailure)
+from cuspidal.forms import OneForm, initial_part
 from cuspidal.jsonio import parse_curve, parse_form
 from cuspidal.rationals import rat, rat_from_str
-from cuspidal.semigroup import CuspSemigroup, PuiseuxPair
-from cuspidal.semimodule import GammaSemimodule, level_set, minimal_basis
+from cuspidal.semigroup import (CuspSemigroup, PuiseuxPair,
+                                minimal_b_representation, represent)
+from cuspidal.semimodule import (GammaSemimodule, level_set, limits,
+                                 minimal_basis)
 from cuspidal.semiroot import semiroot
 from cuspidal.series import PuiseuxCurve
 from cuspidal.stdbasis import compute_standard_basis
 
 from oracles import no_digit_cap
+
+CAP = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 @pytest.fixture()
@@ -242,15 +249,52 @@ def test_exit_one_bool_for_integer(capsys, command, flag, body, rule):
       {"n": 2, "m": 3, "y": [[3, "1"], [25, "5"]], "truncation": 30},
       "--truncation", "20", "--i", "1", "--a", "1"],
      "y term t^25 at or above the truncation 20"),
+    (["semigroup", "--pair", "5"], "--pair wants the form n,m"),
+    (["semimodule"], "give exactly one of --curve or --generators"),
+    (["semimodule", "--curve", {"n": 5, "m": 11, "y": [[11, "1"]]},
+      "--generators", "5,11"], "give exactly one of --curve or --generators"),
+    (["semimodule", "--generators", "5"], "--generators wants at least n,m"),
+    (["verify", "--curve", {"n": 5, "m": 11, "y": [[11, "1"]]}, "--i", "1"],
+     "verify wants --all-semiroots or both --i and --a"),
+    (["standard-basis", "--curve", {"n": 5, "y": [[11, "1"]]}],
+     "missing field 'm' in curve object"),
+    (["standard-basis", "--curve", "list.json"],
+     "curve object must be a JSON object"),
+    (["dicritical-check", "--form", {"pair": [4]}],
+     "form pair must be [n, m]"),
+    pytest.param(["standard-basis", "--curve",
+                  '{"n": 5, "m": 11, "y": [[11, "1"]], "truncation": %s}'
+                  % ("7" * (CAP + 100))],
+                 "Exceeds the limit (%d digits)" % CAP,
+                 marks=pytest.mark.skipif(not CAP, reason="no digit cap")),
+    (["seed-corpus", "--directory", "corp"],
+     "cannot write 'corp/ex5_11.json': Is a directory"),
+    (["standard-basis", "--curve", {"n": 1, "m": 2, "y": [[2, "1"]]}],
+     "(1, 2) parametrizes a smooth branch"),
+    (["standard-basis", "--curve",
+      '{"n": 1, "m": %s, "y": [[%s, "1"]]}' % ("9" * 4000, "9" * 4000)],
+     "(1, 99999999999999999999...) parametrizes a smooth branch"),
 ], ids=["y-int", "y-null", "dx-int", "dy-null", "generators",
         "y-duplicate", "dx-duplicate", "dy-negative", "y-unreadable",
         "dx-unreadable", "truncation-without-curve",
-        "all-semiroots-with-i-a", "y-at-truncation", "y-at-override"])
-def test_exit_one_malformed_argument(capsys, argv, rule):
+        "all-semiroots-with-i-a", "y-at-truncation", "y-at-override",
+        "pair-one-entry", "semimodule-neither", "semimodule-both",
+        "generators-one", "verify-i-without-a", "curve-without-m",
+        "curve-not-an-object", "form-pair-one-entry", "truncation-over-cap",
+        "corpus-file-is-a-directory", "smooth-branch", "smooth-branch-long"])
+def test_exit_one_malformed_argument(capsys, tmp_path, monkeypatch, argv,
+                                     rule):
+    # run in a directory that holds a JSON file of a list and a corpus
+    # directory whose ex5_11.json is itself a directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "list.json").write_text("[1]")
+    (tmp_path / "corp" / "ex5_11.json").mkdir(parents=True)
     argv = [a if isinstance(a, str) else json.dumps(a) for a in argv]
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert rule in err
+    # a refusal echoes no argument whole
+    assert len(err) <= 200
 
 
 @pytest.mark.parametrize("argv, rule", [
@@ -478,7 +522,6 @@ def test_internal_value_error_is_not_reported_as_bad_input(capsys,
 
 P511 = PuiseuxPair(5, 11)
 G511 = CuspSemigroup(P511)
-CAP = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 @pytest.mark.parametrize("build, rule", [
@@ -526,6 +569,28 @@ def test_every_input_rule_raises_input_error(build, rule):
     assert str(caught.value) == rule
     assert isinstance(caught.value, CuspidalError)
     assert isinstance(caught.value, ValueError)
+
+
+BIG = 10 ** 4999  # 5,000 digits, over the interpreter's digit cap
+DX = OneForm(P511, {(0, 0): 1})
+
+
+@pytest.mark.parametrize("build, kind", [
+    (lambda: GammaSemimodule(G511, (5, 11, BIG)), InputError),
+    (lambda: represent(G511, BIG), NotUniqueRange),
+    (lambda: minimal_b_representation(G511, -BIG), NotInSemigroup),
+    (lambda: limits(GammaSemimodule(G511, (5, 11)), BIG), IndexOutOfRange),
+    (lambda: initial_part(DX, BIG), QAboveOrder),
+    (lambda: transform_form(build_sequence(P511), DX, BIG), IndexOutOfRange),
+], ids=["redundant", "represent", "minimal-b", "limits", "initial-part",
+        "blowup-step"])
+def test_library_refusals_cut_the_integers_they_echo(build, kind):
+    # each site formats the caller's integer with rationals.cut: %d would
+    # raise the interpreter's bare ValueError past the digit cap
+    with pytest.raises(kind) as caught:
+        build()
+    assert type(caught.value) is kind
+    assert len(str(caught.value)) <= 100
 
 
 @pytest.mark.parametrize("argv", [
@@ -628,6 +693,33 @@ def test_exit_two_serializes_the_failure(capsys, monkeypatch):
     assert doc["pass"] is False
     assert doc["error"] == "synthetic failure"
     assert doc["report"]["checks"] == [{"name": "invariance", "pass": False}]
+
+
+def test_exit_two_prints_the_semiroot_failure_report(capsys, monkeypatch,
+                                                     corpus_dir):
+    # semiroot's own report, with no parametrization: the branch's
+    # standard basis is made to lose its last generator
+    semiroot_mod = importlib.import_module("cuspidal.semiroot")
+    original = semiroot_mod.compute_standard_basis
+
+    def losing(curve):
+        basis = original(curve)
+        basis.semimodule = basis.semimodule.truncated(basis.s_index - 1)
+        return basis
+
+    monkeypatch.setattr(semiroot_mod, "compute_standard_basis", losing)
+    code, out, _ = run(capsys, "semiroots", "--curve",
+                       str(corpus_dir / "ex5_11.json"), "--i", "2", "--a", "1")
+    assert code == 2
+    doc = json.loads(out)
+    assert doc == {
+        "pass": False,
+        "error": "omega_2-semiroot carries GammaSemimodule(<5,11>; [5, 11]),"
+                 " expected GammaSemimodule(<5,11>; [5, 11, 17])",
+        "report": {"i": 2, "a": "1", "semimodule": [5, 11],
+                   "expected": [5, 11, 17]}}
+    assert list(doc) == ["pass", "error", "report"]
+    assert list(doc["report"]) == ["i", "a", "semimodule", "expected"]
 
 
 def test_output_file_option(capsys, tmp_path):

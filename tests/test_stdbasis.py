@@ -290,9 +290,10 @@ def test_adjustment_integrates_on_integers(monkeypatch, curve):
 
 
 def test_smooth_pair_rejected():
-    c = PuiseuxCurve(PuiseuxPair(1, 3), {3: 1})
+    # PuiseuxCurve refuses n = 1, so no smooth branch reaches the
+    # construction
     with pytest.raises(NotACusp):
-        compute_standard_basis(c)
+        compute_standard_basis(PuiseuxCurve(PuiseuxPair(1, 3), {3: 1}))
 
 
 def test_adjusted_form_of_reference_curve():

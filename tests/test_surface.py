@@ -16,7 +16,12 @@ computed once, no module asserts, and the semimodule module runs no
 while loop.  Bad input has one type, errors.InputError: a
 parametrization that is not a cusp, an index out of range and a zero
 branch parameter are refused as InputErrors, no module raises a bare
-ValueError, and cli.main exits 1 on CuspidalError alone."""
+ValueError, and cli.main exits 1 on CuspidalError alone.  Each rule and
+each record has one owner: only series (PuiseuxCurve) raises NotACusp,
+only semimodule._scan refuses an empty generator system or a negative
+generator, and semiroot encodes no parametrization itself but goes
+through jsonio.semiroot_to_json, as the standard basis and the
+semimodule command go through jsonio.semimodule_to_json."""
 
 import ast
 import collections
@@ -287,6 +292,41 @@ def test_bad_input_has_one_type():
                          and getattr(sub.value, "value", None) == 1
                          for sub in ast.walk(handler))]
     assert exits_one == ["CuspidalError"]
+
+
+def _calls(tree) -> dict:
+    """The names each function or method of tree calls, by qualified name."""
+    return {qualname: {getattr(call.func, "attr",
+                               getattr(call.func, "id", None))
+                       for call in ast.walk(node)
+                       if isinstance(call, ast.Call)}
+            for qualname, node in _definitions(tree)
+            if isinstance(node, ast.FunctionDef)}
+
+
+def test_each_rule_and_record_has_one_owner():
+    # PuiseuxCurve owns every cusp rule, n >= 2 among them; the semimodule
+    # scan owns the rules of a generator system; jsonio encodes a semiroot
+    # and a semimodule once for every report that carries one
+    trees = {name: ast.parse(pathlib.Path(importlib.import_module(
+        "cuspidal." + name).__file__).read_text()) for name in MODULES}
+    assert {name for name, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, ast.Raise) and node.exc is not None
+            and _raised_name(node) == "NotACusp"} == {"series"}
+    rules = ("empty generator system", "non-negative")
+    owners = {(name, qualname) for name, tree in trees.items()
+              for qualname, node in _definitions(tree)
+              if isinstance(node, ast.FunctionDef)
+              for sub in ast.walk(node) if isinstance(sub, ast.Raise)
+              for text in ast.walk(sub) if isinstance(text, ast.Constant)
+              and isinstance(text.value, str)
+              and any(rule in text.value for rule in rules)}
+    assert owners == {("semimodule", "_scan")}
+    assert "y_to_json" not in set(_references(trees["semiroot"]))
+    assert "semiroot_to_json" in _calls(trees["semiroot"])[
+        "verify_main_theorem"]
+    assert "semimodule_to_json" in _calls(trees["jsonio"])["basis_to_json"]
+    assert "semimodule_to_json" in _calls(trees["cli"])["cmd_semimodule"]
 
 
 def test_refusals_of_caller_input_are_input_errors():
