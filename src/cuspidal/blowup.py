@@ -89,8 +89,8 @@ def transform_form(seq: CuspidalSequence, omega: OneForm, step: int) -> OneForm:
         raise IndexOutOfRange("step %s outside 0..%d"
                               % (cut(step), seq.length - 2))
     if omega.pair != seq.pairs[step]:
-        raise InputError("form lives at pair %r, not %r"
-                         % (omega.pair, seq.pairs[step]))
+        raise InputError("form lives at pair (%s, %s), not (%s, %s)" % tuple(
+            cut(k) for p in (omega.pair, seq.pairs[step]) for k in (p.n, p.m)))
     cloud = _transform_cloud(seq.kinds[step], omega.cloud)
     return OneForm.from_cloud(seq.pairs[step + 1], cloud)
 

@@ -304,7 +304,7 @@ def main(argv=None) -> int:
     try:
         ns = _PARSER.parse_args(argv)
     except SystemExit as exc:
-        return int(exc.code or 0)
+        return exc.code or 0
     try:
         # an --output that can never be a file fails before any work
         if ns.output and (os.path.isdir(ns.output) or not os.path.isdir(

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 
 from .errors import InputError, NotPreBasic, QAboveOrder, ZeroForm
-from .rationals import Q, cut, rat
+from .rationals import Q, cut, is_int, rat
 from .semigroup import PuiseuxPair, copair
 
 __all__ = [
@@ -257,7 +257,7 @@ def _recomposes(target: OneForm, forms, levels) -> bool:
 
 
 class Region:
-    """R^{n,m}(a0, b0): intersection of the two co-pair halfplanes.
+    """R^{n,m}(a0, b0), a0 and b0 integers: where two co-pair halfplanes meet.
 
     (alpha, beta) belongs iff (n-b)(alpha-a0) + (m-d)(beta-b0) >= 0 and
     b(alpha-a0) + d(beta-b0) >= 0, where (b, d) is the co-pair.  The two
@@ -269,7 +269,9 @@ class Region:
 
     def __init__(self, pair: PuiseuxPair, base):
         self.pair = pair
-        self.base = (int(base[0]), int(base[1]))
+        self.base = tuple(base)
+        if len(self.base) != 2 or not all(map(is_int, self.base)):
+            raise InputError("region base must be two integers")
         self.b, self.d = copair(pair)
 
     def contains(self, point) -> bool:
@@ -322,8 +324,7 @@ def rdo(omega: OneForm) -> int:
     if omega.is_zero():
         raise ZeroForm("rdo of the zero form")
     nu = nu_E_form(omega)
-    a = min(p[0] for p in _integer_cloud(omega)[0])
-    b = min(p[1] for p in _integer_cloud(omega)[0])
+    a, b = map(min, zip(*_integer_cloud(omega)[0]))
     return nu - omega.pair.n * a - omega.pair.m * b
 
 

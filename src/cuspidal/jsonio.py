@@ -15,7 +15,8 @@ from json.encoder import encode_basestring_ascii
 
 from .errors import InputError
 from .forms import OneForm, is_basic, nu_E_form
-from .rationals import OverDigitCap, cut, echo, rat_from_str, rat_to_str
+from .rationals import (OverDigitCap, cut, echo, is_int, rat_from_str,
+                        rat_to_str)
 from .semigroup import PuiseuxPair, copair
 from .series import PuiseuxCurve
 
@@ -82,13 +83,8 @@ def _require_keys(obj: dict, allowed, required, what: str):
             raise InputError("missing field %r in %s" % (key, what))
 
 
-def _is_int(x) -> bool:
-    """A JSON integer; true and false decode to Python ints and are not."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _parse_pair(n, m) -> PuiseuxPair:
-    if not (_is_int(n) and _is_int(m)):
+    if not (is_int(n) and is_int(m)):
         raise InputError("pair entries must be integers")
     try:
         return PuiseuxPair(n, m)
@@ -143,7 +139,7 @@ def _parse_entries(entries, what: str, exponents: tuple) -> dict:
     table = {}
     for entry in entries:
         if not (isinstance(entry, list) and len(entry) == k + 1
-                and all(_is_int(e) for e in entry[:k])
+                and all(is_int(e) for e in entry[:k])
                 and isinstance(entry[k], str)):
             raise InputError("%s entries must be %s with integer exponents"
                              % (what, shape))

@@ -16,6 +16,7 @@ over the cap OverDigitCap, one kind of it.
 
 from __future__ import annotations
 
+import operator
 import re
 import sys
 
@@ -31,9 +32,9 @@ _TEXT = re.compile(_INTEGER.pattern + r"(?:/\s*([0-9]+)\s*)?")
 
 
 def cut(value) -> str:
-    """Text, or an int's digits at any height, as it is up to 20
+    """Text, or an integer's digits at any height, as it is up to 20
     characters; longer, its first 20 characters and "..."."""
-    text = value if isinstance(value, str) else _digits(int(value))
+    text = value if isinstance(value, str) else _digits(operator.index(value))
     return text if len(text) <= 20 else text[:20] + "..."
 
 
@@ -49,6 +50,11 @@ class OverDigitCap(InputError):
         super().__init__("over the digit cap: an integer of more than %d "
                          "digits in %s" % (sys.get_int_max_str_digits(),
                                            echo(text)))
+
+
+def is_int(x) -> bool:
+    """An int that is not a bool: the library's one integer test."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def rat(num, den=1):

@@ -14,12 +14,12 @@ from dataclasses import dataclass, field
 
 from .errors import (InputError, InternalDisagreement, NotInSemigroup,
                      NotUniqueRange)
-from .rationals import cut
+from .rationals import cut, is_int
 
 
 @dataclass(frozen=True)
 class PuiseuxPair:
-    """A coprime pair (n, m) with 1 <= n <= m.
+    """A coprime pair (n, m) of integers (rationals.is_int), 1 <= n <= m.
 
     n = 1 is legal here (the blow-up chain walks down to (1, 1));
     series.PuiseuxCurve refuses it, as a smooth branch.
@@ -29,8 +29,8 @@ class PuiseuxPair:
     m: int
 
     def __post_init__(self):
-        if not (isinstance(self.n, int) and isinstance(self.m, int)):
-            raise TypeError("pair entries must be ints")
+        if not (is_int(self.n) and is_int(self.m)):
+            raise InputError("pair entries must be integers")
         if not 1 <= self.n <= self.m:
             raise InputError("need 1 <= n <= m, got (%s, %s)"
                              % (cut(self.n), cut(self.m)))

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IndexOutOfRange, InputError
-from .rationals import cut
+from .rationals import cut, is_int
 from .semigroup import CuspSemigroup, PuiseuxPair
 
 
@@ -30,7 +30,7 @@ def _as_semigroup(gamma) -> CuspSemigroup:
 
 def _scan(gamma: CuspSemigroup, generators) -> tuple:
     """The greedy per-class scan behind the constructor and minimal_basis,
-    and the owner of their rules: no empty system, no negative generator.
+    and the owner of their rules: a nonempty system of integers >= 0.
 
     Walks the generators in the given (increasing) order and keeps those
     outside the semimodule of the ones already kept; the smallest element
@@ -43,6 +43,8 @@ def _scan(gamma: CuspSemigroup, generators) -> tuple:
     """
     if not generators:
         raise InputError("empty generator system")
+    if not all(map(is_int, generators)):
+        raise InputError("generators must be integers")
     if min(generators) < 0:
         raise InputError("generators must be non-negative")
     n, apery = gamma.pair.n, gamma.apery
@@ -68,10 +70,10 @@ def _scan(gamma: CuspSemigroup, generators) -> tuple:
 class GammaSemimodule:
     """A Gamma-semimodule presented by its minimal basis.
 
-    The constructor validates minimality (each generator must lie outside
-    the semimodule spanned by the earlier ones) and, after _scan's rules,
-    rejects unsorted or redundant systems; use minimal_basis() to
-    normalize arbitrary generators first.
+    The constructor converts no generator and validates minimality (each
+    must lie outside the semimodule spanned by the earlier ones): after
+    _scan's rules it rejects unsorted or redundant systems; use
+    minimal_basis() to normalize arbitrary generators first.
 
     Attributes
     ----------
@@ -90,7 +92,7 @@ class GammaSemimodule:
 
     def __init__(self, gamma: CuspSemigroup, basis):
         gamma = _as_semigroup(gamma)
-        basis = tuple(int(b) for b in basis)
+        basis = tuple(basis)
         kept, axes, tables = _scan(gamma, basis)
         if any(x >= y for x, y in zip(basis, basis[1:])):
             raise InputError("generators must be strictly increasing; "
@@ -174,8 +176,7 @@ def minimal_basis(gamma: CuspSemigroup, generators) -> tuple:
     minimal_basis(<5,11>, {5, 11, 16, 17}) == (5, 11, 17)
     minimal_basis(<5,11>, {5}) == (5,)
     """
-    gens = sorted(set(int(g) for g in generators))
-    return _scan(_as_semigroup(gamma), gens)[0]
+    return _scan(_as_semigroup(gamma), sorted(set(generators)))[0]
 
 
 def limits(sm: GammaSemimodule, i: int) -> Limits:

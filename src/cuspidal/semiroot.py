@@ -102,7 +102,7 @@ def solve_invariant_branch(omega: OneForm, a, trunc: int = None) -> PuiseuxCurve
     a = rat(a)
     verdict = is_totally_dicritical(omega)
     if not verdict:
-        raise NotDicritical("form has no invariant branch family: %r" % omega)
+        raise NotDicritical("form has no invariant branch family")
     if a == 0:
         raise ZeroPivot("branch parameter a must be nonzero")
     if trunc is None:

@@ -3,10 +3,11 @@
 A TruncatedSeries stores a sparse exponent -> coefficient map together
 with a truncation level T; exponents at or above T are unknown rather
 than zero.  trunc = math.inf (None in the constructor) means the series
-is known exactly (polynomials in t).  The library does no rational
-series arithmetic: its sums run on integer numerators in the kernel
-_accumulate, acc += t^shift (c + d k) src[k] t^k below a bound, the twin
-of forms._accumulate.
+is known exactly (polynomials in t).  Its one constructor keeps the
+nonzero entries below T as it is given them.  The library does no
+rational series arithmetic: its sums run on integer numerators in the
+kernel _accumulate, acc += t^shift (c + d k) src[k] t^k below a bound,
+the twin of forms._accumulate.
 
 A PuiseuxCurve is the parametrization phi(t) = (t^n, y(t)) with
 ord y = m.  Pullbacks of polynomials and forms are assembled term by
@@ -17,13 +18,9 @@ t^(n alpha) (n mu y^beta + (zeta / beta) theta(y^beta)) dt/t
 (theta = t d/dt), whose t^(n alpha + k) coefficient is
 [y^beta]_k (n mu + zeta k / beta): the row of y^beta with a weight linear
 in k, over the integers of forms._integer_cloud.  A monomial multiple
-x^c y^d omega is read off omega's own cloud, moved by (c, d).  The table is
-fraction-free (Bareiss, Math. Comp. 22, 1968; Geddes, Czapor and Labahn,
-1992): y is held as integer numerators Y over one denominator D (the
-curve's den), the lcm of its denominators, and the entry of each b is
-one row, the integer numerators of y^b over D^b, at the highest
-precision asked for; an even row is the square of row b/2 when that
-takes fewer products than row b - 1 times Y.  A pullback sums integer
+x^c y^d omega is read off omega's own cloud, moved by (c, d).  The table,
+whose rows PuiseuxCurve describes, is fraction-free (Bareiss, Math.
+Comp. 22, 1968; Geddes, Czapor and Labahn, 1992).  A pullback sums integer
 rows over one scale, each exponent's group with small weights and then
 scaled once; pullback_form and pullback_function build one rational per
 nonzero coefficient, the orders nu_C_* build none.  Rational input (y, a
@@ -47,7 +44,7 @@ from dataclasses import dataclass
 
 from .errors import InputError, InternalDisagreement, NotACusp, OrderTooLow
 from .forms import BivariatePolynomial, OneForm, _cleared, _integer_cloud
-from .rationals import Q, cut, rat
+from .rationals import Q, cut, is_int, rat
 from .semigroup import (CuspSemigroup, PuiseuxPair,
                         minimal_b_representation)
 
@@ -77,15 +74,15 @@ def _accumulate(acc: dict, src: dict, shift: int, c, d, bound):
 
 
 class TruncatedSeries:
-    """Sparse series in t, exact below the truncation level: reduced
-    rationals, or integer numerators over a denominator kept elsewhere."""
+    """Sparse series in t: its nonzero entries below the truncation level,
+    kept as given (rationals, or integer numerators over a den elsewhere)."""
 
     __slots__ = ("coeffs", "trunc")
 
     def __init__(self, coeffs=None, trunc=None):
-        self.trunc = math.inf if trunc is None else trunc
-        self.coeffs = {int(k): rat(v) for k, v in (coeffs or {}).items()
-                       if k < self.trunc and v != 0}
+        self.trunc = trunc = math.inf if trunc is None else trunc
+        self.coeffs = {k: v for k, v in (coeffs or {}).items()
+                       if k < trunc and v}
 
     def is_zero(self) -> bool:
         """No nonzero known coefficient (the tail may still be anything)."""
@@ -97,7 +94,7 @@ class TruncatedSeries:
 
     def truncate(self, top: int) -> "TruncatedSeries":
         """The orders below top; self when that cuts nothing."""
-        return self if top >= self.trunc else _reduced(self.coeffs, top)
+        return self if top >= self.trunc else TruncatedSeries(self.coeffs, top)
 
     def __mul__(self, other):
         # trunc(f*g) = min(trunc f + ord g, trunc g + ord f), which is at
@@ -150,11 +147,12 @@ def default_truncation(pair: PuiseuxPair) -> int:
 class PuiseuxCurve:
     """phi(t) = (t^n, y(t)) with ord y = m, known below the truncation T.
 
-    The cusp rules live here: T is an integer (a bool is not), y has a
-    nonzero t^m term and no nonzero term below t^m or at or above T
-    (refused, not dropped), T is at least default_truncation(pair),
-    under which every structural decision of the basis algorithms is
-    taken, and n >= 2 (n = 1 is a smooth branch).
+    The cusp rules live here: T and y's exponents are integers
+    (rationals.is_int) and y's coefficients integers or rationals (curve.y
+    holds rationals), y has a nonzero t^m term and no nonzero term below
+    t^m or at or above T (refused, not dropped), T is at least
+    default_truncation(pair), under which every structural decision of
+    the basis algorithms is taken, and n >= 2 (n = 1 is a smooth branch).
 
     The power table holds y as integer numerators Y over den, the lcm of
     y's denominators, and one row per b: the integer numerators of y^b
@@ -170,9 +168,12 @@ class PuiseuxCurve:
     __slots__ = ("pair", "gamma", "y", "trunc", "den", "_powers")
 
     def __init__(self, pair: PuiseuxPair, y_coeffs, trunc=None):
-        if trunc is not None and (isinstance(trunc, bool)
-                                  or not isinstance(trunc, int)):
+        if trunc is not None and not is_int(trunc):
             raise InputError("truncation must be an integer")
+        if not all(map(is_int, y_coeffs)):
+            raise InputError("y exponents must be integers")
+        if not all(is_int(v) or isinstance(v, Q) for v in y_coeffs.values()):
+            raise InputError("y coefficients must be rationals")
         m = pair.m
         terms = [k for k, v in y_coeffs.items() if v != 0]
         if m not in terms:
@@ -197,11 +198,13 @@ class PuiseuxCurve:
         self.pair = pair
         self.gamma = CuspSemigroup(pair)
         self.trunc = trunc
-        self.y = TruncatedSeries(y_coeffs, trunc)
+        self.y = TruncatedSeries({k: rat(v) for k, v in y_coeffs.items()},
+                                 trunc)
         self.den, (Y,) = _cleared(self.y.coeffs)
         # b -> the numerators of y^b over den^b, at the highest precision
         # asked for
-        self._powers = {0: _reduced({0: 1}, math.inf), 1: _reduced(Y, trunc)}
+        self._powers = {0: TruncatedSeries({0: 1}),
+                        1: TruncatedSeries(Y, trunc)}
 
     def _precision(self, b: int, prec) -> float:
         """prec, or all of y^b (infinite for b = 0) for None or above T."""
@@ -229,12 +232,12 @@ class PuiseuxCurve:
         return row.truncate(want)
 
     def theta_y_times_power(self, b: int, prec=None) -> TruncatedSeries:
-        """The integer numerators of theta(y^(b+1)) over den^(b+1), below
-        prec: (b + 1) theta(y) y^b times den^(b+1), one coefficient sweep
-        k v over the row of y^(b+1), kept in no table.  The library reads
-        theta off that row inside _pullback instead."""
+        """The integer numerators of theta(y^(b+1)) over den^(b+1) below
+        prec, the sweep k v over the row of y^(b+1), kept in no table; the
+        library's _pullback reads theta off that row itself."""
         row = self.y_power(b + 1, prec)
-        return _reduced({k: k * v for k, v in row.coeffs.items()}, row.trunc)
+        return TruncatedSeries({k: k * v for k, v in row.coeffs.items()},
+                               row.trunc)
 
     def __eq__(self, other):
         return (isinstance(other, PuiseuxCurve) and self.pair == other.pair
@@ -242,13 +245,6 @@ class PuiseuxCurve:
 
     def __repr__(self):
         return "PuiseuxCurve(t^%d, %r)" % (self.pair.n, self.y)
-
-
-def _reduced(coeffs: dict, trunc) -> TruncatedSeries:
-    """Reduced nonzero coefficients below trunc: keys filtered, none rebuilt."""
-    out = TruncatedSeries(None, trunc)
-    out.coeffs = {k: v for k, v in coeffs.items() if k < trunc}
-    return out
 
 
 def _assemble(terms, prec) -> TruncatedSeries:
@@ -259,7 +255,7 @@ def _assemble(terms, prec) -> TruncatedSeries:
     for src, shift, c, d in terms:
         bound = min(bound, src.trunc + shift)
         _accumulate(acc, src.coeffs, shift, c, d, bound)
-    return _reduced(acc, bound)  # the bound may fall after a key is written
+    return TruncatedSeries(acc, bound)  # bound may fall after a key is set
 
 
 def _square(h: TruncatedSeries, bound) -> TruncatedSeries:
@@ -276,7 +272,7 @@ def _square(h: TruncatedSeries, bound) -> TruncatedSeries:
             if j + k >= bound:
                 break
             acc[j + k] = acc.get(j + k, 0) + u * v
-    return _reduced({k: v for k, v in acc.items() if v}, bound)
+    return TruncatedSeries(acc, bound)
 
 
 def _pullback(curve: PuiseuxCurve, f, prec, c: int = 0, d: int = 0):
@@ -411,8 +407,8 @@ def _integrate(curve: PuiseuxCurve, xi: dict, E: int,
     n = curve.pair.n
     # the residual, the antiderivative of xi, is R / E with integer R
     L = math.lcm(*(k + 1 for k in xi))
-    acc = _reduced({k + 1: v * (L // (k + 1)) for k, v in xi.items()},
-                   trunc + 1)
+    acc = TruncatedSeries({k + 1: v * (L // (k + 1)) for k, v in xi.items()},
+                          trunc + 1)
     E *= L
     out = {}
     while not acc.is_zero():

@@ -7,16 +7,16 @@ import pytest
 from cuspidal.blowup import build_sequence, transform_form
 from cuspidal.cli import main
 from cuspidal.errors import (CuspidalError, IndexOutOfRange, InputError,
-                             NotInSemigroup, NotUniqueRange, QAboveOrder,
-                             VerificationFailure)
-from cuspidal.forms import OneForm, initial_part
+                             NotDicritical, NotInSemigroup, NotUniqueRange,
+                             QAboveOrder, VerificationFailure)
+from cuspidal.forms import OneForm, Region, initial_part
 from cuspidal.jsonio import parse_curve, parse_form
 from cuspidal.rationals import rat, rat_from_str
 from cuspidal.semigroup import (CuspSemigroup, PuiseuxPair,
                                 minimal_b_representation, represent)
 from cuspidal.semimodule import (GammaSemimodule, level_set, limits,
                                  minimal_basis)
-from cuspidal.semiroot import semiroot
+from cuspidal.semiroot import semiroot, solve_invariant_branch
 from cuspidal.series import PuiseuxCurve
 from cuspidal.stdbasis import compute_standard_basis
 
@@ -547,8 +547,7 @@ G511 = CuspSemigroup(P511)
     (lambda: OneForm.from_cloud(P511, {(1, 0): (0, 1)}),
      "zeta at beta=0 is not a regular form"),
     (lambda: transform_form(build_sequence(P511), OneForm(PuiseuxPair(4, 9)),
-                            0), "form lives at pair PuiseuxPair(n=4, m=9),"
-     " not PuiseuxPair(n=5, m=11)"),
+                            0), "form lives at pair (4, 9), not (5, 11)"),
     (lambda: rat_from_str("1_0"), "not a rational: '1_0'"),
     (lambda: rat_from_str("1/0"), "zero denominator in '1/0'"),
     (lambda: rat_from_str(" 3 / 00 "), "zero denominator in ' 3 / 00 '"),
@@ -556,11 +555,25 @@ G511 = CuspSemigroup(P511)
                  "over the digit cap: an integer of more than %d digits in"
                  " '99999999999999999999...'" % CAP,
                  marks=pytest.mark.skipif(not CAP, reason="no digit cap")),
+    (lambda: PuiseuxPair(True, 2), "pair entries must be integers"),
+    (lambda: PuiseuxPair(5.0, 11), "pair entries must be integers"),
+    (lambda: PuiseuxCurve(P511, {11: 1, 12.5: 1}),
+     "y exponents must be integers"),
+    (lambda: PuiseuxCurve(P511, {11: 1, 12: True}),
+     "y coefficients must be rationals"),
+    (lambda: GammaSemimodule(G511, (5.9, 11)), "generators must be integers"),
+    (lambda: GammaSemimodule(G511, (True, 11)), "generators must be integers"),
+    (lambda: minimal_basis(G511, [5.5, 11]), "generators must be integers"),
+    (lambda: Region(PuiseuxPair(4, 9), (1.7, 2)),
+     "region base must be two integers"),
 ], ids=["not-coprime", "pair-order", "truncation-floor", "term-at-T",
         "redundant", "unsorted", "empty", "negative", "basis-empty",
         "basis-negative", "level-index", "mu-pole", "zeta-pole",
         "blowup-pair", "rational-text", "zero-denominator",
-        "spaced-zero-denominator", "digit-cap"])
+        "spaced-zero-denominator", "digit-cap", "bool-pair-entry",
+        "float-pair-entry", "float-exponent", "bool-coefficient",
+        "float-generator", "bool-generator", "float-basis-generator",
+        "float-region-base"])
 def test_every_input_rule_raises_input_error(build, rule):
     # the owner of each rule raises the one refusal type, which main
     # reports as a CuspidalError and which is a ValueError as well
@@ -587,6 +600,22 @@ DX = OneForm(P511, {(0, 0): 1})
 def test_library_refusals_cut_the_integers_they_echo(build, kind):
     # each site formats the caller's integer with rationals.cut: %d would
     # raise the interpreter's bare ValueError past the digit cap
+    with pytest.raises(kind) as caught:
+        build()
+    assert type(caught.value) is kind
+    assert len(str(caught.value)) <= 100
+
+
+@pytest.mark.parametrize("build, kind", [
+    (lambda: solve_invariant_branch(OneForm(P511, {(BIG, 0): 1}), 1),
+     NotDicritical),
+    (lambda: transform_form(build_sequence(P511),
+                            OneForm(PuiseuxPair(2, BIG + 1)), 0), InputError),
+], ids=["branch-form", "blowup-pair"])
+def test_library_refusals_echo_no_form(build, kind):
+    # a refusal names the rule and cuts the pairs it echoes; a form's
+    # repr, or a pair's %r, past the digit cap would raise a bare
+    # ValueError in place of the refusal
     with pytest.raises(kind) as caught:
         build()
     assert type(caught.value) is kind

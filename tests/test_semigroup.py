@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspidal import CuspSemigroup, PuiseuxPair, contains, copair, represent
-from cuspidal.errors import NotInSemigroup, NotUniqueRange
+from cuspidal.errors import InputError, NotInSemigroup, NotUniqueRange
 from cuspidal.semigroup import minimal_b_representation
 
 from oracles import semigroup_members
@@ -27,7 +27,7 @@ def test_pair_validation():
         PuiseuxPair(5, 3)
     with pytest.raises(ValueError):
         PuiseuxPair(0, 1)
-    with pytest.raises(TypeError):
+    with pytest.raises(InputError):
         PuiseuxPair(5.0, 11)
 
 

@@ -88,6 +88,33 @@ def test_truncation_must_be_an_integer(y, trunc):
         PuiseuxCurve(P511, y, trunc)
 
 
+@pytest.mark.parametrize("y, rule", [
+    ({11: 1, 12.5: 1}, "y exponents must be integers"),
+    ({12.0: 1}, "y exponents must be integers"),
+    ({True: 1, 11: 1}, "y exponents must be integers"),
+    ({11: 1, 12: True}, "y coefficients must be rationals"),
+    ({12: 0.5}, "y coefficients must be rationals"),
+    ({11: 1, 12: "1"}, "y coefficients must be rationals"),
+], ids=["float-exponent", "float-exponent-no-lead", "bool-exponent",
+        "bool-coefficient", "float-coefficient-no-lead", "text-coefficient"])
+def test_y_entries_are_integers_and_rationals(y, rule):
+    # the type rules come after the truncation's and before the cusp
+    # rules, and nothing is truncated or converted into a curve
+    with pytest.raises(InputError, match="^%s$" % rule):
+        PuiseuxCurve(P511, y)
+    with pytest.raises(InputError, match="^truncation must be an integer$"):
+        PuiseuxCurve(P511, y, 150.5)
+
+
+def test_curve_holds_rationals_and_the_series_keeps_what_it_is_given():
+    curve = PuiseuxCurve(P511, {11: 1, 12: rat(1, 2), 13: 0})
+    assert curve.y.coeffs == {11: 1, 12: rat(1, 2)}
+    assert all(type(v) is type(rat(1)) for v in curve.y.coeffs.values())
+    f = TruncatedSeries({3: 2, 7: -1, 8: 0, 12: 5}, 10)
+    assert f.coeffs == {3: 2, 7: -1}
+    assert all(type(v) is int for v in f.coeffs.values())
+
+
 @example({"n": 2, "m": 3, "y": [[3, "1"], [14, "5"]]})
 @example({"n": 2, "m": 3, "y": [[3, "1"], [20, "-1/2"]], "truncation": 20})
 @settings(max_examples=150, deadline=None)

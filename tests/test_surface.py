@@ -21,7 +21,11 @@ each record has one owner: only series (PuiseuxCurve) raises NotACusp,
 only semimodule._scan refuses an empty generator system or a negative
 generator, and semiroot encodes no parametrization itself but goes
 through jsonio.semiroot_to_json, as the standard basis and the
-semimodule command go through jsonio.semimodule_to_json."""
+semimodule command go through jsonio.semimodule_to_json.  An integer has
+one test, rationals.is_int, the only place that asks for a bool, and
+nothing is coerced: int() takes only a rational's numerator or
+denominator or a digit group of the integer grammar, and series builds
+every TruncatedSeries through its one constructor, with no _reduced."""
 
 import ast
 import collections
@@ -434,3 +438,53 @@ def test_integer_cloud_is_computed_once(monkeypatch):
     assert all(w.cloud[(a + 1, b)][0] == c for (a, b), c in w.A.items())
     assert all(w.cloud[(a, b + 1)][1] == c for (a, b), c in w.B.items())
     assert L == 36
+
+
+def _module_trees() -> dict:
+    return {name: ast.parse(pathlib.Path(importlib.import_module(
+        "cuspidal." + name).__file__).read_text()) for name in MODULES}
+
+
+def test_int_coerces_nothing():
+    # int() of a float truncates it and int() of a bool reads it as 0 or
+    # 1; the library calls it only on a rational's numerator or
+    # denominator, or on a group of a regex match, which holds digits
+    found = []
+    for name, tree in _module_trees().items():
+        groups = {node.target.id for node in ast.walk(tree)
+                  if isinstance(node, ast.comprehension)
+                  and isinstance(node.target, ast.Name)
+                  and isinstance(node.iter, ast.Call)
+                  and getattr(node.iter.func, "attr", None) == "groups"}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "int"):
+                continue
+            arg = node.args[0] if len(node.args) == 1 else None
+            if not (isinstance(arg, ast.Attribute)
+                    and arg.attr in ("numerator", "denominator")
+                    or isinstance(arg, ast.Name) and arg.id in groups):
+                found.append((name, node.lineno))
+    assert found == []
+
+
+def test_one_integer_test_and_one_series_constructor():
+    # rationals.is_int is the one place that tells a bool from an int,
+    # and series has no second constructor that skips the first's rules
+    trees = _module_trees()
+
+    def asks_for_bool(node):
+        return (isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "isinstance"
+                and len(node.args) == 2
+                and any(getattr(sub, "id", None) == "bool"
+                        for sub in ast.walk(node.args[1])))
+    found = [(name, node.lineno) for name, tree in trees.items()
+             for node in ast.walk(tree) if asks_for_bool(node)]
+    owners = {(name, qualname) for name, tree in trees.items()
+              for qualname, node in _definitions(tree)
+              if isinstance(node, ast.FunctionDef)
+              for sub in ast.walk(node) if asks_for_bool(sub)}
+    assert len(found) == 1 and owners == {("rationals", "is_int")}
+    assert "_reduced" not in {qualname for qualname, _
+                              in _definitions(trees["series"])}
