@@ -79,11 +79,14 @@ def test_curve_validation():
     assert PuiseuxCurve(P511, {10: 0, 11: 1, 150: 0}) == c
 
 
-@pytest.mark.parametrize("y", [{11: 1}, {12: 1}], ids=["cusp", "not-a-cusp"])
+@pytest.mark.parametrize("y", [{11: 1}, {12: 1}, {11: 1, 12.5: 1},
+                               {11: 1, 12: True}],
+                         ids=["cusp", "not-a-cusp", "float-exponent",
+                              "bool-coefficient"])
 @pytest.mark.parametrize("trunc", [150.5, True], ids=["float", "bool"])
 def test_truncation_must_be_an_integer(y, trunc):
-    # the type rule comes before the cusp rules, so a curve that breaks
-    # both is refused for its truncation
+    # the type rule comes before y's type rules and the cusp rules, so a
+    # curve that breaks several is refused for its truncation
     with pytest.raises(InputError, match="^truncation must be an integer$"):
         PuiseuxCurve(P511, y, trunc)
 
@@ -98,12 +101,10 @@ def test_truncation_must_be_an_integer(y, trunc):
 ], ids=["float-exponent", "float-exponent-no-lead", "bool-exponent",
         "bool-coefficient", "float-coefficient-no-lead", "text-coefficient"])
 def test_y_entries_are_integers_and_rationals(y, rule):
-    # the type rules come after the truncation's and before the cusp
-    # rules, and nothing is truncated or converted into a curve
+    # y's type rules come before the cusp rules, and nothing is truncated
+    # or converted into a curve
     with pytest.raises(InputError, match="^%s$" % rule):
         PuiseuxCurve(P511, y)
-    with pytest.raises(InputError, match="^truncation must be an integer$"):
-        PuiseuxCurve(P511, y, 150.5)
 
 
 def test_curve_holds_rationals_and_the_series_keeps_what_it_is_given():
