@@ -324,7 +324,8 @@ def rdo(omega: OneForm) -> int:
     if omega.is_zero():
         raise ZeroForm("rdo of the zero form")
     nu = nu_E_form(omega)
-    a, b = map(min, zip(*_integer_cloud(omega)[0]))
+    a = min(p[0] for p in _integer_cloud(omega)[0])
+    b = min(p[1] for p in _integer_cloud(omega)[0])
     return nu - omega.pair.n * a - omega.pair.m * b
 
 

@@ -16,7 +16,6 @@ over the cap OverDigitCap, one kind of it.
 
 from __future__ import annotations
 
-import operator
 import re
 import sys
 
@@ -32,9 +31,11 @@ _TEXT = re.compile(_INTEGER.pattern + r"(?:/\s*([0-9]+)\s*)?")
 
 
 def cut(value) -> str:
-    """Text, or an integer's digits at any height, as it is up to 20
-    characters; longer, its first 20 characters and "..."."""
-    text = value if isinstance(value, str) else _digits(operator.index(value))
+    """Text, a rational's canonical text at any height (so it cannot fail
+    on one) or another value's repr, as it is up to 20 characters; longer,
+    its first 20 characters and "..."."""
+    text = value if isinstance(value, str) else (
+        rat_to_str(value) if isinstance(value, (int, Q)) else repr(value))
     return text if len(text) <= 20 else text[:20] + "..."
 
 

@@ -176,7 +176,10 @@ def minimal_basis(gamma: CuspSemigroup, generators) -> tuple:
     minimal_basis(<5,11>, {5, 11, 16, 17}) == (5, 11, 17)
     minimal_basis(<5,11>, {5}) == (5,)
     """
-    return _scan(_as_semigroup(gamma), sorted(set(generators)))[0]
+    gens = tuple(generators)
+    # only integers are sorted: _scan refuses any other input as given
+    return _scan(_as_semigroup(gamma), sorted(set(gens))
+                 if all(map(is_int, gens)) else gens)[0]
 
 
 def limits(sm: GammaSemimodule, i: int) -> Limits:

@@ -18,9 +18,13 @@ t^(n alpha) (n mu y^beta + (zeta / beta) theta(y^beta)) dt/t
 (theta = t d/dt), whose t^(n alpha + k) coefficient is
 [y^beta]_k (n mu + zeta k / beta): the row of y^beta with a weight linear
 in k, over the integers of forms._integer_cloud.  A monomial multiple
-x^c y^d omega is read off omega's own cloud, moved by (c, d).  The table,
-whose rows PuiseuxCurve describes, is fraction-free (Bareiss, Math.
-Comp. 22, 1968; Geddes, Czapor and Labahn, 1992).  A pullback sums integer
+x^c y^d omega is read off omega's own cloud, moved by (c, d).  The table is
+fraction-free (Bareiss, Math. Comp. 22, 1968; Geddes, Czapor and Labahn,
+1992): y is held as integer numerators Y over one denominator D (the
+curve's den), the lcm of its denominators, and the entry of each b is
+one row, the integer numerators of y^b over D^b, at the highest
+precision asked for; an even row is the square of row b/2 when that
+takes fewer products than row b - 1 times Y.  A pullback sums integer
 rows over one scale, each exponent's group with small weights and then
 scaled once; pullback_form and pullback_function build one rational per
 nonzero coefficient, the orders nu_C_* build none.  Rational input (y, a
@@ -170,10 +174,7 @@ class PuiseuxCurve:
     def __init__(self, pair: PuiseuxPair, y_coeffs, trunc=None):
         if trunc is not None and not is_int(trunc):
             raise InputError("truncation must be an integer")
-        if not all(map(is_int, y_coeffs)):
-            raise InputError("y exponents must be integers")
-        if not all(is_int(v) or isinstance(v, Q) for v in y_coeffs.values()):
-            raise InputError("y coefficients must be rationals")
+        _typed(y_coeffs, "y")
         m = pair.m
         terms = [k for k, v in y_coeffs.items() if v != 0]
         if m not in terms:
@@ -232,9 +233,10 @@ class PuiseuxCurve:
         return row.truncate(want)
 
     def theta_y_times_power(self, b: int, prec=None) -> TruncatedSeries:
-        """The integer numerators of theta(y^(b+1)) over den^(b+1) below
-        prec, the sweep k v over the row of y^(b+1), kept in no table; the
-        library's _pullback reads theta off that row itself."""
+        """The integer numerators of theta(y^(b+1)) over den^(b+1), below
+        prec: (b + 1) theta(y) y^b times den^(b+1), one coefficient sweep
+        k v over the row of y^(b+1), kept in no table.  The library reads
+        theta off that row inside _pullback instead."""
         row = self.y_power(b + 1, prec)
         return TruncatedSeries({k: k * v for k, v in row.coeffs.items()},
                                row.trunc)
@@ -245,6 +247,15 @@ class PuiseuxCurve:
 
     def __repr__(self):
         return "PuiseuxCurve(t^%d, %r)" % (self.pair.n, self.y)
+
+
+def _typed(coeffs: dict, what: str):
+    """Refuse exponents that are not integers (rationals.is_int) and
+    coefficients that are neither integers nor rationals."""
+    if not all(map(is_int, coeffs)):
+        raise InputError("%s exponents must be integers" % what)
+    if not all(is_int(v) or isinstance(v, Q) for v in coeffs.values()):
+        raise InputError("%s coefficients must be rationals" % what)
 
 
 def _assemble(terms, prec) -> TruncatedSeries:
@@ -389,7 +400,9 @@ def integrate_against_conductor(curve: PuiseuxCurve,
     member, not only below n m.  The residual is held as integers R over
     one denominator E, and each step is _eliminate against a row of the
     power table; it builds one rational, the monomial's coefficient.
+    The integrand's entries are refused as a curve's y is (_typed).
     """
+    _typed(xi.coeffs, "integrand")
     if xi.is_zero():
         return BivariatePolynomial()
     if xi.order_lb() < curve.pair.conductor:

@@ -1,13 +1,13 @@
 """Record alternating benchmark pairs of a parent checkout and this one.
 
-    python tests/bench_record.py --parent PARENT_CHECKOUT --label pr27 \\
-        [--pairs 10] [--seconds N]
+    python tests/bench_record.py --parent PARENT_CHECKOUT --label pr27
 
-For each of --pairs pairs and each workload of BENCHMARK.json, runs
+For each of 10 pairs and each workload of BENCHMARK.json, runs
 `bench/run.py --workload W --seed S --seconds N --trace 0` once in each
 checkout, from that checkout's root and on its own src/, with seed S the
-pair's number (1, 2, ...).  The side that runs first alternates from one
-pair to the next, so a drift of the machine falls on both.  It refuses
+pair's number (1 to 10) and N BENCHMARK.json's run_seconds.  The side
+that runs first alternates from one pair to the next, so a drift of the
+machine falls on both.  It refuses
 to run when the two bench/ trees differ, since the numbers would then
 measure the benchmark as well as the program.
 
@@ -15,8 +15,7 @@ Writes BENCH_<label>.json at the root of this checkout: the `# machine`
 line and the commit of each side, every run's end-to-end metrics with
 `correct`, `attempted` and `failed`, and per workload and metric the
 quartiles (statistics.quantiles, inclusive) and median of each side and
-the number of pairs in which this checkout did better.  `--seconds`
-defaults to BENCHMARK.json's run_seconds.
+the number of pairs in which this checkout did better.
 
 pytest does not collect this file.
 """
@@ -31,6 +30,7 @@ import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+PAIRS = 10
 
 
 def bench_differs(a: pathlib.Path, b: pathlib.Path) -> list:
@@ -97,11 +97,9 @@ def main(argv=None) -> int:
                         help="root of the parent commit's checkout")
     parser.add_argument("--label", required=True,
                         help="names the output, BENCH_<label>.json")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=int, default=None)
     ns = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = ns.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     parent = ns.parent.resolve()
     differs = bench_differs(parent, ROOT)
     if differs:
@@ -110,7 +108,7 @@ def main(argv=None) -> int:
         return 1
     sides = {"parent": parent, "change": ROOT}
     machines, workloads = set(), {}
-    for k in range(ns.pairs):
+    for k in range(PAIRS):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         for workload in (w["name"] for w in spec["workloads"]):
             pair = {"seed": k + 1, "first": order[0]}

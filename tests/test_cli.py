@@ -564,6 +564,8 @@ G511 = CuspSemigroup(P511)
     (lambda: GammaSemimodule(G511, (5.9, 11)), "generators must be integers"),
     (lambda: GammaSemimodule(G511, (True, 11)), "generators must be integers"),
     (lambda: minimal_basis(G511, [5.5, 11]), "generators must be integers"),
+    (lambda: minimal_basis(G511, ["5", 11]), "generators must be integers"),
+    (lambda: minimal_basis(G511, [[5], 11]), "generators must be integers"),
     (lambda: Region(PuiseuxPair(4, 9), (1.7, 2)),
      "region base must be two integers"),
 ], ids=["not-coprime", "pair-order", "truncation-floor", "term-at-T",
@@ -573,6 +575,7 @@ G511 = CuspSemigroup(P511)
         "spaced-zero-denominator", "digit-cap", "bool-pair-entry",
         "float-pair-entry", "float-exponent", "bool-coefficient",
         "float-generator", "bool-generator", "float-basis-generator",
+        "text-basis-generator", "unhashable-basis-generator",
         "float-region-base"])
 def test_every_input_rule_raises_input_error(build, rule):
     # the owner of each rule raises the one refusal type, which main
@@ -595,11 +598,19 @@ DX = OneForm(P511, {(0, 0): 1})
     (lambda: limits(GammaSemimodule(G511, (5, 11)), BIG), IndexOutOfRange),
     (lambda: initial_part(DX, BIG), QAboveOrder),
     (lambda: transform_form(build_sequence(P511), DX, BIG), IndexOutOfRange),
+    (lambda: initial_part(DX, rat(BIG, 3)), QAboveOrder),
+    (lambda: compute_standard_basis(PuiseuxCurve(P511, {11: 1})).form(9.5),
+     IndexOutOfRange),
+    (lambda: limits(GammaSemimodule(G511, (5, 11)), 7.5), IndexOutOfRange),
+    (lambda: initial_part(DX, 30.5), QAboveOrder),
+    (lambda: transform_form(build_sequence(P511), DX, 9.5), IndexOutOfRange),
 ], ids=["redundant", "represent", "minimal-b", "limits", "initial-part",
-        "blowup-step"])
+        "blowup-step", "initial-part-rational", "float-form-index",
+        "float-limits-index", "float-initial-part", "float-blowup-step"])
 def test_library_refusals_cut_the_integers_they_echo(build, kind):
-    # each site formats the caller's integer with rationals.cut: %d would
-    # raise the interpreter's bare ValueError past the digit cap
+    # each site formats the caller's number with rationals.cut, which
+    # fails on none: %d would raise the interpreter's bare ValueError past
+    # the digit cap, and a float would raise a bare TypeError there
     with pytest.raises(kind) as caught:
         build()
     assert type(caught.value) is kind

@@ -73,3 +73,12 @@ def test_refusals_cut_text_and_ints_of_any_height_to_twenty_characters():
     assert cut(-(10 ** 5000)) == "-1" + "0" * 18 + "..."
     assert cut(12345) == "12345" and cut(True) == "1"
     assert echo("x" * 21) == repr("x" * 20 + "...")
+
+
+def test_cut_shows_any_other_number_as_it_is():
+    # a rational in canonical text at any height, anything else by repr:
+    # a refusal that echoes a caller's float truncates nothing and keeps
+    # its own type
+    assert cut(Q(19, 2)) == "19/2" and cut(9.5) == "9.5"
+    assert cut(Q(10 ** 5000, 3)) == "1" + "0" * 19 + "..."
+    assert cut([5] * 10) == "[5, 5, 5, 5, 5, 5, 5..."

@@ -409,6 +409,21 @@ def test_integrate_zero_and_monomial():
         integrate_against_conductor(c, TruncatedSeries({39: 1}))
 
 
+@pytest.mark.parametrize("xi, rule", [
+    ({40: 0.5}, "integrand coefficients must be rationals"),
+    ({40: True}, "integrand coefficients must be rationals"),
+    ({40.0: 1}, "integrand exponents must be integers"),
+    ({40: 1, 41.5: rat(1, 2)}, "integrand exponents must be integers"),
+], ids=["float-coefficient", "bool-coefficient", "float-exponent",
+        "float-exponent-late"])
+def test_integrand_entries_are_integers_and_rationals(xi, rule):
+    # the series constructor keeps what it is given, so the one entry
+    # that takes a caller's series refuses its entries as a curve's y
+    c = PuiseuxCurve(P511, {11: 1})
+    with pytest.raises(InputError, match="^%s$" % rule):
+        integrate_against_conductor(c, TruncatedSeries(xi))
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=10 ** 6))
 def test_integrate_round_trip(seed):
