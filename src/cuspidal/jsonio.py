@@ -33,25 +33,45 @@ _LEAVES = {str: encode_basestring_ascii, int: int.__repr__,
            type(None): lambda _: "null"}
 
 
+class _Terms(list):
+    """A term table's sorted ((a, b), c) items, written as the list of
+    [a, b, "c"] entries."""
+    __slots__ = ()
+
+
 def dumps(obj) -> str:
     """json.dumps(obj, indent=2)'s bytes and a line break, written by
     direct recursion into one list of chunks: the stdlib takes its
     pure-Python encoder whenever indent is given."""
     chunks = []
-    _emit(obj, chunks, "\n")
+    _emit(obj, chunks, "\n", "", {})
     chunks.append("\n")
     return "".join(chunks)
 
 
-def _emit(obj, out: list, newline: str, head: str = "") -> None:
+def _emit(obj, out: list, newline: str, head: str, texts: dict) -> None:
     """Append head and obj's chunks to out; newline is a line break and
-    obj's indent.  Types dispatch exactly, so a bool is never an int; a
-    type the CLI never emits (a float, a tuple, a non-str key) raises
-    TypeError."""
+    obj's indent, texts the coefficient texts written so far, by id (obj
+    keeps each coefficient alive, so no id is reused).  Types dispatch
+    exactly, so a bool is never an int; a type the CLI never emits (a
+    float, a tuple, a non-str key) raises TypeError."""
     kind = type(obj)
     leaf = _LEAVES.get(kind)
     if leaf is not None:
         out.append(head + leaf(obj))
+        return
+    if kind is _Terms:
+        i1 = newline + "  "
+        i2 = i1 + "  "
+        row = "[" + i2 + "%d," + i2 + "%d," + i2 + "\"%s\"" + i1 + "]"
+        rows = []
+        for (a, b), c in obj:
+            text = texts.get(id(c))
+            if text is None:
+                text = texts[id(c)] = rat_to_str(c)
+            rows.append(row % (a, b, text))
+        out.append(head + ("[" + i1 + ("," + i1).join(rows) + newline + "]"
+                           if rows else "[]"))
         return
     if kind is not list and kind is not dict:
         raise TypeError("%s is not written as JSON" % kind.__name__)
@@ -67,7 +87,7 @@ def _emit(obj, out: list, newline: str, head: str = "") -> None:
                                 % type(item).__name__)
             sep += encode_basestring_ascii(item) + ": "
             item = obj[item]
-        _emit(item, out, inner, sep)
+        _emit(item, out, inner, sep, texts)
         sep = "," + inner
     out.append(newline + ("]" if kind is list else "}"))
 
@@ -180,8 +200,11 @@ def parse_form(obj) -> OneForm:
 
 
 def poly_to_json(p) -> list:
-    """A BivariatePolynomial or a {(a, b): c} table as [a, b, "c"] entries."""
-    return [[a, b, rat_to_str(c)] for (a, b), c in sorted(p.items())]
+    """A BivariatePolynomial or a {(a, b): c} table as [a, b, "c"] entries,
+    held as its sorted items until dumps writes them."""
+    terms = _Terms(p.items())
+    terms.sort()
+    return terms
 
 
 def delorme_to_json(dec) -> dict:

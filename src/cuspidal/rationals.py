@@ -58,6 +58,11 @@ def is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def is_rational(x) -> bool:
+    """An integer (is_int) or a Q: the library's one rational test."""
+    return is_int(x) or isinstance(x, Q)
+
+
 def rat(num, den=1):
     """Build an exact rational from integers (or another rational)."""
     return Q(num) if den == 1 and isinstance(num, (int, Q)) else Q(num, den)

@@ -190,6 +190,8 @@ def limits(sm: GammaSemimodule, i: int) -> Limits:
     of p, so each p = 1 .. n is lifted by whole periods until it gets
     there and the limit is the least lifted p (step = n, resp. m).
     """
+    if not is_int(i):
+        raise IndexOutOfRange("limits index must be an integer")
     if not 0 <= i <= sm.s_index:
         raise IndexOutOfRange("limits index %s outside 0..%d"
                               % (cut(i), sm.s_index))

@@ -23,11 +23,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import (IndexOutOfRange, NotDicritical, VerificationFailure,
-                     ZeroPivot)
+from .errors import (IndexOutOfRange, InputError, NotDicritical,
+                     VerificationFailure, ZeroPivot)
 from .forms import OneForm, _integer_cloud, nu_E_form
 from .jsonio import semiroot_to_json
-from .rationals import Q, cut, rat, rat_to_str
+from .rationals import Q, cut, is_int, is_rational, rat, rat_to_str
 from .series import OrderResult, PuiseuxCurve, default_truncation, nu_C_form
 from .stdbasis import (ExtendedStandardBasis, compute_standard_basis,
                        semimodule_oracle)
@@ -99,7 +99,7 @@ def solve_invariant_branch(omega: OneForm, a, trunc: int = None) -> PuiseuxCurve
     """
     pair = omega.pair
     n, m = pair.n, pair.m
-    a = rat(a)
+    a = _parameter(a)
     verdict = is_totally_dicritical(omega)
     if not verdict:
         raise NotDicritical("form has no invariant branch family")
@@ -213,15 +213,27 @@ def solve_invariant_branch(omega: OneForm, a, trunc: int = None) -> PuiseuxCurve
                         trunc)
 
 
+def _parameter(a) -> Q:
+    """The branch parameter a as a Q; any a but an integer (not a bool)
+    or a Q is refused."""
+    if not is_rational(a):
+        raise InputError("branch parameter a must be a rational")
+    return rat(a)
+
+
 def _solve(basis: ExtendedStandardBasis, i: int, a):
-    """omega_i, its invariant branch at parameter a, the branch's standard
-    basis and the prefix Lambda_{i-1} that basis must carry."""
+    """a as a Q, omega_i, its invariant branch at parameter a, the
+    branch's standard basis and the prefix Lambda_{i-1} that basis must
+    carry; the index and a are checked before any work."""
+    if not is_int(i):
+        raise IndexOutOfRange("semiroot index must be an integer")
     if not 1 <= i <= basis.s_index + 1:
         raise IndexOutOfRange("semiroot index %s outside 1..%d"
                               % (cut(i), basis.s_index + 1))
+    a = _parameter(a)
     omega = basis.form(i)
     branch = solve_invariant_branch(omega, a, basis.curve.trunc)
-    return (omega, branch, compute_standard_basis(branch),
+    return (a, omega, branch, compute_standard_basis(branch),
             basis.semimodule.truncated(i - 1))
 
 
@@ -232,15 +244,15 @@ def semiroot(basis: ExtendedStandardBasis, i: int, a) -> Semiroot:
     and the resulting semimodule compared against the source prefix
     Lambda_{i-1}.  A mismatch raises VerificationFailure.
     """
-    _, branch, branch_basis, expected = _solve(basis, i, a)
+    a, _, branch, branch_basis, expected = _solve(basis, i, a)
     sm = branch_basis.semimodule
     if sm != expected:
         raise VerificationFailure(
             "omega_%d-semiroot carries %r, expected %r" % (i, sm, expected),
-            report={"i": i, "a": rat_to_str(rat(a)),
+            report={"i": i, "a": rat_to_str(a),
                     "semimodule": list(sm.basis),
                     "expected": list(expected.basis)})
-    return Semiroot(i, rat(a), branch, sm)
+    return Semiroot(i, a, branch, sm)
 
 
 def verify_main_theorem(basis: ExtendedStandardBasis, i: int, a) -> dict:
@@ -253,8 +265,7 @@ def verify_main_theorem(basis: ExtendedStandardBasis, i: int, a) -> dict:
     critical order is nu_E(omega_i).  Returns the report on success and
     raises VerificationFailure carrying it otherwise.
     """
-    a = rat(a)
-    omega, branch, branch_basis, expected = _solve(basis, i, a)
+    a, omega, branch, branch_basis, expected = _solve(basis, i, a)
     checks = {}
     checks["standard_basis_semimodule"] = branch_basis.semimodule == expected
     checks["oracle_semimodule"] = semimodule_oracle(branch) == expected

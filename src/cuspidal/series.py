@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 from .errors import InputError, InternalDisagreement, NotACusp, OrderTooLow
 from .forms import BivariatePolynomial, OneForm, _cleared, _integer_cloud
-from .rationals import Q, cut, is_int, rat
+from .rationals import Q, cut, is_int, is_rational, rat
 from .semigroup import (CuspSemigroup, PuiseuxPair,
                         minimal_b_representation)
 
@@ -254,7 +254,7 @@ def _typed(coeffs: dict, what: str):
     coefficients that are neither integers nor rationals."""
     if not all(map(is_int, coeffs)):
         raise InputError("%s exponents must be integers" % what)
-    if not all(is_int(v) or isinstance(v, Q) for v in coeffs.values()):
+    if not all(map(is_rational, coeffs.values())):
         raise InputError("%s coefficients must be rationals" % what)
 
 

@@ -7,15 +7,18 @@ For each of 10 pairs and each workload of BENCHMARK.json, runs
 checkout, from that checkout's root and on its own src/, with seed S the
 pair's number (1 to 10) and N BENCHMARK.json's run_seconds.  The side
 that runs first alternates from one pair to the next, so a drift of the
-machine falls on both.  It refuses
+machine falls on both.  Then each side runs every workload once more at
+`--seed 1 --trace 1` for the per-layer metrics.  It refuses
 to run when the two bench/ trees differ, since the numbers would then
 measure the benchmark as well as the program.
 
 Writes BENCH_<label>.json at the root of this checkout: the `# machine`
-line and the commit of each side, every run's end-to-end metrics with
-`correct`, `attempted` and `failed`, and per workload and metric the
+line and the commit of each side, every run's end-to-end metrics and its
+unscaled wall_s (`unscaled_wall_s`, from the `# unscaled wall_s` line)
+with `correct`, `attempted` and `failed`, and per workload and metric the
 quartiles (statistics.quantiles, inclusive) and median of each side and
-the number of pairs in which this checkout did better.
+the number of pairs in which this checkout did better; per workload, the
+traced pass's per-layer metrics of each side.
 
 pytest does not collect this file.
 """
@@ -52,13 +55,18 @@ def commit(checkout: pathlib.Path) -> str:
     return done.stdout.strip() if done.returncode == 0 else None
 
 
+UNSCALED = "# unscaled wall_s "
+
+
 def run_once(checkout: pathlib.Path, workload: str, seed: int,
-             seconds: int) -> tuple:
-    """(machine line, result) of one bench/run.py --trace 0 run."""
+             seconds: int, trace: int = 0) -> tuple:
+    """(machine line, result) of one bench/run.py run; a --trace 0 run's
+    metrics gain its unscaled wall_s."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     done = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds),
+         "--trace", str(trace)],
         cwd=checkout, env=env, capture_output=True, text=True)
     if done.returncode != 0:
         raise SystemExit("bench/run.py failed in %s (%s, seed %d):\n%s"
@@ -66,11 +74,15 @@ def run_once(checkout: pathlib.Path, workload: str, seed: int,
     lines = done.stdout.strip().splitlines()
     machine = next(line for line in lines if line.startswith("# machine"))
     result = json.loads(lines[-1])
+    metrics = {name: entry["value"]
+               for name, entry in result["metrics"].items()}
+    if not trace:
+        line = next(line for line in lines if line.startswith(UNSCALED))
+        metrics["unscaled_wall_s"] = float(line[len(UNSCALED):].split()[0])
     return machine, {"correct": result["correct"],
                      "attempted": result["attempted"],
                      "failed": result["failed"],
-                     "metrics": {name: entry["value"] for name, entry
-                                 in result["metrics"].items()}}
+                     "metrics": metrics}
 
 
 def summary(pairs: list, metrics: list) -> dict:
@@ -120,14 +132,24 @@ def main(argv=None) -> int:
             print("pair %d %s: %s" % (k + 1, workload, json.dumps(
                 {side: pair[side]["metrics"] for side in order})),
                 flush=True)
+    traced = {}
+    for workload in workloads:
+        for side, path in sides.items():
+            machine, traced.setdefault(workload, {})[side] = run_once(
+                path, workload, 1, seconds, trace=1)
+            machines.add(machine)
+        print("traced %s" % workload, flush=True)
+    metrics = spec["end_to_end"] + [{"name": "unscaled_wall_s",
+                                     "better": "lower"}]
     record = {
         "label": ns.label,
         "machine": sorted(machines),
         "commits": {side: commit(path) for side, path in sides.items()},
-        "command": "bench/run.py --trace 0 --seconds %d, seed = pair"
-                   % seconds,
+        "command": "bench/run.py --trace 0 --seconds %d, seed = pair; "
+                   "--trace 1 --seed 1 once per side" % seconds,
         "workloads": {name: {"runs": pairs,
-                             "summary": summary(pairs, spec["end_to_end"])}
+                             "summary": summary(pairs, metrics),
+                             "traced": traced[name]}
                       for name, pairs in workloads.items()},
     }
     out = ROOT / ("BENCH_%s.json" % ns.label)

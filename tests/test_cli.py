@@ -16,9 +16,10 @@ from cuspidal.semigroup import (CuspSemigroup, PuiseuxPair,
                                 minimal_b_representation, represent)
 from cuspidal.semimodule import (GammaSemimodule, level_set, limits,
                                  minimal_basis)
-from cuspidal.semiroot import semiroot, solve_invariant_branch
+from cuspidal.semiroot import (semiroot, solve_invariant_branch,
+                               verify_main_theorem)
 from cuspidal.series import PuiseuxCurve
-from cuspidal.stdbasis import compute_standard_basis
+from cuspidal.stdbasis import compute_standard_basis, delorme_decompose
 
 from oracles import no_digit_cap
 
@@ -524,6 +525,10 @@ P511 = PuiseuxPair(5, 11)
 G511 = CuspSemigroup(P511)
 
 
+def basis511():
+    return compute_standard_basis(PuiseuxCurve(P511, {11: 1, 12: 1, 13: 1}))
+
+
 @pytest.mark.parametrize("build, rule", [
     (lambda: PuiseuxPair(4, 6), "pair (4, 6) is not coprime"),
     (lambda: PuiseuxPair(11, 5), "need 1 <= n <= m, got (11, 5)"),
@@ -568,6 +573,28 @@ G511 = CuspSemigroup(P511)
     (lambda: minimal_basis(G511, [[5], 11]), "generators must be integers"),
     (lambda: Region(PuiseuxPair(4, 9), (1.7, 2)),
      "region base must be two integers"),
+    (lambda: basis511().form(1.5), "form index must be an integer"),
+    (lambda: basis511().form(True), "form index must be an integer"),
+    (lambda: delorme_decompose(basis511(), 1.0, 0),
+     "Delorme index must be an integer"),
+    (lambda: delorme_decompose(basis511(), 1, False),
+     "Delorme index must be an integer"),
+    (lambda: limits(GammaSemimodule(G511, (5, 11)), 0.5),
+     "limits index must be an integer"),
+    (lambda: transform_form(build_sequence(P511), OneForm(P511), True),
+     "step index must be an integer"),
+    (lambda: verify_main_theorem(basis511(), 2.0, 1),
+     "semiroot index must be an integer"),
+    (lambda: verify_main_theorem(basis511(), True, 1),
+     "semiroot index must be an integer"),
+    (lambda: semiroot(basis511(), 1, 0.5),
+     "branch parameter a must be a rational"),
+    (lambda: semiroot(basis511(), 1, True),
+     "branch parameter a must be a rational"),
+    (lambda: verify_main_theorem(basis511(), 1, 0.5),
+     "branch parameter a must be a rational"),
+    (lambda: solve_invariant_branch(basis511().form(1), "1"),
+     "branch parameter a must be a rational"),
 ], ids=["not-coprime", "pair-order", "truncation-floor", "term-at-T",
         "redundant", "unsorted", "empty", "negative", "basis-empty",
         "basis-negative", "level-index", "mu-pole", "zeta-pole",
@@ -576,7 +603,11 @@ G511 = CuspSemigroup(P511)
         "float-pair-entry", "float-exponent", "bool-coefficient",
         "float-generator", "bool-generator", "float-basis-generator",
         "text-basis-generator", "unhashable-basis-generator",
-        "float-region-base"])
+        "float-region-base", "float-form-index", "bool-form-index",
+        "float-delorme-index", "bool-delorme-index", "float-limits-index",
+        "bool-blowup-step", "float-semiroot-index", "bool-semiroot-index",
+        "float-parameter", "bool-parameter", "float-verify-parameter",
+        "text-branch-parameter"])
 def test_every_input_rule_raises_input_error(build, rule):
     # the owner of each rule raises the one refusal type, which main
     # reports as a CuspidalError and which is a ValueError as well
@@ -585,6 +616,18 @@ def test_every_input_rule_raises_input_error(build, rule):
     assert str(caught.value) == rule
     assert isinstance(caught.value, CuspidalError)
     assert isinstance(caught.value, ValueError)
+
+
+@pytest.mark.parametrize("build", [
+    lambda b: semiroot(b, b.s_index + 1, 0.5),
+    lambda b: verify_main_theorem(b, b.s_index + 1, True),
+], ids=["semiroot", "verify"])
+def test_bad_parameter_is_refused_before_the_adjustment(build):
+    # the parameter rule runs before omega_{s+1} is built
+    basis = basis511()
+    with pytest.raises(InputError, match="branch parameter a must be"):
+        build(basis)
+    assert basis.adjusted is None
 
 
 BIG = 10 ** 4999  # 5,000 digits, over the interpreter's digit cap
