@@ -5,7 +5,10 @@ so no JSON consumer can round them.  Objects are built with a fixed key
 order and dumped without sorting, which makes every emission byte
 deterministic.  dumps writes json.dumps(indent=2)'s bytes directly, its
 leaves through the C string encoder and int.__repr__, with no cyclic
-garbage.  Parsers are strict: an unknown key is an error, not a warning,
+garbage.  poly_to_json hands it a table's sorted terms as one leaf kind,
+written a row at a time; each coefficient's text is made once per dumps
+call, memoised by object identity in a dict that lives for that call
+alone.  Parsers are strict: an unknown key is an error, not a warning,
 because silently ignored input has burned us before.
 """
 
