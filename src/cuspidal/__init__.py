@@ -8,8 +8,8 @@ by the basis forms, together with cross-checks of the structure theorems
 relating all of these.
 """
 
-from .semigroup import (PuiseuxPair, CuspSemigroup, GammaRepresentation,
-                        contains, represent, copair)
+from .semigroup import (PuiseuxPair, GammaRepresentation, contains,
+                        represent, copair)
 from .semimodule import (GammaSemimodule, Limits, LevelSet, Tops,
                          minimal_basis, limits, is_increasing, level_set,
                          ray_level_set, is_circular_interval, tops)

@@ -27,7 +27,7 @@ from .jsonio import (basis_to_json, curve_to_json, delorme_to_json,
                      verify_report_to_json)
 from .rationals import (OverDigitCap, cut, echo, int_from_str,
                         rat_from_str)
-from .semigroup import CuspSemigroup, PuiseuxPair, copair
+from .semigroup import PuiseuxPair, copair
 from .semimodule import GammaSemimodule, is_increasing, minimal_basis
 from .semiroot import semiroot, verify_main_theorem
 from .stdbasis import compute_standard_basis, delorme_decompose
@@ -131,10 +131,9 @@ def cmd_semigroup(ns):
     pair = _pair_argument(ns.pair)
     if ns.copair:
         return {"copair": list(copair(pair))}
-    gamma = CuspSemigroup(pair)
     return {"pair": [pair.n, pair.m],
             "conductor": pair.conductor,
-            "apery": list(gamma.apery)}
+            "apery": list(pair.apery)}
 
 
 def cmd_semimodule(ns):
@@ -148,8 +147,8 @@ def cmd_semimodule(ns):
         values = _integers(ns.generators, "--generators wants integers")
         if len(values) < 2:
             raise InputError("--generators wants at least n,m")
-        gamma = CuspSemigroup(PuiseuxPair(values[0], values[1]))
-        sm = GammaSemimodule(gamma, minimal_basis(gamma, values))
+        pair = PuiseuxPair(values[0], values[1])
+        sm = GammaSemimodule(pair, minimal_basis(pair, values))
     return {**semimodule_to_json(sm), "conductor": sm.conductor,
             "increasing": is_increasing(sm)}
 

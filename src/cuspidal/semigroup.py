@@ -1,16 +1,17 @@
 """Numerical semigroup of a cusp with a single characteristic pair.
 
 A branch (t^n, a t^m + ...) with gcd(n, m) = 1 has value semigroup
-Gamma = <n, m> = {a*n + b*m : a, b >= 0}.  This module holds the pair
-itself, membership and representation queries answered through per-residue
-minima (no enumeration), and the co-pair (b, d) with d*n - b*m = 1 that
-drives the region geometry used by the 1-form modules.
+Gamma = <n, m> = {a*n + b*m : a, b >= 0}.  This module holds the pair,
+which is the semigroup: membership and representation queries take it and
+read its per-residue minima (no enumeration).  It also holds the co-pair
+(b, d) with d*n - b*m = 1 that drives the region geometry of the 1-forms.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (InputError, InternalDisagreement, NotInSemigroup,
                      NotUniqueRange)
@@ -19,7 +20,8 @@ from .rationals import cut, is_int
 
 @dataclass(frozen=True)
 class PuiseuxPair:
-    """A coprime pair (n, m) of integers (rationals.is_int), 1 <= n <= m.
+    """A coprime pair (n, m) of integers (rationals.is_int), 1 <= n <= m,
+    and so the semigroup <n, m>; repr, == and hash read (n, m) alone.
 
     n = 1 is legal here (the blow-up chain walks down to (1, 1));
     series.PuiseuxCurve refuses it, as a smooth branch.
@@ -37,6 +39,13 @@ class PuiseuxPair:
         if math.gcd(self.n, self.m) != 1:
             raise InputError("pair (%s, %s) is not coprime"
                              % (cut(self.n), cut(self.m)))
+
+    @cached_property
+    def apery(self) -> tuple:
+        """apery[r] = b*m with b = r m^-1 mod n, the least member in class
+        r: p is a member iff p >= apery[p mod n].  Built on first use."""
+        minv = self.m_inverse_mod_n
+        return tuple(((r * minv) % self.n) * self.m for r in range(self.n))
 
     @property
     def conductor(self) -> int:
@@ -58,59 +67,43 @@ class GammaRepresentation:
     b: int
 
 
-@dataclass(frozen=True)
-class CuspSemigroup:
-    """Gamma = <n, m> with an Apery-style table of per-residue minima.
-
-    apery[r] is the least member congruent to r mod n, namely b*m with
-    b = r * (m^-1 mod n) mod n.  Membership of p is then a single lookup:
-    p is a member iff p >= apery[p mod n].
-    """
-
-    pair: PuiseuxPair
-    apery: tuple = field(init=False, repr=False)
-
-    def __post_init__(self):
-        n, m = self.pair.n, self.pair.m
-        minv = self.pair.m_inverse_mod_n
-        table = tuple(((r * minv) % n) * m for r in range(n))
-        object.__setattr__(self, "apery", table)
-
-
-def contains(gamma: CuspSemigroup, p: int) -> bool:
+def contains(pair: PuiseuxPair, p: int) -> bool:
     """Membership p in <n, m>, answered by the residue table.
 
     Examples: 16 in <5, 11>; 0 in <5, 11>; 39 not in <5, 11>.
     """
     if p < 0:
         return False
-    return p >= gamma.apery[p % gamma.pair.n]
+    return p >= pair.apery[p % pair.n]
 
 
-def represent(gamma: CuspSemigroup, p: int) -> GammaRepresentation:
+def represent(pair: PuiseuxPair, p: int) -> GammaRepresentation:
     """The unique (a, b) with p = a*n + b*m, valid for members p < n*m.
 
-    Raises NotUniqueRange for p >= n*m (several representations exist
-    there) and NotInSemigroup for non-members.
+    Raises InputError for a p that is not an integer, NotUniqueRange for
+    p >= n*m (several representations exist there) and NotInSemigroup for
+    non-members.
     """
-    n, m = gamma.pair.n, gamma.pair.m
+    n, m = pair.n, pair.m
+    if not is_int(p):
+        raise InputError("semigroup element must be an integer")
     if p >= n * m:
         raise NotUniqueRange("representation of %s >= %s is not unique"
                              % (cut(p), cut(n * m)))
-    return minimal_b_representation(gamma, p)
+    return minimal_b_representation(pair, p)
 
 
-def minimal_b_representation(gamma: CuspSemigroup, p: int) -> GammaRepresentation:
+def minimal_b_representation(pair: PuiseuxPair, p: int) -> GammaRepresentation:
     """Representation of any member with the least possible b (a as large as needed).
 
     Unlike represent() this works above n*m; used by the greedy
     integration step where orders run past the conductor.
     """
-    n, m = gamma.pair.n, gamma.pair.m
-    if not contains(gamma, p):
+    n, m = pair.n, pair.m
+    if not contains(pair, p):
         raise NotInSemigroup("%s is not in <%s, %s>"
                              % (cut(p), cut(n), cut(m)))
-    b = (p * gamma.pair.m_inverse_mod_n) % n
+    b = (p * pair.m_inverse_mod_n) % n
     a = (p - b * m) // n
     return GammaRepresentation(p, a, b)
 

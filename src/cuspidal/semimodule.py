@@ -19,16 +19,10 @@ from dataclasses import dataclass
 
 from .errors import IndexOutOfRange, InputError
 from .rationals import cut, is_int
-from .semigroup import CuspSemigroup, PuiseuxPair
+from .semigroup import PuiseuxPair
 
 
-def _as_semigroup(gamma) -> CuspSemigroup:
-    if isinstance(gamma, PuiseuxPair):
-        return CuspSemigroup(gamma)
-    return gamma
-
-
-def _scan(gamma: CuspSemigroup, generators) -> tuple:
+def _scan(pair: PuiseuxPair, generators) -> tuple:
     """The greedy per-class scan behind the constructor and minimal_basis,
     and the owner of their rules: a nonempty system of integers >= 0.
 
@@ -47,7 +41,7 @@ def _scan(gamma: CuspSemigroup, generators) -> tuple:
         raise InputError("generators must be integers")
     if min(generators) < 0:
         raise InputError("generators must be non-negative")
-    n, apery = gamma.pair.n, gamma.apery
+    n, apery = pair.n, pair.apery
     kept, axes, tables = [], [], []
     for g in generators:
         if tables and g >= tables[-1][g % n]:
@@ -77,7 +71,7 @@ class GammaSemimodule:
 
     Attributes
     ----------
-    gamma : CuspSemigroup
+    pair : PuiseuxPair, whose semigroup Gamma = <n, m> acts on the semimodule
     basis : tuple of int, the generators lambda_-1 < lambda_0 < ... < lambda_s
     axes : tuple of int, (u_0, ..., u_{s+1}) where u_0 = lambda_-1 and
         u_i = min of Lambda_{i-2} intersected with (lambda_{i-1} + Gamma)
@@ -87,13 +81,12 @@ class GammaSemimodule:
     conductor : int, least c with [c, oo) contained in the semimodule
     """
 
-    __slots__ = ("gamma", "basis", "axes", "critical_orders", "conductor",
+    __slots__ = ("pair", "basis", "axes", "critical_orders", "conductor",
                  "_prefix_tables")
 
-    def __init__(self, gamma: CuspSemigroup, basis):
-        gamma = _as_semigroup(gamma)
+    def __init__(self, pair: PuiseuxPair, basis):
         basis = tuple(basis)
-        kept, axes, tables = _scan(gamma, basis)
+        kept, axes, tables = _scan(pair, basis)
         if any(x >= y for x, y in zip(basis, basis[1:])):
             raise InputError("generators must be strictly increasing; "
                              "call minimal_basis() to normalize")
@@ -101,14 +94,14 @@ class GammaSemimodule:
             extra = next(b for b in basis if b not in kept)
             raise InputError("generator %s is redundant: already in the "
                              "semimodule of the previous ones" % cut(extra))
-        self.gamma = gamma
+        self.pair = pair
         self.basis = basis
         self.axes = axes
         self._prefix_tables = tables
-        self.conductor = max(0, max(tables[-1]) - gamma.pair.n + 1)
+        n, m = pair.n, pair.m
+        self.conductor = max(0, max(tables[-1]) - n + 1)
 
         self.critical_orders = None
-        n, m = gamma.pair.n, gamma.pair.m
         if len(basis) >= 2 and basis[0] == n and basis[1] == m:
             t = [n, m]
             for i in range(1, len(basis)):
@@ -123,23 +116,27 @@ class GammaSemimodule:
     def contains(self, p: int) -> bool:
         if p < 0:
             return False
-        return p >= self._prefix_tables[-1][p % self.gamma.pair.n]
+        return p >= self._prefix_tables[-1][p % self.pair.n]
 
     def truncated(self, k: int) -> "GammaSemimodule":
-        """The semimodule of the first k+2 generators (indices -1 .. k)."""
-        return GammaSemimodule(self.gamma, self.basis[:k + 2])
+        """The semimodule of the generators lambda_-1 .. lambda_k, k <= s."""
+        if not is_int(k):
+            raise IndexOutOfRange("truncation index must be an integer")
+        if not -1 <= k <= self.s_index:
+            raise IndexOutOfRange("truncation index %s outside -1..%d"
+                                  % (cut(k), self.s_index))
+        return GammaSemimodule(self.pair, self.basis[:k + 2])
 
     def __eq__(self, other):
         return (isinstance(other, GammaSemimodule)
-                and self.gamma.pair == other.gamma.pair
-                and self.basis == other.basis)
+                and self.pair == other.pair and self.basis == other.basis)
 
     def __hash__(self):
-        return hash((self.gamma.pair, self.basis))
+        return hash((self.pair, self.basis))
 
     def __repr__(self):
         return "GammaSemimodule(<%d,%d>; %s)" % (
-            self.gamma.pair.n, self.gamma.pair.m, list(self.basis))
+            self.pair.n, self.pair.m, list(self.basis))
 
 
 @dataclass(frozen=True)
@@ -168,7 +165,7 @@ class Tops:
     main: int
 
 
-def minimal_basis(gamma: CuspSemigroup, generators) -> tuple:
+def minimal_basis(pair: PuiseuxPair, generators) -> tuple:
     """The minimal generator system of the semimodule spanned by `generators`.
 
     The greedy scan of _scan, and its rules, over the sorted generators.
@@ -178,7 +175,7 @@ def minimal_basis(gamma: CuspSemigroup, generators) -> tuple:
     """
     gens = tuple(generators)
     # only integers are sorted: _scan refuses any other input as given
-    return _scan(_as_semigroup(gamma), sorted(set(gens))
+    return _scan(pair, sorted(set(gens))
                  if all(map(is_int, gens)) else gens)[0]
 
 
@@ -195,7 +192,7 @@ def limits(sm: GammaSemimodule, i: int) -> Limits:
     if not 0 <= i <= sm.s_index:
         raise IndexOutOfRange("limits index %s outside 0..%d"
                               % (cut(i), sm.s_index))
-    n, m = sm.gamma.pair.n, sm.gamma.pair.m
+    n, m = sm.pair.n, sm.pair.m
     lam, table = sm.basis[i + 1], sm._prefix_tables[i]
 
     def first(step: int) -> int:
@@ -217,18 +214,20 @@ def level_set(sm: GammaSemimodule, q: int) -> LevelSet:
     Classes are indexed by k -> the class of k*m, which straightens the
     members into the circular-interval picture.
     """
+    if not is_int(q):
+        raise InputError("level index must be an integer")
     if q < 0:
         raise InputError("level index must be >= 0")
-    n = sm.gamma.pair.n
-    minv = sm.gamma.pair.m_inverse_mod_n
+    n = sm.pair.n
+    minv = sm.pair.m_inverse_mod_n
     hits = frozenset((p * minv) % n
                      for p in range(n * q, n * q + n) if sm.contains(p))
     return LevelSet(q, hits)
 
 
-def ray_level_set(gamma: CuspSemigroup, mu: int, q: int) -> frozenset:
+def ray_level_set(pair: PuiseuxPair, mu: int, q: int) -> frozenset:
     """Level set of the single ray mu + Gamma (same indexing as level_set)."""
-    return level_set(GammaSemimodule(gamma, (mu,)), q).members
+    return level_set(GammaSemimodule(pair, (mu,)), q).members
 
 
 def is_circular_interval(members, n: int) -> bool:
@@ -249,7 +248,7 @@ def tops(sm: GammaSemimodule) -> Tops:
     if len(sm.basis) < 2:
         raise IndexOutOfRange("tops need at least two generators")
     lim = limits(sm, sm.s_index)
-    n, m = sm.gamma.pair.n, sm.gamma.pair.m
+    n, m = sm.pair.n, sm.pair.m
     lam = sm.basis[-1]
     q1 = (lam + n * lim.ell1) // n
     q2 = (lam + m * lim.ell2) // n

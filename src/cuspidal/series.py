@@ -46,11 +46,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InputError, InternalDisagreement, NotACusp, OrderTooLow
+from .errors import (IndexOutOfRange, InputError, InternalDisagreement,
+                     NotACusp, OrderTooLow)
 from .forms import BivariatePolynomial, OneForm, _cleared, _integer_cloud
 from .rationals import Q, cut, is_int, is_rational, rat
-from .semigroup import (CuspSemigroup, PuiseuxPair,
-                        minimal_b_representation)
+from .semigroup import PuiseuxPair, minimal_b_representation
 
 __all__ = [
     "TruncatedSeries", "PuiseuxCurve", "OrderResult", "default_truncation",
@@ -169,7 +169,7 @@ class PuiseuxCurve:
     theta(y^b) is read off the same row, never stored.
     """
 
-    __slots__ = ("pair", "gamma", "y", "trunc", "den", "_powers")
+    __slots__ = ("pair", "y", "trunc", "den", "_powers")
 
     def __init__(self, pair: PuiseuxPair, y_coeffs, trunc=None):
         if trunc is not None and not is_int(trunc):
@@ -197,7 +197,6 @@ class PuiseuxCurve:
             raise NotACusp("(%s, %s) parametrizes a smooth branch"
                            % (cut(pair.n), cut(m)))
         self.pair = pair
-        self.gamma = CuspSemigroup(pair)
         self.trunc = trunc
         self.y = TruncatedSeries({k: rat(v) for k, v in y_coeffs.items()},
                                  trunc)
@@ -216,6 +215,8 @@ class PuiseuxCurve:
     def y_power(self, b: int, prec=None) -> TruncatedSeries:
         """The integer numerators of y^b over den^b, below prec; all of
         them when prec is None or above T."""
+        if not is_int(b) or b < 0:
+            raise IndexOutOfRange("y power must be an integer >= 0")
         want = self._precision(b, prec)
         row = self._powers.get(b)
         if row is None or row.trunc < want:
@@ -426,7 +427,7 @@ def _integrate(curve: PuiseuxCurve, xi: dict, E: int,
     out = {}
     while not acc.is_zero():
         r = acc.order_lb()
-        rep = minimal_b_representation(curve.gamma, r)
+        rep = minimal_b_representation(curve.pair, r)
         # alpha^b = lead / den^b, so the residual loses c t^(n a) y^b
         # with c = R[r] den^b / (E lead) = f den^b / E'
         E, f = _eliminate(acc, E, r, curve.y_power(rep.b), n * rep.a)

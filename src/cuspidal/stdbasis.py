@@ -109,14 +109,14 @@ class ExtendedStandardBasis:
                 % (list(self.semimodule.basis), tag))
 
 
-def _cancellation_site(gamma, lambdas, value):
+def _cancellation_site(pair, lambdas, value):
     """Smallest math index j with value - lambda_j in Gamma, then the
     lexicographically least (c, d) with n c + m d = value - lambda_j;
     value lies in the semimodule of lambdas, so there is such a j."""
-    n, m = gamma.pair.n, gamma.pair.m
+    n, m = pair.n, pair.m
     for pos, lam in enumerate(lambdas):
         gap = value - lam
-        if gap < 0 or not contains(gamma, gap):
+        if gap < 0 or not contains(pair, gap):
             continue
         c = (gap * pow(n, -1, m)) % m
         d = (gap - n * c) // m
@@ -131,7 +131,7 @@ def _seed(sm):
     of x^l1 omega_s' and y^l2 omega_s'.  Its value must be the last axis
     u_{s'+1} of sm, which the scan found independently.  No form is built:
     the engine reads the seed off the cloud of omega_s'."""
-    n, m = sm.gamma.pair.n, sm.gamma.pair.m
+    n, m = sm.pair.n, sm.pair.m
     ell1, ell2 = limits(sm, sm.s_index)
     a, b = (ell1, 0) if n * ell1 <= m * ell2 else (0, ell2)
     u = n * a + m * b + sm.basis[-1]
@@ -163,7 +163,7 @@ def _cancel(curve, sm, forms, seed, first_stop, stop, prec=None):
         nu = a_eta.order_lb()
         if nu >= (stop if steps else first_stop) or not sm.contains(nu):
             return a_eta, E, tuple(steps), nu
-        j, c, d = _cancellation_site(curve.gamma, sm.basis, nu)
+        j, c, d = _cancellation_site(curve.pair, sm.basis, nu)
         canc, F = _pullback(curve, forms[j + 1], prec, c, d)
         # a_eta loses (f / E) canc, which is mu times the pullback canc / F
         E, f = _eliminate(a_eta, E, nu, canc)
@@ -214,7 +214,7 @@ def compute_standard_basis(curve: PuiseuxCurve) -> ExtendedStandardBasis:
     n, m = pair.n, pair.m
     c_gamma = pair.conductor
     work = c_gamma + 2
-    sm = GammaSemimodule(curve.gamma, (n, m))
+    sm = GammaSemimodule(pair, (n, m))
     forms = [OneForm(pair, {(0, 0): 1}, None), OneForm(pair, None, {(0, 0): 1})]
     traces = {}
     while True:
@@ -233,7 +233,7 @@ def compute_standard_basis(curve: PuiseuxCurve) -> ExtendedStandardBasis:
         if len(forms) > n:
             raise InternalDisagreement("more generators than residues mod %d"
                                        % n)
-        sm = GammaSemimodule(sm.gamma, sm.basis + (value,))
+        sm = GammaSemimodule(pair, sm.basis + (value,))
 
 
 def _certify(curve, sm, omega: OneForm, i: int, value, prec):
@@ -364,7 +364,6 @@ def semimodule_oracle(curve: PuiseuxCurve) -> GammaSemimodule:
     """
     pair = curve.pair
     n, m = pair.n, pair.m
-    gamma = curve.gamma
     cap = pair.conductor + n * m
     # (weight, kind, a, b): kind 0 is x^a y^b dx, kind 1 is x^a y^b dy
     monos = sorted((w, kind, a, b) for a in range(cap // n)
@@ -389,7 +388,7 @@ def semimodule_oracle(curve: PuiseuxCurve) -> GammaSemimodule:
                 table[o] = s
                 # an order inside the span changes neither it nor bound
                 if span is None or not span.contains(o):
-                    span = GammaSemimodule(gamma, minimal_basis(gamma, table))
+                    span = GammaSemimodule(pair, minimal_basis(pair, table))
                     bound = min(bound, span.conductor + n)
                 break
             _eliminate(s, 1, o, pivot)

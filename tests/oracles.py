@@ -277,7 +277,7 @@ def integrate_by_rationals(curve, xi):
     out = {}
     while not residual.is_zero():
         r = residual.order_lb()
-        rep = minimal_b_representation(curve.gamma, r)
+        rep = minimal_b_representation(curve.pair, r)
         c = residual.coeffs.get(r, 0) / alpha ** rep.b
         out[(rep.a, rep.b)] = c
         residual = combine([(residual, 1, 0),
@@ -297,7 +297,7 @@ def cancel_by_rationals(curve, sm, forms, eta, first_stop, stop, prec=None):
         nu = a_eta.order_lb()
         if nu >= (stop if steps else first_stop) or not sm.contains(nu):
             return eta, a_eta, tuple(steps), nu
-        j, c, d = _cancellation_site(curve.gamma, sm.basis, nu)
+        j, c, d = _cancellation_site(curve.pair, sm.basis, nu)
         term = forms[j + 1].times_monomial(c, d)
         canc = pullback_form(curve, term, prec)
         mu = a_eta.coeffs.get(nu, 0) / canc.coeffs.get(nu, 0)
@@ -325,7 +325,6 @@ def oracle_by_rationals(curve):
     multiple of one."""
     pair = curve.pair
     n, m = pair.n, pair.m
-    gamma = curve.gamma
     cap = pair.conductor + n * m
     monos = sorted((w, kind, a, b) for a in range(cap // n)
                    for b in range(cap // m)
@@ -348,7 +347,7 @@ def oracle_by_rationals(curve):
             if pivot is None:
                 table[o] = combine([(s, 1 / s.coeffs.get(o, 0), 0)])
                 if span is None or not span.contains(o):
-                    span = GammaSemimodule(gamma, minimal_basis(gamma, table))
+                    span = GammaSemimodule(pair, minimal_basis(pair, table))
                     bound = min(bound, span.conductor + n)
                 break
             s = combine([(s, 1, 0), (pivot, -s.coeffs.get(o, 0), 0)])

@@ -153,8 +153,8 @@ def test_criterion_08_semimodule_combinatorics():
     rng = random.Random(808)
     for _ in range(100):
         sm = random_increasing_semimodule(rng, max_n=9)
-        n = sm.gamma.pair.n
-        gamma = sm.gamma
+        n = sm.pair.n
+        pair = sm.pair
         tp = tops(sm)
         conductor = sm.conductor
         assert conductor <= n * (tp.main - 1)
@@ -168,16 +168,16 @@ def test_criterion_08_semimodule_combinatorics():
             for k in range(-1, i):
                 assert sm.axes[i + 1] < sm.truncated(k).conductor + n
         for mu in sm.basis:
-            previous = ray_level_set(gamma, mu, 0)
+            previous = ray_level_set(pair, mu, 0)
             for q in range(1, saturation + 1):
-                current = ray_level_set(gamma, mu, q)
+                current = ray_level_set(pair, mu, q)
                 assert previous <= current
                 assert len(current) - len(previous) <= 1
                 previous = current
         for q in range(saturation + 1):
             union = frozenset()
             for mu in sm.basis:
-                union |= ray_level_set(gamma, mu, q)
+                union |= ray_level_set(pair, mu, q)
             assert union == level_set(sm, q).members
     _finish("08 semimodule combinatorics on 100 random semimodules",
             started, 30)

@@ -12,10 +12,10 @@ from cuspidal.errors import (CuspidalError, IndexOutOfRange, InputError,
 from cuspidal.forms import OneForm, Region, initial_part
 from cuspidal.jsonio import parse_curve, parse_form
 from cuspidal.rationals import rat, rat_from_str
-from cuspidal.semigroup import (CuspSemigroup, PuiseuxPair,
-                                minimal_b_representation, represent)
+from cuspidal.semigroup import (PuiseuxPair, minimal_b_representation,
+                                represent)
 from cuspidal.semimodule import (GammaSemimodule, level_set, limits,
-                                 minimal_basis)
+                                 minimal_basis, ray_level_set)
 from cuspidal.semiroot import (semiroot, solve_invariant_branch,
                                verify_main_theorem)
 from cuspidal.series import PuiseuxCurve
@@ -522,7 +522,6 @@ def test_internal_value_error_is_not_reported_as_bad_input(capsys,
 
 
 P511 = PuiseuxPair(5, 11)
-G511 = CuspSemigroup(P511)
 
 
 def basis511():
@@ -536,16 +535,16 @@ def basis511():
      "truncation must be an integer >= 150 for the pair (5, 11)"),
     (lambda: PuiseuxCurve(P511, {11: 1, 150: 2}, 150),
      "y term t^150 at or above the truncation 150"),
-    (lambda: GammaSemimodule(G511, (5, 11, 16)), "generator 16 is redundant:"
+    (lambda: GammaSemimodule(P511, (5, 11, 16)), "generator 16 is redundant:"
      " already in the semimodule of the previous ones"),
-    (lambda: GammaSemimodule(G511, (11, 5)), "generators must be strictly"
+    (lambda: GammaSemimodule(P511, (11, 5)), "generators must be strictly"
      " increasing; call minimal_basis() to normalize"),
-    (lambda: GammaSemimodule(G511, ()), "empty generator system"),
-    (lambda: GammaSemimodule(G511, (-1, 5)),
+    (lambda: GammaSemimodule(P511, ()), "empty generator system"),
+    (lambda: GammaSemimodule(P511, (-1, 5)),
      "generators must be non-negative"),
-    (lambda: minimal_basis(G511, ()), "empty generator system"),
-    (lambda: minimal_basis(G511, (5, -1)), "generators must be non-negative"),
-    (lambda: level_set(GammaSemimodule(G511, (5, 11)), -1),
+    (lambda: minimal_basis(P511, ()), "empty generator system"),
+    (lambda: minimal_basis(P511, (5, -1)), "generators must be non-negative"),
+    (lambda: level_set(GammaSemimodule(P511, (5, 11)), -1),
      "level index must be >= 0"),
     (lambda: OneForm.from_cloud(P511, {(0, 1): (1, 0)}),
      "mu at alpha=0 is not a regular form"),
@@ -566,11 +565,11 @@ def basis511():
      "y exponents must be integers"),
     (lambda: PuiseuxCurve(P511, {11: 1, 12: True}),
      "y coefficients must be rationals"),
-    (lambda: GammaSemimodule(G511, (5.9, 11)), "generators must be integers"),
-    (lambda: GammaSemimodule(G511, (True, 11)), "generators must be integers"),
-    (lambda: minimal_basis(G511, [5.5, 11]), "generators must be integers"),
-    (lambda: minimal_basis(G511, ["5", 11]), "generators must be integers"),
-    (lambda: minimal_basis(G511, [[5], 11]), "generators must be integers"),
+    (lambda: GammaSemimodule(P511, (5.9, 11)), "generators must be integers"),
+    (lambda: GammaSemimodule(P511, (True, 11)), "generators must be integers"),
+    (lambda: minimal_basis(P511, [5.5, 11]), "generators must be integers"),
+    (lambda: minimal_basis(P511, ["5", 11]), "generators must be integers"),
+    (lambda: minimal_basis(P511, [[5], 11]), "generators must be integers"),
     (lambda: Region(PuiseuxPair(4, 9), (1.7, 2)),
      "region base must be two integers"),
     (lambda: basis511().form(1.5), "form index must be an integer"),
@@ -579,7 +578,7 @@ def basis511():
      "Delorme index must be an integer"),
     (lambda: delorme_decompose(basis511(), 1, False),
      "Delorme index must be an integer"),
-    (lambda: limits(GammaSemimodule(G511, (5, 11)), 0.5),
+    (lambda: limits(GammaSemimodule(P511, (5, 11)), 0.5),
      "limits index must be an integer"),
     (lambda: transform_form(build_sequence(P511), OneForm(P511), True),
      "step index must be an integer"),
@@ -632,24 +631,44 @@ def test_bad_parameter_is_refused_before_the_adjustment(build):
 
 BIG = 10 ** 4999  # 5,000 digits, over the interpreter's digit cap
 DX = OneForm(P511, {(0, 0): 1})
+SM5 = GammaSemimodule(P511, (5, 11, 17, 23, 29))
 
 
 @pytest.mark.parametrize("build, kind", [
-    (lambda: GammaSemimodule(G511, (5, 11, BIG)), InputError),
-    (lambda: represent(G511, BIG), NotUniqueRange),
-    (lambda: minimal_b_representation(G511, -BIG), NotInSemigroup),
-    (lambda: limits(GammaSemimodule(G511, (5, 11)), BIG), IndexOutOfRange),
+    (lambda: GammaSemimodule(P511, (5, 11, BIG)), InputError),
+    (lambda: represent(P511, BIG), NotUniqueRange),
+    (lambda: minimal_b_representation(P511, -BIG), NotInSemigroup),
+    (lambda: limits(GammaSemimodule(P511, (5, 11)), BIG), IndexOutOfRange),
     (lambda: initial_part(DX, BIG), QAboveOrder),
     (lambda: transform_form(build_sequence(P511), DX, BIG), IndexOutOfRange),
     (lambda: initial_part(DX, rat(BIG, 3)), QAboveOrder),
     (lambda: compute_standard_basis(PuiseuxCurve(P511, {11: 1})).form(9.5),
      IndexOutOfRange),
-    (lambda: limits(GammaSemimodule(G511, (5, 11)), 7.5), IndexOutOfRange),
+    (lambda: limits(GammaSemimodule(P511, (5, 11)), 7.5), IndexOutOfRange),
     (lambda: initial_part(DX, 30.5), QAboveOrder),
     (lambda: transform_form(build_sequence(P511), DX, 9.5), IndexOutOfRange),
+    (lambda: SM5.truncated(-3), IndexOutOfRange),
+    (lambda: SM5.truncated(-2), IndexOutOfRange),
+    (lambda: SM5.truncated(99), IndexOutOfRange),
+    (lambda: SM5.truncated(BIG), IndexOutOfRange),
+    (lambda: SM5.truncated(True), IndexOutOfRange),
+    (lambda: SM5.truncated(1.5), IndexOutOfRange),
+    (lambda: PuiseuxCurve(P511, {11: 1}).y_power(-1), IndexOutOfRange),
+    (lambda: PuiseuxCurve(P511, {11: 1}).y_power(2.5), IndexOutOfRange),
+    (lambda: PuiseuxCurve(P511, {11: 1}).y_power(True), IndexOutOfRange),
+    (lambda: represent(P511, 2.5), InputError),
+    (lambda: represent(P511, True), InputError),
+    (lambda: level_set(SM5, 1.5), InputError),
+    (lambda: level_set(SM5, True), InputError),
+    (lambda: ray_level_set(P511, 5, 1.5), InputError),
 ], ids=["redundant", "represent", "minimal-b", "limits", "initial-part",
         "blowup-step", "initial-part-rational", "float-form-index",
-        "float-limits-index", "float-initial-part", "float-blowup-step"])
+        "float-limits-index", "float-initial-part", "float-blowup-step",
+        "negative-truncation", "empty-truncation", "truncation-past-s",
+        "huge-truncation", "bool-truncation", "float-truncation",
+        "negative-y-power", "float-y-power", "bool-y-power",
+        "float-represent", "bool-represent", "float-level-index",
+        "bool-level-index", "float-ray-level-index"])
 def test_library_refusals_cut_the_integers_they_echo(build, kind):
     # each site formats the caller's number with rationals.cut, which
     # fails on none: %d would raise the interpreter's bare ValueError past

@@ -155,7 +155,7 @@ def test_fraction_free_cancellation_and_oracle_match_the_rational_ones(curve):
     steps rescale."""
     basis = compute_standard_basis(curve)
     c = curve.pair.conductor
-    runs = [(GammaSemimodule(curve.gamma, basis.semimodule.basis[:k]),
+    runs = [(GammaSemimodule(curve.pair, basis.semimodule.basis[:k]),
              basis.forms[:k], c, c, c + 2)
             for k in range(2, len(basis.semimodule.basis) + 1)]
     runs.append((basis.semimodule, basis.forms, curve.trunc, c + 1, None))

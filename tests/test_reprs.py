@@ -9,7 +9,7 @@ from cuspidal.blowup import build_sequence
 from cuspidal.corpus import example_curve_5_11
 from cuspidal.errors import IndexOutOfRange, ZeroForm
 from cuspidal.forms import OneForm, Region, is_prebasic, rdo
-from cuspidal.semigroup import CuspSemigroup, PuiseuxPair
+from cuspidal.semigroup import PuiseuxPair
 from cuspidal.semimodule import GammaSemimodule, tops
 from cuspidal.series import OrderResult, TruncatedSeries
 from cuspidal.stdbasis import compute_standard_basis
@@ -44,7 +44,7 @@ def test_basis_repr_before_and_after_the_adjustment():
 
 
 def test_semimodule_hash_and_negative_membership():
-    sm = GammaSemimodule(CuspSemigroup(P511), (5, 11))
+    sm = GammaSemimodule(P511, (5, 11))
     assert hash(sm) == hash(GammaSemimodule(P511, (5, 11))) == \
         hash((P511, (5, 11)))
     assert {sm, GammaSemimodule(P511, (5, 11))} == {sm}

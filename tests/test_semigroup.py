@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspidal import CuspSemigroup, PuiseuxPair, contains, copair, represent
+from cuspidal import PuiseuxPair, contains, copair, represent
 from cuspidal.errors import InputError, NotInSemigroup, NotUniqueRange
 from cuspidal.semigroup import minimal_b_representation
 
@@ -32,13 +32,13 @@ def test_pair_validation():
 
 
 def test_conductor_and_apery_5_11():
-    g = CuspSemigroup(PuiseuxPair(5, 11))
-    assert g.pair.conductor == 40
+    g = PuiseuxPair(5, 11)
+    assert g.conductor == 40
     assert g.apery == (0, 11, 22, 33, 44)
 
 
 def test_contains_5_11():
-    g = CuspSemigroup(PuiseuxPair(5, 11))
+    g = PuiseuxPair(5, 11)
     assert contains(g, 16)
     assert contains(g, 0)
     assert not contains(g, 39)
@@ -47,7 +47,7 @@ def test_contains_5_11():
 
 
 def test_represent_5_11():
-    g = CuspSemigroup(PuiseuxPair(5, 11))
+    g = PuiseuxPair(5, 11)
     r = represent(g, 16)
     assert (r.a, r.b) == (1, 1)
     assert represent(g, 0).a == 0 and represent(g, 0).b == 0
@@ -58,7 +58,7 @@ def test_represent_5_11():
 
 
 def test_represent_7_17():
-    g = CuspSemigroup(PuiseuxPair(7, 17))
+    g = PuiseuxPair(7, 17)
     r = represent(g, 51)
     assert (r.a, r.b) == (0, 3)
 
@@ -73,7 +73,7 @@ def test_copair_examples():
 @settings(max_examples=200)
 @given(coprime_pairs())
 def test_membership_matches_enumeration(pair):
-    g = CuspSemigroup(pair)
+    g = pair
     members = semigroup_members(pair.n, pair.m, 200)
     for p in range(200):
         assert contains(g, p) == (p in members)
@@ -82,7 +82,7 @@ def test_membership_matches_enumeration(pair):
 @settings(max_examples=200)
 @given(coprime_pairs())
 def test_representation_recomposes(pair):
-    g = CuspSemigroup(pair)
+    g = pair
     for p in range(pair.n * pair.m):
         if contains(g, p):
             r = represent(g, p)
@@ -93,7 +93,7 @@ def test_representation_recomposes(pair):
 @settings(max_examples=200)
 @given(coprime_pairs())
 def test_minimal_b_representation(pair):
-    g = CuspSemigroup(pair)
+    g = pair
     top = 3 * pair.n * pair.m
     for p in range(top):
         if not contains(g, p):
@@ -110,8 +110,8 @@ def test_minimal_b_representation(pair):
 @settings(max_examples=200)
 @given(coprime_pairs())
 def test_conductor_is_tight(pair):
-    g = CuspSemigroup(pair)
-    c = g.pair.conductor
+    g = pair
+    c = g.conductor
     for k in range(2 * pair.n * pair.m):
         assert contains(g, c + k)
     if pair.n > 1:

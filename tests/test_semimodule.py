@@ -105,8 +105,8 @@ def test_circular_interval_shapes():
 def test_random_semimodules_match_enumeration(seed):
     rng = random.Random(seed)
     sm = random_increasing_semimodule(rng, max_n=7, max_steps=3)
-    n, m = sm.gamma.pair.n, sm.gamma.pair.m
-    assert minimal_basis(sm.gamma.pair, sm.basis) == sm.basis
+    n, m = sm.pair.n, sm.pair.m
+    assert minimal_basis(sm.pair, sm.basis) == sm.basis
     assert sm.axes == oracles.axes_of(n, m, sm.basis)
     bound = oracles.enum_bound(n, m, sm.basis)
     members = oracles.semimodule_members(n, m, sm.basis, bound)
@@ -138,7 +138,7 @@ def test_limits_of_arbitrary_generator_systems_match_enumeration():
 def test_axis_consistency_with_limits(seed):
     rng = random.Random(seed)
     sm = random_increasing_semimodule(rng, max_n=7, max_steps=3)
-    n, m = sm.gamma.pair.n, sm.gamma.pair.m
+    n, m = sm.pair.n, sm.pair.m
     u = sm.axes
     t = sm.critical_orders
     for i in range(sm.s_index + 1):
@@ -159,11 +159,11 @@ def test_axis_two_representations(seed):
     """u_{i+1} lands on the lambda_i ray and on an earlier ray at once."""
     rng = random.Random(seed)
     sm = random_increasing_semimodule(rng, max_n=7, max_steps=3)
-    n, m = sm.gamma.pair.n, sm.gamma.pair.m
+    n, m = sm.pair.n, sm.pair.m
     u = sm.axes
     for i in range(1, len(u)):
         diff = u[i] - sm.basis[i]
-        assert diff >= 0 and contains(sm.gamma, diff)
+        assert diff >= 0 and contains(sm.pair, diff)
         assert sm.truncated(i - 2).contains(u[i])
 
 
@@ -172,7 +172,7 @@ def test_axis_two_representations(seed):
 def test_increasing_semimodule_level_sets_become_circular(seed):
     rng = random.Random(seed)
     sm = random_increasing_semimodule(rng, max_n=7, max_steps=3)
-    n = sm.gamma.pair.n
+    n = sm.pair.n
     t = tops(sm)
     assert sm.conductor <= n * (t.main - 1)
     # circularity holds from the window carrying u_{s+1} onwards
@@ -187,7 +187,7 @@ def test_increasing_semimodule_level_sets_become_circular(seed):
 def test_rays_prefixes_and_redundancy_against_enumeration(seed):
     rng = random.Random(seed)
     sm = random_increasing_semimodule(rng, max_n=7, max_steps=3)
-    n, m = sm.gamma.pair.n, sm.gamma.pair.m
+    n, m = sm.pair.n, sm.pair.m
     bound = oracles.enum_bound(n, m, sm.basis)
     for k in range(-1, sm.s_index + 1):
         members = oracles.semimodule_members(n, m, sm.basis[:k + 2], bound)
@@ -196,12 +196,12 @@ def test_rays_prefixes_and_redundancy_against_enumeration(seed):
     for mu in sm.basis:
         ray = oracles.semimodule_members(n, m, (mu,), bound)
         for q in range(bound // n):
-            assert (ray_level_set(sm.gamma, mu, q)
+            assert (ray_level_set(sm.pair, mu, q)
                     == oracles.level_set_of(n, m, ray, q))
     # mu + n lies in mu + Gamma; no other generator shares its class
     extra = rng.choice(sm.basis) + n
     with pytest.raises(ValueError, match="generator %d is redundant" % extra):
-        GammaSemimodule(sm.gamma, tuple(sorted(sm.basis + (extra,))))
+        GammaSemimodule(sm.pair, tuple(sorted(sm.basis + (extra,))))
 
 
 def test_conductor_shifts_with_leading_generator():

@@ -13,7 +13,7 @@ from cuspidal.forms import (BivariatePolynomial, OneForm, _integer_cloud,
                             nu_E_form)
 from cuspidal.jsonio import parse_curve
 from cuspidal.rationals import rat, rat_from_str
-from cuspidal.semigroup import CuspSemigroup, PuiseuxPair, contains
+from cuspidal.semigroup import PuiseuxPair, contains
 from cuspidal.series import (OrderResult, PuiseuxCurve, TruncatedSeries,
                              integrate_against_conductor, nu_C_form,
                              nu_C_function, pullback_form, pullback_function)
@@ -546,5 +546,5 @@ def test_value_outside_semigroup_forces_resonance(w):
         return
     c = curve_5_11()
     nu = nu_C_form(c, w)
-    if nu.finite and not contains(CuspSemigroup(P511), nu.value):
+    if nu.finite and not contains(P511, nu.value):
         assert is_basic(w) and is_resonant(w)

@@ -142,7 +142,7 @@ def test_cancellation_engine_builds_no_form(monkeypatch, curve):
     monkeypatch.setattr(OneForm, "__init__", refuse)
     monkeypatch.setattr(BivariatePolynomial, "__init__", refuse)
     conductor = c.pair.conductor
-    runs = [(GammaSemimodule(c.gamma, basis.semimodule.basis[:k + 1]),
+    runs = [(GammaSemimodule(c.pair, basis.semimodule.basis[:k + 1]),
              basis.forms[:k + 1], conductor, conductor, conductor + 2, k)
             for k in range(1, s + 1)]
     runs.append((basis.semimodule, basis.forms, c.trunc, conductor + 1,
@@ -372,9 +372,9 @@ def test_oracle_rebuilds_its_span_only_when_it_grows(monkeypatch, curve):
     import cuspidal.stdbasis as stdbasis
     calls = []
 
-    def counted(gamma, generators):
+    def counted(pair, generators):
         calls.append(tuple(generators))
-        return minimal_basis(gamma, generators)
+        return minimal_basis(pair, generators)
 
     monkeypatch.setattr(stdbasis, "minimal_basis", counted)
     result = semimodule_oracle(curve())
@@ -632,12 +632,11 @@ def test_random_upper_bound_on_values_at_critical_order(seed):
     basis = compute_standard_basis(curve)
     pair = curve.pair
     n, m = pair.n, pair.m
-    gamma = curve.gamma
     sm = basis.semimodule
     for i in range(1, basis.s_index + 1):
         t_i = sm.critical_orders[i + 1]
         from cuspidal.semigroup import represent
-        rep = represent(gamma, t_i)
+        rep = represent(pair, t_i)
         for _ in range(6):
             cloud = {(rep.a, rep.b): (rat(rng.randint(-3, 3)),
                                       rat(rng.randint(1, 3)))}
@@ -669,7 +668,7 @@ def test_random_value_gap_dominates_order_gap(seed):
     curve = random_cusp_curve(rng, max_n=6, max_weight=60)
     basis = compute_standard_basis(curve)
     sm = basis.semimodule
-    gamma = curve.gamma
+    pair = curve.pair
     for _ in range(8):
         i = rng.randint(1, basis.s_index + 1)
         if i > basis.s_index:
@@ -688,7 +687,7 @@ def test_random_value_gap_dominates_order_gap(seed):
                if not sm.truncated(k - 1).contains(value.value)]
         for k in hit:
             lam_k, t_k = sm.basis[k + 1], sm.critical_orders[k + 1]
-            assert contains(gamma, order - t_k)
+            assert contains(pair, order - t_k)
             assert value.value - order >= lam_k - t_k
 
 
@@ -712,7 +711,7 @@ def test_random_membership_vs_higher_order_witness(seed):
         witness = None
         for j in range(-1, i):
             gap = k - sm.basis[j + 1]
-            if gap >= 0 and contains(curve.gamma, gap):
+            if gap >= 0 and contains(curve.pair, gap):
                 c = (gap * pow(n, -1, m)) % m
                 d = (gap - n * c) // m
                 witness = basis.form(j).times_monomial(c, d)

@@ -25,7 +25,10 @@ semimodule command go through jsonio.semimodule_to_json.  An integer has
 one test, rationals.is_int, the only place that asks for a bool, and
 nothing is coerced: int() takes only a rational's numerator or
 denominator or a digit group of the integer grammar, and series builds
-every TruncatedSeries through its one constructor, with no _reduced."""
+every TruncatedSeries through its one constructor, with no _reduced.
+The pair is the semigroup: PuiseuxPair carries Gamma's Apery table,
+nothing defines or exports a CuspSemigroup or an _as_semigroup fork, no
+module sets a gamma attribute, and a GammaSemimodule keeps its pair."""
 
 import ast
 import collections
@@ -488,3 +491,20 @@ def test_one_integer_test_and_one_series_constructor():
     assert len(found) == 1 and owners == {("rationals", "is_int")}
     assert "_reduced" not in {qualname for qualname, _
                               in _definitions(trees["series"])}
+
+
+def test_the_pair_is_the_semigroup():
+    # PuiseuxPair carries Gamma's Apery table, so every semigroup query,
+    # GammaSemimodule and minimal_basis take the pair: no second object
+    # for <n, m>, no fork that accepts either, and no curve slot for it
+    from cuspidal.semimodule import GammaSemimodule
+    assert not hasattr(cuspidal, "CuspSemigroup")
+    found = [(name, node.lineno) for name, tree in _module_trees().items()
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+             and node.name in ("CuspSemigroup", "_as_semigroup")
+             or isinstance(node, ast.Attribute) and node.attr == "gamma"
+             and isinstance(node.ctx, ast.Store)
+             or isinstance(node, ast.Constant) and node.value == "gamma"]
+    assert found == []
+    assert "pair" in GammaSemimodule.__slots__
