@@ -3,9 +3,11 @@
 Every subcommand reads JSON (inline or from a file), runs one
 computation, and prints one canonical JSON document.  Exit codes:
 0 success, 1 bad input (errors.InputError, whose message names the
-violated rule) or any other CuspidalError, 2 a structure check failed
-(the failing report is printed as JSON so batch drivers can triage
-without scraping stderr).
+violated rule) or any other CuspidalError, 2 a structure check failed.
+On exit 2 stdout holds {"pass": false, "error", "report"}, the report
+semiroot.verify_main_theorem builds whether semiroots or verify failed
+(i, a, parametrization, semimodule, expected, pass, checks), so batch
+drivers can triage without scraping stderr.
 """
 
 from __future__ import annotations
@@ -314,13 +316,8 @@ def main(argv=None) -> int:
         if ns.output:
             _write(ns.output, text)
     except VerificationFailure as exc:
-        payload = {"pass": False, "error": str(exc)}
-        if exc.report is not None:
-            report = exc.report
-            if "checks" in report:
-                report = verify_report_to_json(report)
-            payload["report"] = report
-        sys.stdout.write(dumps(payload))
+        sys.stdout.write(dumps({"pass": False, "error": str(exc),
+                                "report": verify_report_to_json(exc.report)}))
         return 2
     except CuspidalError as exc:
         sys.stderr.write("error: %s\n" % exc)

@@ -6,6 +6,8 @@ from __future__ import annotations
 import math
 import random
 
+from .forms import OneForm
+from .rationals import rat
 from .semigroup import PuiseuxPair
 from .series import PuiseuxCurve
 
@@ -48,10 +50,8 @@ def example_curve_7_17() -> PuiseuxCurve:
     return PuiseuxCurve(PuiseuxPair(7, 17), {17: 1, 30: 1, 33: 1, 36: 1})
 
 
-def example_form_4_9() -> "OneForm":
+def example_form_4_9() -> OneForm:
     """The totally dicritical (4, 9) form with nu_E = 48 and vertex (3, 4)."""
-    from .forms import OneForm
-    from .rationals import rat
     A = {(0, 5): rat(7), (9, 1): rat(2), (9, 2): rat(-2), (2, 4): rat(-9)}
     B = {(3, 3): rat(4), (10, 0): rat(-1), (10, 1): rat(2),
          (1, 4): rat(-3), (8, 2): rat(-1)}

@@ -61,8 +61,8 @@ class NotDicritical(CuspidalError):
 
 
 class VerificationFailure(CuspidalError):
-    """A structure-theorem check failed.  Carries the report with the first bad assertion."""
+    """A structure-theorem check failed; carries the report of its checks."""
 
-    def __init__(self, message: str, report=None):
+    def __init__(self, message: str, report: dict):
         super().__init__(message)
         self.report = report

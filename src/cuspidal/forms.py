@@ -102,9 +102,6 @@ class BivariatePolynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def items(self):
-        return self.coeffs.items()
-
     def __add__(self, other):
         out = dict(self.coeffs)
         _accumulate(out, other.coeffs)

@@ -202,10 +202,10 @@ def parse_form(obj) -> OneForm:
                    B=_parse_entries(obj.get("dy", []), "dy", ("a", "b")))
 
 
-def poly_to_json(p) -> list:
-    """A BivariatePolynomial or a {(a, b): c} table as [a, b, "c"] entries,
-    held as its sorted items until dumps writes them."""
-    terms = _Terms(p.items())
+def poly_to_json(table: dict) -> list:
+    """A {(a, b): c} term table as [a, b, "c"] entries, held as its sorted
+    items until dumps writes them."""
+    terms = _Terms(table.items())
     terms.sort()
     return terms
 
@@ -216,7 +216,7 @@ def delorme_to_json(dec) -> dict:
         "j": dec.j,
         "k": dec.distinguished_index,
         "vij": dec.vij,
-        "coefficients": [poly_to_json(f) for f in dec.coefficients],
+        "coefficients": [poly_to_json(f.coeffs) for f in dec.coefficients],
     }
 
 

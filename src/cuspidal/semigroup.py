@@ -55,7 +55,7 @@ class PuiseuxPair:
     @property
     def m_inverse_mod_n(self) -> int:
         """m^-1 mod n (0 when n = 1, where every residue is 0 anyway)."""
-        return pow(self.m, -1, self.n) if self.n > 1 else 0
+        return pow(self.m, -1, self.n)
 
 
 @dataclass(frozen=True)

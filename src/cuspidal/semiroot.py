@@ -14,8 +14,9 @@ where a product or a new coefficient demands it.  One rational is
 reduced per order, the new coefficient, instead of every sum and product
 of the elimination.  The semiroot attached to omega_i carries, by the
 structure theorem, exactly the truncated semimodule generated by
-lambda_-1 .. lambda_{i-1}; this module solves the branches, packages
-them, and rechecks that statement from scratch on demand.
+lambda_-1 .. lambda_{i-1}; this module solves the branches and checks
+that statement, semiroot by its first check, verify_main_theorem from
+scratch, both failing with the one report that _report builds.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .errors import (IndexOutOfRange, InputError, NotDicritical,
                      VerificationFailure, ZeroPivot)
 from .forms import OneForm, _integer_cloud, nu_E_form
 from .jsonio import semiroot_to_json
-from .rationals import Q, cut, is_int, is_rational, rat, rat_to_str
+from .rationals import Q, cut, is_int, is_rational, rat
 from .series import OrderResult, PuiseuxCurve, default_truncation, nu_C_form
 from .stdbasis import (ExtendedStandardBasis, compute_standard_basis,
                        semimodule_oracle)
@@ -222,9 +223,9 @@ def _parameter(a) -> Q:
 
 
 def _solve(basis: ExtendedStandardBasis, i: int, a):
-    """a as a Q, omega_i, its invariant branch at parameter a, the
-    branch's standard basis and the prefix Lambda_{i-1} that basis must
-    carry; the index and a are checked before any work."""
+    """omega_i, the Semiroot of its branch at parameter a with the
+    branch's own standard-basis semimodule, and the prefix Lambda_{i-1} it
+    must equal; the index and a are checked before any work."""
     if not is_int(i):
         raise IndexOutOfRange("semiroot index must be an integer")
     if not 1 <= i <= basis.s_index + 1:
@@ -233,8 +234,21 @@ def _solve(basis: ExtendedStandardBasis, i: int, a):
     a = _parameter(a)
     omega = basis.form(i)
     branch = solve_invariant_branch(omega, a, basis.curve.trunc)
-    return (a, omega, branch, compute_standard_basis(branch),
-            basis.semimodule.truncated(i - 1))
+    root = Semiroot(i, a, branch, compute_standard_basis(branch).semimodule)
+    return omega, root, basis.semimodule.truncated(i - 1)
+
+
+def _report(root: Semiroot, expected, checks: dict) -> dict:
+    """The report of checks on root against the prefix expected; raises
+    VerificationFailure carrying it unless every check passed."""
+    report = {**semiroot_to_json(root), "expected": list(expected.basis),
+              "pass": all(checks.values()), "checks": checks}
+    if not report["pass"]:
+        bad = [name for name, good in checks.items() if not good]
+        raise VerificationFailure("semiroot check failed at i=%d, a=%s: %s"
+                                  % (root.index, report["a"], ", ".join(bad)),
+                                  report=report)
+    return report
 
 
 def semiroot(basis: ExtendedStandardBasis, i: int, a) -> Semiroot:
@@ -242,17 +256,13 @@ def semiroot(basis: ExtendedStandardBasis, i: int, a) -> Semiroot:
 
     The branch is solved from omega_i, its standard basis recomputed,
     and the resulting semimodule compared against the source prefix
-    Lambda_{i-1}.  A mismatch raises VerificationFailure.
+    Lambda_{i-1}, verify_main_theorem's first check.  A mismatch raises
+    VerificationFailure with that check's report; a match encodes none.
     """
-    a, _, branch, branch_basis, expected = _solve(basis, i, a)
-    sm = branch_basis.semimodule
-    if sm != expected:
-        raise VerificationFailure(
-            "omega_%d-semiroot carries %r, expected %r" % (i, sm, expected),
-            report={"i": i, "a": rat_to_str(a),
-                    "semimodule": list(sm.basis),
-                    "expected": list(expected.basis)})
-    return Semiroot(i, a, branch, sm)
+    _, root, expected = _solve(basis, i, a)
+    if root.semimodule != expected:
+        _report(root, expected, {"standard_basis_semimodule": False})
+    return root
 
 
 def verify_main_theorem(basis: ExtendedStandardBasis, i: int, a) -> dict:
@@ -265,9 +275,9 @@ def verify_main_theorem(basis: ExtendedStandardBasis, i: int, a) -> dict:
     critical order is nu_E(omega_i).  Returns the report on success and
     raises VerificationFailure carrying it otherwise.
     """
-    a, omega, branch, branch_basis, expected = _solve(basis, i, a)
-    checks = {}
-    checks["standard_basis_semimodule"] = branch_basis.semimodule == expected
+    omega, root, expected = _solve(basis, i, a)
+    branch = root.curve
+    checks = {"standard_basis_semimodule": root.semimodule == expected}
     checks["oracle_semimodule"] = semimodule_oracle(branch) == expected
     # a pullback is exact below its precision, so below lambda_j + 1 it
     # reads Finite(lambda_j) exactly when it does at any higher one
@@ -278,19 +288,8 @@ def verify_main_theorem(basis: ExtendedStandardBasis, i: int, a) -> dict:
     # power cache the dead band above it
     checks["invariance"] = not nu_C_form(branch, omega, branch.trunc).finite
     checks["critical_order"] = (nu_E_form(omega)
-                                == branch_basis.semimodule.critical_orders[-1])
-    report = {
-        **semiroot_to_json(Semiroot(i, a, branch, branch_basis.semimodule)),
-        "expected": list(expected.basis),
-        "pass": all(checks.values()),
-        "checks": checks,
-    }
-    if not report["pass"]:
-        bad = [name for name, good in checks.items() if not good]
-        raise VerificationFailure("semiroot check failed at i=%d, a=%s: %s"
-                                  % (i, rat_to_str(a), ", ".join(bad)),
-                                  report=report)
-    return report
+                                == root.semimodule.critical_orders[-1])
+    return _report(root, expected, checks)
 
 
 def zariski_invariant(curve: PuiseuxCurve):

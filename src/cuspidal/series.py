@@ -24,11 +24,13 @@ fraction-free (Bareiss, Math. Comp. 22, 1968; Geddes, Czapor and Labahn,
 curve's den), the lcm of its denominators, and the entry of each b is
 one row, the integer numerators of y^b over D^b, at the highest
 precision asked for; an even row is the square of row b/2 when that
-takes fewer products than row b - 1 times Y.  A pullback sums integer
-rows over one scale, each exponent's group with small weights and then
-scaled once; pullback_form and pullback_function build one rational per
-nonzero coefficient, the orders nu_C_* build none.  Rational input (y, a
-polynomial, an integrand) is cleared by forms._cleared.  The table is
+takes fewer products than Y times row b - 1, either grown by the one
+series product TruncatedSeries.__mul__, which squares a self-product.
+A pullback sums integer rows over one scale, each exponent's group with
+small weights and then scaled once; pullback_form and pullback_function
+build one rational per nonzero coefficient, the orders nu_C_* build
+none.  Rational input (y, a polynomial, an integrand) is cleared by
+forms._cleared.  The table is
 the one series cache: only the branch solver holds a private one.
 _eliminate, the one elimination step, kills the leading term of an
 integer row with a multiple of another; the cancellation engine, the
@@ -102,9 +104,11 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         # trunc(f*g) = min(trunc f + ord g, trunc g + ord f), which is at
-        # most every row's own trunc g + k
+        # most every row's own trunc g + k; a self-product is squared
         bound = min(self.trunc + other.order_lb(),
                     other.trunc + self.order_lb())
+        if other is self:
+            return _square(self, bound)
         return _assemble(((other, k, v, 0) for k, v in self.coeffs.items()),
                          bound)
 
@@ -160,12 +164,14 @@ class PuiseuxCurve:
 
     The power table holds y as integer numerators Y over den, the lcm of
     y's denominators, and one row per b: the integer numerators of y^b
-    over den^b, known below T + (b - 1) m.  A request below the stored
-    precision truncates the row, one above it regrows it: an even b as
-    the square of row b/2 when, by the stored rows' term counts, that
-    takes fewer products than row b - 1 times Y, any other b by that
-    chain step.  Dense branch rows are squared; a short polynomial y
-    keeps the chain for its high rows (from b = 8 on for three terms).
+    over den^b, known below T + (b - 1) m.  A request at or below y^b's
+    order b m is the empty row there and grows none; one below the stored
+    precision truncates the row, one above it regrows it through the
+    series product: an even b as row b/2 times itself (squared) when, by
+    the stored rows' term counts, that takes fewer products than Y times
+    row b - 1, any other b by that chain step.  Dense branch rows are
+    squared; a short polynomial y keeps the chain for its high rows (from
+    b = 8 on for three terms).
     theta(y^b) is read off the same row, never stored.
     """
 
@@ -217,19 +223,20 @@ class PuiseuxCurve:
         them when prec is None or above T."""
         if not is_int(b) or b < 0:
             raise IndexOutOfRange("y power must be an integer >= 0")
-        want = self._precision(b, prec)
+        want, m = self._precision(b, prec), self.pair.m
+        if want <= b * m:  # below y^b's order: nothing to grow
+            return TruncatedSeries(None, want)
         row = self._powers.get(b)
         if row is None or row.trunc < want:
-            m, Y = self.pair.m, self._powers[1].coeffs
-            h, p = (len(self._powers[k].coeffs) if k in self._powers
-                    else None for k in (b // 2, b - 1))
-            if b % 2 == 0 and h and (p is None or h * h + h < 2 * p * len(Y)):
+            h, p, y = (len(self._powers[k].coeffs) if k in self._powers
+                       else None for k in (b // 2, b - 1, 1))
+            if b % 2 == 0 and h and (p is None or h * h + h < 2 * p * y):
                 # row b / 2, of order b m / 2, squared is exact below want
-                row = _square(self.y_power(b // 2, want - b // 2 * m), want)
+                half = self.y_power(b // 2, want - b // 2 * m)
+                row = half * half
             else:
-                # row b - 1 below want - m times Y is exact below want
-                prev = self.y_power(b - 1, want - m)
-                row = _assemble(((prev, k, v, 0) for k, v in Y.items()), want)
+                # Y times row b - 1 below want - m is exact below want
+                row = self._powers[1] * self.y_power(b - 1, want - m)
             self._powers[b] = row
         return row.truncate(want)
 
@@ -259,10 +266,9 @@ def _typed(coeffs: dict, what: str):
         raise InputError("%s coefficients must be rationals" % what)
 
 
-def _assemble(terms, prec) -> TruncatedSeries:
+def _assemble(terms, bound) -> TruncatedSeries:
     """The sum of t^shift (c + d k) src over the (src, shift, c, d) in
-    terms, known below prec and below every term's own truncation."""
-    bound = math.inf if prec is None else prec
+    terms, known below bound and below every term's own truncation."""
     acc = {}
     for src, shift, c, d in terms:
         bound = min(bound, src.trunc + shift)

@@ -797,10 +797,9 @@ def test_exit_two_serializes_the_failure(capsys, monkeypatch):
     assert doc["report"]["checks"] == [{"name": "invariance", "pass": False}]
 
 
-def test_exit_two_prints_the_semiroot_failure_report(capsys, monkeypatch,
-                                                     corpus_dir):
-    # semiroot's own report, with no parametrization: the branch's
-    # standard basis is made to lose its last generator
+def _losing(monkeypatch):
+    """Make every branch's standard basis lose its last generator, so the
+    semiroot check fails in semiroots and verify alike."""
     semiroot_mod = importlib.import_module("cuspidal.semiroot")
     original = semiroot_mod.compute_standard_basis
 
@@ -810,18 +809,55 @@ def test_exit_two_prints_the_semiroot_failure_report(capsys, monkeypatch,
         return basis
 
     monkeypatch.setattr(semiroot_mod, "compute_standard_basis", losing)
-    code, out, _ = run(capsys, "semiroots", "--curve",
-                       str(corpus_dir / "ex5_11.json"), "--i", "2", "--a", "1")
+
+
+def test_exit_two_prints_the_semiroot_failure_report(capsys, monkeypatch,
+                                                     corpus_dir):
+    # verify's report of the one failed check: the branch's standard
+    # basis is made to lose its last generator
+    curve = str(corpus_dir / "ex5_11.json")
+    code, out, _ = run(capsys, "semiroots", "--curve", curve,
+                       "--i", "2", "--a", "1")
+    assert code == 0
+    branch = json.loads(out)["semiroots"][0]["parametrization"]
+    _losing(monkeypatch)
+    code, out, _ = run(capsys, "semiroots", "--curve", curve,
+                       "--i", "2", "--a", "1")
     assert code == 2
     doc = json.loads(out)
     assert doc == {
         "pass": False,
-        "error": "omega_2-semiroot carries GammaSemimodule(<5,11>; [5, 11]),"
-                 " expected GammaSemimodule(<5,11>; [5, 11, 17])",
-        "report": {"i": 2, "a": "1", "semimodule": [5, 11],
-                   "expected": [5, 11, 17]}}
+        "error": "semiroot check failed at i=2, a=1: "
+                 "standard_basis_semimodule",
+        "report": {"i": 2, "a": "1", "parametrization": branch,
+                   "semimodule": [5, 11], "expected": [5, 11, 17],
+                   "pass": False,
+                   "checks": [{"name": "standard_basis_semimodule",
+                               "pass": False}]}}
     assert list(doc) == ["pass", "error", "report"]
-    assert list(doc["report"]) == ["i", "a", "semimodule", "expected"]
+    assert list(doc["report"]) == ["i", "a", "parametrization", "semimodule",
+                                   "expected", "pass", "checks"]
+
+
+def test_semiroots_and_verify_fail_with_one_report_shape(capsys, monkeypatch,
+                                                         corpus_dir):
+    _losing(monkeypatch)
+    curve = str(corpus_dir / "ex5_11.json")
+    runs = [run(capsys, command, "--curve", curve, "--i", "2", "--a", "1")
+            for command in ("semiroots", "verify")]
+    assert [code for code, _, _ in runs] == [2, 2]
+    docs = [json.loads(out) for _, out, _ in runs]
+    for doc in docs:
+        assert list(doc) == ["pass", "error", "report"]
+        assert list(doc["report"]) == ["i", "a", "parametrization",
+                                       "semimodule", "expected", "pass",
+                                       "checks"]
+        assert {"name": "standard_basis_semimodule", "pass": False} in \
+            doc["report"]["checks"]
+    semiroots, verify = (doc["report"] for doc in docs)
+    assert len(semiroots["checks"]) == 1 and len(verify["checks"]) == 5
+    assert {k: v for k, v in semiroots.items() if k != "checks"} == \
+        {k: v for k, v in verify.items() if k != "checks"}
 
 
 def test_output_file_option(capsys, tmp_path):

@@ -156,7 +156,7 @@ def test_kernel_products_store_no_zeros(w, v):
     # the A part of a second random form serves as a random polynomial
     p = BivariatePolynomial(v.A)
     total = OneForm(w.pair)
-    for (a, b), c in p.items():
+    for (a, b), c in p.coeffs.items():
         total = total + w.times_monomial(a, b, c)
     product = w.times_polynomial(p)
     assert product == total

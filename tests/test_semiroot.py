@@ -270,6 +270,20 @@ def test_failure_report_is_attached():
     assert exc.value.report == {"pass": False}
 
 
+def test_a_checked_semiroot_encodes_nothing(monkeypatch):
+    # semiroot builds the report of its check only on a mismatch; verify
+    # builds it on every run
+    def refused(root):
+        raise AssertionError("semiroot encoded")
+
+    basis = basis_5_11()
+    monkeypatch.setattr(importlib.import_module("cuspidal.semiroot"),
+                        "semiroot_to_json", refused)
+    assert semiroot(basis, 2, 1).semimodule.basis == (5, 11, 17)
+    with pytest.raises(AssertionError, match="semiroot encoded"):
+        verify_main_theorem(basis, 2, 1)
+
+
 @settings(deadline=None, max_examples=6)
 @given(st.integers(0, 10 ** 6))
 def test_random_curves_satisfy_the_theorem(seed):

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -11,7 +12,9 @@ from cuspidal.errors import (CuspidalError, InputError,
 from cuspidal.forms import (BivariatePolynomial, OneForm, _integer_cloud,
                             differential, is_basic, is_prebasic, is_resonant,
                             nu_E_form)
-from cuspidal.jsonio import parse_curve
+from cuspidal.cli import main
+from cuspidal.corpus import example_curve_5_11
+from cuspidal.jsonio import curve_to_json, parse_curve
 from cuspidal.rationals import rat, rat_from_str
 from cuspidal.semigroup import PuiseuxPair, contains
 from cuspidal.series import (OrderResult, PuiseuxCurve, TruncatedSeries,
@@ -341,6 +344,31 @@ def test_power_table_keeps_one_row_per_power():
     # theta is read off the row of the next power and never stored
     assert set(c._powers) == powers
     assert all(type(row) is TruncatedSeries for row in c._powers.values())
+
+
+def test_power_rows_grow_through_the_series_product(monkeypatch):
+    # a request at or below y^b's order b m is the empty row there and
+    # stores none; every row grown is a TruncatedSeries product, a square
+    # or Y times the row below
+    c = curve_5_11()
+    for b, prec in ((2, 0), (2, 22), (3, -4), (5, 55)):
+        row = c.y_power(b, prec)
+        assert (row.coeffs, row.trunc) == ({}, prec)
+        assert c.theta_y_times_power(b - 1, prec) == row
+    assert set(c._powers) == {0, 1}
+    products, mul = [], TruncatedSeries.__mul__
+
+    def counted(self, other):
+        products.append(other is self)
+        return mul(self, other)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counted)
+    argv = ["standard-basis", "--curve", json.dumps(
+        curve_to_json(example_curve_5_11()))]
+    assert main(argv) == 0
+    assert products
+    assert c.y_power(2, 23).coeffs == {22: 1}
+    assert set(c._powers) == {0, 1, 2} and products[-1] is True
 
 
 def test_pullbacks_fetch_each_power_once(monkeypatch):

@@ -157,8 +157,8 @@ def test_every_name_in_src_is_reached_from_src():
 def test_truncated_series_defines_no_rational_arithmetic():
     # Sums, scalings, shifts and integrals of rational series live in the
     # tests' oracles; the library eliminates on integer numerators.
-    # __mul__ stays only because the benchmark tracer's series.mul target
-    # needs it, until a benchmark change retargets the tracer.
+    # __mul__ is the one series product: the power table grows its rows
+    # through it, a square or Y times the row below, on integers.
     methods = {name for name, value in vars(TruncatedSeries).items()
                if isinstance(value, (types.FunctionType, classmethod,
                                      staticmethod, property))}
@@ -314,7 +314,8 @@ def _calls(tree) -> dict:
 def test_each_rule_and_record_has_one_owner():
     # PuiseuxCurve owns every cusp rule, n >= 2 among them; the semimodule
     # scan owns the rules of a generator system; jsonio encodes a semiroot
-    # and a semimodule once for every report that carries one
+    # and a semimodule once for every report that carries one, and
+    # semiroot builds its one report in _report
     trees = {name: ast.parse(pathlib.Path(importlib.import_module(
         "cuspidal." + name).__file__).read_text()) for name in MODULES}
     assert {name for name, tree in trees.items() for node in ast.walk(tree)
@@ -330,8 +331,14 @@ def test_each_rule_and_record_has_one_owner():
               and any(rule in text.value for rule in rules)}
     assert owners == {("semimodule", "_scan")}
     assert "y_to_json" not in set(_references(trees["semiroot"]))
-    assert "semiroot_to_json" in _calls(trees["semiroot"])[
-        "verify_main_theorem"]
+    calls = _calls(trees["semiroot"])
+    assert "semiroot_to_json" in calls["_report"]
+    assert "_report" in calls["semiroot"] & calls["verify_main_theorem"]
+    # one exit-2 report shape: cli.main tests no report for a key
+    assert [node.lineno for node in ast.walk(trees["cli"])
+            if isinstance(node, ast.Compare)
+            and isinstance(node.left, ast.Constant)
+            and any(isinstance(op, ast.In) for op in node.ops)] == []
     assert "semimodule_to_json" in _calls(trees["jsonio"])["basis_to_json"]
     assert "semimodule_to_json" in _calls(trees["cli"])["cmd_semimodule"]
 
