@@ -7,13 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cuspidal import series
+from cuspidal.cli import main
+from cuspidal.corpus import example_curve_5_11
 from cuspidal.errors import (CuspidalError, InputError,
                              InternalDisagreement, NotACusp, OrderTooLow)
 from cuspidal.forms import (BivariatePolynomial, OneForm, _integer_cloud,
                             differential, is_basic, is_prebasic, is_resonant,
                             nu_E_form)
-from cuspidal.cli import main
-from cuspidal.corpus import example_curve_5_11
 from cuspidal.jsonio import curve_to_json, parse_curve
 from cuspidal.rationals import rat, rat_from_str
 from cuspidal.semigroup import PuiseuxPair, contains
