@@ -29,7 +29,7 @@ from .errors import (IndexOutOfRange, InputError, NotDicritical,
 from .forms import OneForm, _integer_cloud, nu_E_form
 from .jsonio import semiroot_to_json
 from .rationals import Q, cut, is_int, is_rational, rat
-from .series import OrderResult, PuiseuxCurve, default_truncation, nu_C_form
+from .series import OrderResult, PuiseuxCurve, _truncation, nu_C_form
 from .stdbasis import (ExtendedStandardBasis, compute_standard_basis,
                        semimodule_oracle)
 from .blowup import is_totally_dicritical
@@ -77,10 +77,20 @@ def solve_invariant_branch(omega: OneForm, a, trunc: int = None) -> PuiseuxCurve
     offsets sum to k then has a denominator dividing D^b d[k], so the
     offset-k coefficient of y^b is an integer over D^b d[k].  This is the
     divided-power product of Hurwitz series (W. F. Keigher, Comm.
-    Algebra 25, 1997), with d[k] in place of k!.  A row update multiplies
-    Z[j] by W[j] = d[r] / (d[j] d[r - j]), once per order, and the known
-    part of order q + r is one integer over Bl D^top d[r] (Bl the lcm of
-    the cloud's nonzero beta, top the largest).
+    Algebra 25, 1997), with d[k] in place of k!.  A row update is
+    P[b][r] = Z[0] P[b-1][r] + sum C[j] P[b-1][r - j] over the keys j > 0
+    of Z, with the held weights C[j] = Z[j] W[j], W[j] = d[r] / (d[j]
+    d[r - j]): C moves from order to order as W does, so no weight is
+    rebuilt per order, and W itself is kept only at the events, which the
+    lcm step below reads.  The known part of order q + r is one integer
+    over Bl D^top d[r] (Bl the lcm of the cloud's nonzero beta, top the
+    largest), summed by Horner in ascending offset k = r - gap: the running
+    sum moves to the next point's offset by e[k] where the offsets are
+    adjacent, by d[k] / d[k'] where they jump from k', and once by
+    d[r] / d[k] at the end.  Row b is read to offset trunc - q - 1 - gap
+    by the points of beta b and, through row b + 1, of every larger beta,
+    so past last[b], that ceiling for the least such gap, it is neither
+    updated, rescaled nor completed.
     d[r] is the least multiple of d[r - 1] divisible by d[i] d[r - i] for
     the events i < r, the orders where d grew past it: expanded into those
     lcms, a product over a split of r divides d[i] d[r - i] for an event
@@ -91,23 +101,23 @@ def solve_invariant_branch(omega: OneForm, a, trunc: int = None) -> PuiseuxCurve
     One rational per order: y_{m+r} is the only reduced fraction built
     at order r, and when its denominator does not divide D d[r], d[r]
     grows by the missing factor g, and so do only the offset-r entries,
-    one per row, and the weights W[j] with 0 < j < r.
+    one per live row, and the weights C[j] and W[j] with 0 < j < r.
 
     Orders below trunc, default_truncation(omega.pair) by default, are
     solved, so y is exact below m + trunc - q; the coefficients from there
-    to trunc read 0.  Raises NotDicritical when the form fails the dual
-    dicriticalness check, ZeroPivot when a = 0.
+    to trunc read 0.  A trunc that PuiseuxCurve refuses raises its
+    InputError before any work; then NotDicritical when the form fails the
+    dual dicriticalness check, ZeroPivot when a = 0.
     """
     pair = omega.pair
     n, m = pair.n, pair.m
     a = _parameter(a)
+    trunc = _truncation(pair, trunc)
     verdict = is_totally_dicritical(omega)
     if not verdict:
         raise NotDicritical("form has no invariant branch family")
     if a == 0:
         raise ZeroPivot("branch parameter a must be nonzero")
-    if trunc is None:
-        trunc = default_truncation(pair)
     q = nu_E_form(omega)
     cloud, _ = _integer_cloud(omega)
     points = sorted(cloud.items())
@@ -125,67 +135,74 @@ def solve_invariant_branch(omega: OneForm, a, trunc: int = None) -> PuiseuxCurve
     D = int(a.denominator)
     P = [{0: int(a.numerator) ** b} for b in range(top + 1)]
     Z = P[1]  # y^1 = y: Z[j] / (D d[j]) is y_{m+j}
+    z0 = Z[0]
     d = [1]
     e = [1]  # e[k] = d[k] / d[k - 1], small beside d[k]
-    W = {}  # W[j] = d[r] / (d[j] d[r - j]) for the keys j > 0 of Z
-    events = []  # the orders r at which d[r] grew past its lcm
-    # the cloud points by weight gap w - q, ascending, each with its P
-    # row, m beta and the integers n mu Bl D^(top - beta) and
-    # zeta Bl D^(top - beta) / beta (0 at beta = 0): at order r a point
-    # reads offset r - gap of its row, over D^beta d[r - gap]
+    # the held weights C[j] = Z[j] W[j] for the keys j > 0 of Z, and W[i]
+    # at the events i only, the orders at which d[i] grew past its lcm
+    C = {}
+    W = {}
+    # the cloud points by weight gap w - q, descending, so that at order r
+    # their offsets r - gap ascend, each with its P row, m beta and the
+    # integers n mu Bl D^(top - beta) and zeta Bl D^(top - beta) / beta
+    # (0 at beta = 0): at order r a point reads offset r - gap of its row,
+    # over D^beta d[r - gap]
     by_gap = sorted(
         ((n * al + m * be - q, P[be], m * be, n * mu * Bl * D ** (top - be),
           ze * Bl // be * D ** (top - be) if be else 0)
-         for (al, be), (mu, ze) in points), key=lambda point: point[0])
-    scale = pivot * Z[0] ** (beta - 1) * D ** (top - beta + 1)
+         for (al, be), (mu, ze) in points), key=lambda point: -point[0])
+    # row b is read to offset trunc - q - 1 - gap by a point of beta = b
+    # and to last[b + 1] by row b + 1's update, so it is dead past last[b]
+    last = [trunc - q - 1 - min(n * al + m * be - q for al, be in cloud
+                                if be >= b) for b in range(top + 1)]
+    live, lo = top, len(by_gap)
+    scale = pivot * z0 ** (beta - 1) * D ** (top - beta + 1)
     for r in range(1, trunc - q):
+        while last[live] < r:
+            live -= 1
         # only rows b >= 2 multiply coefficients, so with top = 1 d only
         # has to keep d[k] | d[r], and e[r] = 1; d[i] d[r - i] already
         # divides d[r - 1] unless e[r - i] > 1
         er = 1
         if top > 1:
-            er = math.lcm(*[e[r - i] // math.gcd(e[r - i], W[i])
-                            for i in events if e[r - i] != 1])
-            for j in W:
-                if e[r - j] != er:
-                    W[j] = W[j] * er // e[r - j]
+            er = math.lcm(*[e[r - i] // math.gcd(e[r - i], w)
+                            for i, w in W.items() if e[r - i] != 1])
+            for held in C, W:
+                for j, c in held.items():
+                    if e[r - j] != er:
+                        held[j] = c * er // e[r - j]
         e.append(er)
         dr = d[r - 1] * er
         d.append(dr)
-        # y_{m+j} times offset r - j of y^(b-1) lands over D^b d[r]: each
-        # weight Z[j] W[j] is built once per order, by the first row that
-        # meets it, and kept for the rows after it
-        w = {}
-        for b in range(2, top + 1):
-            acc = 0
+        # y_{m+j} times offset r - j of y^(b-1) lands over D^b d[r]
+        for b in range(2, live + 1):
             prev = P[b - 1]
-            for j, zj in Z.items():
+            acc = z0 * prev.get(r, 0)
+            for j, c in C.items():
                 v = prev.get(r - j)
                 if v is not None:
-                    c = w.get(j)
-                    if c is None:
-                        c = W.get(j, 1)
-                        c = zj if c == 1 else zj * c
-                        if b < top:
-                            w[j] = c
                     acc += c * v
             if acc:
                 P[b][r] = acc
         # known: the t^(q+r) coefficient without y_{m+r}, over
-        # Bl D^top d[r]; on a cusp's cloud (beta < n) each gap holds one
-        # point, so d[r] / d[k] is taken once per gap
+        # Bl D^top d[r], by Horner over the points with gap <= r: the sum
+        # over Bl D^top d[k0] moves to d[k] by e[k], or by d[k] / d[k0]
+        # where the offsets jump, and to d[r] once at the end
         known = 0
-        for gap, row, mb, nmu, zb in by_gap:
+        while lo and by_gap[lo - 1][0] <= r:
+            lo -= 1
+        for gap, row, mb, nmu, zb in by_gap[lo:]:
             k = r - gap
-            if k < 0:
-                break
             c = row.get(k)
             if c:
-                c *= nmu + zb * (mb + k)
-                f = dr // d[k]
-                known += c if f == 1 else c * f
+                if known:
+                    known *= e[k] if k == k0 + 1 else d[k] // d[k0]
+                known += c * (nmu + zb * (mb + k))
+                k0 = k
         if not known:  # y_{m+r} = 0, and the partial sums are complete
             continue
+        if k0 != r:
+            known *= dr // d[k0]
         # y_{m+r} = -known / (Bl D^top d[r] r zeta a^(beta - 1))
         y_new = Q(-known, r * scale * dr)
         num, den = int(y_new.numerator), int(y_new.denominator)
@@ -195,16 +212,16 @@ def solve_invariant_branch(omega: OneForm, a, trunc: int = None) -> PuiseuxCurve
             Dd *= g
             d[r] = dr * g
             e[r] *= g
-            events.append(r)
-            for j in W:
-                W[j] *= g
-            for b in range(2, top + 1):
+            for held in C, W:
+                for j in held:
+                    held[j] *= g
+            W[r] = 1
+            for b in range(2, live + 1):
                 v = P[b].get(r)
                 if v is not None:
                     P[b][r] = v * g
-        zr = num * (Dd // den)
-        W[r] = 1
-        for b in range(1, top + 1):
+        zr = C[r] = num * (Dd // den)
+        for b in range(1, live + 1):
             full = P[b].get(r, 0) + b * P[b - 1][0] * zr
             if full:
                 P[b][r] = full

@@ -152,6 +152,20 @@ def default_truncation(pair: PuiseuxPair) -> int:
     return pair.conductor + 2 * pair.n * pair.m
 
 
+def _truncation(pair: PuiseuxPair, trunc) -> int:
+    """trunc checked against the truncation rules, an integer (is_int) of
+    at least default_truncation(pair), or that floor for None."""
+    if trunc is not None and not is_int(trunc):
+        raise InputError("truncation must be an integer")
+    floor = default_truncation(pair)
+    if trunc is None:
+        return floor
+    if trunc < floor:
+        raise InputError("truncation must be an integer >= %s for the pair "
+                         "(%s, %s)" % (cut(floor), cut(pair.n), cut(pair.m)))
+    return trunc
+
+
 class PuiseuxCurve:
     """phi(t) = (t^n, y(t)) with ord y = m, known below the truncation T.
 
@@ -161,6 +175,8 @@ class PuiseuxCurve:
     t^m or at or above T (refused, not dropped), T is at least
     default_truncation(pair), under which every structural decision of
     the basis algorithms is taken, and n >= 2 (n = 1 is a smooth branch).
+    The truncation rules (_truncation, which the branch solver runs too)
+    come first.
 
     The power table holds y as integer numerators Y over den, the lcm of
     y's denominators, and one row per b: the integer numerators of y^b
@@ -178,8 +194,7 @@ class PuiseuxCurve:
     __slots__ = ("pair", "y", "trunc", "den", "_powers")
 
     def __init__(self, pair: PuiseuxPair, y_coeffs, trunc=None):
-        if trunc is not None and not is_int(trunc):
-            raise InputError("truncation must be an integer")
+        trunc = _truncation(pair, trunc)
         _typed(y_coeffs, "y")
         m = pair.m
         terms = [k for k, v in y_coeffs.items() if v != 0]
@@ -188,13 +203,6 @@ class PuiseuxCurve:
                            "nonzero t^%s term" % cut(m))
         if min(terms) < m:
             raise NotACusp("y-series has a term below t^%s" % cut(m))
-        floor = default_truncation(pair)
-        if trunc is None:
-            trunc = floor
-        elif trunc < floor:
-            raise InputError("truncation must be an integer >= %s for the "
-                             "pair (%s, %s)" % (cut(floor), cut(pair.n),
-                                                cut(m)))
         high = [k for k in terms if k >= trunc]
         if high:
             raise InputError("y term t^%s at or above the truncation %s"

@@ -15,7 +15,9 @@ measure the benchmark as well as the program.
 Writes BENCH_<label>.json at the root of this checkout: the `# machine`
 line and the commit of each side, every run's end-to-end metrics and its
 unscaled wall_s (`unscaled_wall_s`, from the `# unscaled wall_s` line)
-with `correct`, `attempted` and `failed`, and per workload and metric the
+with `correct`, `attempted`, `failed` and `load`, the 1, 5 and 15 minute
+load averages before and after the run (a record without them cannot
+tell a drift of the machine from a change), and per workload and metric the
 quartiles (statistics.quantiles, inclusive) and median of each side and
 the number of pairs in which this checkout did better; per workload, the
 traced pass's per-layer metrics of each side.
@@ -60,14 +62,17 @@ UNSCALED = "# unscaled wall_s "
 
 def run_once(checkout: pathlib.Path, workload: str, seed: int,
              seconds: int, trace: int = 0) -> tuple:
-    """(machine line, result) of one bench/run.py run; a --trace 0 run's
-    metrics gain its unscaled wall_s."""
+    """(machine line, result) of one bench/run.py run, with the load
+    averages (os.getloadavg) just before and just after it; a --trace 0
+    run's metrics gain its unscaled wall_s."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    before = os.getloadavg()
     done = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds),
          "--trace", str(trace)],
         cwd=checkout, env=env, capture_output=True, text=True)
+    after = os.getloadavg()
     if done.returncode != 0:
         raise SystemExit("bench/run.py failed in %s (%s, seed %d):\n%s"
                          % (checkout, workload, seed, done.stderr))
@@ -82,6 +87,7 @@ def run_once(checkout: pathlib.Path, workload: str, seed: int,
     return machine, {"correct": result["correct"],
                      "attempted": result["attempted"],
                      "failed": result["failed"],
+                     "load": {"before": before, "after": after},
                      "metrics": metrics}
 
 

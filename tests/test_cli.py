@@ -594,6 +594,18 @@ def basis511():
      "branch parameter a must be a rational"),
     (lambda: solve_invariant_branch(basis511().form(1), "1"),
      "branch parameter a must be a rational"),
+    (lambda: solve_invariant_branch(basis511().form(2), 1, 150.0),
+     "truncation must be an integer"),
+    (lambda: solve_invariant_branch(basis511().form(2), 1, 2.5),
+     "truncation must be an integer"),
+    (lambda: solve_invariant_branch(basis511().form(2), 1, "150"),
+     "truncation must be an integer"),
+    # refused before the dicriticalness walk, which this form fails
+    (lambda: solve_invariant_branch(OneForm(P511, A={(0, 0): rat(1)}), 1,
+                                    True), "truncation must be an integer"),
+    (lambda: solve_invariant_branch(OneForm(P511, A={(0, 0): rat(1)}), 1,
+                                    100),
+     "truncation must be an integer >= 150 for the pair (5, 11)"),
 ], ids=["not-coprime", "pair-order", "truncation-floor", "term-at-T",
         "redundant", "unsorted", "empty", "negative", "basis-empty",
         "basis-negative", "level-index", "mu-pole", "zeta-pole",
@@ -606,7 +618,9 @@ def basis511():
         "float-delorme-index", "bool-delorme-index", "float-limits-index",
         "bool-blowup-step", "float-semiroot-index", "bool-semiroot-index",
         "float-parameter", "bool-parameter", "float-verify-parameter",
-        "text-branch-parameter"])
+        "text-branch-parameter", "float-branch-truncation",
+        "fractional-branch-truncation", "text-branch-truncation",
+        "bool-branch-truncation", "branch-truncation-floor"])
 def test_every_input_rule_raises_input_error(build, rule):
     # the owner of each rule raises the one refusal type, which main
     # reports as a CuspidalError and which is a ValueError as well

@@ -174,6 +174,25 @@ def test_step_ratio_weights_match_the_rational_branch(basis_7_17_shared,
     assert solve_invariant_branch(omega, a) == branch_by_rationals(omega, a)
 
 
+@pytest.mark.parametrize("a", [rat(1, 2), rat(2)], ids=["1/2", "2"])
+@pytest.mark.parametrize("n, m, y, i, least_gaps", [
+    (7, 13, {13: 1, 23: -2}, 2, [0, 0, 0, 0, 20, 40, 60]),
+    (9, 11, {11: 1, 14: 2}, 3, [0, 0, 0, 0, 0, 24, 24, 24]),
+], ids=["7,13 omega_2", "9,11 omega_3"])
+def test_row_ceilings_and_offset_jumps_match_the_rational_branch(
+        n, m, y, i, least_gaps, a):
+    # row b stops least_gaps[b] orders before the last: rows 4 to 6 of the
+    # (7,13) omega_2 and rows 5 to 7 of the (9,11) omega_3, whose cloud
+    # has beta in {1, 4, 7} and gaps 3 apart, so the known sum's offsets
+    # jump from one point to the next
+    omega = compute_standard_basis(
+        PuiseuxCurve(PuiseuxPair(n, m), y)).form(i)
+    q = nu_E_form(omega)
+    assert [min(n * al + m * be - q for al, be in omega.cloud if be >= b)
+            for b in range(len(least_gaps))] == least_gaps
+    assert solve_invariant_branch(omega, a) == branch_by_rationals(omega, a)
+
+
 def test_branch_is_exact_below_m_plus_trunc_minus_q(basis_7_17_shared):
     # orders below trunc only are solved, so y_{m+r} is final for
     # m + r < m + T - q; a solve q - m orders longer reaches every
