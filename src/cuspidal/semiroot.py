@@ -10,9 +10,9 @@ d[i] d[j] | d[i+j], so that the offset-k coefficient of y^b is an
 integer over D^b d[k], as in the divided-power product of Hurwitz series
 (Keigher, Comm. Algebra 25, 1997).  Every ratio of d is read off its
 small steps e[k] = d[k] / d[k - 1], which exceed 1 only at the orders
-where a product or a new coefficient demands it.  One rational is
-reduced per order, the new coefficient, instead of every sum and product
-of the elimination.  The semiroot attached to omega_i carries, by the
+where a product or a new coefficient demands it.  The order loop builds
+no rational: one small gcd gives each new coefficient and the growth it
+asks of d.  The semiroot attached to omega_i carries, by the
 structure theorem, exactly the truncated semimodule generated by
 lambda_-1 .. lambda_{i-1}; this module solves the branches and checks
 that statement, semiroot by its first check, verify_main_theorem from
@@ -29,7 +29,8 @@ from .errors import (IndexOutOfRange, InputError, NotDicritical,
 from .forms import OneForm, _integer_cloud, nu_E_form
 from .jsonio import semiroot_to_json
 from .rationals import Q, cut, is_int, is_rational, rat
-from .series import OrderResult, PuiseuxCurve, _truncation, nu_C_form
+from .series import (OrderResult, PuiseuxCurve, _singular, _truncation,
+                     nu_C_form)
 from .stdbasis import (ExtendedStandardBasis, compute_standard_basis,
                        semimodule_oracle)
 from .blowup import is_totally_dicritical
@@ -98,14 +99,14 @@ def solve_invariant_branch(omega: OneForm, a, trunc: int = None) -> PuiseuxCurve
     d[k] / d[k - 1]: W[j] moves to W[j] e[r + 1] / e[r + 1 - j], and as
     d[i] d[r - i] | d[r - 1] e[r] exactly when e[r - i] | W[i] e[r] (W of
     order r - 1), e[r] is the lcm of e[r - i] / gcd(e[r - i], W[i]).
-    One rational per order: y_{m+r} is the only reduced fraction built
-    at order r, and when its denominator does not divide D d[r], d[r]
-    grows by the missing factor g, and so do only the offset-r entries,
-    one per live row, and the weights C[j] and W[j] with 0 < j < r.
+    No rational is built in the loop: y_{m+r} D d[r] = -known D / M (M =
+    r times the pivot term, small beside known), and d[r] grows by the
+    least g = |M| / gcd(M, known D) that makes it whole, as do only the
+    offset-r entries, one per live row, and C[j] and W[j], 0 < j < r.
 
     Orders below trunc, default_truncation(omega.pair) by default, are
     solved, so y is exact below m + trunc - q; the coefficients from there
-    to trunc read 0.  A trunc that PuiseuxCurve refuses raises its
+    to trunc read 0.  A trunc or an n that PuiseuxCurve refuses raises its
     InputError before any work; then NotDicritical when the form fails the
     dual dicriticalness check, ZeroPivot when a = 0.
     """
@@ -113,6 +114,7 @@ def solve_invariant_branch(omega: OneForm, a, trunc: int = None) -> PuiseuxCurve
     n, m = pair.n, pair.m
     a = _parameter(a)
     trunc = _truncation(pair, trunc)
+    _singular(pair)
     verdict = is_totally_dicritical(omega)
     if not verdict:
         raise NotDicritical("form has no invariant branch family")
@@ -156,13 +158,14 @@ def solve_invariant_branch(omega: OneForm, a, trunc: int = None) -> PuiseuxCurve
     last = [trunc - q - 1 - min(n * al + m * be - q for al, be in cloud
                                 if be >= b) for b in range(top + 1)]
     live, lo = top, len(by_gap)
+    # y_{m+r} D d[r] = known sD / (r |scale|), sD = -D sign(scale)
     scale = pivot * z0 ** (beta - 1) * D ** (top - beta + 1)
+    sD, scale = (-D if scale > 0 else D), abs(scale)
     for r in range(1, trunc - q):
         while last[live] < r:
             live -= 1
-        # only rows b >= 2 multiply coefficients, so with top = 1 d only
-        # has to keep d[k] | d[r], and e[r] = 1; d[i] d[r - i] already
-        # divides d[r - 1] unless e[r - i] > 1
+        # with top = 1 no row multiplies coefficients, so e[r] = 1; else
+        # d[i] d[r - i] | d[r - 1] already unless e[r - i] > 1
         er = 1
         if top > 1:
             er = math.lcm(*[e[r - i] // math.gcd(e[r - i], w)
@@ -184,10 +187,9 @@ def solve_invariant_branch(omega: OneForm, a, trunc: int = None) -> PuiseuxCurve
                     acc += c * v
             if acc:
                 P[b][r] = acc
-        # known: the t^(q+r) coefficient without y_{m+r}, over
-        # Bl D^top d[r], by Horner over the points with gap <= r: the sum
-        # over Bl D^top d[k0] moves to d[k] by e[k], or by d[k] / d[k0]
-        # where the offsets jump, and to d[r] once at the end
+        # known: the t^(q+r) coefficient without y_{m+r}, over Bl D^top
+        # d[r], by Horner over the points with gap <= r: moved from d[k0]
+        # to d[k] by e[k] or d[k] / d[k0], and to d[r] once at the end
         known = 0
         while lo and by_gap[lo - 1][0] <= r:
             lo -= 1
@@ -203,13 +205,11 @@ def solve_invariant_branch(omega: OneForm, a, trunc: int = None) -> PuiseuxCurve
             continue
         if k0 != r:
             known *= dr // d[k0]
-        # y_{m+r} = -known / (Bl D^top d[r] r zeta a^(beta - 1))
-        y_new = Q(-known, r * scale * dr)
-        num, den = int(y_new.numerator), int(y_new.denominator)
-        Dd = D * dr
-        if Dd % den:
-            g = den // math.gcd(Dd, den)
-            Dd *= g
+        # d[r] grows by the least g that makes known sD g / (r scale) whole
+        kD = known * sD
+        G = math.gcd(r * scale, kD)
+        g = r * scale // G
+        if g != 1:
             d[r] = dr * g
             e[r] *= g
             for held in C, W:
@@ -220,7 +220,7 @@ def solve_invariant_branch(omega: OneForm, a, trunc: int = None) -> PuiseuxCurve
                 v = P[b].get(r)
                 if v is not None:
                     P[b][r] = v * g
-        zr = C[r] = num * (Dd // den)
+        zr = C[r] = kD // G
         for b in range(1, live + 1):
             full = P[b].get(r, 0) + b * P[b - 1][0] * zr
             if full:

@@ -166,6 +166,14 @@ def _truncation(pair: PuiseuxPair, trunc) -> int:
     return trunc
 
 
+def _singular(pair: PuiseuxPair) -> None:
+    """The cusp rule on the pair: n >= 2, or NotACusp (n = 1 is a smooth
+    branch)."""
+    if pair.n < 2:
+        raise NotACusp("(%s, %s) parametrizes a smooth branch"
+                       % (cut(pair.n), cut(pair.m)))
+
+
 class PuiseuxCurve:
     """phi(t) = (t^n, y(t)) with ord y = m, known below the truncation T.
 
@@ -174,9 +182,9 @@ class PuiseuxCurve:
     holds rationals), y has a nonzero t^m term and no nonzero term below
     t^m or at or above T (refused, not dropped), T is at least
     default_truncation(pair), under which every structural decision of
-    the basis algorithms is taken, and n >= 2 (n = 1 is a smooth branch).
-    The truncation rules (_truncation, which the branch solver runs too)
-    come first.
+    the basis algorithms is taken, and n >= 2 (_singular).  The
+    truncation rules (_truncation) come first, the n rule last; the branch
+    solver runs both before any work.
 
     The power table holds y as integer numerators Y over den, the lcm of
     y's denominators, and one row per b: the integer numerators of y^b
@@ -207,9 +215,7 @@ class PuiseuxCurve:
         if high:
             raise InputError("y term t^%s at or above the truncation %s"
                              % (cut(min(high)), cut(trunc)))
-        if pair.n < 2:
-            raise NotACusp("(%s, %s) parametrizes a smooth branch"
-                           % (cut(pair.n), cut(m)))
+        _singular(pair)
         self.pair = pair
         self.trunc = trunc
         self.y = TruncatedSeries({k: rat(v) for k, v in y_coeffs.items()},
@@ -384,13 +390,16 @@ def _eliminate(acc: TruncatedSeries, E: int, r: int, row: TruncatedSeries,
                shift: int = 0):
     """Kill the t^r term of acc / E with a multiple of t^shift row, in
     place, acc and row integer numerators: for lead the row's t^(r - shift)
-    term and g = gcd(acc[r], lead), acc and E are rescaled by lead / g only
-    and acc / E loses (f / E') t^shift row, f = acc[r] / g, E' the new E.
+    term and g = gcd(acc[r], lead) with the sign of lead, acc and E are
+    rescaled by lead / g > 0 only, so the residual keeps its sign, and
+    acc / E loses (f / E') t^shift row, f = acc[r] / g, E' the new E.
     Returns (E', f).  Raises InternalDisagreement unless the order rose.
     """
     lead = row.coeffs.get(r - shift)
     if lead:
         g = math.gcd(acc.coeffs[r], lead)
+        if lead < 0:
+            g = -g
         f, scale = acc.coeffs[r] // g, lead // g
         top = min(acc.trunc, row.trunc + shift)
         if scale != 1 or top < acc.trunc:

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from cuspidal.blowup import is_totally_dicritical
 from cuspidal.corpus import random_cusp_curve
-from cuspidal.errors import (IndexOutOfRange, NotDicritical,
+from cuspidal.errors import (IndexOutOfRange, NotACusp, NotDicritical,
                              VerificationFailure, ZeroPivot)
-from cuspidal.forms import OneForm, nu_E_form
+from cuspidal.forms import OneForm, _integer_cloud, nu_E_form
 from cuspidal.rationals import Q, rat
 from cuspidal.semigroup import PuiseuxPair
 from cuspidal.semiroot import (semiroot, solve_invariant_branch,
@@ -48,9 +48,9 @@ def test_omega2_branch_series():
 @pytest.mark.skipif(Q is not fractions.Fraction,
                     reason="counts the normalisations of fractions.Fraction")
 def test_solver_normalises_a_bounded_number_of_times_per_order(monkeypatch):
-    # the fraction-free solver builds one rational per order and one per
-    # returned coefficient; beyond those only the dicriticalness check
-    # it starts with normalises anything
+    # the fraction-free solver builds one rational per returned
+    # coefficient and none in its order loop; beyond those only the
+    # dicriticalness check it starts with normalises anything
     omega = basis_7_17().form(3)
     counter = FractionGcdCounter(monkeypatch)
     assert is_totally_dicritical(omega)
@@ -60,6 +60,20 @@ def test_solver_normalises_a_bounded_number_of_times_per_order(monkeypatch):
     orders = branch.trunc - nu_E_form(omega) - 1
     assert len(branch.y.coeffs) > 200
     assert counter.calls <= check + 2 * orders
+
+
+@pytest.mark.skipif(Q is not fractions.Fraction,
+                    reason="counts the normalisations of fractions.Fraction")
+def test_solver_normalises_once_per_returned_coefficient(monkeypatch):
+    # with the verdict cached, each coefficient and the growth of d it
+    # asks for come from one integer gcd: the only normalisations are the
+    # returned coefficients', one each
+    omega = basis_7_17().form(3)
+    assert is_totally_dicritical(omega)
+    a = rat(1, 2)
+    counter = FractionGcdCounter(monkeypatch)
+    branch = solve_invariant_branch(omega, a)
+    assert counter.calls == len(branch.y.coeffs) > 200
 
 
 @pytest.mark.skipif(Q is not fractions.Fraction,
@@ -191,6 +205,43 @@ def test_row_ceilings_and_offset_jumps_match_the_rational_branch(
     assert [min(n * al + m * be - q for al, be in omega.cloud if be >= b)
             for b in range(len(least_gaps))] == least_gaps
     assert solve_invariant_branch(omega, a) == branch_by_rationals(omega, a)
+
+
+def _scale(omega, a):
+    """The solver's pivot term Bl zeta z0^(beta - 1) D^(top - beta + 1),
+    read on omega's integer cloud at its vertex (alpha, beta)."""
+    vertex = is_totally_dicritical(omega).vertex
+    cloud, _ = _integer_cloud(omega)
+    beta, top = vertex[1], max(be for _, be in cloud)
+    Bl = math.lcm(*(be for _, be in cloud if be))
+    return (Bl * cloud[vertex][1] * a.numerator ** (beta - 1)
+            * a.denominator ** (top - beta + 1))
+
+
+@pytest.mark.parametrize("i, sign, a", [
+    (2, 1, rat(1000003, 999983)), (3, 1, rat(-7, 3)), (2, -1, rat(-7, 3)),
+], ids=["omega_2,1000003/999983", "omega_3,-7/3", "-omega_2,-7/3"])
+def test_integer_growth_matches_the_rational_branch(basis_7_17_shared, i,
+                                                    sign, a):
+    # parameters of large height and a form whose pivot term is negative:
+    # the growth factor and the new numerator come off one gcd of the
+    # known sum with the pivot term, whose sign moves onto D
+    omega = basis_7_17_shared.form(i).times_monomial(0, 0, rat(sign))
+    assert (_scale(omega, a) < 0) == (sign < 0)
+    assert solve_invariant_branch(omega, a) == branch_by_rationals(omega, a)
+
+
+def test_smooth_pair_is_refused_before_the_walk(monkeypatch):
+    # n >= 2 is checked right after the truncation, so a pair with n = 1
+    # never reaches the dicriticalness walk or the order loop
+    def walk(omega):
+        raise AssertionError("the walk ran")
+    monkeypatch.setattr(importlib.import_module("cuspidal.semiroot"),
+                        "is_totally_dicritical", walk)
+    omega = OneForm(PuiseuxPair(1, 3), {(0, 1): -3}, {(1, 0): 1})
+    with pytest.raises(NotACusp,
+                       match=r"^\(1, 3\) parametrizes a smooth branch$"):
+        solve_invariant_branch(omega, 1)
 
 
 def test_branch_is_exact_below_m_plus_trunc_minus_q(basis_7_17_shared):

@@ -504,6 +504,21 @@ def test_elimination_step_rescales_by_the_lead_over_the_gcd():
     assert acc.coeffs == {11: 1} and acc.trunc == 12
 
 
+def test_elimination_step_keeps_the_residual_sign_on_a_negative_lead():
+    # 3/2 t^5 + 1/2 t^7 less -3/4 (-2 t^5 + t^6): g takes the lead's sign,
+    # so the rescale is 2, not -2, and f / E' is the same -3/4
+    acc = _numerators({5: 3, 7: 1}, 20)
+    E, f = series._eliminate(acc, 2, 5, _numerators({5: -2, 6: 1}, 20))
+    assert (E, f) == (4, -3) and rat(f, E) == rat(3, -4)
+    assert acc.coeffs == {6: 3, 7: 2} and acc.trunc == 20
+    # a lead of -1 rescales nothing: the residual is not rebuilt
+    acc = _numerators({5: 3, 7: 1}, 20)
+    coeffs = acc.coeffs
+    assert series._eliminate(acc, 2, 5, _numerators({5: -1, 8: 1}, 20)) == \
+        (2, -3)
+    assert acc.coeffs is coeffs and coeffs == {7: 1, 8: 3}
+
+
 @pytest.mark.parametrize("row", [{4: 1, 5: 2}, {6: 1}, {}])
 def test_elimination_step_raises_when_the_order_does_not_rise(row):
     """A row with a term below its lead, or none at the order, leaves a
