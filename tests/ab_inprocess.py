@@ -1,7 +1,7 @@
 """Paired in-process timing of this checkout against another one.
 
     python tests/ab_inprocess.py --other CHECKOUT --workload W [--seed S]
-                                 [--reps N]
+                                 [--reps N] [--per-item]
 
 Loads this checkout's src/cuspidal and the other checkout's into one
 interpreter, as two packages of their own, and runs the items that
@@ -15,6 +15,14 @@ one repetition to the next, and takes the process time
 time, and the ratio this / other of the paired passes: its median and
 quartiles (statistics.quantiles, inclusive) and the number of
 repetitions in which this side was faster.
+
+With --per-item, each repetition runs the items one at a time, both
+sides back to back, the side that goes first alternating from one item
+to the next.  Prints, per item, each side's minimum time, the ratio this
+/ other of the minima, the median of the paired ratios and the number
+of repetitions in which this side was faster, then the same for the sum
+over the items.  An item's own minimum resolves a change to one heavy
+item that the spread of whole passes hides.
 
 One interpreter, paired passes and process time keep most of a busy
 machine's drift out of the ratio, which separate bench/run.py runs cannot
@@ -48,19 +56,55 @@ def load_cli(checkout: pathlib.Path, name: str):
     return importlib.import_module(name + ".cli")
 
 
+def run_item(cli, item_id, argv) -> tuple:
+    """(process seconds, stdout) of one run of one item."""
+    buf = io.StringIO()
+    start = time.process_time()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(list(argv))
+    seconds = time.process_time() - start
+    if code != 0:
+        raise SystemExit("%s exited %r on %s" % (cli.__name__, code,
+                                                 item_id))
+    return seconds, buf.getvalue()
+
+
 def one_pass(cli, items) -> tuple:
     """(process seconds, {item id: stdout}) of one run of every item."""
     texts = {}
     start = time.process_time()
     for item_id, argv in items:
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            code = cli.main(list(argv))
-        if code != 0:
-            raise SystemExit("%s exited %r on %s" % (cli.__name__, code,
-                                                     item_id))
-        texts[item_id] = buf.getvalue()
+        texts[item_id] = run_item(cli, item_id, argv)[1]
     return time.process_time() - start, texts
+
+
+def report(name: str, this: list, other: list) -> None:
+    """One line of --per-item: the paired times of one item or the sum."""
+    ratios = [t / o for t, o in zip(this, other)]
+    lower = sum(t < o for t, o in zip(this, other))
+    print("%-16s min %.4f / %.4f s, ratio of minima %.4f, median ratio "
+          "%.4f, this lower in %d of %d"
+          % (name, min(this), min(other), min(this) / min(other),
+             statistics.median(ratios), lower, len(ratios)))
+
+
+def per_item(sides: dict, items: list, reps: int) -> None:
+    """Time every item on both sides reps times, sides alternating item by
+    item, and report each item and the sum over the items."""
+    times = {item_id: {side: [] for side in sides} for item_id, _ in items}
+    turn = 0
+    for _ in range(reps):
+        for item_id, argv in items:
+            order = ("this", "other") if turn % 2 == 0 else ("other", "this")
+            turn += 1
+            for side in order:
+                times[item_id][side].append(
+                    run_item(sides[side], item_id, argv)[0])
+    for item_id, pair in times.items():
+        report(item_id, pair["this"], pair["other"])
+    report("sum", *([sum(rep) for rep in zip(*(pair[side] for pair in
+                                               times.values()))]
+                    for side in ("this", "other")))
 
 
 def wrong(texts: dict, golden: dict) -> list:
@@ -77,6 +121,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--reps", type=int, default=21)
+    parser.add_argument("--per-item", action="store_true",
+                        help="pair the two sides item by item")
     ns = parser.parse_args(argv)
     if ns.reps < 2:
         parser.error("--reps must be at least 2 for the quartiles")
@@ -92,6 +138,9 @@ def main(argv=None) -> int:
         if bad:
             raise SystemExit("%s side differs from bench/golden.json on %s"
                              % (side, ", ".join(bad)))
+    if ns.per_item:
+        per_item(sides, items, ns.reps)
+        return 0
     times = {side: [] for side in sides}
     for rep in range(ns.reps):
         order = ("this", "other") if rep % 2 == 0 else ("other", "this")

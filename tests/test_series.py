@@ -23,7 +23,7 @@ from cuspidal.series import (OrderResult, PuiseuxCurve, TruncatedSeries,
 from cuspidal.semiroot import solve_invariant_branch
 from cuspidal.stdbasis import compute_standard_basis, dicritically_adjust
 
-from oracles import antiderivative, combine, theta
+from oracles import _rational_powers, antiderivative, combine, theta
 
 P511 = PuiseuxPair(5, 11)
 
@@ -266,6 +266,71 @@ def test_polynomial_y_keeps_the_chain(monkeypatch):
     rows = [c.y_power(b) for b in range(1, 11)]
     assert squared == [3, 5, 7]
     assert rows == [_repeated_product(c, b) for b in range(1, 11)]
+
+
+@pytest.fixture(scope="module")
+def branch_7_17_omega_2():
+    """ex7_17's omega_2 branch at a = 1/2, whose den the high half raises."""
+    basis = compute_standard_basis(
+        PuiseuxCurve(PuiseuxPair(7, 17), {17: 1, 30: 1, 33: 1, 36: 1}))
+    return solve_invariant_branch(basis.form(2), rat(1, 2), basis.curve.trunc)
+
+
+# a rational tail with terms right at t^(s - 1) and t^s, s = 22 for
+# T = 38, whose high half raises den from 6 to 210
+Y35_SPLIT = {5: rat(1), 7: rat(1, 3), 21: rat(1, 2), 22: rat(1, 5),
+             30: rat(1, 7)}
+
+
+@pytest.mark.parametrize("name", ["branch", "tail"])
+def test_split_rows_equal_rational_powers(branch_7_17_omega_2, name):
+    # rows grown by the two-half rule against y * ... * y on rationals,
+    # at the full precision T + (b - 1) m, at T and at and below s; a
+    # split moved to s - 1 drops the hi^2 term t^(2 (s - 1) + (b - 2) m)
+    c = branch_7_17_omega_2 if name == "branch" else PuiseuxCurve(
+        P35, Y35_SPLIT)
+    T, m = c.trunc, c.pair.m
+    s = (T + m + 1) // 2
+    power = _rational_powers(c)
+    for b in range(1, 5):
+        for prec in (None, T, s, s - 1):
+            row = c.y_power(b, prec)
+            assert row.trunc == (T + (b - 1) * m if prec is None else prec)
+            assert _over(row, c.den ** b) == power(b, prec).truncate(
+                row.trunc)
+    lo, r, hi = c._split
+    assert lo.den * r == c.den and r > 1
+    assert {s - 1, s} <= set(c.y.coeffs) and min(hi.coeffs) == s
+
+
+@pytest.mark.parametrize("y, products", [
+    # an integer curve
+    ({11: 1, 12: 1, 13: 1},
+     [(3, 150), (5, 161), (3, 150, 9, 183), (9, 183)]),
+    # a rational tail wholly below s = 22
+    (Y35, [(4, 20), (4, 38, 8, 25), (4, 38), (4, 38, 8, 43), (12, 48),
+           (8, 43), (4, 38, 16, 53), (16, 53)]),
+    # a high tail, at s - 1 and s, whose denominators divide den_lo = 6
+    ({5: rat(1), 7: rat(1, 6), 21: rat(-2, 3), 22: rat(1, 3), 30: rat(5, 2)},
+     [(2, 20), (5, 38, 3, 25), (5, 38), (5, 38, 10, 43), (14, 48), (10, 43),
+      (5, 38, 18, 53), (18, 53)]),
+], ids=["integer", "low-tail", "dividing-tail"])
+def test_split_stays_off_when_it_cannot_pay(monkeypatch, y, products):
+    # no split: the flat rows of the square and chain rule, product for
+    # product, (terms, trunc) of a squared row or of both chain factors
+    c = PuiseuxCurve(P511 if 11 in y else P35, y)
+    assert c._split is None
+    calls, mul = [], TruncatedSeries.__mul__
+
+    def counted(self, other):
+        calls.append((len(self.coeffs), self.trunc) + (
+            () if other is self else (len(other.coeffs), other.trunc)))
+        return mul(self, other)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counted)
+    for b, p in ((3, 30), (2, None), (6, 40), (5, None), (8, None), (4, 12)):
+        c.y_power(b, p)
+    assert calls == products
 
 
 def test_pullback_scales_each_exponent_group_once(monkeypatch):
