@@ -102,9 +102,10 @@ def per_item(sides: dict, items: list, reps: int) -> None:
                     run_item(sides[side], item_id, argv)[0])
     for item_id, pair in times.items():
         report(item_id, pair["this"], pair["other"])
-    report("sum", *([sum(rep) for rep in zip(*(pair[side] for pair in
-                                               times.values()))]
-                    for side in ("this", "other")))
+    sums = {side: [sum(rep) for rep in zip(*(pair[side]
+                                             for pair in times.values()))]
+            for side in sides}
+    report("sum", sums["this"], sums["other"])
 
 
 def wrong(texts: dict, golden: dict) -> list:
