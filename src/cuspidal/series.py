@@ -27,11 +27,11 @@ precision asked for; an even row is the square of row b/2 when that
 takes fewer products than Y times row b - 1, either grown by the one
 series product TruncatedSeries.__mul__, which squares a self-product.
 A dense rational tail puts all of D on every coefficient, so a curve
-splits y = lo + hi at s = ceil((T + m) / 2) when lo, its terms below t^s,
-has a smaller lcm of denominators D_lo: 2s >= T + m puts every hi^2 term
-of y^b past the table's precision, and row b is the two-term lift
-r^b [lo^b] + b r^(b-1) [lo^(b-1)] Y_hi, r = D / D_lo, of lo's own rows
-over D_lo^b.
+splits y = lo + hi at s = ceil((T + m) / 2) when lo, the curve of y's
+terms below t^s, has a smaller lcm of denominators D_lo: 2s >= T + m puts
+every hi^2 term of y^b past the table's precision, and row b is the
+two-term lift r^b [lo^b] + b r^(b-1) [lo^(b-1)] Y_hi, r = D / D_lo, of
+lo's own rows over D_lo^b.
 A pullback sums integer rows over one scale, each exponent's group with
 small weights and then scaled once; pullback_form and pullback_function
 build one rational per nonzero coefficient, the orders nu_C_* build
@@ -204,17 +204,16 @@ class PuiseuxCurve:
     b = 8 on for three terms).
     theta(y^b) is read off the same row, never stored.
 
-    The two-half rule: at s = ceil((T + m) / 2), lo holds y's terms below
-    t^s and hi the rest, Y_hi their numerators over den.  A hi^2 term of
-    y^b lies at or past t^((b - 2) m + 2 s), and 2 s >= T + m puts it at
-    or past T + (b - 1) m, the highest precision of row b.  So exactly
+    The two-half rule: at s = ceil((T + m) / 2), lo is the curve of y's
+    terms below t^s and hi the rest, Y_hi their numerators over den.  A
+    hi^2 term of y^b lies at or past t^((b - 2) m + 2 s), and 2 s >= T + m
+    puts it at or past T + (b - 1) m, row b's highest precision.  So exactly
     y^b den^b = r^b lo^b den_lo^b + b r^(b-1) lo^(b-1) den_lo^(b-1) Y_hi
-    with den_lo the lcm of lo's denominators and r = den / den_lo, the gcd
-    of den and Y below t^s.  When r > 1 (den_lo < den) the curve holds lo
-    as a table of its own, rows over den_lo^b grown by the rule above from
-    Y // r below t^s, and grows each of its rows b >= 2 as that one
-    two-term sum; an integer curve, or one whose high terms raise no
-    denominator, never splits.
+    with den_lo = lo.den and r = den / den_lo.  When den_lo < den the
+    curve holds lo, whose own table grows its rows over den_lo^b by the
+    rule above, and grows each of its rows b >= 2 as that one two-term
+    sum; an integer curve, one with no term at or past t^s, or one whose
+    high terms raise no denominator, never splits.
     """
 
     __slots__ = ("pair", "y", "trunc", "den", "_powers", "_split")
@@ -239,25 +238,19 @@ class PuiseuxCurve:
         self.y = TruncatedSeries({k: rat(v) for k, v in y_coeffs.items()},
                                  trunc)
         self.den, (Y,) = _cleared(self.y.coeffs)
-        self._hold(Y)
-        # the two-half rule: lo, the terms below s, over den_lo = den / r
-        s = (trunc + m + 1) // 2
-        r = math.gcd(self.den, *(v for k, v in Y.items() if k < s))
-        if r > 1:
-            lo = object.__new__(PuiseuxCurve)
-            lo.pair, lo.trunc, lo.den = pair, trunc, self.den // r
-            lo._hold({k: v // r for k, v in Y.items() if k < s})
-            self._split = (lo, r, TruncatedSeries(
-                {k: v for k, v in Y.items() if k >= s}, trunc))
-
-    def _hold(self, Y: dict):
-        """Rows 0 and 1 of the table, Y the numerators of y over den, and
-        no split."""
         # b -> the numerators of y^b over den^b, at the highest precision
         # asked for
         self._powers = {0: TruncatedSeries({0: 1}),
-                        1: TruncatedSeries(Y, self.trunc)}
+                        1: TruncatedSeries(Y, trunc)}
         self._split = None
+        # the two-half rule: lo, the curve of y's terms below t^s
+        s = (trunc + m + 1) // 2
+        if max(terms) >= s:
+            lo = PuiseuxCurve(pair, {k: c for k, c in self.y.coeffs.items()
+                                     if k < s}, trunc)
+            if lo.den < self.den:
+                self._split = (lo, self.den // lo.den, TruncatedSeries(
+                    {k: v for k, v in Y.items() if k >= s}, trunc))
 
     def _precision(self, b: int, prec) -> float:
         """prec, or all of y^b (infinite for b = 0) for None or above T."""
@@ -275,8 +268,6 @@ class PuiseuxCurve:
             return TruncatedSeries(None, want)
         row = self._powers.get(b)
         if row is None or row.trunc < want:
-            h, p, y = (len(self._powers[k].coeffs) if k in self._powers
-                       else None for k in (b // 2, b - 1, 1))
             if self._split:
                 # the two-half rule; lo's row b - 1 below want - ord Y_hi
                 # is exact against Y_hi
@@ -284,13 +275,16 @@ class PuiseuxCurve:
                 cross = lo.y_power(b - 1, want - hi.order_lb()) * hi
                 row = _assemble(((lo.y_power(b, want), 0, r ** b, 0),
                                  (cross, 0, b * r ** (b - 1), 0)), want)
-            elif b % 2 == 0 and h and (p is None or h * h + h < 2 * p * y):
-                # row b / 2, of order b m / 2, squared is exact below want
-                half = self.y_power(b // 2, want - b // 2 * m)
-                row = half * half
             else:
-                # Y times row b - 1 below want - m is exact below want
-                row = self._powers[1] * self.y_power(b - 1, want - m)
+                h, p, y = (len(self._powers[k].coeffs) if k in self._powers
+                           else None for k in (b // 2, b - 1, 1))
+                if b % 2 == 0 and h and (p is None or h * h + h < 2 * p * y):
+                    # row b / 2, of order b m / 2, squared is exact below want
+                    half = self.y_power(b // 2, want - b // 2 * m)
+                    row = half * half
+                else:
+                    # Y times row b - 1 below want - m is exact below want
+                    row = self._powers[1] * self.y_power(b - 1, want - m)
             self._powers[b] = row
         return row.truncate(want)
 

@@ -33,6 +33,10 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 LONG = "x" * 5000
 NINES = "9" * 4000
 WORDS = " ".join(["x"] * 2500)
+# a base curve whose high terms raise den to 70 = 35 x 2, so its power
+# rows grow by the two-half rule
+SPLIT = ('{"n": 5, "m": 11, "y": [[11, "1"], [12, "1/2"], [13, "1"], '
+         '[90, "1/7"], [101, "-2/5"]]}')
 REFUSALS = [
     ["semigroup"],
     ["semigroup", "--pair", "4,6"],
@@ -146,6 +150,8 @@ def sweep(cwd: str, env: dict) -> None:
                          "--j", str(j)], cwd, env)
         run(["semiroots", "--curve", name], cwd, env)
         run(["verify", "--curve", name, "--all-semiroots"], cwd, env)
+    run(["standard-basis", "--curve", SPLIT], cwd, env)
+    run(["verify", "--curve", SPLIT, "--all-semiroots"], cwd, env)
     for argv in REFUSALS:
         run(argv, cwd, env)
 

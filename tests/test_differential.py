@@ -13,8 +13,8 @@ from cuspidal.rationals import Q, rat
 from cuspidal.semigroup import PuiseuxPair
 from cuspidal.semimodule import GammaSemimodule
 from cuspidal.series import (PuiseuxCurve, TruncatedSeries, _pullback,
-                             integrate_against_conductor, pullback_form,
-                             pullback_function)
+                             default_truncation, integrate_against_conductor,
+                             pullback_form, pullback_function)
 from cuspidal.semiroot import solve_invariant_branch, verify_main_theorem
 from cuspidal.stdbasis import (_built, _cancel, _seed,
                                compute_standard_basis, semimodule_oracle)
@@ -44,7 +44,16 @@ def rational_tail_curves(draw, leads=st.just(rat(1))):
     coeffs = {m: draw(leads)}
     for k in exponents:
         coeffs[k] = draw(small_rationals())
-    return PuiseuxCurve(PuiseuxPair(n, m), coeffs)
+    # up to two terms in [s, T), s = ceil((T + m) / 2), over a prime that
+    # is new to den, so that the power table splits y (series' two-half
+    # rule)
+    pair = PuiseuxPair(n, m)
+    T = default_truncation(pair)
+    for k in draw(st.lists(st.integers((T + m + 1) // 2, T - 1),
+                           max_size=2, unique=True)):
+        coeffs[k] = rat(draw(st.integers(-3, 3).filter(bool)),
+                        draw(st.sampled_from([5, 7, 11])))
+    return PuiseuxCurve(pair, coeffs)
 
 
 @settings(max_examples=100, deadline=None)

@@ -34,6 +34,8 @@ CURVES = ("ex5_11", "ex7_17", "rand_000", "rand_001", "rand_002",
           "rand_003", "rand_004")
 VERIFIED = ("ex5_11", "rand_000", "rand_001", "rand_002", "rand_003",
             "rand_004")
+SPLIT = ('{"n":5,"m":11,"y":[[11,"1"],[12,"1/2"],[13,"1"],'
+         '[90,"1/7"],[101,"-2/5"]]}')
 RUNS = (["standard-basis --curve %s.json" % c for c in CURVES]
         + ["semimodule --curve %s.json" % c for c in CURVES]
         + ["semiroots --curve %s.json" % c for c in CURVES]
@@ -47,7 +49,11 @@ RUNS = (["standard-basis --curve %s.json" % c for c in CURVES]
            # the adjustment at a non-default T, and at criterion 06's
            # member 7, (t^9, t^11), whose adjustment takes no potential
            "standard-basis --curve ex5_11.json --truncation 200",
-           'standard-basis --curve {"n":9,"m":11,"y":[[11,"1"]]}'])
+           'standard-basis --curve {"n":9,"m":11,"y":[[11,"1"]]}',
+           # a base curve that splits (den 70 = 35 x 2): its adjustment
+           # integrates against two-half rows
+           "standard-basis --curve %s" % SPLIT,
+           "verify --all-semiroots --curve %s" % SPLIT])
 
 
 def seed_corpus(directory: pathlib.Path) -> None:

@@ -299,6 +299,10 @@ def test_split_rows_equal_rational_powers(branch_7_17_omega_2, name):
             assert _over(row, c.den ** b) == power(b, prec).truncate(
                 row.trunc)
     lo, r, hi = c._split
+    # lo is an ordinary curve, the one built from y's terms below t^s
+    built = PuiseuxCurve(c.pair, {k: v for k, v in c.y.coeffs.items()
+                                  if k < s}, c.trunc)
+    assert lo == built and repr(lo) == repr(built)
     assert lo.den * r == c.den and r > 1
     assert {s - 1, s} <= set(c.y.coeffs) and min(hi.coeffs) == s
 
