@@ -2,7 +2,8 @@
 
 Writes `seed-corpus --count 5 --seed 0` into a temporary directory and,
 working there with relative paths, runs every subcommand on each file of
-it, every delorme pair of each curve and a fixed list of refusals.  It
+it, every delorme pair of each curve, standard-basis and verify on a
+base curve that splits (SPLIT) and a fixed list of refusals.  It
 prints one line per run: the exit code, the sha256 of stdout, the
 sha256 of stderr and the argv (an argument over 40 characters is shown
 as its first 20 and its length).  Each file the corpus run writes, and
