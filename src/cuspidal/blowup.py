@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import IndexOutOfRange, InputError, InternalDisagreement
 from .forms import OneForm, _integer_cloud, _resonant_at, is_prebasic
-from .rationals import cut, is_int
+from .rationals import cut, integer
 from .semigroup import PuiseuxPair
 
 __all__ = [
@@ -85,8 +85,7 @@ def transform_form(seq: CuspidalSequence, omega: OneForm, step: int) -> OneForm:
     the common x1 (free) or y1 (corner) content and is deliberately not
     divided out here.
     """
-    if not is_int(step):
-        raise IndexOutOfRange("step index must be an integer")
+    integer(step, "step index", kind=IndexOutOfRange)
     if not 0 <= step <= seq.length - 2:
         raise IndexOutOfRange("step %s outside 0..%d"
                               % (cut(step), seq.length - 2))

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 
 from .errors import InputError, NotPreBasic, QAboveOrder, ZeroForm
-from .rationals import Q, cut, is_int, rat
+from .rationals import Q, cut, integer, is_int, rat
 from .semigroup import PuiseuxPair, copair
 
 __all__ = [
@@ -301,12 +301,13 @@ def initial_part(omega: OneForm, q: int) -> OneForm:
     """The sub-form supported on cloud points of weight exactly q.
 
     Zero when q < nu_E(omega); rejects q above the order, where the slice
-    is not meaningful.
+    is not meaningful, and then any q but an integer.
     """
     nu = nu_E_form(omega)
     if q > nu:
         raise QAboveOrder("initial part at %s above nu_E = %s"
                           % (cut(q), cut(nu)))
+    integer(q, "weight")
     pair = omega.pair
     keep = {p: c for p, c in omega.cloud.items() if _weight(pair, p) == q}
     return OneForm.from_cloud(pair, keep)

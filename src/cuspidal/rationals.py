@@ -12,6 +12,10 @@ from CPython 3.11); a refusal echoes at most 20 characters of any text
 or integer it was given (cut, and echo for quoted text).  Text off the
 grammar or with a zero denominator raises errors.InputError, an integer
 over the cap OverDigitCap, one kind of it.
+
+An integer argument has one rule, integer: every index, truncation,
+weight, precision and semigroup or semimodule element goes through it,
+and a float, a bool or text is refused there, never read as a number.
 """
 
 from __future__ import annotations
@@ -56,6 +60,16 @@ class OverDigitCap(InputError):
 def is_int(x) -> bool:
     """An int that is not a bool: the library's one integer test."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def integer(value, what: str, lo=None, hi=None, kind=InputError):
+    """value, an integer (is_int) in lo..hi when bounds are given; else
+    kind: "<what> must be an integer" or "<what> <cut> outside lo..hi"."""
+    if not is_int(value):
+        raise kind(what + " must be an integer")
+    if lo is not None and not lo <= value <= hi:
+        raise kind("%s %s outside %d..%d" % (what, cut(value), lo, hi))
+    return value
 
 
 def is_rational(x) -> bool:

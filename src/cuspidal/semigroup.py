@@ -15,7 +15,7 @@ from functools import cached_property
 
 from .errors import (InputError, InternalDisagreement, NotInSemigroup,
                      NotUniqueRange)
-from .rationals import cut, is_int
+from .rationals import cut, integer, is_int
 
 
 @dataclass(frozen=True)
@@ -68,10 +68,13 @@ class GammaRepresentation:
 
 
 def contains(pair: PuiseuxPair, p: int) -> bool:
-    """Membership p in <n, m>, answered by the residue table.
+    """Membership p in <n, m>, answered by the residue table; a p that is
+    not an integer raises InputError.
 
     Examples: 16 in <5, 11>; 0 in <5, 11>; 39 not in <5, 11>.
     """
+    if not is_int(p):  # inline: the rule's call costs on this hot path
+        integer(p, "semigroup element")
     if p < 0:
         return False
     return p >= pair.apery[p % pair.n]
@@ -85,9 +88,7 @@ def represent(pair: PuiseuxPair, p: int) -> GammaRepresentation:
     non-members.
     """
     n, m = pair.n, pair.m
-    if not is_int(p):
-        raise InputError("semigroup element must be an integer")
-    if p >= n * m:
+    if integer(p, "semigroup element") >= n * m:
         raise NotUniqueRange("representation of %s >= %s is not unique"
                              % (cut(p), cut(n * m)))
     return minimal_b_representation(pair, p)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IndexOutOfRange, InputError
-from .rationals import cut, is_int
+from .rationals import cut, integer, is_int
 from .semigroup import PuiseuxPair
 
 
@@ -114,17 +114,15 @@ class GammaSemimodule:
         return len(self.basis) - 2
 
     def contains(self, p: int) -> bool:
+        if not is_int(p):  # inline, as in semigroup.contains
+            integer(p, "semimodule element")
         if p < 0:
             return False
         return p >= self._prefix_tables[-1][p % self.pair.n]
 
     def truncated(self, k: int) -> "GammaSemimodule":
         """The semimodule of the generators lambda_-1 .. lambda_k, k <= s."""
-        if not is_int(k):
-            raise IndexOutOfRange("truncation index must be an integer")
-        if not -1 <= k <= self.s_index:
-            raise IndexOutOfRange("truncation index %s outside -1..%d"
-                                  % (cut(k), self.s_index))
+        integer(k, "truncation index", -1, self.s_index, IndexOutOfRange)
         return GammaSemimodule(self.pair, self.basis[:k + 2])
 
     def __eq__(self, other):
@@ -187,11 +185,7 @@ def limits(sm: GammaSemimodule, i: int) -> Limits:
     of p, so each p = 1 .. n is lifted by whole periods until it gets
     there and the limit is the least lifted p (step = n, resp. m).
     """
-    if not is_int(i):
-        raise IndexOutOfRange("limits index must be an integer")
-    if not 0 <= i <= sm.s_index:
-        raise IndexOutOfRange("limits index %s outside 0..%d"
-                              % (cut(i), sm.s_index))
+    integer(i, "limits index", 0, sm.s_index, IndexOutOfRange)
     n, m = sm.pair.n, sm.pair.m
     lam, table = sm.basis[i + 1], sm._prefix_tables[i]
 
@@ -214,9 +208,7 @@ def level_set(sm: GammaSemimodule, q: int) -> LevelSet:
     Classes are indexed by k -> the class of k*m, which straightens the
     members into the circular-interval picture.
     """
-    if not is_int(q):
-        raise InputError("level index must be an integer")
-    if q < 0:
+    if integer(q, "level index") < 0:
         raise InputError("level index must be >= 0")
     n = sm.pair.n
     minv = sm.pair.m_inverse_mod_n

@@ -28,7 +28,7 @@ from .errors import (IndexOutOfRange, InputError, NotDicritical,
                      VerificationFailure, ZeroPivot)
 from .forms import OneForm, _integer_cloud, nu_E_form
 from .jsonio import semiroot_to_json
-from .rationals import Q, cut, is_int, is_rational, rat
+from .rationals import Q, integer, is_rational, rat
 from .series import (OrderResult, PuiseuxCurve, _singular, _truncation,
                      nu_C_form)
 from .stdbasis import (ExtendedStandardBasis, compute_standard_basis,
@@ -243,11 +243,7 @@ def _solve(basis: ExtendedStandardBasis, i: int, a):
     """omega_i, the Semiroot of its branch at parameter a with the
     branch's own standard-basis semimodule, and the prefix Lambda_{i-1} it
     must equal; the index and a are checked before any work."""
-    if not is_int(i):
-        raise IndexOutOfRange("semiroot index must be an integer")
-    if not 1 <= i <= basis.s_index + 1:
-        raise IndexOutOfRange("semiroot index %s outside 1..%d"
-                              % (cut(i), basis.s_index + 1))
+    integer(i, "semiroot index", 1, basis.s_index + 1, IndexOutOfRange)
     a = _parameter(a)
     omega = basis.form(i)
     branch = solve_invariant_branch(omega, a, basis.curve.trunc)

@@ -57,7 +57,7 @@ from dataclasses import dataclass
 from .errors import (IndexOutOfRange, InputError, InternalDisagreement,
                      NotACusp, OrderTooLow)
 from .forms import BivariatePolynomial, OneForm, _cleared, _integer_cloud
-from .rationals import Q, cut, is_int, is_rational, rat
+from .rationals import Q, cut, integer, is_int, is_rational, rat
 from .semigroup import PuiseuxPair, minimal_b_representation
 
 __all__ = [
@@ -161,12 +161,10 @@ def default_truncation(pair: PuiseuxPair) -> int:
 def _truncation(pair: PuiseuxPair, trunc) -> int:
     """trunc checked against the truncation rules, an integer (is_int) of
     at least default_truncation(pair), or that floor for None."""
-    if trunc is not None and not is_int(trunc):
-        raise InputError("truncation must be an integer")
     floor = default_truncation(pair)
     if trunc is None:
         return floor
-    if trunc < floor:
+    if integer(trunc, "truncation") < floor:
         raise InputError("truncation must be an integer >= %s for the pair "
                          "(%s, %s)" % (cut(floor), cut(pair.n), cut(pair.m)))
     return trunc
@@ -253,8 +251,8 @@ class PuiseuxCurve:
                     {k: v for k, v in Y.items() if k >= s}, trunc))
 
     def _precision(self, b: int, prec) -> float:
-        """prec, or all of y^b (infinite for b = 0) for None or above T."""
-        if prec is None or prec > self.trunc:
+        """Integer prec; for None or above T, all of y^b (b = 0: infinite)."""
+        if prec is None or integer(prec, "precision") > self.trunc:
             return self.trunc + (b - 1) * self.pair.m if b else math.inf
         return prec
 
@@ -361,7 +359,7 @@ def _pullback(curve: PuiseuxCurve, f, prec, c: int = 0, d: int = 0):
     multiplied by den^(top - e) once.
     """
     n = curve.pair.n
-    bound = math.inf if prec is None else prec
+    bound = math.inf if prec is None else integer(prec, "precision")
     if isinstance(f, OneForm):
         cloud, L = _integer_cloud(f)
         B = math.lcm(*(be + d for _, be in cloud if be + d))

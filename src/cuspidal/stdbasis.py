@@ -22,7 +22,7 @@ from .forms import (BivariatePolynomial, OneForm, _combined, _recomposes,
                     differential, is_basic, is_resonant, nu_E_form)
 from .semigroup import contains
 from .semimodule import GammaSemimodule, limits, minimal_basis
-from .rationals import Q, cut, is_int
+from .rationals import Q, cut, integer
 from .series import (OrderResult, PuiseuxCurve, _eliminate, _integrate,
                      _pullback, nu_C_form, nu_C_function)
 from .blowup import is_totally_dicritical
@@ -95,8 +95,7 @@ class ExtendedStandardBasis:
 
     def form(self, i: int) -> OneForm:
         """omega_i by math index; i = s+1 reaches the adjusted form."""
-        if not is_int(i):
-            raise IndexOutOfRange("form index must be an integer")
+        integer(i, "form index", kind=IndexOutOfRange)
         if -1 <= i <= self.s_index:
             return self.forms[i + 1]
         if i == self.s_index + 1:
@@ -309,8 +308,8 @@ def delorme_decompose(basis: ExtendedStandardBasis, i: int,
     is cleared once and accumulated over the kept integer clouds.
     """
     s, sm = basis.s_index, basis.semimodule
-    if not (is_int(i) and is_int(j)):
-        raise IndexOutOfRange("Delorme index must be an integer")
+    for k in (i, j):
+        integer(k, "Delorme index", kind=IndexOutOfRange)
     if not 0 <= j <= i <= s:
         raise IndexOutOfRange("need 0 <= j <= i <= %d, got (%s, %s)"
                               % (s, cut(i), cut(j)))

@@ -9,16 +9,17 @@ from cuspidal.cli import main
 from cuspidal.errors import (CuspidalError, IndexOutOfRange, InputError,
                              NotDicritical, NotInSemigroup, NotUniqueRange,
                              QAboveOrder, VerificationFailure)
-from cuspidal.forms import OneForm, Region, initial_part
+from cuspidal.forms import BivariatePolynomial, OneForm, Region, initial_part
 from cuspidal.jsonio import parse_curve, parse_form
 from cuspidal.rationals import rat, rat_from_str
-from cuspidal.semigroup import (PuiseuxPair, minimal_b_representation,
-                                represent)
+from cuspidal.semigroup import (PuiseuxPair, contains,
+                                minimal_b_representation, represent)
 from cuspidal.semimodule import (GammaSemimodule, level_set, limits,
                                  minimal_basis, ray_level_set)
 from cuspidal.semiroot import (semiroot, solve_invariant_branch,
                                verify_main_theorem)
-from cuspidal.series import PuiseuxCurve
+from cuspidal.series import (PuiseuxCurve, nu_C_form, nu_C_function,
+                             pullback_form, pullback_function)
 from cuspidal.stdbasis import compute_standard_basis, delorme_decompose
 
 from oracles import no_digit_cap
@@ -606,6 +607,37 @@ def basis511():
     (lambda: solve_invariant_branch(OneForm(P511, A={(0, 0): rat(1)}), 1,
                                     100),
      "truncation must be an integer >= 150 for the pair (5, 11)"),
+    # rationals.integer refuses these: a float, a bool or text is never
+    # read as a number
+    (lambda: contains(P511, 2.5), "semigroup element must be an integer"),
+    (lambda: contains(P511, True), "semigroup element must be an integer"),
+    (lambda: GammaSemimodule(P511, (5, 11)).contains(16.0),
+     "semimodule element must be an integer"),
+    (lambda: GammaSemimodule(P511, (5, 11)).contains(True),
+     "semimodule element must be an integer"),
+    (lambda: initial_part(OneForm(P511, {(0, 0): 1}), 2.5),
+     "weight must be an integer"),
+    (lambda: initial_part(OneForm(P511, {(0, 0): 1}), True),
+     "weight must be an integer"),
+    (lambda: nu_C_form(PuiseuxCurve(P511, {11: 1}), OneForm(P511, {(0, 0): 1}),
+                       30.5), "precision must be an integer"),
+    (lambda: nu_C_form(PuiseuxCurve(P511, {11: 1}), OneForm(P511, {(0, 0): 1}),
+                       True), "precision must be an integer"),
+    (lambda: pullback_form(PuiseuxCurve(P511, {11: 1}),
+                           OneForm(P511, {(0, 0): 1}), "30"),
+     "precision must be an integer"),
+    (lambda: nu_C_function(PuiseuxCurve(P511, {11: 1}),
+                           BivariatePolynomial.monomial(1, 0), 2.5),
+     "precision must be an integer"),
+    (lambda: pullback_function(PuiseuxCurve(P511, {11: 1}),
+                               BivariatePolynomial.monomial(1, 0), True),
+     "precision must be an integer"),
+    (lambda: PuiseuxCurve(P511, {11: 1}).y_power(2, 30.5),
+     "precision must be an integer"),
+    (lambda: PuiseuxCurve(P511, {11: 1}).y_power(2, "30"),
+     "precision must be an integer"),
+    (lambda: PuiseuxCurve(P511, {11: 1}).theta_y_times_power(1, True),
+     "precision must be an integer"),
 ], ids=["not-coprime", "pair-order", "truncation-floor", "term-at-T",
         "redundant", "unsorted", "empty", "negative", "basis-empty",
         "basis-negative", "level-index", "mu-pole", "zeta-pole",
@@ -620,7 +652,14 @@ def basis511():
         "float-parameter", "bool-parameter", "float-verify-parameter",
         "text-branch-parameter", "float-branch-truncation",
         "fractional-branch-truncation", "text-branch-truncation",
-        "bool-branch-truncation", "branch-truncation-floor"])
+        "bool-branch-truncation", "branch-truncation-floor",
+        "float-semigroup-element", "bool-semigroup-element",
+        "float-semimodule-element", "bool-semimodule-element",
+        "float-initial-part-weight", "bool-initial-part-weight",
+        "float-form-precision", "bool-form-precision",
+        "text-form-precision", "float-function-precision",
+        "bool-function-precision", "float-power-precision",
+        "text-power-precision", "bool-theta-power-precision"])
 def test_every_input_rule_raises_input_error(build, rule):
     # the owner of each rule raises the one refusal type, which main
     # reports as a CuspidalError and which is a ValueError as well

@@ -22,8 +22,9 @@ only semimodule._scan refuses an empty generator system or a negative
 generator, and semiroot encodes no parametrization itself but goes
 through jsonio.semiroot_to_json, as the standard basis and the
 semimodule command go through jsonio.semimodule_to_json.  An integer has
-one test, rationals.is_int, the only place that asks for a bool, and
-nothing is coerced: int() takes only a rational's numerator or
+one test, rationals.is_int, the only place that asks for a bool, and an
+integer argument one rule, rationals.integer, the only source of "must
+be an integer"; nothing is coerced: int() takes only a rational's numerator or
 denominator or a digit group of the integer grammar, and series builds
 every TruncatedSeries through its one constructor, with no _reduced.
 The pair is the semigroup: PuiseuxPair carries Gamma's Apery table,
@@ -498,6 +499,16 @@ def test_one_integer_test_and_one_series_constructor():
     assert len(found) == 1 and owners == {("rationals", "is_int")}
     assert "_reduced" not in {qualname for qualname, _
                               in _definitions(trees["series"])}
+
+
+def test_one_integer_argument_rule():
+    # rationals.integer words every "<what> must be an integer" refusal,
+    # so no string constant outside rationals spells the rule again
+    found = [(name, node.lineno) for name, tree in _module_trees().items()
+             if name != "rationals" for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and node.value.endswith("must be an integer")]
+    assert found == []
 
 
 def test_the_pair_is_the_semigroup():
